@@ -43,7 +43,7 @@ use xenic_sim::{FastMap, FastSet, SmallVec};
 
 use xenic_net::{Exec, Protocol, Runtime};
 use xenic_sim::SimTime;
-use xenic_store::log::LogKind;
+use xenic_store::log::{LogFull, LogKind};
 use xenic_store::nic_index::{NicIndex, NicIndexConfig, NicLookup};
 use xenic_store::robinhood::{RobinhoodConfig, RobinhoodTable};
 use xenic_store::{CommitLog, Key, TxnId, Value, Version, WritePayload};
@@ -430,11 +430,13 @@ impl XenicNode {
         }
         // Pre-warm: the LiquidIO's 16 GB DRAM holds the paper's benchmark
         // datasets outright, so a deployed node's cache is resident. Only
-        // done when the shard fits the configured budget.
+        // done when the shard fits the configured budget. (A pass of its
+        // own: each install is one independent cache miss, and folding
+        // the tree inserts above into this loop serializes them.)
         if cfg.nic_cache && own.len() <= cfg.nic_cache_values {
             for (k, v) in &own {
                 let seg = host_table.segment_of_key(*k);
-                nic_index.install(seg, *k, v.clone(), 1);
+                nic_index.install_preloaded(seg, *k, v.clone(), 1);
             }
         }
         let mut backups = FastMap::default();
@@ -454,6 +456,7 @@ impl XenicNode {
         // primary serves pending ops from every node's slots.
         let coord_cap = (app_threads * 4).max(64);
         let pending_cap = (part.nodes as usize * app_threads * 2).max(128);
+        nic_index.reserve_locks(pending_cap);
         XenicNode {
             cfg,
             part,
@@ -507,14 +510,15 @@ impl XenicNode {
     }
 
     /// Current capacities of the pre-sized hot-path maps, for the
-    /// no-growth regression test: `[host_txns, coord, pending]` followed
-    /// by each backup replica map. A steady-state run must leave every
-    /// one unchanged (no mid-run rehash).
+    /// no-growth regression test: `[host_txns, coord, pending, NIC lock
+    /// table]` followed by each backup replica map. A steady-state run
+    /// must leave every one unchanged (no mid-run rehash).
     pub fn hot_map_capacities(&self) -> Vec<usize> {
         let mut caps = vec![
             self.host_txns.capacity(),
             self.coord.capacity(),
             self.pending.capacity(),
+            self.nic_index.lock_capacity(),
         ];
         let mut shards: Vec<u32> = self.backups.keys().copied().collect();
         shards.sort_unstable();
@@ -2588,32 +2592,36 @@ fn apply_commit_records(
     unlock: KeySet,
 ) {
     let shard = st.shard;
-    let appended = st.log.append(txn, LogKind::Commit, shard, writes.clone());
-    if appended.is_ok() {
-        for (k, p, ver) in &writes {
-            let seg = st.segment(*k);
-            if st.cfg.nic_cache {
-                // Resolve the new value locally: the primary holds the
-                // current value (cache, else host table — nothing newer
-                // can be pending while we hold the lock).
-                let current = match st.nic_index.lookup(seg, *k) {
-                    xenic_store::nic_index::NicLookup::Hit { value, .. } => value,
-                    _ => st
-                        .host_table
-                        .get(*k)
-                        .map(|(v, _)| v.clone())
-                        .unwrap_or_else(|| Value::filled(0, 0)),
-                };
-                let new_value = p.apply(&current);
-                st.nic_index.commit_write(seg, *k, new_value, *ver);
-            } else {
-                st.nic_index.commit_write_meta(seg, *k, *ver);
-            }
-        }
-    }
-    match appended {
+    match st.log.append(txn, LogKind::Commit, shard, writes) {
         Ok(lsn) => {
-            let entry_bytes = st.log.get(lsn).map(|e| e.bytes()).unwrap_or(64) as u32;
+            let XenicNode {
+                log,
+                nic_index,
+                host_table,
+                cfg,
+                ..
+            } = &mut *st;
+            let entry = log.get(lsn).expect("record was just appended");
+            for (k, p, ver) in &entry.writes {
+                let seg = host_table.segment_of_key(*k);
+                if cfg.nic_cache {
+                    // Resolve the new value locally: the primary holds the
+                    // current value (cache, else host table — nothing newer
+                    // can be pending while we hold the lock).
+                    let current = match nic_index.lookup(seg, *k) {
+                        NicLookup::Hit { value, .. } => value,
+                        NicLookup::Miss { .. } => host_table
+                            .get(*k)
+                            .map(|(v, _)| v.clone())
+                            .unwrap_or_else(|| Value::filled(0, 0)),
+                    };
+                    let new_value = p.apply(&current);
+                    nic_index.commit_write(seg, *k, new_value, *ver);
+                } else {
+                    nic_index.commit_write_meta(seg, *k, *ver);
+                }
+            }
+            let entry_bytes = entry.bytes() as u32;
             log_record_durable(
                 st,
                 rt,
@@ -2626,10 +2634,9 @@ fn apply_commit_records(
                 },
             );
         }
-        Err(_) => {
+        Err(LogFull(writes)) => {
             // Commit is past the point of no return: hold the locks and
-            // retry after the host drains some ring space. The cache
-            // entries were pinned above, so readers stay correct.
+            // retry after the host drains some ring space.
             rt.send_local(
                 Exec::Nic,
                 XMsg::from(RetryCommitApply { txn, writes, unlock }),
@@ -3350,7 +3357,7 @@ pub(crate) fn snic_log(
             None => {}
         }
     }
-    match st.log.append(txn, LogKind::Backup, shard, writes.clone()) {
+    match st.log.append(txn, LogKind::Backup, shard, writes) {
         Ok(lsn) => {
             if fa {
                 st.backup_log_acked.insert((txn, shard), false);
@@ -3368,7 +3375,7 @@ pub(crate) fn snic_log(
                 },
             );
         }
-        Err(_) => {
+        Err(LogFull(writes)) => {
             // Backpressure: the ring is full until the host drains it.
             // Retry the append after a few worker poll periods. Refusing
             // would be unsound: a sibling backup that *did* log would

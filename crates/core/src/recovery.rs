@@ -181,6 +181,12 @@ pub fn recover_shard(
             node.host_table.seg_has_overflow(seg),
         );
     }
+    // The ordered mirror is rebuilt from the replica like the table, or
+    // every range walk on the promoted shard would see an empty index and
+    // every lock on an existing key would register an insert sentinel.
+    for (k, (_, ver)) in &replica {
+        fresh_index.preload_ordered(*k, *ver);
+    }
     node.nic_index = fresh_index;
     let mut locks_taken = 0;
     for (txn, writes) in &recovering {
@@ -218,6 +224,9 @@ pub fn recover_shard(
                     } else {
                         node.host_table.insert_versioned(*k, new_value, *ver);
                     }
+                    // Mirror the applied version (promoting the sentinel
+                    // step 4's lock registered if the key is new).
+                    node.nic_index.preload_ordered(*k, *ver);
                 }
             }
             applied += 1;
@@ -478,7 +487,7 @@ mod tests {
         assert!(!cm.alive(0, SimTime::ZERO));
     }
 
-    fn run_cluster_and_fail_node(fail: usize) {
+    fn run_cluster_and_fail_node(fail: usize) -> (Cluster<Xenic>, usize) {
         let params = HwParams::paper_testbed();
         let part = Partitioning::new(6, 3);
         let cfg = XenicConfig::full();
@@ -526,6 +535,43 @@ mod tests {
             .map(|(i, s)| if i == fail { None } else { Some(s) })
             .collect();
         audit_recovery(&ro, &part, fail, report.new_primary).expect("audit");
+        (cluster, report.new_primary)
+    }
+
+    /// The promoted primary's ordered mirror must be rebuilt with the
+    /// table: a fresh (empty) mirror makes every scan of the recovered
+    /// shard return zero rows — with matching Validate fingerprints —
+    /// and turns every lock on an existing key into a bogus insert.
+    #[test]
+    fn failover_rebuilds_the_ordered_mirror() {
+        let (mut cluster, new_primary) = run_cluster_and_fail_node(2);
+        let node = &mut cluster.states[new_primary];
+        let mut want: Vec<(Key, Option<Version>)> = node
+            .host_table
+            .iter_keys()
+            .map(|(k, ver)| (k, Some(ver)))
+            .collect();
+        want.sort_unstable();
+        assert!(want.len() >= 500);
+        let mut rows = Vec::new();
+        node.nic_index.range_walk(0, Key::MAX, None, &mut |k, v| {
+            rows.push((k, v));
+            true
+        });
+        assert_eq!(rows.len(), want.len(), "rows walked vs keys in the table");
+        assert!(rows == want, "walked versions differ from the host table's");
+        assert!(
+            rows.iter().any(|(_, v)| *v > Some(1)),
+            "the run committed writes to the failed shard before the failover"
+        );
+        // Locking a pre-existing key is an update, not an insert.
+        let k = make_key(2, 7);
+        let seg = node.host_table.segment_of_key(k);
+        let txn = TxnId::new(0, u64::MAX);
+        assert!(node.nic_index.try_lock(seg, k, txn));
+        assert_eq!(node.nic_index.pending_insert_owner(k), None);
+        node.nic_index.unlock(seg, k, txn);
+        assert_eq!(node.nic_index.ordered_len(), want.len());
     }
 
     #[test]

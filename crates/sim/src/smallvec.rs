@@ -136,6 +136,28 @@ impl<T, const N: usize> SmallVec<T, N> {
         }
     }
 
+    /// Removes and returns the element at `index`, moving the last
+    /// element into its place (O(1), like `Vec::swap_remove`).
+    pub fn swap_remove(&mut self, index: usize) -> T {
+        let len = self.len();
+        assert!(index < len, "swap_remove index {index} out of range {len}");
+        self.as_mut_slice().swap(index, len - 1);
+        self.pop().expect("len > index >= 0")
+    }
+
+    /// Keeps only the elements `keep` accepts, preserving their order
+    /// (like `Vec::retain`).
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let mut i = 0;
+        while i < self.len() {
+            if keep(&self[i]) {
+                i += 1;
+            } else {
+                self.remove(i);
+            }
+        }
+    }
+
     /// Drops all elements. A spilled vector keeps its heap capacity, so
     /// pooled containers don't re-allocate on reuse.
     pub fn clear(&mut self) {
@@ -415,6 +437,21 @@ mod tests {
             let rest: Vec<u32> = v.iter().copied().collect();
             let expect: Vec<u32> = (0..n).filter(|&i| i != 2).collect();
             assert_eq!(rest, expect);
+        }
+    }
+
+    #[test]
+    fn swap_remove_and_retain_match_vec() {
+        for n in [3u32, 9] {
+            let mut v: SmallVec<u32, 4> = (0..n).collect();
+            let mut model: Vec<u32> = (0..n).collect();
+            assert_eq!(v.swap_remove(1), model.swap_remove(1));
+            assert_eq!(v.as_slice(), model.as_slice());
+            let last = v.len() - 1;
+            assert_eq!(v.swap_remove(last), model.swap_remove(last));
+            v.retain(|x| x % 2 == 0);
+            model.retain(|x| x % 2 == 0);
+            assert_eq!(v.as_slice(), model.as_slice());
         }
     }
 

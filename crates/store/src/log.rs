@@ -39,23 +39,32 @@ pub struct LogEntry {
     pub shard: u32,
     /// Write set: key, payload (full value or delta), new version.
     pub writes: Vec<(Key, WritePayload, Version)>,
+    /// Record size, summed once at append.
+    bytes: u64,
 }
 
 impl LogEntry {
-    /// On-wire / in-memory size: 32-byte header + 24 bytes per write
-    /// header + payloads. Used for DMA sizing and ring occupancy.
+    /// On-wire / in-memory size of the record. Used for DMA sizing and
+    /// ring occupancy.
     pub fn bytes(&self) -> u64 {
-        32 + self
-            .writes
-            .iter()
-            .map(|(_, p, _)| 8 + u64::from(p.wire_bytes()))
-            .sum::<u64>()
+        self.bytes
     }
 }
 
+/// Size of a record carrying `writes`: 32-byte header + 24 bytes per
+/// write header + payloads.
+fn record_bytes(writes: &[(Key, WritePayload, Version)]) -> u64 {
+    32 + writes
+        .iter()
+        .map(|(_, p, _)| 8 + u64::from(p.wire_bytes()))
+        .sum::<u64>()
+}
+
 /// Error: the ring is out of space until the host acks more entries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LogFull;
+/// Hands the rejected write set back, so a caller that must retry later
+/// need not have cloned it up front.
+#[derive(Debug, PartialEq)]
+pub struct LogFull(pub Vec<(Key, WritePayload, Version)>);
 
 /// The host-memory commit log ring.
 pub struct CommitLog {
@@ -107,22 +116,22 @@ impl CommitLog {
         shard: u32,
         writes: Vec<(Key, WritePayload, Version)>,
     ) -> Result<u64, LogFull> {
-        let entry = LogEntry {
-            lsn: self.next_lsn,
+        let bytes = record_bytes(&writes);
+        if self.used_bytes + bytes > self.capacity_bytes {
+            return Err(LogFull(writes));
+        }
+        let lsn = self.next_lsn;
+        self.used_bytes += bytes;
+        self.next_lsn += 1;
+        self.appended += 1;
+        self.entries.push_back(LogEntry {
+            lsn,
             txn,
             kind,
             shard,
             writes,
-        };
-        let sz = entry.bytes();
-        if self.used_bytes + sz > self.capacity_bytes {
-            return Err(LogFull);
-        }
-        self.used_bytes += sz;
-        self.next_lsn += 1;
-        self.appended += 1;
-        let lsn = entry.lsn;
-        self.entries.push_back(entry);
+            bytes,
+        });
         Ok(lsn)
     }
 
@@ -241,22 +250,14 @@ mod tests {
 
     #[test]
     fn full_ring_rejects_until_acked() {
-        let entry_bytes = {
-            let e = LogEntry {
-                lsn: 1,
-                txn: txn(1),
-                kind: LogKind::Backup,
-                shard: 0,
-                writes: writes(1),
-            };
-            e.bytes()
-        };
+        let entry_bytes = record_bytes(&writes(1));
         let mut log = CommitLog::new(entry_bytes * 2);
         let a = log.append(txn(1), LogKind::Backup, 0, writes(1)).unwrap();
         log.append(txn(2), LogKind::Backup, 0, writes(1)).unwrap();
+        // The rejected write set comes back to the caller intact.
         assert_eq!(
             log.append(txn(3), LogKind::Backup, 0, writes(1)),
-            Err(LogFull)
+            Err(LogFull(writes(1)))
         );
         log.ack_through(a);
         assert!(log.append(txn(3), LogKind::Backup, 0, writes(1)).is_ok());
@@ -276,21 +277,13 @@ mod tests {
 
     #[test]
     fn entry_size_accounts_payload() {
-        let e = LogEntry {
-            lsn: 1,
-            txn: txn(1),
-            kind: LogKind::Backup,
-            shard: 3,
-            writes: vec![(9, WritePayload::Full(crate::types::Value::filled(100, 0)), 1)],
-        };
-        assert_eq!(e.bytes(), 32 + 8 + 16 + 100);
-        let d = LogEntry {
-            lsn: 2,
-            txn: txn(1),
-            kind: LogKind::Commit,
-            shard: 3,
-            writes: vec![(9, WritePayload::AddI64(-5), 1)],
-        };
-        assert_eq!(d.bytes(), 32 + 8 + 20);
+        let mut log = CommitLog::new(1 << 20);
+        let full = vec![(9, WritePayload::Full(crate::types::Value::filled(100, 0)), 1)];
+        let a = log.append(txn(1), LogKind::Backup, 3, full).unwrap();
+        assert_eq!(log.get(a).unwrap().bytes(), 32 + 8 + 16 + 100);
+        let delta = vec![(9, WritePayload::AddI64(-5), 1)];
+        let b = log.append(txn(1), LogKind::Commit, 3, delta).unwrap();
+        assert_eq!(log.get(b).unwrap().bytes(), 32 + 8 + 20);
+        assert_eq!(log.used_bytes(), (32 + 8 + 16 + 100) + (32 + 8 + 20));
     }
 }

@@ -3,10 +3,7 @@
 //! NIC DRAM holds, per host-table segment, an *index entry* with:
 //!
 //! * a cache of hot objects homed in that segment (value + version),
-//! * transaction metadata — the **lock** and cached **version** — for
-//!   objects touched by ongoing transactions (locks live *only* here;
-//!   §4.2.1: "lock state is maintained in only one location (SmartNIC
-//!   memory) and rebuilt upon recovery"),
+//! * the cached **version** of objects touched by ongoing transactions,
 //! * the highest known displacement `d_i` of objects homed in the
 //!   segment, plus an overflow-page flag — the hints that let a cache
 //!   miss be served with a single bounded DMA read, and
@@ -14,11 +11,26 @@
 //!   until the host applies the log, so NIC lookups never return a stale
 //!   object (§4.2 step 6).
 //!
-//! Each entry has a fixed number of cache positions with chained overflow
-//! pages as needed; a global NIC-memory budget drives clock eviction of
-//! unpinned, unlocked, value-holding records.
+//! **Locks** still live *only* in NIC memory (§4.2.1: "lock state is
+//! maintained in only one location (SmartNIC memory) and rebuilt upon
+//! recovery") — as one small table of the locks currently *held*, not a
+//! field per record: a scanned row or a validated read learns "unlocked"
+//! from a table of a few dozen entries without touching the object's
+//! record at all.
+//!
+//! Each entry keeps its first few records inline (a segment homes ~2.6
+//! objects at the provisioned occupancy) and spills to a heap page beyond
+//! that; a global NIC-memory budget drives clock eviction of unpinned,
+//! unlocked, value-holding records.
+//!
+//! Beside the per-segment entries sits the NIC-resident **ordered
+//! mirror** that range scans walk (DESIGN.md §14): a B+tree of every
+//! committed key, fronted by a bounded version write buffer so that a
+//! point write to an existing key never descends the tree.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+
+use xenic_sim::{FastMap, SmallVec};
 
 use crate::btree::BTree;
 use crate::types::{Key, LockState, TxnId, Value, Version};
@@ -45,6 +57,14 @@ impl Default for NicIndexConfig {
     }
 }
 
+/// Records an index entry holds inline before spilling to the heap.
+const INLINE_RECORDS: usize = 3;
+
+/// Committed version bumps the ordered mirror buffers before writing
+/// them into the tree in one key-ordered pass. Small enough that the
+/// buffer stays cache-resident for the per-row probe range walks make.
+const WRITE_BUFFER_CAP: usize = 1024;
+
 /// One object's record inside an index entry.
 #[derive(Clone, Debug)]
 struct ObjRecord {
@@ -54,21 +74,20 @@ struct ObjRecord {
     /// Cached version (meaningful when `value.is_some()` or the object is
     /// mid-transaction).
     version: Version,
-    lock: LockState,
-    /// True once a version has been learned for this object (execute-phase
-    /// reads note versions so Validate is NIC-local).
-    has_version: bool,
     /// Commit pins: > 0 means the host has not yet applied this object's
     /// latest committed write, so the record must not be evicted.
     pins: u32,
+    /// True once a version has been learned for this object (execute-phase
+    /// reads note versions so Validate is NIC-local).
+    has_version: bool,
     /// Clock-eviction reference bit.
     referenced: bool,
-}
-
-impl ObjRecord {
-    fn evictable(&self) -> bool {
-        self.pins == 0 && !self.lock.is_held()
-    }
+    /// The key is known to be a *committed* member of the ordered mirror
+    /// (learned from preload, from a commit, or from one tree probe), so
+    /// locking it is an update, not an insert, and its version bumps may
+    /// be buffered. Never set for a pending insert; never goes stale,
+    /// because committed keys are never removed from the mirror.
+    in_ordered: bool,
 }
 
 /// One per host-table segment.
@@ -78,7 +97,36 @@ struct IndexEntry {
     d_i: u32,
     /// Whether the segment has an overflow page on the host.
     has_overflow: bool,
-    records: Vec<ObjRecord>,
+    records: SmallVec<ObjRecord, INLINE_RECORDS>,
+}
+
+impl IndexEntry {
+    fn record(&self, key: Key) -> Option<&ObjRecord> {
+        self.records.iter().find(|r| r.key == key)
+    }
+
+    fn record_mut(&mut self, key: Key) -> Option<&mut ObjRecord> {
+        self.records.iter_mut().find(|r| r.key == key)
+    }
+
+    fn ensure_record(&mut self, key: Key) -> &mut ObjRecord {
+        let idx = match self.records.iter().position(|r| r.key == key) {
+            Some(i) => i,
+            None => {
+                self.records.push(ObjRecord {
+                    key,
+                    value: None,
+                    version: 0,
+                    pins: 0,
+                    has_version: false,
+                    referenced: true,
+                    in_ordered: false,
+                });
+                self.records.len() - 1
+            }
+        };
+        &mut self.records[idx]
+    }
 }
 
 /// Result of a NIC-side lookup.
@@ -90,8 +138,6 @@ pub enum NicLookup {
         value: Value,
         /// Its cached version.
         version: Version,
-        /// Current lock state.
-        lock: LockState,
     },
     /// Not cached: the caller must issue a DMA read planned with these
     /// hints (see [`crate::robinhood::RobinhoodTable::dma_lookup`]).
@@ -116,24 +162,132 @@ pub struct IndexStats {
     pub evictions: u64,
 }
 
+/// The NIC-resident ordered index: every committed key homed at this
+/// node, in key order, mapped to its last committed version. Range scans
+/// walk the tree (metered per node visit, like
+/// `RobinhoodTable::get_traced` meters point reads) instead of the
+/// unordered host table. In-flight inserts appear as sentinels so a
+/// concurrent scan detects the phantom before it commits.
+///
+/// Invariants:
+/// * the tree's version of a key is authoritative *unless* `buffer`
+///   holds the key, in which case the buffered version is newer;
+/// * every buffered key is a committed member of the tree (so flushing
+///   replaces versions in place and never changes the tree's shape);
+/// * a pending key is in the tree (as a sentinel) but never in `buffer`.
+struct OrderedMirror {
+    tree: BTree<Version>,
+    /// Owners of in-flight inserts: keys locked by a transaction that
+    /// did not exist before it — present in `tree` as sentinels,
+    /// retracted on abort, promoted to committed on commit.
+    pending: FastMap<Key, TxnId>,
+    /// Committed version bumps of existing keys not yet written into
+    /// `tree`; at most [`WRITE_BUFFER_CAP`] entries.
+    buffer: FastMap<Key, Version>,
+    /// Flush scratch, kept so a flush allocates nothing.
+    flush_scratch: Vec<(Key, Version)>,
+}
+
+impl OrderedMirror {
+    fn new() -> Self {
+        OrderedMirror {
+            tree: BTree::new(),
+            pending: FastMap::default(),
+            buffer: FastMap::with_capacity_and_hasher(WRITE_BUFFER_CAP, Default::default()),
+            flush_scratch: Vec::with_capacity(WRITE_BUFFER_CAP),
+        }
+    }
+
+    /// `key` was just locked by `txn` and is not known to be a member:
+    /// probe the tree once. Returns true if the key is committed;
+    /// otherwise this is an insert in flight, and a sentinel is
+    /// registered so any concurrent range walk over an interval
+    /// containing `key` sees the phantom and refuses/aborts instead of
+    /// missing it.
+    fn lock_probe(&mut self, key: Key, txn: TxnId) -> bool {
+        if self.tree.get(key).is_some() {
+            return true;
+        }
+        self.tree.insert(key, 0);
+        self.pending.insert(key, txn);
+        false
+    }
+
+    /// `key`'s lock was released: an insert still pending at that point
+    /// aborted (a commit would have promoted the sentinel first), so
+    /// retract it.
+    fn unlock(&mut self, key: Key) {
+        if self.pending.remove(&key).is_some() {
+            self.tree.remove(key);
+        }
+    }
+
+    /// A write committed: `key` is now (or remains) a committed member
+    /// at `version`; any insert sentinel it carried is promoted.
+    /// `member` is the record's membership bit (false if unknown).
+    fn commit(&mut self, member: bool, key: Key, version: Version) {
+        // A buffered key is a member whose record forgot the bit.
+        if member || self.buffer.contains_key(&key) {
+            self.buffer.insert(key, version);
+            if self.buffer.len() >= WRITE_BUFFER_CAP {
+                self.flush();
+            }
+        } else {
+            self.pending.remove(&key);
+            self.tree.insert(key, version);
+        }
+    }
+
+    /// Writes the buffered versions into the tree in key order (one
+    /// sorted pass shares the upper levels between neighbours).
+    fn flush(&mut self) {
+        self.flush_scratch.extend(self.buffer.drain());
+        self.flush_scratch.sort_unstable_by_key(|&(k, _)| k);
+        for (key, version) in self.flush_scratch.drain(..) {
+            *self
+                .tree
+                .get_mut(key)
+                .expect("a buffered key is a committed tree member") = version;
+        }
+    }
+
+    /// Every in-flight insert dies with its lock: retract the sentinels
+    /// (sorted, so the rebuilt tree shape is deterministic regardless of
+    /// hash-map iteration order).
+    fn retract_all_pending(&mut self) {
+        let mut aborted: Vec<Key> = self.pending.drain().map(|(k, _)| k).collect();
+        aborted.sort_unstable();
+        for key in aborted {
+            self.tree.remove(key);
+        }
+    }
+
+    fn walk<F>(&self, lo: Key, hi: Key, exclude: Option<TxnId>, f: &mut F) -> usize
+    where
+        F: FnMut(Key, Option<Version>) -> bool,
+    {
+        self.tree.range_visit(lo, hi, &mut |k, v| {
+            if let Some(owner) = self.pending.get(&k) {
+                return Some(*owner) == exclude || f(k, None);
+            }
+            f(k, Some(self.buffer.get(&k).copied().unwrap_or(*v)))
+        })
+    }
+}
+
 /// The SmartNIC caching index.
 pub struct NicIndex {
     cfg: NicIndexConfig,
     entries: Vec<IndexEntry>,
+    /// The locks currently held: key → owner. Every held key also has a
+    /// record (created at lock time, exempt from eviction and collection
+    /// while held), which keeps record order — and so clock-eviction
+    /// victims — independent of where lock state is stored.
+    held: FastMap<Key, TxnId>,
     cached_values: usize,
     clock_hand: usize,
     stats: IndexStats,
-    /// NIC-resident ordered index: every committed key homed at this
-    /// node, in key order, mapped to its last committed version. Range
-    /// scans walk this tree (metered per node visit, like
-    /// `RobinhoodTable::get_traced` meters point reads) instead of the
-    /// unordered host table. In-flight inserts appear as sentinels so a
-    /// concurrent scan detects the phantom before it commits.
-    ordered: BTree<Version>,
-    /// Owners of in-flight inserts: keys locked by a transaction that
-    /// did not exist before it — present in `ordered` as sentinels,
-    /// retracted on abort, promoted to committed on commit.
-    pending_inserts: HashMap<Key, TxnId>,
+    ordered: OrderedMirror,
 }
 
 impl NicIndex {
@@ -142,13 +296,24 @@ impl NicIndex {
         assert!(cfg.segments > 0);
         NicIndex {
             entries: vec![IndexEntry::default(); cfg.segments],
+            held: FastMap::default(),
             cached_values: 0,
             clock_hand: 0,
             stats: IndexStats::default(),
-            ordered: BTree::new(),
-            pending_inserts: HashMap::new(),
+            ordered: OrderedMirror::new(),
             cfg,
         }
+    }
+
+    /// Pre-sizes the held-lock table for `locks` simultaneously held
+    /// locks, so the lock path does not rehash mid-run.
+    pub fn reserve_locks(&mut self, locks: usize) {
+        self.held.reserve(locks);
+    }
+
+    /// Current capacity of the held-lock table (for no-growth checks).
+    pub fn lock_capacity(&self) -> usize {
+        self.held.capacity()
     }
 
     /// Statistics snapshot.
@@ -166,65 +331,29 @@ impl NicIndex {
         self.cfg.slack_k
     }
 
-    fn record(&self, segment: usize, key: Key) -> Option<&ObjRecord> {
-        self.entries[segment].records.iter().find(|r| r.key == key)
-    }
-
-    fn record_mut(&mut self, segment: usize, key: Key) -> Option<&mut ObjRecord> {
-        self.entries[segment]
-            .records
-            .iter_mut()
-            .find(|r| r.key == key)
-    }
-
-    fn ensure_record(&mut self, segment: usize, key: Key) -> &mut ObjRecord {
-        let idx = self.entries[segment]
-            .records
-            .iter()
-            .position(|r| r.key == key);
-        let idx = match idx {
-            Some(i) => i,
-            None => {
-                self.entries[segment].records.push(ObjRecord {
-                    key,
-                    value: None,
-                    version: 0,
-                    lock: LockState::Free,
-                    has_version: false,
-                    pins: 0,
-                    referenced: true,
-                });
-                self.entries[segment].records.len() - 1
-            }
-        };
-        &mut self.entries[segment].records[idx]
-    }
-
     /// True if `key`'s value is cached (no stats side effects) — used by
     /// the multi-hop gate: shipping execution away only pays off when the
     /// coordinator's local part resolves without PCIe.
     pub fn peek_cached(&self, segment: usize, key: Key) -> bool {
-        self.record(segment, key)
-            .map(|r| r.value.is_some())
-            .unwrap_or(false)
+        self.entries[segment]
+            .record(key)
+            .is_some_and(|r| r.value.is_some())
     }
 
     /// Looks up `key` (homed in `segment`) in NIC memory.
     pub fn lookup(&mut self, segment: usize, key: Key) -> NicLookup {
-        if let Some(r) = self.record_mut(segment, key) {
+        let e = &mut self.entries[segment];
+        if let Some(r) = e.record_mut(key) {
             if let Some(v) = &r.value {
                 r.referenced = true;
-                let out = NicLookup::Hit {
+                self.stats.hits += 1;
+                return NicLookup::Hit {
                     value: v.clone(),
                     version: r.version,
-                    lock: r.lock,
                 };
-                self.stats.hits += 1;
-                return out;
             }
         }
         self.stats.misses += 1;
-        let e = &self.entries[segment];
         NicLookup::Miss {
             d_hint: e.d_i,
             slack: self.cfg.slack_k,
@@ -232,32 +361,43 @@ impl NicIndex {
         }
     }
 
+    /// Makes room for one more cached value in `segment` unless `key`
+    /// already holds one.
+    fn make_room(&mut self, segment: usize, key: Key) {
+        if !self.peek_cached(segment, key) && self.cached_values >= self.cfg.max_cached_values {
+            self.evict_one();
+        }
+    }
+
     /// Installs a value fetched by DMA (or committed) into the cache,
     /// evicting under memory pressure.
     pub fn install(&mut self, segment: usize, key: Key, value: Value, version: Version) {
-        let was_cached = self
-            .record(segment, key)
-            .map(|r| r.value.is_some())
-            .unwrap_or(false);
-        if !was_cached && self.cached_values >= self.cfg.max_cached_values {
-            self.evict_one();
+        self.install_record(segment, key, value, version);
+    }
+
+    fn install_record(
+        &mut self,
+        segment: usize,
+        key: Key,
+        value: Value,
+        version: Version,
+    ) -> &mut ObjRecord {
+        self.make_room(segment, key);
+        let r = self.entries[segment].ensure_record(key);
+        if r.value.replace(value).is_none() {
+            self.cached_values += 1;
         }
-        let r = self.ensure_record(segment, key);
-        let newly = r.value.is_none();
-        r.value = Some(value);
         r.version = version;
         r.has_version = true;
         r.referenced = true;
-        if newly {
-            self.cached_values += 1;
-        }
+        r
     }
 
     /// Records the version of an object without caching its value — the
     /// "transaction metadata" the paper keeps for objects touched by
     /// ongoing transactions, making Validate NIC-local (§4.1.3).
     pub fn note_version(&mut self, segment: usize, key: Key, version: Version) {
-        let r = self.ensure_record(segment, key);
+        let r = self.entries[segment].ensure_record(key);
         r.version = version;
         r.has_version = true;
     }
@@ -271,10 +411,10 @@ impl NicIndex {
         for _ in 0..(2 * segments) {
             let seg = self.clock_hand % segments;
             self.clock_hand = (self.clock_hand + 1) % segments;
-            let entry = &mut self.entries[seg];
+            let records = &mut self.entries[seg].records;
             let mut victim = None;
-            for (i, r) in entry.records.iter_mut().enumerate() {
-                if r.value.is_some() && r.evictable() {
+            for (i, r) in records.iter_mut().enumerate() {
+                if r.value.is_some() && r.pins == 0 && !self.held.contains_key(&r.key) {
                     if r.referenced {
                         r.referenced = false;
                     } else {
@@ -284,14 +424,11 @@ impl NicIndex {
                 }
             }
             if let Some(i) = victim {
-                let r = &mut entry.records[i];
-                r.value = None;
+                // Unpinned and unlocked: the record carries nothing the
+                // protocol needs, so it goes with its value.
+                records.swap_remove(i);
                 self.cached_values -= 1;
                 self.stats.evictions += 1;
-                // Drop the record entirely if it carries no metadata.
-                if !r.lock.is_held() && r.pins == 0 {
-                    entry.records.swap_remove(i);
-                }
                 return;
             }
         }
@@ -301,54 +438,50 @@ impl NicIndex {
     /// record if needed. Returns false if another transaction holds it.
     /// Re-locking by the same transaction succeeds (idempotent).
     pub fn try_lock(&mut self, segment: usize, key: Key, txn: TxnId) -> bool {
-        let r = self.ensure_record(segment, key);
-        let ok = match r.lock {
-            LockState::Free => {
-                r.lock = LockState::Held(txn);
-                true
-            }
-            LockState::Held(t) => t == txn,
+        match self.held.entry(key) {
+            Entry::Occupied(owner) => return *owner.get() == txn,
+            Entry::Vacant(slot) => slot.insert(txn),
         };
-        if ok && self.ordered.get(key).is_none() {
-            // First lock on a key that has never committed: an insert in
-            // flight. Register a sentinel in the ordered index so any
-            // concurrent range walk over an interval containing `key`
-            // sees the phantom and refuses/aborts instead of missing it.
-            self.ordered.insert(key, 0);
-            self.pending_inserts.insert(key, txn);
+        let r = self.entries[segment].ensure_record(key);
+        if !r.in_ordered {
+            // First lock through this record: a key that has never
+            // committed is an insert in flight.
+            r.in_ordered = self.ordered.lock_probe(key, txn);
         }
-        ok
+        true
     }
 
     /// Releases `key`'s lock if held by `txn`. Valueless, pin-free
     /// records are garbage-collected.
     pub fn unlock(&mut self, segment: usize, key: Key, txn: TxnId) {
-        if self.pending_inserts.get(&key) == Some(&txn) {
-            // Aborted insert (commit_write would have promoted the
-            // sentinel before unlock): retract it from the ordered index.
-            self.pending_inserts.remove(&key);
-            self.ordered.remove(key);
-        }
-        let entry = &mut self.entries[segment];
-        if let Some(i) = entry.records.iter().position(|r| r.key == key) {
-            if entry.records[i].lock.held_by(txn) {
-                entry.records[i].lock = LockState::Free;
-            }
-            let r = &entry.records[i];
-            if r.value.is_none() && r.pins == 0 && !r.lock.is_held() && !r.has_version {
-                entry.records.swap_remove(i);
+        match self.held.entry(key) {
+            Entry::Occupied(owner) if *owner.get() == txn => owner.remove(),
+            _ => return,
+        };
+        self.ordered.unlock(key);
+        let records = &mut self.entries[segment].records;
+        if let Some(i) = records.iter().position(|r| r.key == key) {
+            let r = &records[i];
+            if r.value.is_none() && r.pins == 0 && !r.has_version {
+                records.swap_remove(i);
             }
         }
     }
 
-    /// Current lock state for `key`.
-    pub fn lock_state(&self, segment: usize, key: Key) -> LockState {
-        self.record(segment, key).map(|r| r.lock).unwrap_or_default()
+    /// Current lock state for `key` — read from the held-lock table
+    /// alone; `_segment` is accepted for symmetry with the other
+    /// per-object operations.
+    pub fn lock_state(&self, _segment: usize, key: Key) -> LockState {
+        match self.held.get(&key) {
+            Some(owner) => LockState::Held(*owner),
+            None => LockState::Free,
+        }
     }
 
     /// Cached version, if NIC memory knows one.
     pub fn version_of(&self, segment: usize, key: Key) -> Option<Version> {
-        self.record(segment, key)
+        self.entries[segment]
+            .record(key)
             .filter(|r| r.has_version || r.value.is_some() || r.pins > 0)
             .map(|r| r.version)
     }
@@ -358,7 +491,9 @@ impl NicIndex {
     /// range walks use it to serve rows without perturbing the
     /// point-read cache statistics.
     pub fn peek_value(&self, segment: usize, key: Key) -> Option<Value> {
-        self.record(segment, key).and_then(|r| r.value.clone())
+        self.entries[segment]
+            .record(key)
+            .and_then(|r| r.value.clone())
     }
 
     /// Records a committed write: updates the cached entry (if present)
@@ -367,52 +502,29 @@ impl NicIndex {
     /// yet be evicted").
     pub fn commit_write(&mut self, segment: usize, key: Key, value: Value, version: Version) {
         // A committed write refreshes the cache: the new value is hot.
-        let was_cached = self
-            .record(segment, key)
-            .map(|r| r.value.is_some())
-            .unwrap_or(false);
-        if !was_cached && self.cached_values >= self.cfg.max_cached_values {
-            self.evict_one();
-        }
-        let r = self.ensure_record(segment, key);
-        let newly = r.value.is_none();
-        r.value = Some(value);
-        r.version = version;
-        r.has_version = true;
+        let r = self.install_record(segment, key, value, version);
         r.pins += 1;
-        r.referenced = true;
-        if newly {
-            self.cached_values += 1;
-        }
-        self.commit_ordered(key, version);
+        let member = std::mem::replace(&mut r.in_ordered, true);
+        self.ordered.commit(member, key, version);
     }
 
     /// Like [`NicIndex::commit_write`] but stores only the version
     /// metadata (used when object caching is disabled): the version is
     /// updated and the record pinned, without holding the value.
     pub fn commit_write_meta(&mut self, segment: usize, key: Key, version: Version) {
-        let r = self.ensure_record(segment, key);
+        let r = self.entries[segment].ensure_record(key);
         r.version = version;
         r.has_version = true;
-        r.pins += 1;
         r.referenced = true;
-        self.commit_ordered(key, version);
-    }
-
-    /// A write committed: the key is now (or remains) a committed member
-    /// of the ordered index at `version`; any insert sentinel it carried
-    /// is promoted.
-    fn commit_ordered(&mut self, key: Key, version: Version) {
-        self.pending_inserts.remove(&key);
-        self.ordered.insert(key, version);
+        r.pins += 1;
+        let member = std::mem::replace(&mut r.in_ordered, true);
+        self.ordered.commit(member, key, version);
     }
 
     /// Host acknowledged applying this key's write: unpin.
     pub fn unpin(&mut self, segment: usize, key: Key) {
-        if let Some(r) = self.record_mut(segment, key) {
-            if r.pins > 0 {
-                r.pins -= 1;
-            }
+        if let Some(r) = self.entries[segment].record_mut(key) {
+            r.pins = r.pins.saturating_sub(1);
         }
     }
 
@@ -433,28 +545,30 @@ impl NicIndex {
     /// Drops all lock state (primary failover rebuild starts empty; locks
     /// are then re-acquired from surviving logs, §4.2.1).
     pub fn clear_locks(&mut self) {
+        self.held.clear();
         for e in &mut self.entries {
-            for r in &mut e.records {
-                r.lock = LockState::Free;
-            }
-            e.records
-                .retain(|r| r.value.is_some() || r.pins > 0 || r.lock.is_held());
+            e.records.retain(|r| r.value.is_some() || r.pins > 0);
         }
-        // Every in-flight insert dies with its lock: retract the
-        // sentinels (sorted, so the rebuilt tree shape is deterministic
-        // regardless of hash-map iteration order).
-        let mut aborted: Vec<Key> = self.pending_inserts.drain().map(|(k, _)| k).collect();
-        aborted.sort_unstable();
-        for key in aborted {
-            self.ordered.remove(key);
-        }
+        self.ordered.retract_all_pending();
     }
 
-    /// Seeds the ordered index with a preloaded committed key (node
-    /// bring-up mirrors the host table's initial contents, the way the
-    /// real NIC builds its index when a partition is loaded).
+    /// Seeds the ordered index with a committed key (node bring-up and
+    /// failover mirror the host table's contents, the way the real NIC
+    /// builds its index when a partition is loaded).
     pub fn preload_ordered(&mut self, key: Key, version: Version) {
-        self.ordered.insert(key, version);
+        self.ordered.commit(false, key, version);
+    }
+
+    /// Bring-up pre-warm: [`Self::install`] for an object whose key was
+    /// seeded with [`Self::preload_ordered`], so its record starts out
+    /// knowing the key is a member instead of probing the tree on its
+    /// first lock.
+    pub fn install_preloaded(&mut self, segment: usize, key: Key, value: Value, version: Version) {
+        debug_assert!(
+            self.ordered.tree.get(key).is_some() && !self.ordered.pending.contains_key(&key),
+            "key {key} was not preloaded"
+        );
+        self.install_record(segment, key, value, version).in_ordered = true;
     }
 
     /// Walks the NIC-resident ordered index over `lo..=hi` in key order.
@@ -470,34 +584,24 @@ impl NicIndex {
     where
         F: FnMut(Key, Option<Version>) -> bool,
     {
-        let pending = &self.pending_inserts;
-        self.ordered.range_visit(lo, hi, &mut |k, v| match pending.get(&k) {
-            Some(owner) if Some(*owner) == exclude => true,
-            Some(_) => f(k, None),
-            None => f(k, Some(*v)),
-        })
+        self.ordered.walk(lo, hi, exclude, f)
     }
 
     /// Owner of the in-flight insert sentinel at `key`, if any.
     pub fn pending_insert_owner(&self, key: Key) -> Option<TxnId> {
-        self.pending_inserts.get(&key).copied()
+        self.ordered.pending.get(&key).copied()
     }
 
     /// Committed + in-flight keys in the ordered index (diagnostics).
     pub fn ordered_len(&self) -> usize {
-        self.ordered.len()
+        self.ordered.tree.len()
     }
 
-    /// All currently held locks (diagnostics / recovery assertions).
+    /// All currently held locks, sorted by key (diagnostics / recovery
+    /// assertions).
     pub fn held_locks(&self) -> Vec<(Key, TxnId)> {
-        let mut out = Vec::new();
-        for e in &self.entries {
-            for r in &e.records {
-                if let LockState::Held(t) = r.lock {
-                    out.push((r.key, t));
-                }
-            }
-        }
+        let mut out: Vec<(Key, TxnId)> = self.held.iter().map(|(k, t)| (*k, *t)).collect();
+        out.sort_unstable_by_key(|&(k, _)| k);
         out
     }
 }
@@ -534,10 +638,9 @@ mod tests {
         }
         ix.install(0, 42, val(7), 3);
         match ix.lookup(0, 42) {
-            NicLookup::Hit { value, version, lock } => {
+            NicLookup::Hit { value, version } => {
                 assert_eq!(value.bytes()[0], 7);
                 assert_eq!(version, 3);
-                assert_eq!(lock, LockState::Free);
             }
             _ => panic!("expected hit"),
         }
@@ -643,7 +746,7 @@ mod tests {
         ix.install(0, 5, val(1), 1);
         ix.commit_write(0, 5, val(9), 2);
         match ix.lookup(0, 5) {
-            NicLookup::Hit { value, version, .. } => {
+            NicLookup::Hit { value, version } => {
                 assert_eq!(value.bytes()[0], 9);
                 assert_eq!(version, 2);
             }
@@ -670,7 +773,12 @@ mod tests {
         assert!(matches!(ix.lookup(2, 3), NicLookup::Hit { .. }));
     }
 
-    fn walk(ix: &NicIndex, lo: Key, hi: Key, exclude: Option<TxnId>) -> Vec<(Key, Option<Version>)> {
+    fn walk(
+        ix: &NicIndex,
+        lo: Key,
+        hi: Key,
+        exclude: Option<TxnId>,
+    ) -> Vec<(Key, Option<Version>)> {
         let mut out = Vec::new();
         ix.range_walk(lo, hi, exclude, &mut |k, v| {
             out.push((k, v));
@@ -745,6 +853,127 @@ mod tests {
         ix.commit_write_meta(0, 9, 3);
         ix.unlock(0, 9, t(4));
         assert_eq!(walk(&ix, 0, 100, None), vec![(9, Some(3))]);
+    }
+
+    /// The three structural invariants of the ordered mirror.
+    fn assert_invariants(ix: &NicIndex) {
+        let m = &ix.ordered;
+        for r in ix.entries.iter().flat_map(|e| e.records.iter()) {
+            if r.in_ordered {
+                assert!(
+                    m.tree.get(r.key).is_some(),
+                    "flagged key {} not in tree",
+                    r.key
+                );
+                assert!(
+                    !m.pending.contains_key(&r.key),
+                    "flagged key {} is pending",
+                    r.key
+                );
+            }
+        }
+        for k in m.buffer.keys() {
+            assert!(m.tree.get(*k).is_some(), "buffered key {k} not in tree");
+            assert!(!m.pending.contains_key(k), "buffered key {k} is pending");
+        }
+        assert!(m.buffer.len() < WRITE_BUFFER_CAP);
+        for k in m.pending.keys() {
+            assert_eq!(
+                m.tree.get(*k),
+                Some(&0),
+                "pending key {k} lost its sentinel"
+            );
+            assert!(ix.held.contains_key(k), "pending key {k} is unlocked");
+        }
+    }
+
+    /// A lock/commit/abort/evict schedule over existing and new keys.
+    fn churn(ix: &mut NicIndex, rounds: u64, check_each: bool) {
+        for i in 0..rounds {
+            let k = i.wrapping_mul(0x9E37_79B9) % 3_000;
+            let seg = (k % 4) as usize;
+            let txn = t(i % 5);
+            if ix.try_lock(seg, k, txn) {
+                match i % 4 {
+                    0 => {}                      // stays locked until a later round's unlock
+                    1 => ix.unlock(seg, k, txn), // abort
+                    2 => {
+                        ix.commit_write(seg, k, val(i as u8), i + 2);
+                        ix.unlock(seg, k, txn);
+                        ix.unpin(seg, k);
+                    }
+                    _ => {
+                        ix.commit_write_meta(seg, k, i + 2);
+                        ix.unlock(seg, k, txn);
+                        ix.unpin(seg, k);
+                    }
+                }
+            } else {
+                let owner = ix.held[&k];
+                ix.unlock(seg, k, owner);
+            }
+            if i % 7 == 0 {
+                ix.install(((k + 1) % 4) as usize, k + 1, val(1), 1);
+            }
+            if check_each {
+                assert_invariants(ix);
+            }
+        }
+    }
+
+    #[test]
+    fn flagged_and_buffered_keys_are_committed_tree_members() {
+        // A budget of 8 values sheds records (and their membership bits)
+        // constantly; half the universe is preloaded.
+        let mut ix = idx(8);
+        for k in (0..3_000).step_by(2) {
+            ix.preload_ordered(k, 1);
+        }
+        churn(&mut ix, 6_000, true);
+        assert!(ix.stats().evictions > 100);
+        ix.clear_locks();
+        assert_invariants(&ix);
+        assert!(ix.ordered.pending.is_empty());
+    }
+
+    #[test]
+    fn flush_is_invisible_to_range_walks() {
+        let mut ix = idx(1 << 20);
+        for k in 0..3_000 {
+            ix.preload_ordered(k, 1);
+        }
+        // No eviction: membership bits persist, so commits to existing
+        // keys buffer — and 12k rounds over 3k keys cross several
+        // automatic flushes.
+        churn(&mut ix, 12_000, false);
+        assert_invariants(&ix);
+        assert!(
+            !ix.ordered.buffer.is_empty(),
+            "schedule must end mid-buffer"
+        );
+        let buffered: Vec<(Key, Version)> =
+            ix.ordered.buffer.iter().map(|(k, v)| (*k, *v)).collect();
+        let before = walk(&ix, 0, Key::MAX, None);
+        let visits_before = ix.range_walk(0, Key::MAX, None, &mut |_, _| true);
+        let len_before = ix.ordered_len();
+        ix.ordered.flush();
+        assert!(ix.ordered.buffer.is_empty());
+        for (k, v) in buffered {
+            assert_eq!(ix.ordered.tree.get(k), Some(&v), "flush wrote key {k}");
+        }
+        assert_eq!(walk(&ix, 0, Key::MAX, None), before);
+        assert_eq!(
+            ix.range_walk(0, Key::MAX, None, &mut |_, _| true),
+            visits_before
+        );
+        assert_eq!(ix.ordered_len(), len_before);
+    }
+
+    #[test]
+    fn record_is_forty_bytes() {
+        // Three inline records per entry is a cache-footprint decision;
+        // a fatter record silently undoes it.
+        assert_eq!(std::mem::size_of::<ObjRecord>(), 40);
     }
 
     #[test]

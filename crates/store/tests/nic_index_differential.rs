@@ -1,0 +1,626 @@
+//! Differential test: [`xenic_store::NicIndex`] against a naive
+//! reference on seeded random schedules (mirroring
+//! `btree_differential.rs`).
+//!
+//! The index keeps lock state in one held-lock table, records inline in
+//! their segment entry, and committed version bumps of existing keys in
+//! a bounded write buffer in front of the ordered B+tree. None of that
+//! may be observable. The reference does everything the slow, obvious
+//! way: a lock field per record, a plain `Vec` of records per segment,
+//! a `BTreeMap<Key, Version>` holding every ordered key's version, and a
+//! shape-only `BTree<()>` that is probed on *every* lock and written on
+//! *every* commit — the unconditional point-path descents the real index
+//! no longer makes. Equal visit counts therefore prove the buffered tree
+//! keeps exactly the shape the unbuffered one would have.
+//!
+//! The schedules use a cache budget far below the key universe (constant
+//! eviction), commit to several thousand distinct existing keys (many
+//! write-buffer flushes), and mix committed and aborted inserts with
+//! protocol-shaped transactions and arbitrary single operations.
+
+use std::collections::{BTreeMap, HashMap};
+
+use xenic_sim::DetRng;
+use xenic_store::nic_index::{NicIndex, NicIndexConfig, NicLookup};
+use xenic_store::{BTree, Key, LockState, TxnId, Value, Version};
+
+const SEGMENTS: usize = 64;
+const UNIVERSE: u64 = 4096;
+const HOT: u64 = 64;
+const BUDGET: usize = 48;
+
+fn seg(key: Key) -> usize {
+    (key % SEGMENTS as u64) as usize
+}
+
+fn val(tag: u8) -> Value {
+    Value::filled(4, tag)
+}
+
+#[derive(Clone)]
+struct Rec {
+    key: Key,
+    value: Option<u8>,
+    version: Version,
+    lock: Option<TxnId>,
+    has_version: bool,
+    pins: u32,
+    referenced: bool,
+}
+
+/// The obvious implementation.
+struct Reference {
+    segments: Vec<Vec<Rec>>,
+    cached: usize,
+    hand: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    /// Every key of the ordered index (sentinels at version 0).
+    ordered: BTreeMap<Key, Version>,
+    pending: HashMap<Key, TxnId>,
+    /// Same keys as `ordered`, in the production tree, for visit counts.
+    shape: BTree<()>,
+}
+
+impl Reference {
+    fn new() -> Self {
+        Reference {
+            segments: vec![Vec::new(); SEGMENTS],
+            cached: 0,
+            hand: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            ordered: BTreeMap::new(),
+            pending: HashMap::new(),
+            shape: BTree::new(),
+        }
+    }
+
+    fn rec(&self, key: Key) -> Option<&Rec> {
+        self.segments[seg(key)].iter().find(|r| r.key == key)
+    }
+
+    fn ensure(&mut self, key: Key) -> &mut Rec {
+        let recs = &mut self.segments[seg(key)];
+        let i = match recs.iter().position(|r| r.key == key) {
+            Some(i) => i,
+            None => {
+                recs.push(Rec {
+                    key,
+                    value: None,
+                    version: 0,
+                    lock: None,
+                    has_version: false,
+                    pins: 0,
+                    referenced: true,
+                });
+                recs.len() - 1
+            }
+        };
+        &mut recs[i]
+    }
+
+    fn evict_one(&mut self) {
+        for _ in 0..(2 * SEGMENTS) {
+            let recs = &mut self.segments[self.hand % SEGMENTS];
+            self.hand = (self.hand + 1) % SEGMENTS;
+            let mut victim = None;
+            for (i, r) in recs.iter_mut().enumerate() {
+                if r.value.is_some() && r.pins == 0 && r.lock.is_none() {
+                    if r.referenced {
+                        r.referenced = false;
+                    } else {
+                        victim = Some(i);
+                        break;
+                    }
+                }
+            }
+            if let Some(i) = victim {
+                recs.swap_remove(i);
+                self.cached -= 1;
+                self.evictions += 1;
+                return;
+            }
+        }
+    }
+
+    fn make_room(&mut self, key: Key) {
+        let cached = self.rec(key).is_some_and(|r| r.value.is_some());
+        if !cached && self.cached >= BUDGET {
+            self.evict_one();
+        }
+    }
+
+    fn set_value(&mut self, key: Key, tag: u8, version: Version) -> &mut Rec {
+        self.make_room(key);
+        self.cached += usize::from(self.ensure(key).value.is_none());
+        let r = self.ensure(key);
+        r.value = Some(tag);
+        r.version = version;
+        r.has_version = true;
+        r.referenced = true;
+        r
+    }
+
+    fn install(&mut self, key: Key, tag: u8, version: Version) {
+        self.set_value(key, tag, version);
+    }
+
+    fn note_version(&mut self, key: Key, version: Version) {
+        let r = self.ensure(key);
+        r.version = version;
+        r.has_version = true;
+    }
+
+    fn lookup(&mut self, key: Key) -> Option<(u8, Version)> {
+        let recs = &mut self.segments[seg(key)];
+        if let Some(r) = recs.iter_mut().find(|r| r.key == key) {
+            if let Some(tag) = r.value {
+                r.referenced = true;
+                self.hits += 1;
+                return Some((tag, r.version));
+            }
+        }
+        self.misses += 1;
+        None
+    }
+
+    fn try_lock(&mut self, key: Key, txn: TxnId) -> bool {
+        let r = self.ensure(key);
+        let ok = match r.lock {
+            None => {
+                r.lock = Some(txn);
+                true
+            }
+            Some(t) => t == txn,
+        };
+        // The unconditional probe of the ordered tree on every lock.
+        if ok && self.shape.get(key).is_none() {
+            self.shape.insert(key, ());
+            self.ordered.insert(key, 0);
+            self.pending.insert(key, txn);
+        }
+        ok
+    }
+
+    fn unlock(&mut self, key: Key, txn: TxnId) {
+        if self.pending.get(&key) == Some(&txn) {
+            self.pending.remove(&key);
+            self.ordered.remove(&key);
+            self.shape.remove(key);
+        }
+        let recs = &mut self.segments[seg(key)];
+        if let Some(i) = recs.iter().position(|r| r.key == key) {
+            if recs[i].lock == Some(txn) {
+                recs[i].lock = None;
+            }
+            let r = &recs[i];
+            if r.value.is_none() && r.pins == 0 && r.lock.is_none() && !r.has_version {
+                recs.swap_remove(i);
+            }
+        }
+    }
+
+    /// The unconditional tree write on every commit.
+    fn commit_ordered(&mut self, key: Key, version: Version) {
+        self.pending.remove(&key);
+        self.ordered.insert(key, version);
+        self.shape.insert(key, ());
+    }
+
+    fn commit_write(&mut self, key: Key, tag: u8, version: Version) {
+        self.set_value(key, tag, version).pins += 1;
+        self.commit_ordered(key, version);
+    }
+
+    fn commit_write_meta(&mut self, key: Key, version: Version) {
+        let r = self.ensure(key);
+        r.version = version;
+        r.has_version = true;
+        r.pins += 1;
+        r.referenced = true;
+        self.commit_ordered(key, version);
+    }
+
+    fn unpin(&mut self, key: Key) {
+        if let Some(r) = self.segments[seg(key)].iter_mut().find(|r| r.key == key) {
+            r.pins = r.pins.saturating_sub(1);
+        }
+    }
+
+    fn clear_locks(&mut self) {
+        for recs in &mut self.segments {
+            recs.retain(|r| r.value.is_some() || r.pins > 0);
+            for r in recs {
+                r.lock = None;
+            }
+        }
+        let mut aborted: Vec<Key> = self.pending.drain().map(|(k, _)| k).collect();
+        aborted.sort_unstable();
+        for key in aborted {
+            self.ordered.remove(&key);
+            self.shape.remove(key);
+        }
+    }
+
+    fn lock_state(&self, key: Key) -> LockState {
+        match self.rec(key).and_then(|r| r.lock) {
+            Some(t) => LockState::Held(t),
+            None => LockState::Free,
+        }
+    }
+
+    fn version_of(&self, key: Key) -> Option<Version> {
+        self.rec(key)
+            .filter(|r| r.has_version || r.value.is_some() || r.pins > 0)
+            .map(|r| r.version)
+    }
+
+    fn held_locks(&self) -> Vec<(Key, TxnId)> {
+        let mut out: Vec<(Key, TxnId)> = self
+            .segments
+            .iter()
+            .flatten()
+            .filter_map(|r| r.lock.map(|t| (r.key, t)))
+            .collect();
+        out.sort_unstable_by_key(|&(k, _)| k);
+        out
+    }
+
+    /// Rows from the `BTreeMap`s, visit count from the shape tree, both
+    /// honouring the early stop after `limit` delivered rows.
+    fn range_walk(
+        &self,
+        lo: Key,
+        hi: Key,
+        exclude: Option<TxnId>,
+        limit: usize,
+    ) -> (Vec<(Key, Option<Version>)>, usize) {
+        let mut rows = Vec::new();
+        for (&k, &v) in self.ordered.range(lo..=hi) {
+            match self.pending.get(&k) {
+                Some(owner) if Some(*owner) == exclude => continue,
+                Some(_) => rows.push((k, None)),
+                None => rows.push((k, Some(v))),
+            }
+            if rows.len() >= limit {
+                break;
+            }
+        }
+        let mut delivered = 0;
+        let visits = self.shape.range_visit(lo, hi, &mut |k, _| {
+            if self.pending.get(&k).copied() == exclude && exclude.is_some() {
+                return true;
+            }
+            delivered += 1;
+            delivered < limit
+        });
+        (rows, visits)
+    }
+}
+
+fn walk(
+    ix: &NicIndex,
+    lo: Key,
+    hi: Key,
+    exclude: Option<TxnId>,
+    limit: usize,
+) -> (Vec<(Key, Option<Version>)>, usize) {
+    let mut rows = Vec::new();
+    let visits = ix.range_walk(lo, hi, exclude, &mut |k, v| {
+        rows.push((k, v));
+        rows.len() < limit
+    });
+    (rows, visits)
+}
+
+struct Harness {
+    ix: NicIndex,
+    rf: Reference,
+    rng: DetRng,
+    next_version: Version,
+    /// Committed writes the "host" has not acknowledged yet.
+    unacked: Vec<Key>,
+    what: String,
+}
+
+impl Harness {
+    fn new(seed: u64) -> Self {
+        let mut h = Harness {
+            ix: NicIndex::new(NicIndexConfig {
+                segments: SEGMENTS,
+                max_cached_values: BUDGET,
+                slack_k: 1,
+            }),
+            rf: Reference::new(),
+            rng: DetRng::new(seed),
+            next_version: 2,
+            unacked: Vec::new(),
+            what: format!("seed {seed}"),
+        };
+        // Bring-up: every even key is a committed member at version 1;
+        // the first few are also pre-warmed into the cache.
+        for k in (0..UNIVERSE).step_by(2) {
+            h.ix.preload_ordered(k, 1);
+            h.rf.commit_ordered(k, 1);
+        }
+        for k in (0..BUDGET as u64).map(|i| i * 2) {
+            h.ix.install_preloaded(seg(k), k, val(1), 1);
+            h.rf.install(k, 1, 1);
+        }
+        h.check_all(0);
+        h
+    }
+
+    fn key(&mut self) -> Key {
+        if self.rng.below(2) == 0 {
+            self.rng.below(HOT)
+        } else {
+            self.rng.below(UNIVERSE)
+        }
+    }
+
+    fn txn(&mut self) -> TxnId {
+        TxnId::new(self.rng.below(3) as u32, self.rng.below(4))
+    }
+
+    fn version(&mut self) -> Version {
+        self.next_version += 1;
+        self.next_version
+    }
+
+    fn commit(&mut self, key: Key) {
+        let version = self.version();
+        if self.rng.below(4) == 0 {
+            self.ix.commit_write_meta(seg(key), key, version);
+            self.rf.commit_write_meta(key, version);
+        } else {
+            let tag = version as u8;
+            self.ix.commit_write(seg(key), key, val(tag), version);
+            self.rf.commit_write(key, tag, version);
+        }
+        self.unacked.push(key);
+    }
+
+    /// One step; returns the keys it touched.
+    fn step(&mut self) -> Vec<Key> {
+        let key = self.key();
+        let txn = self.txn();
+        match self.rng.below(100) {
+            0..=9 => {
+                let version = self.version();
+                self.ix.install(seg(key), key, val(version as u8), version);
+                self.rf.install(key, version as u8, version);
+            }
+            10..=14 => {
+                let version = self.version();
+                self.ix.note_version(seg(key), key, version);
+                self.rf.note_version(key, version);
+            }
+            15..=29 => {
+                let got = self.ix.try_lock(seg(key), key, txn);
+                assert_eq!(
+                    got,
+                    self.rf.try_lock(key, txn),
+                    "{}: try_lock({key})",
+                    self.what
+                );
+            }
+            30..=41 => {
+                self.ix.unlock(seg(key), key, txn);
+                self.rf.unlock(key, txn);
+            }
+            // Commit without the protocol around it (recovery does this).
+            42..=46 => self.commit(key),
+            47..=58 => {
+                if !self.unacked.is_empty() {
+                    let i = self.rng.below(self.unacked.len() as u64) as usize;
+                    let k = self.unacked.swap_remove(i);
+                    self.ix.unpin(seg(k), k);
+                    self.rf.unpin(k);
+                    return vec![k];
+                }
+            }
+            59..=66 => {
+                let got = match self.ix.lookup(seg(key), key) {
+                    NicLookup::Hit { value, version } => Some((value.bytes()[0], version)),
+                    NicLookup::Miss { .. } => None,
+                };
+                assert_eq!(got, self.rf.lookup(key), "{}: lookup({key})", self.what);
+            }
+            67..=72 => {
+                let lo = self.rng.below(UNIVERSE);
+                let hi = lo + self.rng.below(256);
+                let exclude = (self.rng.below(2) == 0).then_some(txn);
+                let limit = 1 + self.rng.below(64) as usize;
+                assert_eq!(
+                    walk(&self.ix, lo, hi, exclude, limit),
+                    self.rf.range_walk(lo, hi, exclude, limit),
+                    "{}: range_walk({lo}, {hi}, {exclude:?}, limit {limit})",
+                    self.what
+                );
+            }
+            // A protocol-shaped transaction: lock 1–3 keys all-or-nothing,
+            // then commit (promoting any inserts) or abort (retracting).
+            73..=98 => {
+                let keys: Vec<Key> = (0..1 + self.rng.below(3)).map(|_| self.key()).collect();
+                let mut locked = Vec::new();
+                let mut all = true;
+                for &k in &keys {
+                    let got = self.ix.try_lock(seg(k), k, txn);
+                    assert_eq!(
+                        got,
+                        self.rf.try_lock(k, txn),
+                        "{}: txn lock({k})",
+                        self.what
+                    );
+                    if got {
+                        locked.push(k);
+                    } else {
+                        all = false;
+                        break;
+                    }
+                }
+                if all && self.rng.below(10) < 7 {
+                    for &k in &locked {
+                        self.commit(k);
+                    }
+                }
+                for &k in &locked {
+                    self.ix.unlock(seg(k), k, txn);
+                    self.rf.unlock(k, txn);
+                }
+                return keys;
+            }
+            _ => {
+                if self.rng.below(20) == 0 {
+                    self.ix.clear_locks();
+                    self.rf.clear_locks();
+                }
+            }
+        }
+        vec![key]
+    }
+
+    fn check_keys(&self, step: usize, keys: &[Key]) {
+        let what = &self.what;
+        for &k in keys {
+            assert_eq!(
+                self.ix.lock_state(seg(k), k),
+                self.rf.lock_state(k),
+                "{what}: lock_state({k}) @ {step}"
+            );
+            assert_eq!(
+                self.ix.version_of(seg(k), k),
+                self.rf.version_of(k),
+                "{what}: version_of({k}) @ {step}"
+            );
+            assert_eq!(
+                self.ix.peek_value(seg(k), k).map(|v| v.bytes()[0]),
+                self.rf.rec(k).and_then(|r| r.value),
+                "{what}: peek_value({k}) @ {step}"
+            );
+            assert_eq!(
+                self.ix.pending_insert_owner(k),
+                self.rf.pending.get(&k).copied(),
+                "{what}: pending_insert_owner({k}) @ {step}"
+            );
+        }
+        assert_eq!(
+            self.ix.held_locks(),
+            self.rf.held_locks(),
+            "{what}: held_locks @ {step}"
+        );
+        assert_eq!(
+            self.ix.ordered_len(),
+            self.rf.ordered.len(),
+            "{what}: ordered_len @ {step}"
+        );
+        assert_eq!(
+            self.ix.cached_values(),
+            self.rf.cached,
+            "{what}: cached_values @ {step}"
+        );
+        let s = self.ix.stats();
+        assert_eq!(
+            (s.hits, s.misses, s.evictions),
+            (self.rf.hits, self.rf.misses, self.rf.evictions),
+            "{what}: stats @ {step}"
+        );
+    }
+
+    fn check_all(&self, step: usize) {
+        let all: Vec<Key> = (0..UNIVERSE).collect();
+        self.check_keys(step, &all);
+        assert_eq!(
+            walk(&self.ix, 0, Key::MAX, None, usize::MAX),
+            self.rf.range_walk(0, Key::MAX, None, usize::MAX),
+            "{}: full walk @ {step}",
+            self.what
+        );
+    }
+}
+
+fn differential(seed: u64, steps: usize) {
+    let mut h = Harness::new(seed);
+    for step in 1..=steps {
+        let touched = h.step();
+        h.check_keys(step, &touched);
+        if step % 2048 == 0 {
+            h.check_all(step);
+        }
+    }
+    h.check_all(steps);
+    assert!(
+        h.rf.evictions > 1_000,
+        "seed {seed}: the budget must force eviction"
+    );
+    assert!(
+        h.rf.ordered.len() > UNIVERSE as usize / 2 + 500,
+        "seed {seed}: inserts must commit"
+    );
+}
+
+#[test]
+fn matches_reference_seed_1() {
+    differential(1, 40_000);
+}
+
+#[test]
+fn matches_reference_seed_2() {
+    differential(0xfeed_beef, 40_000);
+}
+
+#[test]
+fn matches_reference_seed_3() {
+    differential(0x5eed_0003, 40_000);
+}
+
+/// Commits to more distinct existing keys than the write buffer holds,
+/// with no eviction to shed membership bits: every flush boundary is
+/// crossed with the buffer full of live keys.
+#[test]
+fn version_bumps_survive_buffer_flushes() {
+    let keys = 5_000u64;
+    let mut ix = NicIndex::new(NicIndexConfig {
+        segments: SEGMENTS,
+        max_cached_values: keys as usize,
+        slack_k: 1,
+    });
+    let mut want: BTreeMap<Key, Version> = BTreeMap::new();
+    let mut shape: BTree<()> = BTree::new();
+    for k in 0..keys {
+        ix.preload_ordered(k, 1);
+        ix.install_preloaded(seg(k), k, val(0), 1);
+        want.insert(k, 1);
+        shape.insert(k, ());
+    }
+    let t = TxnId::new(0, 1);
+    let mut rng = DetRng::new(9);
+    for round in 0..12_000u64 {
+        let k = rng.below(keys);
+        assert!(ix.try_lock(seg(k), k, t));
+        assert_eq!(
+            ix.pending_insert_owner(k),
+            None,
+            "existing key is an update"
+        );
+        ix.commit_write(seg(k), k, val(round as u8), round + 2);
+        ix.unlock(seg(k), k, t);
+        ix.unpin(seg(k), k);
+        want.insert(k, round + 2);
+        if round % 500 == 0 || round > 11_990 {
+            let (rows, visits) = walk(&ix, 0, Key::MAX, None, usize::MAX);
+            let expect: Vec<(Key, Option<Version>)> =
+                want.iter().map(|(k, v)| (*k, Some(*v))).collect();
+            assert_eq!(rows, expect, "round {round}");
+            assert_eq!(
+                visits,
+                shape.range_visit(0, Key::MAX, &mut |_, _| true),
+                "round {round}"
+            );
+        }
+    }
+}
