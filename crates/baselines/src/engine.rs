@@ -766,7 +766,7 @@ fn start_txn(st: &mut BaselineNode, rt: &mut Runtime<BMsg>, me: usize, slot: u32
             None => return,
         }
     } else {
-        let s = Rc::new(st.workload.next_txn(me, &mut rt.rng));
+        let s = Rc::new(st.workload.next_txn(me, rt.txn_rng()));
         st.slots[slot as usize] = Some(Rc::clone(&s));
         st.slot_started[slot as usize] = rt.now();
         s
@@ -1409,7 +1409,7 @@ fn finish(
         }
     } else {
         st.stats.record_abort();
-        let backoff = rt.rng.range_inclusive(2_000, 12_000);
+        let backoff = rt.txn_rng().range_inclusive(2_000, 12_000);
         rt.send_local(Exec::Host, BMsg::Retry { slot }, backoff);
     }
 }

@@ -17,13 +17,12 @@ use xenic::harness::{run_xenic, RunOptions};
 use xenic::XenicConfig;
 use xenic_hw::HwParams;
 use xenic_net::NetConfig;
-use xenic_bench::par_points;
+use xenic_bench::{args, par_points};
 use xenic_sim::SimTime;
 use xenic_workloads::{Retwis, RetwisConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = xenic_bench::jobs_from_args(&args);
+    let jobs = args::jobs();
     let params = HwParams::paper_testbed();
     let mk = |_: usize| -> Box<dyn Workload> { Box::new(Retwis::new(RetwisConfig::sim(6))) };
     let opts = RunOptions {

@@ -24,26 +24,16 @@ use xenic::harness::{run_xenic_cluster, RunOptions};
 use xenic::XenicConfig;
 use xenic_hw::HwParams;
 use xenic_net::{FaultPlan, NetConfig, TraceConfig};
-use xenic_bench::par_points;
+use xenic_bench::{args, par_points, plan_or_exit};
 use xenic_sim::SimTime;
 use xenic_workloads::{Smallbank, SmallbankConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let dup = args.iter().any(|a| a == "--dup");
-    let jitter_ns: u64 = args
-        .iter()
-        .position(|a| a == "--jitter")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--jitter takes ns"))
-        .unwrap_or(0);
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let jobs = xenic_bench::jobs_from_args(&args);
+    let fast = args::flag("--fast");
+    let dup = args::flag("--dup");
+    let jitter_ns: u64 = args::value("--jitter").unwrap_or(0);
+    let trace_path: Option<String> = args::value("--trace");
+    let jobs = args::jobs();
 
     let params = HwParams::paper_testbed();
     let opts = RunOptions {
@@ -82,8 +72,9 @@ fn main() {
         // Span tracing is a pure observer, so the traced rows replay the
         // untraced universe exactly — the retransmit count comes from the
         // tracer's eviction-proof instant tally.
+        let plan = plan_or_exit(FaultPlan::lossy(rate, dup_rate, jitter_ns), params.nodes);
         let net = NetConfig::full()
-            .with_faults(FaultPlan::lossy(rate, dup_rate, jitter_ns))
+            .with_faults(plan)
             .with_trace(TraceConfig::spans());
         let (r, cluster) = run_xenic_cluster(params.clone(), net, XenicConfig::full(), &opts, mk);
         let retrans = cluster.rt.tracer().instant_total("Retransmit");

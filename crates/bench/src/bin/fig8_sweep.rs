@@ -19,7 +19,7 @@ use std::fs;
 use xenic::api::Workload;
 use xenic::harness::{run_xenic_cluster, RunOptions};
 use xenic::XenicConfig;
-use xenic_bench::{curves_csv, par_points, print_curve, run_system, CurvePoint, System};
+use xenic_bench::{args, curves_csv, par_points, print_curve, run_system, CurvePoint, System};
 use xenic_hw::HwParams;
 use xenic_net::{NetConfig, TraceConfig};
 use xenic_sim::SimTime;
@@ -147,26 +147,11 @@ fn dump_trace(path: &str) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let jobs = xenic_bench::jobs_from_args(&args);
-    let mut trace_path = None;
-    let mut positional = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--trace" {
-            trace_path = args.get(i + 1).cloned();
-            i += 2;
-        } else if args[i] == "--jobs" {
-            i += 2;
-        } else if args[i].starts_with("--") {
-            i += 1;
-        } else {
-            positional.push(args[i].clone());
-            i += 1;
-        }
-    }
-    let which: Vec<&str> = match positional.first() {
+    let fast = args::flag("--fast");
+    let jobs = args::jobs();
+    let trace_path: Option<String> = args::value("--trace");
+    let workload = args::positional(&["--trace", "--jobs"]);
+    let which: Vec<&str> = match &workload {
         Some(w) if w != "all" => vec![w.as_str()],
         Some(_) => vec!["tpcc_no", "tpcc_full", "retwis", "smallbank"],
         // `fig8_sweep --trace out.json` with no workload: trace only,

@@ -21,13 +21,12 @@ use xenic::XenicConfig;
 use xenic_baselines::{run_baseline, BaselineKind};
 use xenic_hw::HwParams;
 use xenic_net::NetConfig;
-use xenic_bench::par_points;
+use xenic_bench::{args, par_points};
 use xenic_sim::SimTime;
 use xenic_workloads::{Retwis, RetwisConfig, Smallbank, SmallbankConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = xenic_bench::jobs_from_args(&args);
+    let jobs = args::jobs();
     let params = HwParams::paper_testbed();
     let mk_rw =
         |_: usize| -> Box<dyn Workload> { Box::new(Retwis::new(RetwisConfig::sim(6))) };

@@ -21,12 +21,7 @@ use xenic_sim::{Histogram, SimTime};
 use xenic_workloads::{Retwis, RetwisConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let trace_path: Option<String> = xenic_bench::args::value("--trace");
 
     let part = Partitioning::new(6, 3);
     println!("# Xenic commit-phase latency breakdown (Retwis) [us: p50 / p99]");

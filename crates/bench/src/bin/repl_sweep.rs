@@ -27,7 +27,7 @@ use std::fs;
 use xenic::api::Workload;
 use xenic::harness::{run_xenic_cluster_with, RunOptions};
 use xenic::{ReplBackend, XenicConfig};
-use xenic_bench::par_points;
+use xenic_bench::{args, par_points};
 use xenic_check::{check_history, CheckOptions, HistoryRecorder};
 use xenic_hw::HwParams;
 use xenic_net::{FaultPlan, NetConfig, TraceConfig};
@@ -35,9 +35,8 @@ use xenic_sim::SimTime;
 use xenic_workloads::{Smallbank, SmallbankConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let jobs = xenic_bench::jobs_from_args(&args);
+    let quick = args::flag("--quick");
+    let jobs = args::jobs();
 
     let params = HwParams::paper_testbed();
     let opts = RunOptions {

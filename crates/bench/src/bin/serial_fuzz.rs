@@ -3,7 +3,9 @@
 //! Sweeps deterministic `(system, seed, plan)` points through Xenic (full,
 //! Figure 9 ablation) and all four baselines, records every committed
 //! transaction's read/write sets, and verifies each history against
-//! Adya's DSG (`xenic-check`). Every point is replayable bit for bit.
+//! Adya's DSG (`xenic-check`). Every point is replayable bit for bit,
+//! and the first three are re-run on two scheduler lanes, which must
+//! not change the verdict or the history.
 //!
 //! The sweep ends with four checker self-tests: Xenic with
 //! `weaken_validation` (Validate's version re-check skipped) **must** be
@@ -28,25 +30,19 @@
 //! ```
 
 use xenic_bench::fuzz::{
-    expand_plan, replay_cmd, run_point, shrink, FuzzPoint, FuzzSystem, PointOutcome, WlKind,
+    expand_plan, replay_cmd, run_point, run_point_on, shrink, FuzzPoint, FuzzSystem, PointOutcome,
+    WlKind,
 };
-use xenic_bench::{jobs_from_args, par_points};
-
-fn flag_val(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+use xenic_bench::{args, par_points, plan_or_exit};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args);
+    let jobs = args::jobs();
 
-    if args.iter().any(|a| a == "--replay") {
-        std::process::exit(replay(&args));
+    if args::flag("--replay") {
+        std::process::exit(replay());
     }
 
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = args::flag("--quick");
     let points = if quick { quick_points() } else { sweep_points() };
 
     let systems: std::collections::BTreeSet<&str> =
@@ -72,6 +68,26 @@ fn main() {
         );
         if !out.passed() {
             failures.push(*p);
+        }
+    }
+
+    // The referee on the scheduler users run (DESIGN.md §16): the first
+    // three points again on two lanes must reach the identical verdict
+    // over a history of the identical size.
+    for (p, serial) in points.iter().zip(&outcomes).take(3) {
+        let par = run_point_on(p, 2);
+        let key = |o: &PointOutcome| (o.passed(), o.committed, o.report.txns, o.report.edges);
+        let status = if key(&par) == key(serial) { "ok" } else { "FAIL" };
+        println!(
+            "{status:>4}  {:<14} seed={:<3} plan={} lanes=2 {}",
+            p.system.token(),
+            p.seed,
+            p.plan,
+            summary(&par)
+        );
+        if key(&par) != key(serial) {
+            eprintln!("\nlanes=2 diverged from the serial verdict ({})", summary(serial));
+            std::process::exit(1);
         }
     }
 
@@ -366,33 +382,17 @@ fn demo(label: &str, jobs: usize, pts: Vec<FuzzPoint>) -> bool {
 }
 
 /// Replays one point from the command line; exit 0 iff it verifies.
-fn replay(args: &[String]) -> i32 {
-    let system = flag_val(args, "--system")
-        .and_then(|s| FuzzSystem::parse(&s))
-        .expect(
-            "--system <xenic|xenic-fig9|xenic-raft|xenic-hermes|xenic-bluefield|\
-             xenic-cxl|xenic-weakened|xenic-weak-predicates|xenic-weak-quorum|\
-             xenic-weak-cxl|drtmh|drtmh-nc|fasst|drtmr>",
-        );
+fn replay() -> i32 {
     let p = FuzzPoint {
-        system,
-        wl: flag_val(args, "--wl")
-            .and_then(|s| WlKind::parse(&s))
-            .unwrap_or(WlKind::Mixed),
-        seed: flag_val(args, "--seed")
-            .and_then(|s| s.parse().ok())
-            .expect("--seed <u64>"),
-        plan: flag_val(args, "--plan")
-            .and_then(|s| s.parse().ok())
-            .expect("--plan <u32>"),
-        windows: flag_val(args, "--windows")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(3),
-        measure_us: flag_val(args, "--measure-us")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(800),
+        system: args::required("--system"),
+        wl: args::value("--wl").unwrap_or(WlKind::Mixed),
+        seed: args::required("--seed"),
+        plan: args::required("--plan"),
+        windows: args::value("--windows").unwrap_or(3),
+        measure_us: args::value("--measure-us").unwrap_or(800),
     };
-    let plan = expand_plan(p.plan);
+    // Every fuzz system runs on a 6-node preset of the paper's testbed.
+    let plan = plan_or_exit(expand_plan(p.plan), xenic_hw::HwParams::paper_testbed().nodes);
     println!("replaying {:?}", p);
     if plan.active() {
         println!("plan {}: {:?}", p.plan, plan);

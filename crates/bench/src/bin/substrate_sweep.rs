@@ -25,8 +25,7 @@
 //!    single pool store (`cxl_log_writes > 0`, `log_ship_writes == 0`);
 //!    on the DMA substrates the complement holds.
 //!
-//! Results land in `results/substrate_sweep.csv` and the trend file
-//! `BENCH_substrates.json` at the repo root. Rows are independent
+//! Results land in `results/substrate_sweep.csv`. Rows are independent
 //! deterministic simulations; `--jobs N` output is byte-identical to
 //! `--jobs 1`.
 
@@ -34,7 +33,7 @@ use std::fs;
 use xenic::api::Workload;
 use xenic::harness::{run_xenic_cluster_with, RunOptions, RunResult};
 use xenic::{Placement, XenicConfig};
-use xenic_bench::par_points;
+use xenic_bench::{args, par_points};
 use xenic_check::{check_history, CheckOptions, HistoryRecorder};
 use xenic_hw::{HwParams, SubstrateKind};
 use xenic_net::NetConfig;
@@ -80,9 +79,8 @@ fn params_for(kind: SubstrateKind) -> HwParams {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let jobs = xenic_bench::jobs_from_args(&args);
+    let quick = args::flag("--quick");
+    let jobs = args::jobs();
 
     let opts = RunOptions {
         windows: if quick { 8 } else { 32 },
@@ -150,9 +148,8 @@ fn main() {
         "substrate,placement,workload,tput_per_server,p50_ns,p99_ns,aborted,\
          log_ship_writes,cxl_log_writes,serializable\n",
     );
-    let mut json = String::from("{\n  \"scenario\": \"substrate_sweep\",\n  \"rows\": [\n");
     let mut violations = 0usize;
-    for (i, (&(kind, pl, wl), (r, report))) in points.iter().zip(&rows).enumerate() {
+    for (&(kind, pl, wl), (r, report)) in points.iter().zip(&rows) {
         let sub = kind.token();
         let place = pl.placement().token();
         let ok = report.is_serializable();
@@ -185,26 +182,11 @@ fn main() {
             r.log_ship_writes,
             r.cxl_log_writes,
         ));
-        json.push_str(&format!(
-            "    {{\"substrate\": \"{sub}\", \"placement\": \"{place}\", \
-             \"workload\": \"{}\", \"tput_per_server\": {:.0}, \"p50_ns\": {}, \
-             \"p99_ns\": {}, \"log_ship_writes\": {}, \"cxl_log_writes\": {}, \
-             \"serializable\": {ok}}}{}\n",
-            wl.token(),
-            r.tput_per_server,
-            r.p50_ns,
-            r.p99_ns,
-            r.log_ship_writes,
-            r.cxl_log_writes,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
     }
-    json.push_str("  ]\n}\n");
 
     fs::create_dir_all("results").ok();
     fs::write("results/substrate_sweep.csv", csv).ok();
-    fs::write("BENCH_substrates.json", json).expect("write substrate trend report");
-    println!("(CSV written to results/substrate_sweep.csv, trends to BENCH_substrates.json)");
+    println!("(CSV written to results/substrate_sweep.csv)");
 
     if violations > 0 {
         eprintln!("{violations} sweep point(s) failed DSG verification");

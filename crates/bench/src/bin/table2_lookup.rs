@@ -85,7 +85,7 @@ fn chained_row(keys: usize, b: usize, probes: usize) -> (f64, f64) {
 }
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
+    let full = xenic_bench::args::flag("--full");
     let keys = if full { 8_000_000 } else { 1_000_000 };
     let probes = 200_000;
     println!("# Table 2: lookup cost at 90% occupancy ({keys} keys, {probes} probes)");

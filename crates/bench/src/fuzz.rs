@@ -123,8 +123,31 @@ impl FuzzSystem {
         }
     }
 
-    /// Parses a command-line token.
-    pub fn parse(s: &str) -> Option<FuzzSystem> {
+    /// True for the Xenic variants (which ride the fault-injectable
+    /// LiquidIO Ethernet lane; the baselines' RDMA verbs model a lossless
+    /// fabric, so fault plans only perturb Xenic schedules).
+    pub fn is_xenic(&self) -> bool {
+        matches!(
+            self,
+            FuzzSystem::Xenic
+                | FuzzSystem::XenicFig9
+                | FuzzSystem::XenicRaft
+                | FuzzSystem::XenicHermes
+                | FuzzSystem::XenicBluefield
+                | FuzzSystem::XenicCxl
+                | FuzzSystem::XenicWeakened
+                | FuzzSystem::XenicWeakPredicates
+                | FuzzSystem::XenicWeakCxl
+                | FuzzSystem::XenicWeakQuorum
+        )
+    }
+}
+
+/// Parses a command-line token (see [`FuzzSystem::token`]).
+impl std::str::FromStr for FuzzSystem {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
         [
             FuzzSystem::Xenic,
             FuzzSystem::XenicFig9,
@@ -143,25 +166,7 @@ impl FuzzSystem {
         ]
         .into_iter()
         .find(|sys| sys.token() == s)
-    }
-
-    /// True for the Xenic variants (which ride the fault-injectable
-    /// LiquidIO Ethernet lane; the baselines' RDMA verbs model a lossless
-    /// fabric, so fault plans only perturb Xenic schedules).
-    pub fn is_xenic(&self) -> bool {
-        matches!(
-            self,
-            FuzzSystem::Xenic
-                | FuzzSystem::XenicFig9
-                | FuzzSystem::XenicRaft
-                | FuzzSystem::XenicHermes
-                | FuzzSystem::XenicBluefield
-                | FuzzSystem::XenicCxl
-                | FuzzSystem::XenicWeakened
-                | FuzzSystem::XenicWeakPredicates
-                | FuzzSystem::XenicWeakCxl
-                | FuzzSystem::XenicWeakQuorum
-        )
+        .ok_or(())
     }
 }
 
@@ -190,14 +195,18 @@ impl WlKind {
             WlKind::Scan => "scan",
         }
     }
+}
 
-    /// Parses a command-line token.
-    pub fn parse(s: &str) -> Option<WlKind> {
+/// Parses a command-line token (see [`WlKind::token`]).
+impl std::str::FromStr for WlKind {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
         match s {
-            "mixed" => Some(WlKind::Mixed),
-            "skew" => Some(WlKind::Skew),
-            "scan" => Some(WlKind::Scan),
-            _ => None,
+            "mixed" => Ok(WlKind::Mixed),
+            "skew" => Ok(WlKind::Skew),
+            "scan" => Ok(WlKind::Scan),
+            _ => Err(()),
         }
     }
 }
@@ -508,6 +517,13 @@ impl PointOutcome {
 /// Runs one fuzz point end to end: build the cluster, run the schedule,
 /// record the history, verify it.
 pub fn run_point(p: &FuzzPoint) -> PointOutcome {
+    run_point_on(p, 1)
+}
+
+/// [`run_point`] on `lanes` scheduler lanes. The outcome must not depend
+/// on `lanes` (DESIGN.md §16); the baselines have no lane scheduler and
+/// ignore it.
+pub fn run_point_on(p: &FuzzPoint, lanes: usize) -> PointOutcome {
     let plan = expand_plan(p.plan);
     // Crash plans can legitimately leave reads of unrecorded versions
     // (a commit outruns the crashed recorder); everything else is strict.
@@ -521,7 +537,7 @@ pub fn run_point(p: &FuzzPoint) -> PointOutcome {
         warmup: SimTime::from_us(200),
         measure: SimTime::from_us(p.measure_us),
         seed: p.seed,
-        lanes: 1,
+        lanes,
         ..Default::default()
     };
     // The system picks its substrate (DESIGN.md §17); every substrate
@@ -740,28 +756,16 @@ mod tests {
     #[test]
     fn tokens_roundtrip() {
         for sys in FuzzSystem::SOUND {
-            assert_eq!(FuzzSystem::parse(sys.token()), Some(sys));
+            assert_eq!(sys.token().parse(), Ok(sys));
         }
-        assert_eq!(
-            FuzzSystem::parse("xenic-weakened"),
-            Some(FuzzSystem::XenicWeakened)
-        );
-        assert_eq!(
-            FuzzSystem::parse("xenic-weak-predicates"),
-            Some(FuzzSystem::XenicWeakPredicates)
-        );
-        assert_eq!(
-            FuzzSystem::parse("xenic-weak-cxl"),
-            Some(FuzzSystem::XenicWeakCxl)
-        );
-        assert_eq!(
-            FuzzSystem::parse("xenic-bluefield"),
-            Some(FuzzSystem::XenicBluefield)
-        );
+        assert_eq!("xenic-weakened".parse(), Ok(FuzzSystem::XenicWeakened));
+        assert_eq!("xenic-weak-predicates".parse(), Ok(FuzzSystem::XenicWeakPredicates));
+        assert_eq!("xenic-weak-cxl".parse(), Ok(FuzzSystem::XenicWeakCxl));
+        assert_eq!("xenic-bluefield".parse(), Ok(FuzzSystem::XenicBluefield));
         for wl in [WlKind::Mixed, WlKind::Skew, WlKind::Scan] {
-            assert_eq!(WlKind::parse(wl.token()), Some(wl));
+            assert_eq!(wl.token().parse(), Ok(wl));
         }
-        assert_eq!(FuzzSystem::parse("nope"), None);
+        assert_eq!("nope".parse::<FuzzSystem>(), Err(()));
     }
 
     #[test]

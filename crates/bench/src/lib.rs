@@ -2,10 +2,11 @@
 //! paper's evaluation (§3 and §5).
 //!
 //! Each experiment is a binary (`cargo run --release -p xenic-bench --bin
-//! <name>`); Criterion benches under `benches/` run reduced versions for
-//! regression tracking. The mapping from paper artifact to binary lives
-//! in DESIGN.md §4 and EXPERIMENTS.md.
+//! <name>`); the mapping from paper artifact to binary lives in DESIGN.md
+//! §4 and EXPERIMENTS.md. How fast the simulator itself runs is the
+//! benchmark crate's business (`benchmark/README.md`).
 
+pub mod args;
 pub mod fuzz;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,29 +16,19 @@ use xenic::harness::{RunOptions, RunResult};
 use xenic::XenicConfig;
 use xenic_baselines::{run_baseline, BaselineKind};
 use xenic_hw::HwParams;
-use xenic_net::NetConfig;
+use xenic_net::{FaultPlan, NetConfig};
 use xenic_sim::SimTime;
 
-/// Default worker count for `--jobs`: the machine's available
-/// parallelism.
-pub fn default_jobs() -> usize {
-    xenic::resolve_parallelism(0)
-}
-
-/// Parses a `--jobs N` flag out of already-collected argv (defaulting to
-/// [`default_jobs`]) — shared by every sweep binary.
-pub fn jobs_from_args(args: &[String]) -> usize {
-    let mut jobs = default_jobs();
-    for i in 0..args.len() {
-        if args[i] == "--jobs" {
-            jobs = args
-                .get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("--jobs needs an integer"));
-        }
+/// `plan` if every node it names exists in a cluster of `nodes` nodes;
+/// otherwise prints [`FaultPlan::check`]'s message and exits 2 — the
+/// command-line front ends' answer to a plan `Cluster::new` would refuse
+/// with a panic.
+pub fn plan_or_exit(plan: FaultPlan, nodes: usize) -> FaultPlan {
+    if let Err(e) = plan.check(nodes) {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
-    // 0 = "use the machine", same resolver as `--lanes 0`.
-    xenic::resolve_parallelism(jobs)
+    plan
 }
 
 /// Runs `run` over every point on up to `jobs` worker threads and returns
@@ -256,13 +247,6 @@ mod tests {
         assert!(par_points(4, &empty, |&p| p).is_empty());
         let one = vec![7u32];
         assert_eq!(par_points(64, &one, |&p| p + 1), vec![8]);
-    }
-
-    #[test]
-    fn jobs_flag_parsing() {
-        let args: Vec<String> = vec!["--fast".into(), "--jobs".into(), "3".into()];
-        assert_eq!(jobs_from_args(&args), 3);
-        assert!(jobs_from_args(&[]) >= 1);
     }
 
     #[test]

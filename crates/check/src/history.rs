@@ -9,7 +9,7 @@
 //! verifier looks only at committed transactions, so notes from attempts
 //! that later abort are inert.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use xenic_store::{Key, TxnId, Version};
 
@@ -27,8 +27,9 @@ pub struct TxnRecord {
     /// actually covered (`hi_obs`). Every committed key the scan saw in
     /// `[lo, hi_obs]` also appears in `reads` as an item read; the pair
     /// lets the verifier detect *phantoms*: keys another transaction
-    /// inserted into the range that this scan never observed.
-    pub predicates: Vec<(Key, Key)>,
+    /// inserted into the range that this scan never observed. A set, so
+    /// the record does not depend on the order the notes arrived in.
+    pub predicates: BTreeSet<(Key, Key)>,
     /// True once the engine reached its commit point for this attempt.
     pub committed: bool,
 }
@@ -36,7 +37,16 @@ pub struct TxnRecord {
 /// A full recorded history. `BTreeMap` keyed by [`TxnId`] keeps iteration
 /// deterministic, so verifier output (witness cycles included) is
 /// reproducible byte for byte.
-#[derive(Clone, Debug, Default)]
+///
+/// The history is *order-free*: every note lands in a map or set keyed
+/// by what it says (transaction, key, range), so notes from different
+/// nodes commute and two runs that note the same evidence produce equal
+/// histories however their schedulers interleaved the nodes. (Notes about
+/// one key of one transaction from two nodes carry the same version and
+/// are causally ordered — the second node acts on a message from the
+/// first — so "last note wins" never has to break a tie.) That is what
+/// lets a recorded run use the lane scheduler.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct History {
     txns: BTreeMap<TxnId, TxnRecord>,
 }
@@ -58,13 +68,10 @@ impl History {
     }
 
     /// Notes that `txn` scanned the range `[lo, hi_obs]`. Idempotent per
-    /// distinct range (re-noting the same pair is dropped) so engines may
-    /// note the evidence from more than one vantage point.
+    /// distinct range, so engines may note the evidence from more than
+    /// one vantage point.
     pub fn note_scan(&mut self, txn: TxnId, lo: Key, hi_obs: Key) {
-        let r = self.txns.entry(txn).or_default();
-        if !r.predicates.contains(&(lo, hi_obs)) {
-            r.predicates.push((lo, hi_obs));
-        }
+        self.txns.entry(txn).or_default().predicates.insert((lo, hi_obs));
     }
 
     /// Marks `txn` committed.
@@ -111,11 +118,10 @@ impl History {
 /// Shared handle to a [`History`] under construction.
 ///
 /// Every node of a cluster holds a clone of the same recorder and the
-/// harness snapshots it after the run. The handle is an `Arc<Mutex<..>>`
-/// so node states stay `Send` for the lane scheduler; recorded runs
-/// themselves always execute on the serial scheduler (the lock is never
-/// contended), because a global observer would otherwise impose a
-/// cross-lane ordering the barriers don't reproduce.
+/// harness snapshots it after the run. The handle is an `Arc<Mutex<..>>`:
+/// on the lane scheduler the nodes of different lanes note into it from
+/// different worker threads, and because [`History`] is order-free the
+/// snapshot is the same whichever thread got the lock first.
 #[derive(Clone, Default)]
 pub struct HistoryRecorder(Arc<Mutex<History>>);
 

@@ -501,14 +501,6 @@ impl XenicNode {
         self.recorder = Some(recorder);
     }
 
-    /// Whether a history recorder is attached. The lane scheduler checks
-    /// this: recorded runs stay on the serial scheduler because a global
-    /// observer would see a cross-lane interleaving the epoch barriers
-    /// don't pin down.
-    pub fn has_recorder(&self) -> bool {
-        self.recorder.is_some()
-    }
-
     /// Current capacities of the pre-sized hot-path maps, for the
     /// no-growth regression test: `[host_txns, coord, pending, NIC lock
     /// table]` followed by each backup replica map. A steady-state run

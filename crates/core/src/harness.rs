@@ -90,11 +90,12 @@ pub struct RunOptions {
     /// RNG seed.
     pub seed: u64,
     /// Scheduler lanes: 1 = the serial scheduler; N > 1 runs the cluster
-    /// on N worker threads with epoch barriers (DESIGN.md §16) when the
-    /// configuration is lane-eligible (per-node RNG discipline, tracing
-    /// off, no history recorder) and falls back to serial — with
-    /// identical results — otherwise. 0 clamps to the machine's
-    /// available parallelism.
+    /// on N worker threads with epoch barriers (DESIGN.md §16). 0 clamps
+    /// to the machine's available parallelism. One fallback remains: a
+    /// run with tracing on stays on the serial scheduler — with
+    /// identical results — because the tracer is a single global buffer
+    /// whose `GaugeSample` event reads every node at once, so no lane
+    /// can own it. A history recorder does not force serial.
     pub lanes: usize,
     /// How nodes map onto lanes when `lanes > 1` (DESIGN.md §18).
     pub assignment: LaneAssign,
@@ -175,10 +176,7 @@ pub fn run_xenic_cluster_with(
         }
     }
     let lanes = crate::resolve_parallelism(opts.lanes);
-    let use_lanes = lanes > 1
-        && ParCluster::eligible(&cluster)
-        && !cluster.states.iter().any(|s| s.has_recorder());
-    let mut drv = if use_lanes {
+    let mut drv = if lanes > 1 && ParCluster::eligible(&cluster) {
         let assignment = match opts.assignment {
             LaneAssign::Contiguous => LaneAssignment::contiguous(nodes, lanes),
             LaneAssign::ShardGroups => LaneAssignment::by_groups(nodes, lanes, &part.groups()),
@@ -265,7 +263,7 @@ impl Driver {
 
 /// FNV digest over every node's host table (sorted keys, value bytes,
 /// versions): the whole-cluster state fingerprint used by the lane
-/// invariance tests and `lane_scaling`. Equal digests mean the stores
+/// invariance tests and the benchmark. Equal digests mean the stores
 /// ended bit-identical.
 pub fn cluster_digest(cluster: &Cluster<Xenic>) -> u64 {
     let mut digest = 0xcbf2_9ce4_8422_2325u64;

@@ -7,12 +7,13 @@
 //! [`FaultPlan`] adds *deterministic fault injection* on the LiquidIO
 //! Ethernet lane: per-link message drop and duplication probabilities,
 //! bounded per-frame delay jitter, timed pairwise partitions, and a
-//! crash-stop/restart schedule. Faults draw from a dedicated RNG stream
-//! derived from the cluster seed, so a given `(seed, plan)` pair always
-//! produces the same fault schedule — chaos runs are replayable bit for
-//! bit. A plan with every knob at zero (`FaultPlan::none()`, the default)
-//! is inert: the runtime takes the exact same code paths and consumes the
-//! exact same randomness as before the fault layer existed.
+//! crash-stop/restart schedule. Faults draw from dedicated per-node RNG
+//! streams derived from the cluster seed (one per sending node), so a
+//! given `(seed, plan)` pair always produces the same fault schedule —
+//! chaos runs are replayable bit for bit, on any lane count. A plan with
+//! every knob at zero (`FaultPlan::none()`, the default) is inert: the
+//! runtime takes the exact same code paths and consumes the exact same
+//! randomness as before the fault layer existed.
 
 use xenic_sim::TraceConfig;
 
@@ -149,6 +150,38 @@ impl FaultPlan {
             || !self.crashes.is_empty()
     }
 
+    /// Checks that every node this plan names exists in a cluster of
+    /// `nodes` nodes. An out-of-range link override or partition would be
+    /// silently inert and an out-of-range crash an index panic deep in
+    /// the runtime, so [`crate::Cluster::new`] refuses such a plan up
+    /// front; the error names the offending entry.
+    pub fn check(&self, nodes: usize) -> Result<(), String> {
+        let bad = |entry: String, node: usize| {
+            Err(format!(
+                "fault plan names node {node}, but the cluster has nodes 0..{nodes}: {entry}"
+            ))
+        };
+        for &(src, dst, _) in &self.link_overrides {
+            if let Some(&n) = [src, dst].iter().find(|&&n| n >= nodes) {
+                return bad(format!("link override {src} -> {dst}"), n);
+            }
+        }
+        for p in &self.partitions {
+            if let Some(&n) = [p.a, p.b].iter().find(|&&n| n >= nodes) {
+                return bad(
+                    format!("partition {} <-> {} over [{}, {}) ns", p.a, p.b, p.from_ns, p.until_ns),
+                    n,
+                );
+            }
+        }
+        for c in &self.crashes {
+            if c.node >= nodes {
+                return bad(format!("crash of node {} at {} ns", c.node, c.at_ns), c.node);
+            }
+        }
+        Ok(())
+    }
+
     /// Fault rates for the directed link `src → dst`.
     pub fn link_for(&self, src: usize, dst: usize) -> LinkFaults {
         self.link_overrides
@@ -166,28 +199,6 @@ impl FaultPlan {
                 && now_ns < p.until_ns
         })
     }
-}
-
-/// Which randomness (and equal-time event ordering) discipline a run
-/// uses. Both are fully deterministic; they are *different* deterministic
-/// schedules, so pinned digests are per-discipline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RngDiscipline {
-    /// One global RNG stream drawn in global event order, with equal-time
-    /// events popping in queue-insertion order. This is the historical
-    /// discipline every existing pinned digest was recorded under; it is
-    /// inherently serial (the draw order depends on the global
-    /// interleaving), so `--lanes N > 1` silently falls back to the
-    /// serial scheduler.
-    Global,
-    /// Per-node RNG streams (`node-txn-<i>` / `net-faults-<i>` off the
-    /// cluster seed) drawn in each node's own handler order, with
-    /// equal-time events ordered by an intrinsic
-    /// `(owner_node, per-node counter)` stamp. Every draw and every
-    /// tie-break is a pure function of per-node history, which is what
-    /// lets lane workers execute nodes in parallel and still produce the
-    /// serial schedule bit for bit (DESIGN.md §16).
-    PerNode,
 }
 
 /// Communication-layer configuration for a [`crate::Cluster`].
@@ -208,10 +219,6 @@ pub struct NetConfig {
     /// events and no RNG draws, so traced-off runs are bit-identical to an
     /// untraced build).
     pub trace: TraceConfig,
-    /// Randomness/ordering discipline (see [`RngDiscipline`]). Defaults
-    /// to [`RngDiscipline::Global`], preserving every existing pinned
-    /// schedule; multi-lane runs require [`RngDiscipline::PerNode`].
-    pub rng: RngDiscipline,
 }
 
 impl NetConfig {
@@ -223,7 +230,6 @@ impl NetConfig {
             async_dma: true,
             faults: FaultPlan::none(),
             trace: TraceConfig::disabled(),
-            rng: RngDiscipline::Global,
         }
     }
 
@@ -235,7 +241,6 @@ impl NetConfig {
             async_dma: false,
             faults: FaultPlan::none(),
             trace: TraceConfig::disabled(),
-            rng: RngDiscipline::Global,
         }
     }
 
@@ -251,12 +256,12 @@ impl NetConfig {
         self
     }
 
-    /// Switches to per-node RNG streams and intrinsic event stamping —
-    /// the lane-safe discipline required for `--lanes N > 1` (builder
-    /// style). Changes the deterministic schedule, so digests pinned
-    /// under the global discipline do not apply.
-    pub fn with_per_node_rng(mut self) -> Self {
-        self.rng = RngDiscipline::PerNode;
+    /// Identity. Per-node RNG streams and intrinsic event stamps are the
+    /// only schedule the runtime has (DESIGN.md §16), so there is nothing
+    /// to opt into; this stays only because the frozen
+    /// `benchmark/src/workloads.rs` still calls it, and goes with the
+    /// next `benchmark/` PR.
+    pub fn with_per_node_rng(self) -> Self {
         self
     }
 }
@@ -307,6 +312,27 @@ mod tests {
         assert!(p.partitioned(4, 1, 1_500), "cut applies both directions");
         assert!(!p.partitioned(1, 4, 2_000), "until is exclusive");
         assert!(!p.partitioned(1, 3, 1_500), "other pairs unaffected");
+    }
+
+    /// One case per entry kind: `check` accepts in-range plans and names
+    /// the first entry that names a node the cluster does not have.
+    #[test]
+    fn check_names_the_entry_on_a_missing_node() {
+        let ok = FaultPlan::lossy(0.1, 0.1, 50)
+            .with_link_override(0, 5, LinkFaults::none())
+            .with_partition(1, 4, 0, 10)
+            .with_crash(5, 7, Some(9));
+        assert_eq!(ok.check(6), Ok(()));
+        let none = FaultPlan::none;
+        for (plan, entry) in [
+            (none().with_link_override(9, 1, LinkFaults::none()), "link override 9 -> 1"),
+            (none().with_link_override(1, 9, LinkFaults::none()), "link override 1 -> 9"),
+            (none().with_partition(2, 9, 100, 200), "partition 2 <-> 9 over [100, 200) ns"),
+            (none().with_crash(2, 1, None).with_crash(9, 2, None).with_crash(7, 3, None), "crash of node 9 at 2 ns"),
+        ] {
+            let want = format!("fault plan names node 9, but the cluster has nodes 0..6: {entry}");
+            assert_eq!(plan.check(6), Err(want));
+        }
     }
 
     #[test]

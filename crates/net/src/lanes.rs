@@ -47,15 +47,17 @@
 //! arrive in `A` below its bound.
 //!
 //! Determinism does not depend on barrier placement: the stamps are
-//! assigned at *push* time from per-node counters (under
-//! [`RngDiscipline::PerNode`]), and each node's handler sequence — hence
-//! its pushes, stamps, and RNG draws — is identical whether the cluster
-//! runs serially or on any lane count under any [`LaneAssignment`]. The
+//! assigned at *push* time from per-node counters, randomness comes from
+//! per-node streams, and each node's handler sequence — hence its
+//! pushes, stamps, and RNG draws — is identical whether the cluster runs
+//! serially or on any lane count under any [`LaneAssignment`]. The
 //! global schedule is a pure function of `(seed, config)`, and
 //! whole-cluster digests are byte-identical to the serial scheduler's.
 //!
-//! Tracing and history recording are global observers with cross-lane
-//! ordering, so they force the serial scheduler (see
+//! History recording is order-free (`xenic_check::History` is keyed
+//! maps and sets), so recorded runs use the lanes like any other. The
+//! tracer is the one observer left that needs the serial scheduler: its
+//! gauge sampler is a global event no lane owns (see
 //! [`ParCluster::eligible`]).
 
 use std::sync::mpsc;
@@ -64,7 +66,6 @@ use std::sync::Arc;
 use xenic_hw::HwParams;
 use xenic_sim::SimTime;
 
-use crate::config::RngDiscipline;
 use crate::runtime::{dispatch_event, Cluster, Event, Protocol, Runtime};
 
 /// How a cluster's nodes map onto scheduler lanes.
@@ -361,12 +362,13 @@ where
     P::Msg: Send,
     P::State: Send,
 {
-    /// Whether `cluster` can run on the lane scheduler: the per-node RNG
-    /// discipline (intrinsic stamps + per-node streams) with tracing off.
-    /// Ineligible configurations simply stay on the serial scheduler —
-    /// which produces identical results by construction.
+    /// Whether `cluster` can run on the lane scheduler: tracing must be
+    /// off. The tracer is one global event buffer and its `GaugeSample`
+    /// event reads every node at once, so no lane can own it; a traced
+    /// cluster stays on the serial scheduler — which produces identical
+    /// results by construction.
     pub fn eligible(cluster: &Cluster<P>) -> bool {
-        cluster.rt.cfg.rng == RngDiscipline::PerNode && !cluster.rt.trace_enabled()
+        !cluster.rt.trace_enabled()
     }
 
     /// Splits `cluster` into `lanes` contiguous node ranges (the
@@ -390,7 +392,7 @@ where
     pub fn from_cluster_assigned(cluster: Cluster<P>, assignment: &LaneAssignment) -> Self {
         assert!(
             Self::eligible(&cluster),
-            "lane scheduler requires RngDiscipline::PerNode with tracing off"
+            "lane scheduler requires tracing off"
         );
         let n = cluster.states.len();
         assert_eq!(assignment.nodes(), n, "assignment must cover every node");

@@ -21,13 +21,14 @@
 //!   baseline systems;
 //! * a [`FaultPlan`] can deterministically drop, duplicate, delay, and
 //!   partition Ethernet-lane traffic and crash-stop/restart whole nodes,
-//!   all driven from a dedicated RNG stream so chaos runs replay exactly.
+//!   all driven from dedicated per-node RNG streams so chaos runs replay
+//!   exactly.
 
 pub mod config;
 pub mod lanes;
 pub mod runtime;
 
-pub use config::{CrashEvent, FaultPlan, LinkFaults, NetConfig, Partition, RngDiscipline};
+pub use config::{CrashEvent, FaultPlan, LinkFaults, NetConfig, Partition};
 pub use lanes::{LaneAssignment, LaneStats, LookaheadMatrix, ParCluster};
 pub use runtime::{Cluster, Event, Exec, Protocol, Runtime};
 pub use xenic_sim::{TraceConfig, Tracer};

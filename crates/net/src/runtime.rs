@@ -20,7 +20,7 @@ use xenic_hw::rdma::Verb;
 use xenic_hw::{CorePool, DmaEngine, HwParams, RdmaNic};
 use xenic_sim::{Component, DetRng, EventQueue, SimTime, Tracer};
 
-use crate::config::{NetConfig, RngDiscipline};
+use crate::config::NetConfig;
 
 /// Which of a node's processor complexes executes a message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -271,20 +271,14 @@ pub struct Runtime<M> {
     pub cfg: NetConfig,
     /// The event queue (exposed for harness horizon control).
     pub queue: EventQueue<Event<M>>,
-    /// Deterministic randomness for protocol engines.
-    pub rng: DetRng,
-    /// Dedicated randomness for fault injection. A separate stream keeps
-    /// workload randomness identical whether or not faults are enabled,
-    /// and keeps fault schedules reproducible per `(seed, plan)`.
-    pub(crate) fault_rng: DetRng,
-    /// Per-node fault streams (`net-faults-<i>`), drawn instead of
-    /// `fault_rng` under [`RngDiscipline::PerNode`] so each node's fault
-    /// schedule is a pure function of that node's own send history —
-    /// which is what lets lossy plans run lane-parallel.
+    /// Per-node fault-injection streams (`net-faults-<i>`): each node's
+    /// fault schedule is a pure function of `(seed, plan)` and that
+    /// node's own send history — which is what lets lossy plans run
+    /// lane-parallel. Separate from the protocol streams, so workload
+    /// randomness is identical whether or not faults are enabled.
     pub(crate) fault_rngs: Vec<DetRng>,
     /// Per-node protocol streams (`node-txn-<i>`), handed out by
-    /// [`Runtime::txn_rng`] instead of `rng` under
-    /// [`RngDiscipline::PerNode`].
+    /// [`Runtime::txn_rng`].
     pub(crate) node_rngs: Vec<DetRng>,
     /// Whether the configured fault plan can perturb this run at all.
     pub(crate) faults_active: bool,
@@ -299,15 +293,8 @@ pub struct Runtime<M> {
     pub(crate) cur_core: usize,
     pub(crate) cur_end: SimTime,
     pub(crate) in_handler: bool,
-    /// True under [`RngDiscipline::PerNode`]: every push carries an
-    /// intrinsic `(owner node, per-node counter)` ordering key instead of
-    /// the queue's global insertion sequence. Each node's handler
-    /// sequence is the same however the cluster is scheduled, so the
-    /// stamps — and therefore equal-time tie-breaks — are identical in
-    /// serial and lane-parallel runs. See DESIGN.md §16.
-    pub(crate) stamp: bool,
     /// Owner node of the event being dispatched: the stamp source for any
-    /// push the current handler performs.
+    /// push the current handler performs (see [`Runtime::push_ev`]).
     pub(crate) stamp_node: usize,
     /// Per-node push counters backing the intrinsic stamps.
     pub(crate) push_ctr: Vec<u64>,
@@ -336,10 +323,7 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
         let nodes = (0..n).map(|_| Self::mk_node(&params, n)).collect();
         let faults_active = cfg.faults.active();
         let tracer = Tracer::from_config(&cfg.trace);
-        let stamp = cfg.rng == RngDiscipline::PerNode;
         let mut rt = Runtime {
-            rng: DetRng::new(seed),
-            fault_rng: DetRng::new(seed).stream("net-faults"),
             fault_rngs: (0..n)
                 .map(|i| DetRng::new(seed).stream(&format!("net-faults-{i}")))
                 .collect(),
@@ -364,7 +348,6 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             frame_pool: Vec::new(),
             dma_batch_scratch: Vec::new(),
             dma_ops_scratch: Vec::new(),
-            stamp,
             stamp_node: 0,
             push_ctr: vec![0; n],
             lane_of: None,
@@ -425,8 +408,6 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             params: self.params.clone(),
             cfg: self.cfg.clone(),
             queue: EventQueue::new(),
-            rng: self.rng.clone(),
-            fault_rng: self.fault_rng.clone(),
             fault_rngs: self.fault_rngs.clone(),
             node_rngs: self.node_rngs.clone(),
             faults_active: self.faults_active,
@@ -444,7 +425,6 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             frame_pool: Vec::new(),
             dma_batch_scratch: Vec::new(),
             dma_ops_scratch: Vec::new(),
-            stamp: self.stamp,
             stamp_node: 0,
             push_ctr: self.push_ctr.clone(),
             lane_of: Some(lane_of),
@@ -454,20 +434,17 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
     }
 
     /// Central push: every event the runtime or a protocol handler
-    /// schedules goes through here. Under [`RngDiscipline::Global`] this
-    /// is exactly `queue.push` — bit-identical to the historical
-    /// scheduler. Under [`RngDiscipline::PerNode`] the event is stamped
-    /// with `(stamp_node << STAMP_NODE_SHIFT) | per-node counter`, an
-    /// ordering key that is a pure function of the stamping node's own
-    /// history; when this runtime is a lane of a [`crate::ParCluster`],
-    /// events owned by foreign lanes divert to the outbox for barrier-time
-    /// routing.
+    /// schedules goes through here and is stamped with
+    /// `(stamp_node << STAMP_NODE_SHIFT) | per-node counter` — the
+    /// equal-time ordering key, in place of the queue's global insertion
+    /// sequence. Each node's handler sequence is the same however the
+    /// cluster is scheduled, so the stamp is a pure function of the
+    /// stamping node's own history and equal-time tie-breaks are
+    /// identical in serial and lane-parallel runs (DESIGN.md §16). When
+    /// this runtime is a lane of a [`crate::ParCluster`], events owned by
+    /// foreign lanes divert to the outbox for barrier-time routing.
     #[inline]
     pub(crate) fn push_ev(&mut self, t: SimTime, ev: Event<M>) {
-        if !self.stamp {
-            self.queue.push(t, ev);
-            return;
-        }
         let node = self.stamp_node;
         let ctr = &mut self.push_ctr[node];
         debug_assert!(*ctr < 1 << STAMP_NODE_SHIFT, "per-node stamp counter overflow");
@@ -485,27 +462,11 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
     }
 
     /// The stream protocol engines draw workload/backoff randomness from:
-    /// the shared `rng` under [`RngDiscipline::Global`] (draws happen in
-    /// global event order), the current node's private stream under
-    /// [`RngDiscipline::PerNode`] (draws happen in per-node order — what
-    /// makes lane-parallel execution reproduce them exactly).
+    /// the current node's private stream. Draws happen in per-node
+    /// handler order, which no scheduler can reorder — what makes
+    /// lane-parallel execution reproduce them exactly.
     pub fn txn_rng(&mut self) -> &mut DetRng {
-        if self.stamp {
-            &mut self.node_rngs[self.cur_node]
-        } else {
-            &mut self.rng
-        }
-    }
-
-    /// The fault-injection stream for messages leaving `src` (see
-    /// [`Runtime::txn_rng`] for the discipline split).
-    #[inline]
-    fn fault_stream(&mut self, src: usize) -> &mut DetRng {
-        if self.stamp {
-            &mut self.fault_rngs[src]
-        } else {
-            &mut self.fault_rng
-        }
+        &mut self.node_rngs[self.cur_node]
     }
 
     /// Current simulated time.
@@ -611,7 +572,7 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
     /// This is the single choke point for Ethernet-lane fault injection:
     /// per-message drop/duplication, timed partitions (all messages cut),
     /// and per-frame delivery jitter all happen here, drawing from the
-    /// dedicated fault RNG stream. The PCIe, DMA, RDMA, and local lanes
+    /// sending node's fault RNG stream. The PCIe, DMA, RDMA, and local lanes
     /// stay reliable — the model is lossy datacenter Ethernet under a
     /// crash-stop node fault model, not arbitrary hardware corruption.
     fn transmit_net(&mut self, t0: SimTime, src: usize, dst: usize, msgs: &mut Vec<(Exec, M, u32)>) {
@@ -631,11 +592,11 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
                 let mut kept = std::mem::take(&mut self.fault_scratch);
                 debug_assert!(kept.is_empty());
                 for (exec, msg, bytes) in msgs.drain(..) {
-                    if cut || (lf.drop_prob > 0.0 && self.fault_stream(src).chance(lf.drop_prob)) {
+                    if cut || (lf.drop_prob > 0.0 && self.fault_rngs[src].chance(lf.drop_prob)) {
                         self.nodes[src].net_msgs_dropped += 1;
                         continue;
                     }
-                    if lf.dup_prob > 0.0 && self.fault_stream(src).chance(lf.dup_prob) {
+                    if lf.dup_prob > 0.0 && self.fault_rngs[src].chance(lf.dup_prob) {
                         self.nodes[src].net_msgs_duped += 1;
                         kept.push((exec, msg.clone(), bytes));
                     }
@@ -686,7 +647,7 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
     ) {
         let tx_done = self.nodes[src].lio.send_frame(t0, frame_bytes);
         let extra = if jitter_max > 0 {
-            self.fault_stream(src).below(jitter_max + 1)
+            self.fault_rngs[src].below(jitter_max + 1)
         } else {
             0
         };
@@ -1376,6 +1337,11 @@ pub struct Cluster<P: Protocol> {
 
 impl<P: Protocol> Cluster<P> {
     /// Builds a cluster; `mk_state` constructs each node's state.
+    ///
+    /// # Panics
+    /// If `cfg.faults` names a node outside `0..params.nodes`, with the
+    /// message of [`crate::FaultPlan::check`] — front ends that take a
+    /// plan from the command line call `check` themselves first.
     pub fn new(
         params: HwParams,
         cfg: NetConfig,
@@ -1383,6 +1349,9 @@ impl<P: Protocol> Cluster<P> {
         mut mk_state: impl FnMut(usize) -> P::State,
     ) -> Self {
         let n = params.nodes;
+        if let Err(e) = cfg.faults.check(n) {
+            panic!("{e}");
+        }
         Cluster {
             states: (0..n).map(&mut mk_state).collect(),
             rt: Runtime::new(params, cfg, seed),
@@ -1419,9 +1388,7 @@ pub(crate) fn dispatch_event<P: Protocol>(
     rt: &mut Runtime<P::Msg>,
     ev: Event<P::Msg>,
 ) {
-    if rt.stamp {
-        rt.stamp_node = ev.owner().unwrap_or(0);
-    }
+    rt.stamp_node = ev.owner().unwrap_or(0);
     match ev {
         Event::Deliver { node, exec, msg } => {
             if rt.crashed[node] {
@@ -1861,6 +1828,12 @@ mod tests {
         c.run_until(SimTime::from_ms(5));
         assert!(!c.rt.is_crashed(0));
         assert_eq!(c.states[0].rtts.len(), 1, "only the post-restart pong");
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan names node 9, but the cluster has nodes 0..6: crash of node 9")]
+    fn plan_naming_a_missing_node_is_refused_at_build() {
+        cluster(NetConfig::full().with_faults(FaultPlan::none().with_crash(9, 0, None)));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! `EventQueue` under schedules shaped like the simulator's real traffic.
 //!
 //! Run with `cargo bench -p xenic-sim`. Timing uses `std::time::Instant`
-//! directly (no external harness dependency — see
-//! `crates/bench/benches/experiments.rs` for the pattern): one warmup
-//! iteration, then best/mean of N. These numbers regression-track the
-//! kernel in isolation; `perf_report` covers the whole simulator.
+//! directly (no external harness dependency): one warmup iteration, then
+//! best/mean of N. These numbers regression-track the kernel in
+//! isolation; the benchmark crate (`benchmark/README.md`) covers the
+//! whole simulator.
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -174,8 +174,8 @@ pub struct InsertPlan {
     /// element ever vanishes from the table mid-application. At the
     /// provisioned ~65% occupancy most chains are one or two entries, so
     /// the plan stays allocation-free inline (preload inserts one plan
-    /// per key — this was the top allocation site in `perf_report`'s
-    /// `tpcc_mix` before the small-vector change).
+    /// per key — this was the top allocation site of a TPC-C cluster
+    /// build before the small-vector change).
     pub placements: SmallVec<(usize, PlannedEntry), 2>,
     /// Element pushed to an overflow bucket (segment id), if the chain's
     /// last displaced element hit the limit.

@@ -21,5 +21,4 @@ run fig9_ablation "--jobs $JOBS"
 run drtmr_comparison
 run cache_pressure "--jobs $JOBS"
 run phase_breakdown
-run perf_report
 echo "All experiments complete; outputs in results/."

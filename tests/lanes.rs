@@ -1,18 +1,21 @@
 //! Lane-count invariance: the multi-lane epoch-barrier scheduler
 //! (DESIGN.md §16) must reproduce the serial scheduler bit for bit.
 //!
-//! Under `RngDiscipline::PerNode`, every event carries an intrinsic
-//! `(owner node, per-node counter)` stamp and every RNG draw comes from a
-//! per-node stream, so the whole simulation is a pure function of
-//! `(seed, config)` regardless of how nodes are spread across worker
-//! threads. These tests assert that for every workload × replication
-//! backend × fault plan in the matrix, lanes ∈ {1, 2, 4} produce
-//! identical commit stats, identical event counts, and identical
-//! whole-cluster table digests — the same style of pin
-//! `queue_differential.rs` uses for the event queue itself.
+//! Every event carries an intrinsic `(owner node, per-node counter)`
+//! stamp and every RNG draw comes from a per-node stream, so the whole
+//! simulation is a pure function of `(seed, config)` regardless of how
+//! nodes are spread across worker threads. These tests assert that for
+//! every workload × replication backend × fault plan in the matrix,
+//! lanes ∈ {1, 2, 4} produce identical commit stats, identical event
+//! counts, and identical whole-cluster table digests — the same style of
+//! pin `queue_differential.rs` uses for the event queue itself — and that
+//! a recorded run's `History` is lane-invariant too.
 
-use xenic::harness::{cluster_digest, run_xenic_cluster, RunOptions};
+use xenic::harness::{
+    cluster_digest, run_xenic_cluster, run_xenic_cluster_with, RunOptions, RunResult,
+};
 use xenic::{ReplBackend, Workload, XenicConfig};
+use xenic_check::HistoryRecorder;
 use xenic_hw::HwParams;
 use xenic_net::{FaultPlan, NetConfig};
 use xenic_sim::SimTime;
@@ -36,25 +39,35 @@ fn fingerprint(
     opts: &RunOptions,
     mk: impl Fn(usize) -> Box<dyn Workload>,
 ) -> Fingerprint {
-    fingerprint_on(HwParams::paper_testbed(), nodes, net, cfg, opts, mk)
+    run_on(HwParams::paper_testbed(), nodes, net, cfg, opts, mk, None).0
 }
 
-fn fingerprint_on(
+/// One run — with `recorder`, if given, attached to every node — as its
+/// fingerprint plus the harness result (lane counters included).
+fn run_on(
     base: HwParams,
     nodes: usize,
     net: NetConfig,
     cfg: XenicConfig,
     opts: &RunOptions,
     mk: impl Fn(usize) -> Box<dyn Workload>,
-) -> Fingerprint {
+    recorder: Option<HistoryRecorder>,
+) -> (Fingerprint, RunResult) {
     let params = HwParams { nodes, ..base };
-    let (r, cluster) = run_xenic_cluster(params, net, cfg, opts, mk);
-    Fingerprint {
+    let (r, cluster) = run_xenic_cluster_with(params, net, cfg, opts, mk, move |c| {
+        if let Some(rec) = &recorder {
+            for st in &mut c.states {
+                st.set_recorder(rec.clone());
+            }
+        }
+    });
+    let fp = Fingerprint {
         committed: r.committed,
         aborted: r.aborted,
         digest: cluster_digest(&cluster),
         processed: cluster.rt.queue.processed(),
-    }
+    };
+    (fp, r)
 }
 
 fn quick_opts(seed: u64, lanes: usize) -> RunOptions {
@@ -95,9 +108,7 @@ fn lane_count_invariance_matrix() {
     let nodes = 6usize;
     for wl in [Wl::Smallbank, Wl::Retwis, Wl::YcsbE] {
         for backend in ReplBackend::ALL {
-            let net = NetConfig::full()
-                .with_per_node_rng()
-                .with_faults(FaultPlan::lossy(0.01, 0.01, 200));
+            let net = NetConfig::full().with_faults(FaultPlan::lossy(0.01, 0.01, 200));
             let cfg = XenicConfig::with_backend(backend);
             let run = |lanes: usize| {
                 fingerprint(
@@ -134,7 +145,7 @@ fn lane_count_invariance_matrix() {
 #[test]
 fn lane_count_invariance_fault_free() {
     let nodes = 6usize;
-    let net = NetConfig::full().with_per_node_rng();
+    let net = NetConfig::full();
     let run = |lanes: usize| {
         fingerprint(
             nodes,
@@ -164,7 +175,7 @@ fn lane_count_invariance_crash_restart() {
         at_ns: 150_000,
         restart_at_ns: Some(230_000),
     });
-    let net = NetConfig::full().with_per_node_rng().with_faults(plan);
+    let net = NetConfig::full().with_faults(plan);
     let run = |lanes: usize| {
         fingerprint(
             nodes,
@@ -183,27 +194,26 @@ fn lane_count_invariance_crash_restart() {
 
 /// The alternative substrates (DESIGN.md §17) cross the lane scheduler
 /// too: BlueField's shifted PCIe/DMA latencies and CXL's local
-/// pool-store log completions are all owner-stamped events, so under
-/// `RngDiscipline::PerNode` every substrate must be fingerprint-
-/// identical at lanes {1, 2, 4}.
+/// pool-store log completions are all owner-stamped events, so every
+/// substrate must be fingerprint-identical at lanes {1, 2, 4, 8}.
 #[test]
 fn lane_count_invariance_substrates() {
     let nodes = 6usize;
     for base in [HwParams::off_path_bluefield(), HwParams::cxl_shared()] {
         let token = base.substrate.token();
         for wl in [Wl::Smallbank, Wl::Retwis] {
-            let net = NetConfig::full()
-                .with_per_node_rng()
-                .with_faults(FaultPlan::lossy(0.01, 0.01, 200));
+            let net = NetConfig::full().with_faults(FaultPlan::lossy(0.01, 0.01, 200));
             let run = |lanes: usize| {
-                fingerprint_on(
+                run_on(
                     base.clone(),
                     nodes,
                     net.clone(),
                     XenicConfig::full(),
                     &quick_opts(11, lanes),
                     mk_workload(wl, nodes as u32),
+                    None,
                 )
+                .0
             };
             let serial = run(1);
             assert!(serial.committed > 0, "{token}: substrate point must commit work");
@@ -220,15 +230,16 @@ fn lane_count_invariance_substrates() {
 /// shard groups), `LaneAssign::ShardGroups` must reproduce the serial
 /// run bit for bit across every backend, a lossy plan, and lanes
 /// {2, 4, 8} — assignment only moves nodes between workers, never
-/// changes what any node computes.
+/// changes what any node computes. What it is *for* is checked too: at 8
+/// lanes the block split cuts through every replica group (12 / 8 is no
+/// multiple of 3), and snapping lane edges to the groups must route at
+/// least 5 % fewer events between lanes.
 #[test]
 fn group_aware_assignment_matches_serial() {
     use xenic::harness::LaneAssign;
     let nodes = 12usize;
     for backend in ReplBackend::ALL {
-        let net = NetConfig::full()
-            .with_per_node_rng()
-            .with_faults(FaultPlan::lossy(0.01, 0.01, 200));
+        let net = NetConfig::full().with_faults(FaultPlan::lossy(0.01, 0.01, 200));
         let cfg = XenicConfig {
             aligned_groups: true,
             ..XenicConfig::with_backend(backend)
@@ -238,12 +249,20 @@ fn group_aware_assignment_matches_serial() {
                 assignment,
                 ..quick_opts(17, lanes)
             };
-            fingerprint(nodes, net.clone(), cfg, &opts, mk_workload(Wl::Smallbank, nodes as u32))
+            run_on(
+                HwParams::paper_testbed(),
+                nodes,
+                net.clone(),
+                cfg,
+                &opts,
+                mk_workload(Wl::Smallbank, nodes as u32),
+                None,
+            )
         };
-        let serial = run(1, LaneAssign::Contiguous);
+        let (serial, _) = run(1, LaneAssign::Contiguous);
         assert!(serial.committed > 0, "{}: grouped point must commit work", backend.token());
         for lanes in [2usize, 4, 8] {
-            let grouped = run(lanes, LaneAssign::ShardGroups);
+            let (grouped, _) = run(lanes, LaneAssign::ShardGroups);
             assert_eq!(
                 grouped,
                 serial,
@@ -252,26 +271,56 @@ fn group_aware_assignment_matches_serial() {
                 lanes
             );
         }
+        let (_, block) = run(8, LaneAssign::Contiguous);
+        let (_, grouped) = run(8, LaneAssign::ShardGroups);
+        assert!(
+            grouped.cross_lane_events * 100 <= block.cross_lane_events * 95,
+            "backend {}: group-aware assignment routed {} cross-lane events, block split {}",
+            backend.token(),
+            grouped.cross_lane_events,
+            block.cross_lane_events
+        );
     }
 }
 
-/// Under the default `Global` RNG discipline the lane scheduler is not
-/// eligible; `lanes: 4` must silently fall back to the serial scheduler
-/// and still produce identical results.
+/// The referee on the scheduler users run: with a `HistoryRecorder`
+/// attached, `lanes: N` really runs N lanes (`barriers > 0`) and returns
+/// the fingerprint *and* the `History` of the serial run — Retwis for
+/// item reads and writes, YCSB-E for scans (predicates), both under a
+/// lossy plan so retransmissions cross lanes too.
 #[test]
-fn global_discipline_falls_back_to_serial() {
+fn recorded_runs_are_lane_invariant() {
     let nodes = 6usize;
-    let net = NetConfig::full();
-    let run = |lanes: usize| {
-        fingerprint(
-            nodes,
-            net.clone(),
-            XenicConfig::full(),
-            &quick_opts(7, lanes),
-            mk_workload(Wl::Retwis, nodes as u32),
-        )
-    };
-    assert_eq!(run(4), run(1));
+    for wl in [Wl::Retwis, Wl::YcsbE] {
+        let net = NetConfig::full().with_faults(FaultPlan::lossy(0.01, 0.01, 200));
+        let run = |lanes: usize| {
+            let recorder = HistoryRecorder::new();
+            let (fp, r) = run_on(
+                HwParams::paper_testbed(),
+                nodes,
+                net.clone(),
+                XenicConfig::full(),
+                &quick_opts(23, lanes),
+                mk_workload(wl, nodes as u32),
+                Some(recorder.clone()),
+            );
+            (fp, r.barriers, recorder.snapshot())
+        };
+        let (serial, _, history) = run(1);
+        assert!(history.committed_count() > 0, "recorded point must commit work");
+        if matches!(wl, Wl::YcsbE) {
+            assert!(
+                history.committed().any(|(_, rec)| !rec.predicates.is_empty()),
+                "YCSB-E must put predicates on record"
+            );
+        }
+        for lanes in [2usize, 4] {
+            let (par, barriers, par_history) = run(lanes);
+            assert!(barriers > 0, "lanes {lanes}: a recorded run must not fall back to serial");
+            assert_eq!(par, serial, "lanes {lanes}: recorded fingerprint diverged");
+            assert!(par_history == history, "lanes {lanes}: recorded history diverged");
+        }
+    }
 }
 
 /// The first run ever above the paper's 6-node testbed: a 64-node
@@ -281,7 +330,7 @@ fn global_discipline_falls_back_to_serial() {
 #[test]
 fn smallbank_64_nodes_smoke() {
     let nodes = 64usize;
-    let net = NetConfig::full().with_per_node_rng();
+    let net = NetConfig::full();
     let opts = |lanes| RunOptions {
         windows: 2,
         warmup: SimTime::from_us(60),
@@ -326,7 +375,7 @@ const PIN_SMALLBANK_64: (u64, u64, u64) = (2202, 17434623591772061208, 225339);
 fn smallbank_256_nodes_pinned() {
     use xenic::harness::LaneAssign;
     let nodes = 256usize;
-    let net = NetConfig::full().with_per_node_rng();
+    let net = NetConfig::full();
     let opts = |lanes, assignment| RunOptions {
         windows: 2,
         warmup: SimTime::from_us(40),

@@ -2,11 +2,12 @@
 //!
 //! Three contracts lock the substrate/placement refactor down:
 //!
-//! 1. **On-path identity** — `OnPathLiquidIO` (the default) must leave
-//!    every historical pin byte-identical. The pins below were captured
-//!    on the commit *before* the substrate refactor landed, so they
-//!    prove the accessor indirection is an exact identity, not merely
-//!    self-consistent.
+//! 1. **On-path identity** — on `OnPathLiquidIO` (the default) every
+//!    substrate accessor is an identity over the calibrated fields and
+//!    the default placement overlay is zero, so its runs are pinned
+//!    with p50/p99 included. (The pins predate the substrate refactor,
+//!    which left them byte-identical; DESIGN.md §16 records their one
+//!    re-pin, for the single-schedule change.)
 //! 2. **Per-substrate determinism** — BlueField and CXL runs replay bit
 //!    for bit from `(seed, config)`; their whole-cluster digests and
 //!    commit fingerprints are pinned here.
@@ -79,17 +80,18 @@ fn run(
 }
 
 // ---------------------------------------------------------------------
-// 1. On-path identity: pins captured BEFORE the substrate refactor.
+// 1. On-path identity: the paper's substrate, pinned with latencies.
 // ---------------------------------------------------------------------
 
 /// (committed, aborted, digest, processed, p50, p99) of a seed-21 quick
-/// Smallbank run, captured on the pre-refactor tree. p50/p99 included:
-/// the default `Placement::nic_resident()` overlay must be exactly zero.
-const PRE_REFACTOR_SMALLBANK: (u64, u64, u64, u64, u64, u64) =
-    (487, 6, 10304859322079988475, 41762, 5440, 14976);
-/// Same capture for Retwis.
-const PRE_REFACTOR_RETWIS: (u64, u64, u64, u64, u64, u64) =
-    (404, 1, 10702730437129351841, 59844, 5824, 8576);
+/// Smallbank run on `OnPathLiquidIO`. p50/p99 included: the substrate
+/// accessors must be identities there and the default
+/// `Placement::nic_resident()` overlay exactly zero.
+const PIN_ONPATH_SMALLBANK: (u64, u64, u64, u64, u64, u64) =
+    (491, 5, 17396022062811388106, 41882, 5440, 9600);
+/// Same pin for Retwis.
+const PIN_ONPATH_RETWIS: (u64, u64, u64, u64, u64, u64) =
+    (405, 0, 10332575930123486873, 59779, 6464, 8576);
 
 #[test]
 fn onpath_identity_smallbank() {
@@ -102,8 +104,8 @@ fn onpath_identity_smallbank() {
     );
     assert_eq!(
         (fp.committed, fp.aborted, fp.digest, fp.processed, r.p50_ns, r.p99_ns),
-        PRE_REFACTOR_SMALLBANK,
-        "OnPathLiquidIO diverged from the pre-refactor tree"
+        PIN_ONPATH_SMALLBANK,
+        "OnPathLiquidIO diverged from its pin"
     );
     // The paper's substrate ships its log over the DMA engine.
     assert!(r.log_ship_writes > 0);
@@ -121,8 +123,8 @@ fn onpath_identity_retwis() {
     );
     assert_eq!(
         (fp.committed, fp.aborted, fp.digest, fp.processed, r.p50_ns, r.p99_ns),
-        PRE_REFACTOR_RETWIS,
-        "OnPathLiquidIO diverged from the pre-refactor tree"
+        PIN_ONPATH_RETWIS,
+        "OnPathLiquidIO diverged from its pin"
     );
 }
 
@@ -156,10 +158,10 @@ fn coherence_knob_is_noop_off_cxl() {
 /// Pinned (committed, aborted, digest, processed) per (substrate,
 /// workload), seed 21. Captured from the first verified run; update
 /// only for a deliberate, understood simulation change.
-const PIN_BLUEFIELD_SMALLBANK: (u64, u64, u64, u64) = (389, 1, 5289962508406324606, 33578);
-const PIN_BLUEFIELD_RETWIS: (u64, u64, u64, u64) = (341, 0, 2211171818778143081, 50356);
-const PIN_CXL_SMALLBANK: (u64, u64, u64, u64) = (521, 4, 12816737071200364745, 43273);
-const PIN_CXL_RETWIS: (u64, u64, u64, u64) = (401, 0, 17998586196551017995, 56799);
+const PIN_BLUEFIELD_SMALLBANK: (u64, u64, u64, u64) = (386, 4, 14175707042961942407, 33170);
+const PIN_BLUEFIELD_RETWIS: (u64, u64, u64, u64) = (342, 0, 8874709959816520689, 50584);
+const PIN_CXL_SMALLBANK: (u64, u64, u64, u64) = (530, 6, 5803685861862156606, 42082);
+const PIN_CXL_RETWIS: (u64, u64, u64, u64) = (401, 0, 12849898709383498819, 56357);
 
 #[test]
 fn substrate_fingerprints_pinned() {
