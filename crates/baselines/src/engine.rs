@@ -7,6 +7,7 @@
 //! host CPU.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use xenic_hw::rdma::Verb;
 use xenic_hw::HwParams;
@@ -15,7 +16,6 @@ use xenic_sim::SimTime;
 use xenic_store::chained::ChainedTable;
 use xenic_store::{Key, TxnId, Value, Version};
 
-use std::rc::Rc;
 use xenic::api::{
     scan_fingerprint, shard_of, Partitioning, ScanSpec, TxnSpec, Workload, SCAN_FP_INIT,
 };
@@ -47,11 +47,6 @@ pub enum BaselineKind {
 }
 
 impl BaselineKind {
-    /// True for the configurations that drive one-sided verbs.
-    pub fn one_sided(&self) -> bool {
-        !matches!(self, BaselineKind::Fasst)
-    }
-
     /// True if execution reads use the coordinator location cache.
     pub fn location_cache(&self) -> bool {
         matches!(self, BaselineKind::DrtmH | BaselineKind::DrtmR)
@@ -255,7 +250,7 @@ enum Phase {
 
 /// In-flight coordinator transaction.
 struct Coord {
-    spec: Rc<TxnSpec>,
+    spec: Arc<TxnSpec>,
     phase: Phase,
     pending: usize,
     ok: bool,
@@ -289,7 +284,7 @@ pub struct BaselineNode {
     /// Workload generator.
     pub workload: Box<dyn Workload>,
     /// App-thread slots.
-    pub slots: Vec<Option<Rc<TxnSpec>>>,
+    pub slots: Vec<Option<Arc<TxnSpec>>>,
     /// First-attempt start time per slot.
     pub slot_started: Vec<SimTime>,
     /// Stats.
@@ -304,11 +299,6 @@ pub struct BaselineNode {
 }
 
 impl BaselineNode {
-    /// In-flight coordinator transactions (diagnostics).
-    pub fn inflight(&self) -> usize {
-        self.coord.len()
-    }
-
     /// Builds a node and preloads its shard.
     pub fn new(
         node: usize,
@@ -766,8 +756,8 @@ fn start_txn(st: &mut BaselineNode, rt: &mut Runtime<BMsg>, me: usize, slot: u32
             None => return,
         }
     } else {
-        let s = Rc::new(st.workload.next_txn(me, rt.txn_rng()));
-        st.slots[slot as usize] = Some(Rc::clone(&s));
+        let s = Arc::new(st.workload.next_txn(me, rt.txn_rng()));
+        st.slots[slot as usize] = Some(Arc::clone(&s));
         st.slot_started[slot as usize] = rt.now();
         s
     };

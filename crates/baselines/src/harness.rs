@@ -1,12 +1,50 @@
-//! Baseline run harness, mirroring `xenic::harness` so Figure 8 compares
-//! five systems with identical load generation and measurement windows.
+//! The baselines' side of the one run harness (`xenic::harness`):
+//! [`Baseline`] as an [`Engine`], so Figure 8 compares five systems with
+//! identical load generation, measurement windows and schedulers.
 
 use crate::engine::{BMsg, Baseline, BaselineKind, BaselineNode};
 use xenic::api::{Partitioning, Workload};
-use xenic::harness::{RunOptions, RunResult};
+use xenic::harness::{run, Engine, RunOptions, RunResult};
+use xenic::stats::NodeStats;
+use xenic_check::HistoryRecorder;
 use xenic_hw::HwParams;
-use xenic_net::{Cluster, Exec, NetConfig};
-use xenic_sim::{Histogram, SimTime};
+use xenic_net::NetConfig;
+
+impl Engine for Baseline {
+    type Config = BaselineKind;
+
+    fn node(
+        node: usize,
+        nodes: usize,
+        kind: BaselineKind,
+        workload: Box<dyn Workload>,
+        windows: usize,
+    ) -> BaselineNode {
+        // RDMA systems replicate 3-way like Xenic's benchmarks.
+        let part = Partitioning::new(nodes as u32, 3);
+        BaselineNode::new(node, kind, part, workload, windows)
+    }
+
+    fn partitioning(state: &BaselineNode) -> Partitioning {
+        state.part
+    }
+
+    fn start(slot: u32) -> BMsg {
+        BMsg::Start { slot }
+    }
+
+    fn stats(state: &BaselineNode) -> &NodeStats {
+        &state.stats
+    }
+
+    fn stats_mut(state: &mut BaselineNode) -> &mut NodeStats {
+        &mut state.stats
+    }
+
+    fn set_recorder(state: &mut BaselineNode, recorder: HistoryRecorder) {
+        state.set_recorder(recorder);
+    }
+}
 
 /// Builds and runs a baseline cluster under the given workload.
 pub fn run_baseline(
@@ -16,114 +54,14 @@ pub fn run_baseline(
     mk_workload: impl Fn(usize) -> Box<dyn Workload>,
 ) -> RunResult {
     // Baselines never use the LiquidIO path; aggregation knobs are moot.
-    run_baseline_with(kind, params, NetConfig::baseline(), opts, mk_workload, |_| {})
-}
-
-/// [`run_baseline`] with an explicit network config and a setup hook run
-/// on the built cluster before any transaction is seeded (e.g. to attach
-/// a history recorder to every node).
-pub fn run_baseline_with(
-    kind: BaselineKind,
-    params: HwParams,
-    net: NetConfig,
-    opts: &RunOptions,
-    mk_workload: impl Fn(usize) -> Box<dyn Workload>,
-    setup: impl FnOnce(&mut Cluster<Baseline>),
-) -> RunResult {
-    // RDMA systems replicate 3-way like Xenic's benchmarks.
-    let part = Partitioning::new(params.nodes as u32, 3);
-    let windows = opts.windows;
-    let mut cluster: Cluster<Baseline> = Cluster::new(params, net, opts.seed, |node| {
-        BaselineNode::new(node, kind, part, mk_workload(node), windows)
-    });
-    setup(&mut cluster);
-    let nodes = cluster.rt.node_count();
-    for node in 0..nodes {
-        for slot in 0..windows {
-            cluster.seed(
-                SimTime::from_ns((node * windows + slot) as u64 * 97),
-                node,
-                Exec::Host,
-                BMsg::Start { slot: slot as u32 },
-            );
-        }
-    }
-    cluster.run_until(opts.warmup);
-    let mstart = cluster.rt.now();
-    for st in &mut cluster.states {
-        st.stats.start_measuring(mstart);
-    }
-    let host_busy0: u64 = (0..nodes)
-        .map(|n| cluster.rt.pool_busy_ns(n, Exec::Host))
-        .sum();
-    let cx50: u64 = (0..nodes).map(|n| cluster.rt.cx5_tx_bytes(n)).sum();
-
-    let horizon = SimTime::from_ns(opts.warmup.as_ns() + opts.measure.as_ns());
-    cluster.run_until(horizon);
-    let mend = cluster.rt.now().max(horizon);
-    let secs = mend.since(mstart) as f64 / 1e9;
-    let window_ns = mend.since(mstart) as f64;
-
-    let mut latency = Histogram::new();
-    let mut committed = 0u64;
-    let mut aborted = 0u64;
-    for st in &cluster.states {
-        latency.merge(&st.stats.latency);
-        committed += st.stats.committed.events();
-        aborted += st.stats.aborted.get();
-    }
-    let host_busy: u64 = (0..nodes)
-        .map(|n| cluster.rt.pool_busy_ns(n, Exec::Host))
-        .sum::<u64>()
-        - host_busy0;
-    let cx5_bytes: u64 = (0..nodes).map(|n| cluster.rt.cx5_tx_bytes(n)).sum::<u64>() - cx50;
-    let line_bytes = cluster.rt.params.net_gbps / 8.0 * window_ns;
-    RunResult {
-        tput_per_server: committed as f64 / secs / nodes as f64,
-        p50_ns: latency.median(),
-        p99_ns: latency.p99(),
-        mean_ns: latency.mean(),
-        committed,
-        aborted,
-        host_busy_cores: host_busy as f64 / window_ns / nodes as f64,
-        nic_busy_cores: 0.0,
-        lio_utilization: 0.0,
-        cx5_utilization: cx5_bytes as f64 / (line_bytes * nodes as f64),
-        ops_per_frame: 0.0,
-        dma_vector_fill: 0.0,
-        dma_elements_per_txn: 0.0,
-        log_ship_writes: 0,
-        cxl_log_writes: 0,
-        cross_lane_events: 0,
-        barriers: 0,
-    }
-}
-
-/// Runs a baseline cluster with a history recorder attached to every
-/// node, returning both the run result and the recorded commit history
-/// for serializability checking.
-pub fn run_baseline_recorded(
-    kind: BaselineKind,
-    params: HwParams,
-    net: NetConfig,
-    opts: &RunOptions,
-    mk_workload: impl Fn(usize) -> Box<dyn Workload>,
-) -> (RunResult, xenic_check::History) {
-    let recorder = xenic_check::HistoryRecorder::default();
-    let r = recorder.clone();
-    let result = run_baseline_with(kind, params, net, opts, mk_workload, move |cluster| {
-        for st in &mut cluster.states {
-            st.set_recorder(r.clone());
-        }
-    });
-    (result, recorder.snapshot())
+    run::<Baseline>(params, NetConfig::baseline(), kind, opts, mk_workload).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use xenic::api::{make_key, ShipMode, TxnSpec, UpdateOp};
-    use xenic_sim::DetRng;
+    use xenic_sim::{DetRng, SimTime};
     use xenic_store::Value;
 
     struct MiniWl {
@@ -182,40 +120,34 @@ mod tests {
         move |_| Box::new(MiniWl { keys: 2000, remote_frac: frac })
     }
 
+    fn go(kind: BaselineKind, mk: impl Fn(usize) -> Box<dyn Workload>) -> RunResult {
+        run::<Baseline>(HwParams::paper_testbed(), NetConfig::baseline(), kind, &opts(), mk).0
+    }
+
     #[test]
     fn drtmh_commits() {
-        let r = run_baseline(BaselineKind::DrtmH, HwParams::paper_testbed(), &opts(), mini(0.8));
+        let r = go(BaselineKind::DrtmH, mini(0.8));
         assert!(r.committed > 500, "committed {}", r.committed);
         assert!(r.p50_ns > 2_000 && r.p50_ns < 300_000, "p50 {}", r.p50_ns);
     }
 
     #[test]
     fn fasst_commits() {
-        let r = run_baseline(BaselineKind::Fasst, HwParams::paper_testbed(), &opts(), mini(0.8));
+        let r = go(BaselineKind::Fasst, mini(0.8));
         assert!(r.committed > 500, "committed {}", r.committed);
         assert!(r.host_busy_cores > 0.0);
     }
 
     #[test]
     fn drtmr_commits() {
-        let r = run_baseline(BaselineKind::DrtmR, HwParams::paper_testbed(), &opts(), mini(0.8));
+        let r = go(BaselineKind::DrtmR, mini(0.8));
         assert!(r.committed > 500, "committed {}", r.committed);
     }
 
     #[test]
     fn nc_is_slower_than_cached() {
-        let cached = run_baseline(
-            BaselineKind::DrtmH,
-            HwParams::paper_testbed(),
-            &opts(),
-            mini(0.9),
-        );
-        let nc = run_baseline(
-            BaselineKind::DrtmHNc,
-            HwParams::paper_testbed(),
-            &opts(),
-            mini(0.9),
-        );
+        let cached = go(BaselineKind::DrtmH, mini(0.9));
+        let nc = go(BaselineKind::DrtmHNc, mini(0.9));
         assert!(
             nc.p50_ns >= cached.p50_ns,
             "NC p50 {} must be >= cached p50 {}",
@@ -232,8 +164,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run_baseline(BaselineKind::DrtmH, HwParams::paper_testbed(), &opts(), mini(0.5));
-        let b = run_baseline(BaselineKind::DrtmH, HwParams::paper_testbed(), &opts(), mini(0.5));
+        let a = go(BaselineKind::DrtmH, mini(0.5));
+        let b = go(BaselineKind::DrtmH, mini(0.5));
         assert_eq!(a.committed, b.committed);
         assert_eq!(a.p50_ns, b.p50_ns);
     }
@@ -244,12 +176,7 @@ mod tests {
         // and check the cluster keeps committing in the last quarter of
         // the window (a leak would freeze throughput like the Xenic
         // multihop bug this suite guards against).
-        let r = run_baseline(
-            BaselineKind::DrtmR,
-            HwParams::paper_testbed(),
-            &opts(),
-            move |_| Box::new(MiniWl { keys: 60, remote_frac: 0.8 }),
-        );
+        let r = go(BaselineKind::DrtmR, move |_| Box::new(MiniWl { keys: 60, remote_frac: 0.8 }));
         assert!(r.committed > 200, "committed {} under contention", r.committed);
         assert!(r.aborted > 0, "contention must abort sometimes");
     }

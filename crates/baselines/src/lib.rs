@@ -20,8 +20,11 @@
 //!   applies values and releases locks with one-sided WRITEs.
 //!
 //! All four share Xenic's workload API (`xenic::api`), OCC skeleton, and
-//! measurement harness, so Figure 8's five-way comparison is apples to
-//! apples. Every remote operation pays the measured CX5 costs: verb
+//! measurement harness — [`Baseline`] implements `xenic::harness::Engine`
+//! (in [`harness`]), so `xenic::harness::{build, measure, run,
+//! run_recorded}` drive it exactly as they drive Xenic, lane scheduler
+//! included — so Figure 8's five-way comparison is apples to apples.
+//! [`engine`] holds the protocol itself. Every remote operation pays the measured CX5 costs: verb
 //! pipeline occupancy (§3.4's 13.5–15 Mops/s ceiling), per-verb wire
 //! overhead, and — for RPCs — remote host CPU time (§3.3's 23 Mops/s).
 
@@ -29,4 +32,4 @@ pub mod engine;
 pub mod harness;
 
 pub use engine::{Baseline, BaselineKind, BaselineNode};
-pub use harness::{run_baseline, run_baseline_recorded, run_baseline_with};
+pub use harness::run_baseline;

@@ -3,7 +3,7 @@
 //! cross-system result equivalence.
 
 use xenic::api::{make_key, Partitioning, TxnSpec, UpdateOp, Workload};
-use xenic::harness::{RunOptions, RunResult};
+use xenic::harness::{run_recorded, RunOptions, RunResult};
 use xenic_baselines::engine::{BMsg, Baseline, BaselineKind, BaselineNode};
 use xenic_baselines::run_baseline;
 use xenic_hw::HwParams;
@@ -239,9 +239,10 @@ fn recorded_history(kind: BaselineKind, net: NetConfig) -> (RunResult, xenic_che
         lanes: 1,
         ..Default::default()
     };
-    xenic_baselines::run_baseline_recorded(kind, HwParams::paper_testbed(), net, &opts, |_| {
+    let (r, _, recorder) = run_recorded::<Baseline>(HwParams::paper_testbed(), net, kind, &opts, |_| {
         Box::new(ContendedWl { keys: 24 })
-    })
+    });
+    (r, recorder.snapshot())
 }
 
 #[test]
@@ -325,13 +326,14 @@ fn fasst_scans_commit_and_stay_phantom_free() {
         lanes: 1,
         ..Default::default()
     };
-    let (r, history) = xenic_baselines::run_baseline_recorded(
-        BaselineKind::Fasst,
+    let (r, _, recorder) = run_recorded::<Baseline>(
         HwParams::paper_testbed(),
         NetConfig::baseline(),
+        BaselineKind::Fasst,
         &opts,
         |_| Box::new(ScanWl { keys: 16, counter: 0 }),
     );
+    let history = recorder.snapshot();
     assert!(r.committed > 300, "FaSST scan mix committed {}", r.committed);
     // Committed scans must be on record as predicates, so the checker
     // actually looks for phantoms rather than vacuously passing.

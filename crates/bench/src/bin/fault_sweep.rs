@@ -20,8 +20,8 @@
 
 use std::fs;
 use xenic::api::Workload;
-use xenic::harness::{run_xenic_cluster, RunOptions};
-use xenic::XenicConfig;
+use xenic::harness::{run, RunOptions};
+use xenic::{Xenic, XenicConfig};
 use xenic_hw::HwParams;
 use xenic_net::{FaultPlan, NetConfig, TraceConfig};
 use xenic_bench::{args, par_points, plan_or_exit};
@@ -76,7 +76,7 @@ fn main() {
         let net = NetConfig::full()
             .with_faults(plan)
             .with_trace(TraceConfig::spans());
-        let (r, cluster) = run_xenic_cluster(params.clone(), net, XenicConfig::full(), &opts, mk);
+        let (r, cluster) = run::<Xenic>(params.clone(), net, XenicConfig::full(), &opts, mk);
         let retrans = cluster.rt.tracer().instant_total("Retransmit");
         let trace_json = if want_trace && rate == last_rate {
             Some(cluster.rt.tracer().chrome_json())

@@ -17,8 +17,8 @@
 
 use std::fs;
 use xenic::api::Workload;
-use xenic::harness::{run_xenic_cluster, RunOptions};
-use xenic::XenicConfig;
+use xenic::harness::{run, RunOptions};
+use xenic::{Xenic, XenicConfig};
 use xenic_bench::{args, curves_csv, par_points, print_curve, run_system, CurvePoint, System};
 use xenic_hw::HwParams;
 use xenic_net::{NetConfig, TraceConfig};
@@ -121,7 +121,7 @@ fn run_workload(name: &str, fast: bool, jobs: usize) {
 
 /// One traced Xenic run (Retwis, moderate load) dumped as Chrome JSON.
 fn dump_trace(path: &str) {
-    let (r, cluster) = run_xenic_cluster(
+    let (r, cluster) = run::<Xenic>(
         HwParams::paper_testbed(),
         NetConfig::full().with_trace(TraceConfig::full().with_capacity(1 << 22)),
         XenicConfig::full(),

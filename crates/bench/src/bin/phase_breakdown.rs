@@ -11,19 +11,16 @@
 //! dumped as Chrome-trace JSON (open at <https://ui.perfetto.dev>).
 
 use std::fs;
-use xenic::api::{Partitioning, Workload};
-use xenic::engine::{Xenic, XenicNode};
-use xenic::msg::XMsg;
-use xenic::XenicConfig;
+use xenic::harness::{build, RunOptions};
+use xenic::{Xenic, XenicConfig};
 use xenic_hw::HwParams;
-use xenic_net::{Cluster, Exec, NetConfig, TraceConfig};
+use xenic_net::{NetConfig, TraceConfig};
 use xenic_sim::{Histogram, SimTime};
 use xenic_workloads::{Retwis, RetwisConfig};
 
 fn main() {
     let trace_path: Option<String> = xenic_bench::args::value("--trace");
 
-    let part = Partitioning::new(6, 3);
     println!("# Xenic commit-phase latency breakdown (Retwis) [us: p50 / p99]");
     println!(
         "{:>8} {:>16} {:>16} {:>16} {:>10}",
@@ -31,25 +28,13 @@ fn main() {
     );
     let loads = [2usize, 16, 64];
     for windows in loads {
-        let mut cluster: Cluster<Xenic> = Cluster::new(
+        let mut cluster = build::<Xenic>(
             HwParams::paper_testbed(),
             NetConfig::full().with_trace(TraceConfig::spans().with_capacity(1 << 22)),
-            42,
-            |node| {
-                let wl: Box<dyn Workload> = Box::new(Retwis::new(RetwisConfig::sim(6)));
-                XenicNode::new(node, XenicConfig::full(), part, wl, windows)
-            },
+            XenicConfig::full(),
+            &RunOptions { windows, seed: 42, ..Default::default() },
+            |_| Box::new(Retwis::new(RetwisConfig::sim(6))),
         );
-        for node in 0..6 {
-            for slot in 0..windows {
-                cluster.seed(
-                    SimTime::from_ns((node * windows + slot) as u64 * 97),
-                    node,
-                    Exec::Host,
-                    XMsg::StartTxn { slot: slot as u32 },
-                );
-            }
-        }
         cluster.run_until(SimTime::from_ms(2));
         let t0 = cluster.rt.now();
         for st in &mut cluster.states {

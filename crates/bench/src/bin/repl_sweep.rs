@@ -25,10 +25,10 @@
 
 use std::fs;
 use xenic::api::Workload;
-use xenic::harness::{run_xenic_cluster_with, RunOptions};
-use xenic::{ReplBackend, XenicConfig};
+use xenic::harness::{run_recorded, RunOptions};
+use xenic::{ReplBackend, Xenic, XenicConfig};
 use xenic_bench::{args, par_points};
-use xenic_check::{check_history, CheckOptions, HistoryRecorder};
+use xenic_check::{check_history, CheckOptions};
 use xenic_hw::HwParams;
 use xenic_net::{FaultPlan, NetConfig, TraceConfig};
 use xenic_sim::SimTime;
@@ -78,19 +78,12 @@ fn main() {
         let net = NetConfig::full()
             .with_faults(FaultPlan::lossy(rate, rate / 2.0, 500))
             .with_trace(TraceConfig::spans());
-        let recorder = HistoryRecorder::new();
-        let hook = recorder.clone();
-        let (r, cluster) = run_xenic_cluster_with(
+        let (r, cluster, recorder) = run_recorded::<Xenic>(
             params.clone(),
             net,
             XenicConfig::with_backend(backend),
             &opts,
             mk,
-            move |cluster| {
-                for st in &mut cluster.states {
-                    st.set_recorder(hook.clone());
-                }
-            },
         );
         let retrans = cluster.rt.tracer().instant_total("Retransmit");
         let elections: u64 = cluster.states.iter().map(|s| s.stats.raft_elections.get()).sum();

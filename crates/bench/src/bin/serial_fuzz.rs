@@ -4,8 +4,8 @@
 //! Figure 9 ablation) and all four baselines, records every committed
 //! transaction's read/write sets, and verifies each history against
 //! Adya's DSG (`xenic-check`). Every point is replayable bit for bit,
-//! and the first three are re-run on two scheduler lanes, which must
-//! not change the verdict or the history.
+//! and the first three plus the first baseline point are re-run on two
+//! scheduler lanes, which must not change the verdict or the history.
 //!
 //! The sweep ends with four checker self-tests: Xenic with
 //! `weaken_validation` (Validate's version re-check skipped) **must** be
@@ -72,9 +72,14 @@ fn main() {
     }
 
     // The referee on the scheduler users run (DESIGN.md §16): the first
-    // three points again on two lanes must reach the identical verdict
-    // over a history of the identical size.
-    for (p, serial) in points.iter().zip(&outcomes).take(3) {
+    // three points and the first baseline point again on two lanes must
+    // reach the identical verdict over a history of the identical size.
+    let baseline = points.iter().position(|p| {
+        use FuzzSystem::{DrtmH, DrtmHNc, DrtmR, Fasst};
+        matches!(p.system, DrtmH | DrtmHNc | Fasst | DrtmR)
+    });
+    for i in (0..points.len().min(3)).chain(baseline) {
+        let (p, serial) = (&points[i], &outcomes[i]);
         let par = run_point_on(p, 2);
         let key = |o: &PointOutcome| (o.passed(), o.committed, o.report.txns, o.report.edges);
         let status = if key(&par) == key(serial) { "ok" } else { "FAIL" };

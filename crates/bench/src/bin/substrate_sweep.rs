@@ -31,10 +31,10 @@
 
 use std::fs;
 use xenic::api::Workload;
-use xenic::harness::{run_xenic_cluster_with, RunOptions, RunResult};
-use xenic::{Placement, XenicConfig};
+use xenic::harness::{run_recorded, RunOptions, RunResult};
+use xenic::{Placement, Xenic, XenicConfig};
 use xenic_bench::{args, par_points};
-use xenic_check::{check_history, CheckOptions, HistoryRecorder};
+use xenic_check::{check_history, CheckOptions};
 use xenic_hw::{HwParams, SubstrateKind};
 use xenic_net::NetConfig;
 use xenic_sim::SimTime;
@@ -126,20 +126,7 @@ fn main() {
             }
         };
         let cfg = XenicConfig::with_placement(pl.placement());
-        let recorder = HistoryRecorder::new();
-        let hook = recorder.clone();
-        let (r, _cluster) = run_xenic_cluster_with(
-            params,
-            NetConfig::full(),
-            cfg,
-            &opts,
-            mk,
-            move |cluster| {
-                for st in &mut cluster.states {
-                    st.set_recorder(hook.clone());
-                }
-            },
-        );
+        let (r, _, recorder) = run_recorded::<Xenic>(params, NetConfig::full(), cfg, &opts, mk);
         let report = check_history(&recorder.snapshot(), &CheckOptions::strict());
         (r, report)
     });

@@ -25,11 +25,11 @@
 //! reduction that still fails, then [`replay_cmd`] prints the exact
 //! command that reproduces the minimal failure.
 
-use xenic::api::{make_key, shard_of, Partitioning, ScanSpec, ShipMode, TxnSpec, UpdateOp, Workload};
-use xenic::harness::{run_xenic_cluster_with, RunOptions, RunResult};
-use xenic::{ReplBackend, XenicConfig};
-use xenic_baselines::{run_baseline_recorded, BaselineKind};
-use xenic_check::{check_history, CheckOptions, History, HistoryRecorder, Report};
+use xenic::api::{make_key, shard_of, ScanSpec, ShipMode, TxnSpec, UpdateOp, Workload};
+use xenic::harness::{run_recorded, RunOptions, RunResult};
+use xenic::{ReplBackend, Xenic, XenicConfig};
+use xenic_baselines::{Baseline, BaselineKind};
+use xenic_check::{check_history, CheckOptions, History, Report};
 use xenic_hw::HwParams;
 use xenic_net::{FaultPlan, NetConfig};
 use xenic_sim::{DetRng, SimTime};
@@ -121,25 +121,6 @@ impl FuzzSystem {
             FuzzSystem::Fasst => "fasst",
             FuzzSystem::DrtmR => "drtmr",
         }
-    }
-
-    /// True for the Xenic variants (which ride the fault-injectable
-    /// LiquidIO Ethernet lane; the baselines' RDMA verbs model a lossless
-    /// fabric, so fault plans only perturb Xenic schedules).
-    pub fn is_xenic(&self) -> bool {
-        matches!(
-            self,
-            FuzzSystem::Xenic
-                | FuzzSystem::XenicFig9
-                | FuzzSystem::XenicRaft
-                | FuzzSystem::XenicHermes
-                | FuzzSystem::XenicBluefield
-                | FuzzSystem::XenicCxl
-                | FuzzSystem::XenicWeakened
-                | FuzzSystem::XenicWeakPredicates
-                | FuzzSystem::XenicWeakCxl
-                | FuzzSystem::XenicWeakQuorum
-        )
     }
 }
 
@@ -521,8 +502,7 @@ pub fn run_point(p: &FuzzPoint) -> PointOutcome {
 }
 
 /// [`run_point`] on `lanes` scheduler lanes. The outcome must not depend
-/// on `lanes` (DESIGN.md §16); the baselines have no lane scheduler and
-/// ignore it.
+/// on `lanes` (DESIGN.md §16), for any of the systems.
 pub fn run_point_on(p: &FuzzPoint, lanes: usize) -> PointOutcome {
     let plan = expand_plan(p.plan);
     // Crash plans can legitimately leave reads of unrecorded versions
@@ -636,28 +616,15 @@ fn xenic_point(
     opts: &RunOptions,
     mk: impl Fn(usize) -> Box<dyn Workload>,
 ) -> (RunResult, History, Vec<LostCommit>) {
-    let nodes = params.nodes as u32;
-    let recorder = HistoryRecorder::new();
-    let hook = recorder.clone();
-    let (result, mut cluster) = run_xenic_cluster_with(
-        params,
-        NetConfig::full().with_faults(plan),
-        cfg,
-        opts,
-        mk,
-        move |cluster| {
-            for st in &mut cluster.states {
-                st.set_recorder(hook.clone());
-            }
-        },
-    );
+    let (result, mut cluster, recorder) =
+        run_recorded::<Xenic>(params, NetConfig::full().with_faults(plan), cfg, opts, mk);
     for st in &mut cluster.states {
         st.draining = true;
     }
     let horizon = opts.warmup.as_ns() + opts.measure.as_ns();
     cluster.run_until(SimTime::from_ns(horizon + DRAIN_NS));
     let history = recorder.snapshot();
-    let part = Partitioning::new(nodes, cfg.replication);
+    let part = cluster.states[0].part;
     let mut lost = Vec::new();
     for (txn, rec) in history.committed() {
         for (&key, &expected) in &rec.writes {
@@ -682,14 +649,14 @@ fn baseline_point(
     opts: &RunOptions,
     mk: impl Fn(usize) -> Box<dyn Workload>,
 ) -> (RunResult, History, Vec<LostCommit>) {
-    let (result, history) = run_baseline_recorded(
-        kind,
+    let (result, _, recorder) = run_recorded::<Baseline>(
         HwParams::paper_testbed(),
         NetConfig::baseline().with_faults(plan),
+        kind,
         opts,
         mk,
     );
-    (result, history, Vec::new())
+    (result, recorder.snapshot(), Vec::new())
 }
 
 /// Greedily shrinks a failing point: repeatedly tries (in order) halving

@@ -62,7 +62,7 @@ impl Partitioning {
     /// Creates a ring-placement partitioning; `replication` must fit the
     /// cluster.
     pub fn new(nodes: u32, replication: u32) -> Self {
-        assert!(replication >= 1 && replication <= nodes);
+        Self::check_fit(nodes, replication);
         Partitioning {
             nodes,
             replication,
@@ -76,12 +76,19 @@ impl Partitioning {
     /// the cluster; otherwise falls back to ring placement (documented
     /// fallback — [`Partitioning::groups`] then reports one component).
     pub fn aligned(nodes: u32, replication: u32) -> Self {
-        assert!(replication >= 1 && replication <= nodes);
+        Self::check_fit(nodes, replication);
         Partitioning {
             nodes,
             replication,
             aligned: nodes.is_multiple_of(replication),
         }
+    }
+
+    fn check_fit(nodes: u32, replication: u32) {
+        assert!(
+            replication >= 1 && replication <= nodes,
+            "replication {replication} does not fit a {nodes}-node cluster (need 1..={nodes})"
+        );
     }
 
     /// The primary node of a shard.
@@ -480,6 +487,18 @@ mod tests {
         assert!(p.holds(0, 0));
         assert!(p.holds(2, 0));
         assert!(!p.holds(3, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "replication 3 does not fit a 2-node cluster")]
+    fn ring_placement_names_a_misfit() {
+        Partitioning::new(2, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "replication 0 does not fit a 4-node cluster")]
+    fn aligned_placement_names_a_misfit() {
+        Partitioning::aligned(4, 0);
     }
 
     #[test]

@@ -333,16 +333,6 @@ impl XenicConfig {
         }
     }
 
-    /// The full design on the aligned-block replica placement
-    /// (disjoint shard groups — the topology the group-aware lane
-    /// assignment exploits, DESIGN.md §18).
-    pub fn with_aligned_groups() -> Self {
-        XenicConfig {
-            aligned_groups: true,
-            ..Self::full()
-        }
-    }
-
     /// The Figure 9 "Xenic baseline": same remote-operation set as
     /// DrTM+H, no shipping, no multi-hop.
     pub fn fig9_baseline() -> Self {

@@ -1,16 +1,22 @@
-//! Run harness: builds a Xenic cluster, applies closed-loop load, and
-//! reports the paper's metrics (per-server throughput, median latency).
+//! Run harness: builds a cluster, applies closed-loop load, and reports
+//! the paper's metrics (per-server throughput, median latency).
 //!
-//! The same harness shape is reused by the baseline engines and by every
-//! Figure 8 / Figure 9 / Table 3 experiment: warmup, measurement window,
-//! per-node statistics merge.
+//! Two stages, both generic over the [`Engine`] (Xenic here, the RDMA
+//! baselines in `xenic-baselines`): [`build`] constructs the nodes and
+//! seeds the closed loop; [`measure`] runs warm-up and the measurement
+//! window — serially or on scheduler lanes — and merges the per-node
+//! statistics. [`run`] and [`run_recorded`] compose them; every
+//! Figure 8 / Figure 9 / Table 3 experiment and all five systems go
+//! through this one path.
 
 use crate::api::{Partitioning, Workload};
 use crate::config::XenicConfig;
 use crate::engine::{Xenic, XenicNode};
 use crate::msg::XMsg;
+use crate::stats::NodeStats;
+use xenic_check::HistoryRecorder;
 use xenic_hw::HwParams;
-use xenic_net::{Cluster, Exec, LaneAssignment, LaneStats, NetConfig, ParCluster};
+use xenic_net::{Cluster, Exec, LaneAssignment, LaneStats, NetConfig, ParCluster, Protocol};
 use xenic_sim::{Histogram, SimTime};
 
 /// Aggregate results of one measured run.
@@ -28,7 +34,7 @@ pub struct RunResult {
     pub committed: u64,
     /// Total aborted attempts in the window.
     pub aborted: u64,
-    /// Mean busy host cores per node over the whole run.
+    /// Mean busy host cores per node over the measurement window.
     pub host_busy_cores: f64,
     /// Mean busy NIC cores per node.
     pub nic_busy_cores: f64,
@@ -114,72 +120,126 @@ impl Default for RunOptions {
     }
 }
 
-/// Builds and runs a Xenic cluster under the given workload.
+/// What the harness needs from a protocol beyond [`Protocol`]: how to
+/// construct a node, how to start a closed-loop window, and where the
+/// shared counters live. Implemented by [`Xenic`] and by
+/// `xenic_baselines::Baseline`; it sits beside `Protocol` rather than
+/// inside it because `Protocol` is the event loop's contract (cost +
+/// handle), which wrappers outside the workspace implement without
+/// being able to build a cluster.
+pub trait Engine: Protocol<Msg: Send, State: Send> {
+    /// Per-run engine configuration, handed to every node.
+    type Config: Copy;
+
+    /// Builds node `node` of a `nodes`-node cluster, preloaded with its
+    /// shard of `workload`, with `windows` closed-loop slots.
+    fn node(
+        node: usize,
+        nodes: usize,
+        cfg: Self::Config,
+        workload: Box<dyn Workload>,
+        windows: usize,
+    ) -> Self::State;
+
+    /// The replica placement a built node runs under (cluster-wide).
+    fn partitioning(state: &Self::State) -> Partitioning;
+
+    /// The message that starts a transaction on application slot `slot`.
+    fn start(slot: u32) -> Self::Msg;
+
+    /// The node's counters.
+    fn stats(state: &Self::State) -> &NodeStats;
+
+    /// The node's counters, mutably (to open the measurement window).
+    fn stats_mut(state: &mut Self::State) -> &mut NodeStats;
+
+    /// Attaches a commit-history recorder (a pure observer).
+    fn set_recorder(state: &mut Self::State, recorder: HistoryRecorder);
+}
+
+impl Engine for Xenic {
+    type Config = XenicConfig;
+
+    fn node(
+        node: usize,
+        nodes: usize,
+        cfg: XenicConfig,
+        workload: Box<dyn Workload>,
+        windows: usize,
+    ) -> XenicNode {
+        let part = if cfg.aligned_groups {
+            Partitioning::aligned(nodes as u32, cfg.replication)
+        } else {
+            Partitioning::new(nodes as u32, cfg.replication)
+        };
+        XenicNode::new(node, cfg, part, workload, windows)
+    }
+
+    fn partitioning(state: &XenicNode) -> Partitioning {
+        state.part
+    }
+
+    fn start(slot: u32) -> XMsg {
+        XMsg::StartTxn { slot }
+    }
+
+    fn stats(state: &XenicNode) -> &NodeStats {
+        &state.stats
+    }
+
+    fn stats_mut(state: &mut XenicNode) -> &mut NodeStats {
+        &mut state.stats
+    }
+
+    fn set_recorder(state: &mut XenicNode, recorder: HistoryRecorder) {
+        state.set_recorder(recorder);
+    }
+}
+
+/// Stage one: builds the cluster and seeds one start message per
+/// application-thread slot, staggered slightly so the first burst
+/// doesn't collide artificially. Uses `opts.windows` and `opts.seed`.
 ///
 /// `mk_workload` constructs each node's generator (they usually share a
 /// config but must be independent objects).
-pub fn run_xenic(
+pub fn build<E: Engine>(
     params: HwParams,
     net: NetConfig,
-    cfg: XenicConfig,
+    cfg: E::Config,
     opts: &RunOptions,
     mk_workload: impl Fn(usize) -> Box<dyn Workload>,
-) -> RunResult {
-    run_xenic_cluster(params, net, cfg, opts, mk_workload).0
-}
-
-/// Like [`run_xenic`], but also returns the finished cluster so callers
-/// can read post-run state — most usefully the tracer
-/// (`cluster.rt.tracer()`) when the [`NetConfig`] enabled tracing.
-pub fn run_xenic_cluster(
-    params: HwParams,
-    net: NetConfig,
-    cfg: XenicConfig,
-    opts: &RunOptions,
-    mk_workload: impl Fn(usize) -> Box<dyn Workload>,
-) -> (RunResult, Cluster<Xenic>) {
-    run_xenic_cluster_with(params, net, cfg, opts, mk_workload, |_| {})
-}
-
-/// Like [`run_xenic_cluster`], with a `setup` hook that runs after the
-/// cluster is built but before any load is seeded — the attachment point
-/// for observers like [`xenic_check::HistoryRecorder`].
-pub fn run_xenic_cluster_with(
-    params: HwParams,
-    net: NetConfig,
-    cfg: XenicConfig,
-    opts: &RunOptions,
-    mk_workload: impl Fn(usize) -> Box<dyn Workload>,
-    setup: impl FnOnce(&mut Cluster<Xenic>),
-) -> (RunResult, Cluster<Xenic>) {
-    let part = if cfg.aligned_groups {
-        Partitioning::aligned(params.nodes as u32, cfg.replication)
-    } else {
-        Partitioning::new(params.nodes as u32, cfg.replication)
-    };
-    let windows = opts.windows;
-    let mut cluster: Cluster<Xenic> = Cluster::new(params, net, opts.seed, |node| {
-        XenicNode::new(node, cfg, part, mk_workload(node), windows)
+) -> Cluster<E> {
+    let (nodes, windows) = (params.nodes, opts.windows);
+    let mut cluster: Cluster<E> = Cluster::new(params, net, opts.seed, |node| {
+        E::node(node, nodes, cfg, mk_workload(node), windows)
     });
-    setup(&mut cluster);
-    let nodes = cluster.rt.node_count();
-    // Seed one StartTxn per application-thread slot, staggered slightly so
-    // the first burst doesn't collide artificially.
     for node in 0..nodes {
         for slot in 0..windows {
             cluster.seed(
                 SimTime::from_ns((node * windows + slot) as u64 * 97),
                 node,
                 Exec::Host,
-                XMsg::StartTxn { slot: slot as u32 },
+                E::start(slot as u32),
             );
         }
     }
+    cluster
+}
+
+/// Stage two: warm-up, measurement window, metrics — on the serial
+/// event loop, or on `opts.lanes` scheduler lanes when that exceeds 1
+/// and the cluster is [`ParCluster::eligible`]. Returns the finished
+/// cluster so callers can read post-run state (tables, the tracer).
+pub fn measure<E: Engine>(cluster: Cluster<E>, opts: &RunOptions) -> (RunResult, Cluster<E>) {
+    let nodes = cluster.rt.node_count();
     let lanes = crate::resolve_parallelism(opts.lanes);
     let mut drv = if lanes > 1 && ParCluster::eligible(&cluster) {
         let assignment = match opts.assignment {
             LaneAssign::Contiguous => LaneAssignment::contiguous(nodes, lanes),
-            LaneAssign::ShardGroups => LaneAssignment::by_groups(nodes, lanes, &part.groups()),
+            LaneAssign::ShardGroups => {
+                let groups = E::partitioning(&cluster.states[0]).groups();
+                LaneAssignment::by_groups(nodes, lanes, &groups)
+            }
         };
         Driver::Par(ParCluster::from_cluster_assigned(cluster, &assignment))
     } else {
@@ -188,48 +248,122 @@ pub fn run_xenic_cluster_with(
     drv.run_until(opts.warmup);
     let mstart = drv.now();
     for n in 0..nodes {
-        drv.state_mut(n).stats.start_measuring(mstart);
+        E::stats_mut(drv.state_mut(n)).start_measuring(mstart);
     }
-    let host_busy0: u64 = (0..nodes).map(|n| drv.rt_for(n).pool_busy_ns(n, Exec::Host)).sum();
-    let nic_busy0: u64 = (0..nodes).map(|n| drv.rt_for(n).pool_busy_ns(n, Exec::Nic)).sum();
-    let lio0: u64 = (0..nodes).map(|n| drv.rt_for(n).lio_tx_bytes(n)).sum();
-    let cx50: u64 = (0..nodes).map(|n| drv.rt_for(n).cx5_tx_bytes(n)).sum();
-    let dma0: u64 = (0..nodes).map(|n| drv.rt_for(n).dma_elements(n)).sum();
+    let before = drv.counters(nodes);
 
     let horizon = SimTime::from_ns(opts.warmup.as_ns() + opts.measure.as_ns());
     drv.run_until(horizon);
     let mend = drv.now().max(horizon);
+    let used = drv.counters(nodes).since(before);
     let lane_stats = match &drv {
         Driver::Serial(_) => LaneStats::default(),
         Driver::Par(p) => p.stats(),
     };
-    let cluster = drv.finish();
-
-    let mut result = collect(&cluster, mstart, mend, host_busy0, nic_busy0, lio0, cx50, dma0);
-    result.cross_lane_events = lane_stats.cross_lane_events;
-    result.barriers = lane_stats.barriers;
+    let cluster = match drv {
+        Driver::Serial(c) => c,
+        Driver::Par(p) => p.into_cluster(),
+    };
+    let result = collect(&cluster, mend.since(mstart), used, lane_stats);
     (result, cluster)
 }
 
-/// The scheduler behind one harness run: the serial event loop or the
-/// multi-lane epoch-barrier scheduler. Both produce bit-identical
-/// simulations (DESIGN.md §16), so everything downstream of
-/// [`Driver::finish`] is scheduler-agnostic.
-enum Driver {
-    Serial(Cluster<Xenic>),
-    Par(ParCluster<Xenic>),
+/// [`build`] then [`measure`].
+pub fn run<E: Engine>(
+    params: HwParams,
+    net: NetConfig,
+    cfg: E::Config,
+    opts: &RunOptions,
+    mk_workload: impl Fn(usize) -> Box<dyn Workload>,
+) -> (RunResult, Cluster<E>) {
+    measure(build::<E>(params, net, cfg, opts, mk_workload), opts)
 }
 
-impl Driver {
+/// [`run`] with one [`HistoryRecorder`] attached to every node before
+/// the first event. The recorder comes back as the live handle the
+/// nodes still hold: snapshot it for [`xenic_check::check_history`] —
+/// straight away, or after driving the returned cluster further (a
+/// drain).
+pub fn run_recorded<E: Engine>(
+    params: HwParams,
+    net: NetConfig,
+    cfg: E::Config,
+    opts: &RunOptions,
+    mk_workload: impl Fn(usize) -> Box<dyn Workload>,
+) -> (RunResult, Cluster<E>, HistoryRecorder) {
+    let recorder = HistoryRecorder::new();
+    let mut cluster = build::<E>(params, net, cfg, opts, mk_workload);
+    for st in &mut cluster.states {
+        E::set_recorder(st, recorder.clone());
+    }
+    let (result, cluster) = measure(cluster, opts);
+    (result, cluster, recorder)
+}
+
+/// Builds and runs a Xenic cluster under the given workload.
+pub fn run_xenic(
+    params: HwParams,
+    net: NetConfig,
+    cfg: XenicConfig,
+    opts: &RunOptions,
+    mk_workload: impl Fn(usize) -> Box<dyn Workload>,
+) -> RunResult {
+    run::<Xenic>(params, net, cfg, opts, mk_workload).0
+}
+
+/// [`run`] on Xenic with a `setup` hook between [`build`] and
+/// [`measure`] — after the start messages are queued, before the first
+/// event — for observers other than the history recorder.
+pub fn run_xenic_cluster_with(
+    params: HwParams,
+    net: NetConfig,
+    cfg: XenicConfig,
+    opts: &RunOptions,
+    mk_workload: impl Fn(usize) -> Box<dyn Workload>,
+    setup: impl FnOnce(&mut Cluster<Xenic>),
+) -> (RunResult, Cluster<Xenic>) {
+    let mut cluster = build::<Xenic>(params, net, cfg, opts, mk_workload);
+    setup(&mut cluster);
+    measure(cluster, opts)
+}
+
+/// Monotone runtime counters, summed over the cluster's nodes.
+#[derive(Clone, Copy, Default)]
+struct Counters {
+    host_busy_ns: u64,
+    nic_busy_ns: u64,
+    lio_tx_bytes: u64,
+    cx5_tx_bytes: u64,
+    dma_elements: u64,
+}
+
+impl Counters {
+    fn since(self, before: Counters) -> Counters {
+        Counters {
+            host_busy_ns: self.host_busy_ns - before.host_busy_ns,
+            nic_busy_ns: self.nic_busy_ns - before.nic_busy_ns,
+            lio_tx_bytes: self.lio_tx_bytes - before.lio_tx_bytes,
+            cx5_tx_bytes: self.cx5_tx_bytes - before.cx5_tx_bytes,
+            dma_elements: self.dma_elements - before.dma_elements,
+        }
+    }
+}
+
+/// The scheduler behind one [`measure`]: the serial event loop or the
+/// multi-lane epoch-barrier scheduler. Both produce bit-identical
+/// simulations (DESIGN.md §16), so everything downstream of the
+/// reassembled cluster is scheduler-agnostic.
+enum Driver<E: Engine> {
+    Serial(Cluster<E>),
+    Par(ParCluster<E>),
+}
+
+impl<E: Engine> Driver<E> {
     fn run_until(&mut self, horizon: SimTime) {
         match self {
-            Driver::Serial(c) => {
-                c.run_until(horizon);
-            }
-            Driver::Par(p) => {
-                p.run_until(horizon);
-            }
-        }
+            Driver::Serial(c) => c.run_until(horizon),
+            Driver::Par(p) => p.run_until(horizon),
+        };
     }
 
     fn now(&self) -> SimTime {
@@ -239,25 +373,27 @@ impl Driver {
         }
     }
 
-    fn state_mut(&mut self, node: usize) -> &mut XenicNode {
+    fn state_mut(&mut self, node: usize) -> &mut E::State {
         match self {
             Driver::Serial(c) => &mut c.states[node],
             Driver::Par(p) => p.state_mut(node),
         }
     }
 
-    fn rt_for(&self, node: usize) -> &xenic_net::Runtime<XMsg> {
-        match self {
-            Driver::Serial(c) => &c.rt,
-            Driver::Par(p) => p.rt_for(node),
+    fn counters(&self, nodes: usize) -> Counters {
+        let mut c = Counters::default();
+        for n in 0..nodes {
+            let rt = match self {
+                Driver::Serial(c) => &c.rt,
+                Driver::Par(p) => p.rt_for(n),
+            };
+            c.host_busy_ns += rt.pool_busy_ns(n, Exec::Host);
+            c.nic_busy_ns += rt.pool_busy_ns(n, Exec::Nic);
+            c.lio_tx_bytes += rt.lio_tx_bytes(n);
+            c.cx5_tx_bytes += rt.cx5_tx_bytes(n);
+            c.dma_elements += rt.dma_elements(n);
         }
-    }
-
-    fn finish(self) -> Cluster<Xenic> {
-        match self {
-            Driver::Serial(c) => c,
-            Driver::Par(p) => p.into_cluster(),
-        }
+        c
     }
 }
 
@@ -281,88 +417,31 @@ pub fn cluster_digest(cluster: &Cluster<Xenic>) -> u64 {
     digest
 }
 
-/// Runs Xenic with serializability-history recording attached to every
-/// node, returning the recorded [`xenic_check::History`] alongside the
-/// metrics. Feed the history to [`xenic_check::check_history`].
-pub fn run_xenic_recorded(
-    params: HwParams,
-    net: NetConfig,
-    cfg: XenicConfig,
-    opts: &RunOptions,
-    mk_workload: impl Fn(usize) -> Box<dyn Workload>,
-) -> (RunResult, xenic_check::History) {
-    let recorder = xenic_check::HistoryRecorder::new();
-    let hook = recorder.clone();
-    let (result, _cluster) =
-        run_xenic_cluster_with(params, net, cfg, opts, mk_workload, move |cluster| {
-            for st in &mut cluster.states {
-                st.set_recorder(hook.clone());
-            }
-        });
-    (result, recorder.snapshot())
-}
-
-/// Gathers metrics from a finished Xenic run.
-#[allow(clippy::too_many_arguments)]
-fn collect(
-    cluster: &Cluster<Xenic>,
-    mstart: SimTime,
-    mend: SimTime,
-    host_busy0: u64,
-    nic_busy0: u64,
-    lio0: u64,
-    cx50: u64,
-    dma0: u64,
+/// Gathers the metrics of a finished window of `window_ns`, during
+/// which the runtime counters advanced by `used`.
+fn collect<E: Engine>(
+    cluster: &Cluster<E>,
+    window_ns: u64,
+    used: Counters,
+    lane_stats: LaneStats,
 ) -> RunResult {
-    let nodes = cluster.rt.node_count();
-    let secs = mend.since(mstart) as f64 / 1e9;
+    let rt = &cluster.rt;
+    let nodes = rt.node_count();
+    let secs = window_ns as f64 / 1e9;
+    let window_ns = window_ns as f64;
     let mut latency = Histogram::new();
-    let mut committed = 0u64;
-    let mut aborted = 0u64;
+    let (mut committed, mut all_committed, mut aborted) = (0u64, 0u64, 0u64);
+    let (mut log_ship_writes, mut cxl_log_writes) = (0u64, 0u64);
     for st in &cluster.states {
-        latency.merge(&st.stats.latency);
-        committed += st.stats.committed.events();
-        aborted += st.stats.aborted.get();
+        let stats = E::stats(st);
+        latency.merge(&stats.latency);
+        committed += stats.committed.events();
+        all_committed += stats.committed_all.get();
+        aborted += stats.aborted.get();
+        log_ship_writes += stats.log_ship_writes.get();
+        cxl_log_writes += stats.cxl_log_writes.get();
     }
-    let window_ns = mend.since(mstart) as f64;
-    let host_busy: u64 = (0..nodes)
-        .map(|n| cluster.rt.pool_busy_ns(n, Exec::Host))
-        .sum::<u64>()
-        - host_busy0;
-    let nic_busy: u64 = (0..nodes)
-        .map(|n| cluster.rt.pool_busy_ns(n, Exec::Nic))
-        .sum::<u64>()
-        - nic_busy0;
-    let lio_bytes: u64 = (0..nodes).map(|n| cluster.rt.lio_tx_bytes(n)).sum::<u64>() - lio0;
-    let cx5_bytes: u64 = (0..nodes).map(|n| cluster.rt.cx5_tx_bytes(n)).sum::<u64>() - cx50;
-    let line_bytes = cluster.rt.params.net_gbps / 8.0 * window_ns;
-    let ops_per_frame = (0..nodes)
-        .map(|n| cluster.rt.ops_per_frame(n))
-        .sum::<f64>()
-        / nodes as f64;
-    let dma_vector_fill = (0..nodes)
-        .map(|n| cluster.rt.dma_vector_fill(n))
-        .sum::<f64>()
-        / nodes as f64;
-    let dma_elements: u64 = (0..nodes)
-        .map(|n| cluster.rt.dma_elements(n))
-        .sum::<u64>()
-        - dma0;
-    let all_committed: u64 = cluster
-        .states
-        .iter()
-        .map(|s| s.stats.committed_all.get())
-        .sum();
-    let log_ship_writes: u64 = cluster
-        .states
-        .iter()
-        .map(|s| s.stats.log_ship_writes.get())
-        .sum();
-    let cxl_log_writes: u64 = cluster
-        .states
-        .iter()
-        .map(|s| s.stats.cxl_log_writes.get())
-        .sum();
+    let line_bytes = rt.params.net_gbps / 8.0 * window_ns;
     RunResult {
         tput_per_server: committed as f64 / secs / nodes as f64,
         p50_ns: latency.median(),
@@ -370,21 +449,21 @@ fn collect(
         mean_ns: latency.mean(),
         committed,
         aborted,
-        host_busy_cores: host_busy as f64 / window_ns / nodes as f64,
-        nic_busy_cores: nic_busy as f64 / window_ns / nodes as f64,
-        lio_utilization: lio_bytes as f64 / (line_bytes * nodes as f64),
-        cx5_utilization: cx5_bytes as f64 / (line_bytes * nodes as f64),
-        ops_per_frame,
-        dma_vector_fill,
+        host_busy_cores: used.host_busy_ns as f64 / window_ns / nodes as f64,
+        nic_busy_cores: used.nic_busy_ns as f64 / window_ns / nodes as f64,
+        lio_utilization: used.lio_tx_bytes as f64 / (line_bytes * nodes as f64),
+        cx5_utilization: used.cx5_tx_bytes as f64 / (line_bytes * nodes as f64),
+        ops_per_frame: (0..nodes).map(|n| rt.ops_per_frame(n)).sum::<f64>() / nodes as f64,
+        dma_vector_fill: (0..nodes).map(|n| rt.dma_vector_fill(n)).sum::<f64>() / nodes as f64,
         dma_elements_per_txn: if all_committed == 0 {
             0.0
         } else {
-            dma_elements as f64 / all_committed as f64
+            used.dma_elements as f64 / all_committed as f64
         },
         log_ship_writes,
         cxl_log_writes,
-        cross_lane_events: 0,
-        barriers: 0,
+        cross_lane_events: lane_stats.cross_lane_events,
+        barriers: lane_stats.barriers,
     }
 }
 
@@ -468,13 +547,13 @@ mod tests {
 
     #[test]
     fn xenic_commits_distributed_transactions() {
-        let r = run_xenic(
+        let r = run::<Xenic>(
             HwParams::paper_testbed(),
             NetConfig::full(),
             XenicConfig::full(),
             &small_opts(),
             mini(0.8),
-        );
+        ).0;
         assert!(r.committed > 500, "committed {}", r.committed);
         assert!(r.tput_per_server > 10_000.0, "tput {}", r.tput_per_server);
         assert!(r.p50_ns > 1_000, "p50 {}", r.p50_ns);
@@ -483,13 +562,13 @@ mod tests {
 
     #[test]
     fn local_workload_uses_fast_path() {
-        let r = run_xenic(
+        let r = run::<Xenic>(
             HwParams::paper_testbed(),
             NetConfig::full(),
             XenicConfig::full(),
             &small_opts(),
             mini(0.0),
-        );
+        ).0;
         // All-local transactions never touch the wire for Execute; only
         // replication traffic flows.
         assert!(r.committed > 1_000, "committed {}", r.committed);
@@ -568,13 +647,13 @@ mod tests {
     #[test]
     fn deterministic_results() {
         let run = || {
-            run_xenic(
+            run::<Xenic>(
                 HwParams::paper_testbed(),
                 NetConfig::full(),
                 XenicConfig::full(),
                 &small_opts(),
                 mini(0.5),
-            )
+            ).0
         };
         let a = run();
         let b = run();
@@ -609,20 +688,20 @@ mod tests {
     fn ablation_knobs_change_behavior() {
         // Disabling smart remote ops sends more messages → lower
         // throughput at the same offered load (or at least not higher).
-        let full = run_xenic(
+        let full = run::<Xenic>(
             HwParams::paper_testbed(),
             NetConfig::full(),
             XenicConfig::full(),
             &small_opts(),
             mini(0.9),
-        );
-        let base = run_xenic(
+        ).0;
+        let base = run::<Xenic>(
             HwParams::paper_testbed(),
             NetConfig::baseline(),
             XenicConfig::fig9_baseline(),
             &small_opts(),
             mini(0.9),
-        );
+        ).0;
         assert!(
             full.tput_per_server >= base.tput_per_server * 0.95,
             "full {} vs baseline {}",

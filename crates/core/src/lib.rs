@@ -69,7 +69,7 @@
 //! | [`repl`] | §4.2 step 5 | Pluggable NIC-resident replication backends: log shipping, Raft-style, Hermes-style (DESIGN.md §15) |
 //! | [`recovery`] | §4.2.1 | Lease-based membership, primary and coordinator failure recovery |
 //! | [`audit`] | — | Exact whole-cluster correctness checks (conservation, convergence) |
-//! | [`harness`] | §5 | Cluster build + measurement harness |
+//! | [`harness`] | §5 | The one run path for all five systems: [`harness::build`] + [`harness::measure`], generic over [`harness::Engine`] |
 //! | [`stats`] | §5 | Per-node counters and latency histograms |
 
 pub mod api;
@@ -81,6 +81,13 @@ pub mod msg;
 pub mod recovery;
 pub mod repl;
 pub mod stats;
+
+pub use api::{local_of, make_key, shard_of, Partitioning, ShipMode, TxnSpec, UpdateOp, Workload};
+pub use config::{Loc, LogicPool, Placement, ReplBackend, XenicConfig};
+pub use engine::{Xenic, XenicNode};
+pub use harness::{run_xenic, run_xenic_cluster_with, Engine, LaneAssign, RunOptions, RunResult};
+pub use msg::XMsg;
+pub use stats::NodeStats;
 
 /// Resolves a user-facing parallelism knob (`--jobs N`, `--lanes N`,
 /// [`harness::RunOptions::lanes`]): `0` means "use the machine" and
@@ -116,13 +123,3 @@ mod parallelism_tests {
         }
     }
 }
-
-pub use api::{local_of, make_key, shard_of, Partitioning, ShipMode, TxnSpec, UpdateOp, Workload};
-pub use config::{Loc, LogicPool, Placement, ReplBackend, XenicConfig};
-pub use engine::{Xenic, XenicNode};
-pub use harness::{
-    run_xenic, run_xenic_cluster, run_xenic_cluster_with, run_xenic_recorded, LaneAssign,
-    RunOptions, RunResult,
-};
-pub use msg::XMsg;
-pub use stats::NodeStats;

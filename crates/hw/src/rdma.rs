@@ -147,11 +147,6 @@ impl RdmaNic {
         self.verbs
     }
 
-    /// Earliest time the TX pipeline frees.
-    pub fn tx_free_at(&self) -> SimTime {
-        self.tx_free
-    }
-
     /// Sustained responder verb rate in Mops/s (the §3.4 measurement).
     pub fn max_verb_rate_mops(&self) -> f64 {
         1_000.0 / self.rx_verb_ns as f64

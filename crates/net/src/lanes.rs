@@ -9,13 +9,14 @@
 //!   event lane `L` will ever process, i.e. the minimum of its queue head
 //!   and any cross-lane messages held for it. Lane `A`'s pop bound for an
 //!   epoch is
-//!   `min( min over other active lanes B of (eff_next(B) + lookahead(B, A)),
-//!         eff_next(A) + min over B of (lookahead(A, B) + lookahead(B, A)) )`,
-//!   where the [`LookaheadMatrix`] entry is the minimum delivery latency
-//!   of any message path from a node in `B` to a node in `A`
-//!   ([`HwParams::min_remote_delivery_ns`]): every cross-node schedule in
-//!   the runtime pays at least port serialization of a minimum frame plus
-//!   one `wire_oneway_ns` hop, and jitter is non-negative.
+//!   `min( min over other active lanes B of (eff_next(B) + lookahead),
+//!         eff_next(A) + 2 * lookahead )`,
+//!   where the lookahead is the minimum delivery latency of any message
+//!   path between two nodes ([`xenic_hw::HwParams::min_remote_delivery_ns`]):
+//!   every cross-node schedule in the runtime pays at least port
+//!   serialization of a minimum frame plus one `wire_oneway_ns` hop, and
+//!   jitter is non-negative. All lanes share one fabric, so one number
+//!   serves every lane pair.
 //! * A lane is only woken (**amortized barriers**) when it has work
 //!   under its bound: lanes whose queues are empty — or whose next event
 //!   lies at or beyond the bound — skip the stop-merge-restart cycle
@@ -34,9 +35,9 @@
 //! Soundness of the per-lane bound: any future arrival into lane `A`
 //! traces back to some lane processing an event it has not yet popped.
 //! If that origin is another lane `B`, the message is generated at
-//! `t ≥ eff_next(B)` and arrives at `t + lookahead(B, A)` or later;
-//! chains through intermediate lanes can never undercut this because the
-//! matrix is closed under min-plus (triangle inequality). If the origin
+//! `t ≥ eff_next(B)` and arrives at `t + lookahead` or later; chains
+//! through intermediate lanes can never undercut this because every hop
+//! adds at least the same lookahead again. If the origin
 //! is `A` *itself* — `A` pops an event inside this very epoch, its
 //! message wakes a neighbor, and the reply reflects back — the chain
 //! makes at least two cross-lane hops, so it lands no earlier than
@@ -63,7 +64,6 @@
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use xenic_hw::HwParams;
 use xenic_sim::SimTime;
 
 use crate::runtime::{dispatch_event, Cluster, Event, Protocol, Runtime};
@@ -214,80 +214,6 @@ impl LaneAssignment {
     }
 }
 
-/// Per-lane-pair conservative lookahead, ns. `get(from, to)` bounds how
-/// far beyond the sending lane's earliest future event any message from
-/// `from` can land in `to`. Entries are closed under min-plus
-/// composition (triangle inequality), so a chain of cross-lane hops can
-/// never undercut a direct entry — the property the per-lane barrier
-/// soundness argument needs (module docs).
-#[derive(Clone, Debug)]
-pub struct LookaheadMatrix {
-    lanes: usize,
-    /// Row-major `[from][to]`, diagonal 0 (a lane orders its own events
-    /// through the queue, not through lookahead).
-    ns: Vec<u64>,
-}
-
-impl LookaheadMatrix {
-    /// Builds a matrix from explicit off-diagonal entries and closes it
-    /// under min-plus. Entries are floored at 1 ns so barriers always
-    /// advance past the global minimum.
-    pub fn new(lanes: usize, mut entry: impl FnMut(usize, usize) -> u64) -> Self {
-        let mut ns = vec![0u64; lanes * lanes];
-        for a in 0..lanes {
-            for b in 0..lanes {
-                if a != b {
-                    ns[a * lanes + b] = entry(a, b).max(1);
-                }
-            }
-        }
-        let mut m = LookaheadMatrix { lanes, ns };
-        m.close();
-        m
-    }
-
-    /// Uniform fabric: every off-diagonal entry is `floor_ns`.
-    pub fn uniform(lanes: usize, floor_ns: u64) -> Self {
-        Self::new(lanes, |_, _| floor_ns)
-    }
-
-    /// The matrix for a cluster on `params`' substrate: all node pairs
-    /// share one fabric, so every entry is the substrate's cross-node
-    /// delivery floor ([`HwParams::min_remote_delivery_ns`]).
-    pub fn from_params(params: &HwParams, lanes: usize) -> Self {
-        Self::uniform(lanes, params.min_remote_delivery_ns())
-    }
-
-    /// Floyd–Warshall min-plus closure: `la[a][b] ≤ la[a][k] + la[k][b]`
-    /// for every relay lane `k`.
-    fn close(&mut self) {
-        let n = self.lanes;
-        for k in 0..n {
-            for a in 0..n {
-                for b in 0..n {
-                    if a == b {
-                        continue;
-                    }
-                    let via = self.ns[a * n + k].saturating_add(self.ns[k * n + b]);
-                    if k != a && k != b && via < self.ns[a * n + b] {
-                        self.ns[a * n + b] = via;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Lookahead from lane `from` to lane `to`, ns.
-    pub fn get(&self, from: usize, to: usize) -> u64 {
-        self.ns[from * self.lanes + to]
-    }
-}
-
 /// Deterministic counters from the lane scheduler. For a fixed
 /// `(seed, config, lane count, assignment)` these are identical on any
 /// host: whether a push diverts to an outbox depends only on the
@@ -347,8 +273,12 @@ pub struct ParCluster<P: Protocol> {
     lanes: Vec<LaneSlot<P>>,
     /// node → owning lane.
     node_lane: Arc<[u16]>,
-    /// Conservative per-lane-pair lookahead.
-    lookahead: LookaheadMatrix,
+    /// Conservative lookahead, ns: no message from one node lands on
+    /// another sooner than this after it was sent. All node pairs share
+    /// one fabric, so it is the substrate's cross-node delivery floor
+    /// ([`xenic_hw::HwParams::min_remote_delivery_ns`]), at least 1 so barriers
+    /// always advance past the global minimum.
+    lookahead_ns: u64,
     /// The master runtime, emptied of nodes and queue, kept for
     /// reassembly in [`ParCluster::into_cluster`].
     shell: Runtime<P::Msg>,
@@ -371,20 +301,10 @@ where
         !cluster.rt.trace_enabled()
     }
 
-    /// Splits `cluster` into `lanes` contiguous node ranges (the
-    /// balanced block assignment). `lanes` is clamped to `[1, nodes]`.
-    ///
-    /// # Panics
-    /// If the cluster is not [`ParCluster::eligible`].
-    pub fn from_cluster(cluster: Cluster<P>, lanes: usize) -> Self {
-        let n = cluster.states.len();
-        Self::from_cluster_assigned(cluster, &LaneAssignment::contiguous(n, lanes))
-    }
-
     /// Splits `cluster` according to `assignment` (see
     /// [`LaneAssignment`]): every lane owns the contiguous node range
-    /// the assignment maps to it, and the lookahead matrix is built from
-    /// the cluster's substrate parameters.
+    /// the assignment maps to it, and the lookahead is the delivery
+    /// floor of the cluster's substrate parameters.
     ///
     /// # Panics
     /// If the cluster is not [`ParCluster::eligible`], or the assignment
@@ -398,7 +318,7 @@ where
         assert_eq!(assignment.nodes(), n, "assignment must cover every node");
         let lanes = assignment.lanes();
         let node_lane: Arc<[u16]> = assignment.as_slice().to_vec().into();
-        let lookahead = LookaheadMatrix::from_params(&cluster.rt.params, lanes);
+        let lookahead_ns = cluster.rt.params.min_remote_delivery_ns().max(1);
 
         let Cluster { states, rt } = cluster;
         let mut shell = rt;
@@ -433,15 +353,10 @@ where
         ParCluster {
             lanes: slots,
             node_lane,
-            lookahead,
+            lookahead_ns,
             shell,
             stats: LaneStats::default(),
         }
-    }
-
-    /// Number of lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Number of nodes.
@@ -486,7 +401,9 @@ where
     /// `horizon`. Returns the number of events processed.
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         let lanes_n = self.lanes.len();
-        let la = self.lookahead.clone();
+        let la = self.lookahead_ns;
+        // With one lane nothing can reflect back.
+        let round_trip = if lanes_n > 1 { la.saturating_mul(2) } else { u64::MAX };
         let node_lane = self.node_lane.clone();
         let mut next: Vec<Option<SimTime>> =
             self.lanes.iter().map(|l| l.rt.queue.peek_time()).collect();
@@ -560,17 +477,8 @@ where
                 // at `horizon` too, hence the exclusive `+ 1`).
                 let mut woken = 0usize;
                 for l in 0..lanes_n {
-                    let mut bound = u64::MAX;
-                    let mut round_trip = u64::MAX;
-                    for (m, e) in eff.iter().enumerate() {
-                        if m == l {
-                            continue;
-                        }
-                        if let Some(e) = e {
-                            bound = bound.min(e.saturating_add(la.get(m, l)));
-                        }
-                        round_trip = round_trip.min(la.get(l, m).saturating_add(la.get(m, l)));
-                    }
+                    let others = (0..lanes_n).filter(|&m| m != l).filter_map(|m| eff[m]).min();
+                    let mut bound = others.map_or(u64::MAX, |e| e.saturating_add(la));
                     // Reflections of this lane's *own* events: a message
                     // sent while popping can bounce off a neighbor and
                     // come back after two hops, so the bound may not
@@ -669,6 +577,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xenic_hw::HwParams;
 
     #[test]
     fn contiguous_matches_block_formula() {
@@ -752,7 +661,7 @@ mod tests {
         assert_eq!(usize::from(*map.last().unwrap()) + 1, a.lanes());
     }
 
-    /// Differential test: the matrix entry must equal a brute-force
+    /// Differential test: the lookahead must equal a brute-force
     /// minimum over every cross-node message path in the substrate cost
     /// model. The runtime's cross-node schedules are all
     /// `port-serialization + wire_oneway_ns (+ jitter ≥ 0)`, and the
@@ -783,51 +692,9 @@ mod tests {
                 "substrate {}",
                 params.substrate.token()
             );
-            let m = LookaheadMatrix::from_params(&params, 4);
-            for a in 0..4 {
-                for b in 0..4 {
-                    if a != b {
-                        assert_eq!(m.get(a, b), brute);
-                    } else {
-                        assert_eq!(m.get(a, b), 0);
-                    }
-                }
-            }
             // The floor is strictly wider than the PR 8 global lookahead
             // (bare wire_oneway_ns): serialization is never free.
             assert!(brute > params.wire_oneway_ns);
-        }
-    }
-
-    /// The min-plus closure enforces the triangle inequality on
-    /// non-uniform matrices — a relay path can never undercut the entry
-    /// the barrier soundness argument uses.
-    #[test]
-    fn lookahead_closure_respects_triangles() {
-        // 0→1 and 1→2 are cheap (10); the direct 0→2 entry (100) must
-        // collapse to the relay path (20).
-        let m = LookaheadMatrix::new(3, |a, b| match (a, b) {
-            (0, 1) | (1, 2) => 10,
-            (0, 2) => 100,
-            _ => 50,
-        });
-        assert_eq!(m.get(0, 2), 20);
-        let n = m.lanes();
-        for a in 0..n {
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                for k in 0..n {
-                    if k == a || k == b {
-                        continue;
-                    }
-                    assert!(
-                        m.get(a, b) <= m.get(a, k) + m.get(k, b),
-                        "triangle violated at ({a},{k},{b})"
-                    );
-                }
-            }
         }
     }
 }

@@ -29,6 +29,6 @@ pub mod lanes;
 pub mod runtime;
 
 pub use config::{CrashEvent, FaultPlan, LinkFaults, NetConfig, Partition};
-pub use lanes::{LaneAssignment, LaneStats, LookaheadMatrix, ParCluster};
+pub use lanes::{LaneAssignment, LaneStats, ParCluster};
 pub use runtime::{Cluster, Event, Exec, Protocol, Runtime};
 pub use xenic_sim::{TraceConfig, Tracer};

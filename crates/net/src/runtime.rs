@@ -479,11 +479,6 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
         self.nodes.len()
     }
 
-    /// The node whose handler is currently running.
-    pub fn current_node(&self) -> usize {
-        self.cur_node
-    }
-
     /// When the current handler's charged work completes — the departure
     /// time for anything it sends.
     fn departure(&self) -> SimTime {
@@ -1132,16 +1127,6 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             Exec::Host => self.nodes[node].host.busy_cores(self.now()),
             Exec::Nic => self.nodes[node].nic.busy_cores(self.now()),
         }
-    }
-
-    /// LiquidIO egress utilization of a node.
-    pub fn lio_tx_utilization(&self, node: usize) -> f64 {
-        self.nodes[node].lio.tx_utilization(self.now())
-    }
-
-    /// CX5 egress utilization of a node.
-    pub fn cx5_tx_utilization(&self, node: usize) -> f64 {
-        self.nodes[node].cx5.tx_utilization(self.now())
     }
 
     /// Total bytes the node's LiquidIO port has transmitted.

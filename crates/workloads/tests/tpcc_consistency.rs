@@ -13,9 +13,9 @@
 //!   from the preload version, and the final counter must equal the
 //!   number of commits that wrote it.
 
-use xenic::harness::{run_xenic_cluster_with, RunOptions};
-use xenic::XenicConfig;
-use xenic_check::{check_history, CheckOptions, HistoryRecorder};
+use xenic::harness::{run_recorded, RunOptions};
+use xenic::{Xenic, XenicConfig};
+use xenic_check::{check_history, CheckOptions};
 use xenic_hw::HwParams;
 use xenic_net::NetConfig;
 use xenic_sim::SimTime;
@@ -52,19 +52,12 @@ fn run_and_settle(
         lanes: 1,
         ..Default::default()
     };
-    let recorder = HistoryRecorder::new();
-    let hook = recorder.clone();
-    let (result, mut cluster) = run_xenic_cluster_with(
+    let (result, mut cluster, recorder) = run_recorded::<Xenic>(
         HwParams::paper_testbed(),
         NetConfig::full(),
         XenicConfig::full(),
         &opts,
         |_| Box::new(Tpcc::new(cfg(mix))),
-        move |cluster| {
-            for st in &mut cluster.states {
-                st.set_recorder(hook.clone());
-            }
-        },
     );
     assert!(result.committed + result.aborted > 0 || mix == TpccMix::PaymentOnly);
     // Quiesce: stop issuing new transactions and let in-flight ones

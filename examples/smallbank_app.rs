@@ -11,12 +11,11 @@
 //! cargo run --release --example smallbank_app
 //! ```
 
-use xenic::api::{Partitioning, Workload};
 use xenic::engine::{Xenic, XenicNode};
-use xenic::msg::XMsg;
+use xenic::harness::{build, RunOptions};
 use xenic::XenicConfig;
 use xenic_hw::HwParams;
-use xenic_net::{Cluster, Exec, NetConfig};
+use xenic_net::NetConfig;
 use xenic_sim::SimTime;
 use xenic_workloads::{Smallbank, SmallbankConfig};
 
@@ -34,36 +33,18 @@ fn total_balance(states: &[XenicNode]) -> i64 {
 
 fn main() {
     let params = HwParams::paper_testbed();
-    let part = Partitioning::new(6, 3);
     let cfg = XenicConfig::full();
     let sb = SmallbankConfig {
         accounts_per_node: 20_000,
         ..SmallbankConfig::sim(6)
     };
-    let windows = 8usize;
-    let mut cluster: Cluster<Xenic> = Cluster::new(params, NetConfig::full(), 11, |node| {
-        XenicNode::new(
-            node,
-            cfg,
-            part,
-            Box::new(Smallbank::new(sb)) as Box<dyn Workload>,
-            windows,
-        )
-    });
+    let opts = RunOptions { windows: 8, seed: 11, ..Default::default() };
+    let mut cluster =
+        build::<Xenic>(params, NetConfig::full(), cfg, &opts, |_| Box::new(Smallbank::new(sb)));
     let opening = total_balance(&cluster.states);
     println!("Smallbank on Xenic: 6 nodes, {} accounts/node, RF=3", sb.accounts_per_node);
     println!("opening total balance: {opening}");
 
-    for node in 0..6 {
-        for slot in 0..windows {
-            cluster.seed(
-                SimTime::from_ns((node * windows + slot) as u64 * 97),
-                node,
-                Exec::Host,
-                XMsg::StartTxn { slot: slot as u32 },
-            );
-        }
-    }
     for st in &mut cluster.states {
         st.stats.start_measuring(SimTime::ZERO);
     }

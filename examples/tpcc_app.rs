@@ -6,45 +6,25 @@
 //! cargo run --release --example tpcc_app
 //! ```
 
-use xenic::api::{Partitioning, Workload};
-use xenic::engine::{Xenic, XenicNode};
-use xenic::msg::XMsg;
-use xenic::XenicConfig;
+use xenic::harness::{build, RunOptions};
+use xenic::{Xenic, XenicConfig};
 use xenic_hw::HwParams;
-use xenic_net::{Cluster, Exec, NetConfig};
+use xenic_net::NetConfig;
 use xenic_sim::SimTime;
 use xenic_workloads::{Tpcc, TpccConfig, TpccMix};
 
 fn main() {
     let params = HwParams::paper_testbed();
-    let part = Partitioning::new(6, 3);
     let cfg = XenicConfig::full();
-    let windows = 24usize;
     let tpcc_cfg = TpccConfig::sim(6, TpccMix::Full);
     println!(
         "TPC-C full mix on Xenic: {} warehouses/node, {} districts, {} customers/district",
         tpcc_cfg.warehouses_per_node, tpcc_cfg.districts, tpcc_cfg.customers_per_district
     );
 
-    let mut cluster: Cluster<Xenic> = Cluster::new(params, NetConfig::full(), 5, |node| {
-        XenicNode::new(
-            node,
-            cfg,
-            part,
-            Box::new(Tpcc::new(tpcc_cfg)) as Box<dyn Workload>,
-            windows,
-        )
-    });
-    for node in 0..6 {
-        for slot in 0..windows {
-            cluster.seed(
-                SimTime::from_ns((node * windows + slot) as u64 * 97),
-                node,
-                Exec::Host,
-                XMsg::StartTxn { slot: slot as u32 },
-            );
-        }
-    }
+    let opts = RunOptions { windows: 24, seed: 5, ..Default::default() };
+    let mut cluster =
+        build::<Xenic>(params, NetConfig::full(), cfg, &opts, |_| Box::new(Tpcc::new(tpcc_cfg)));
     cluster.run_until(SimTime::from_ms(2));
     let t0 = cluster.rt.now();
     for st in &mut cluster.states {

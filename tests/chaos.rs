@@ -14,11 +14,11 @@
 
 use xenic::api::{make_key, Partitioning, ShipMode, TxnSpec, UpdateOp, Workload};
 use xenic::engine::{Xenic, XenicNode};
-use xenic::msg::XMsg;
+use xenic::harness::{build, RunOptions};
 use xenic::recovery::{audit_recovery, recover_shard};
 use xenic::{ReplBackend, XenicConfig};
 use xenic_hw::HwParams;
-use xenic_net::{Cluster, Exec, FaultPlan, NetConfig};
+use xenic_net::{Cluster, FaultPlan, NetConfig};
 use xenic_sim::{DetRng, SimTime};
 use xenic_store::Value;
 
@@ -68,31 +68,14 @@ fn chaos_cluster_cfg(
     seed: u64,
     plan: FaultPlan,
 ) -> Cluster<Xenic> {
-    let part = Partitioning::new(6, 3);
     let net = NetConfig::full().with_faults(plan);
-    let mut cluster: Cluster<Xenic> =
-        Cluster::new(HwParams::paper_testbed(), net, seed, |node| {
-            XenicNode::new(
-                node,
-                cfg,
-                part,
-                Box::new(Counters {
-                    keys: 3000,
-                    remote_frac: 0.7,
-                }),
-                windows,
-            )
-        });
-    for node in 0..6 {
-        for slot in 0..windows {
-            cluster.seed(
-                SimTime::from_ns((node * windows + slot) as u64 * 97),
-                node,
-                Exec::Host,
-                XMsg::StartTxn { slot: slot as u32 },
-            );
-        }
-    }
+    let opts = RunOptions { windows, seed, ..Default::default() };
+    let mut cluster = build::<Xenic>(HwParams::paper_testbed(), net, cfg, &opts, |_| {
+        Box::new(Counters {
+            keys: 3000,
+            remote_frac: 0.7,
+        })
+    });
     for st in &mut cluster.states {
         st.stats.start_measuring(SimTime::ZERO);
     }

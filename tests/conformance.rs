@@ -19,8 +19,8 @@
 //! populate hash tables with 10^5 keys; debug builds work but crawl).
 
 use xenic::api::{make_key, ShipMode, TxnSpec, UpdateOp, Workload};
-use xenic::harness::{run_xenic, run_xenic_cluster, RunOptions};
-use xenic::XenicConfig;
+use xenic::harness::{run, run_xenic, RunOptions};
+use xenic::{Xenic, XenicConfig};
 use xenic_baselines::{run_baseline, BaselineKind};
 use xenic_hw::HwParams;
 use xenic_net::NetConfig;
@@ -278,7 +278,7 @@ fn phase_anatomy_fits_the_message_delay_budget() {
         occ_multihop: false,
         ..XenicConfig::full()
     };
-    let (_, cluster) = run_xenic_cluster(
+    let (_, cluster) = run::<Xenic>(
         HwParams::paper_testbed(),
         NetConfig::full().with_trace(TraceConfig::spans().with_capacity(1 << 22)),
         multihop_off,

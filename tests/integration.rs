@@ -4,13 +4,12 @@
 
 use xenic::api::{make_key, Partitioning, ShipMode, TxnSpec, UpdateOp, Workload};
 use xenic::engine::{Xenic, XenicNode};
-use xenic::harness::{run_xenic, RunOptions};
-use xenic::msg::XMsg;
+use xenic::harness::{build, run_xenic, RunOptions};
 use xenic::recovery::{audit_recovery, recover_shard};
 use xenic::XenicConfig;
 use xenic_baselines::{run_baseline, BaselineKind};
 use xenic_hw::HwParams;
-use xenic_net::{Cluster, Exec, FaultPlan, NetConfig};
+use xenic_net::{Cluster, FaultPlan, NetConfig};
 use xenic_sim::{DetRng, SimTime};
 use xenic_store::Value;
 use xenic_workloads::{Retwis, RetwisConfig, Smallbank, SmallbankConfig, Tpcc, TpccConfig, TpccMix};
@@ -53,30 +52,14 @@ impl Workload for Counters {
 }
 
 fn counter_cluster(windows: usize, seed: u64) -> Cluster<Xenic> {
-    let part = Partitioning::new(6, 3);
-    let mut cluster: Cluster<Xenic> =
-        Cluster::new(HwParams::paper_testbed(), NetConfig::full(), seed, |node| {
-            XenicNode::new(
-                node,
-                XenicConfig::full(),
-                part,
-                Box::new(Counters {
-                    keys: 3000,
-                    remote_frac: 0.7,
-                }),
-                windows,
-            )
+    let opts = RunOptions { windows, seed, ..Default::default() };
+    let mut cluster =
+        build::<Xenic>(HwParams::paper_testbed(), NetConfig::full(), XenicConfig::full(), &opts, |_| {
+            Box::new(Counters {
+                keys: 3000,
+                remote_frac: 0.7,
+            })
         });
-    for node in 0..6 {
-        for slot in 0..windows {
-            cluster.seed(
-                SimTime::from_ns((node * windows + slot) as u64 * 97),
-                node,
-                Exec::Host,
-                XMsg::StartTxn { slot: slot as u32 },
-            );
-        }
-    }
     for st in &mut cluster.states {
         st.stats.start_measuring(SimTime::ZERO);
     }
@@ -359,8 +342,8 @@ fn scan_workloads_run_under_xenic_and_fasst_serializably() {
     // full *and* the FaSST baseline (the one other system that speaks
     // the scan protocol), commit real work including predicate reads,
     // and leave strictly serializable histories.
-    use xenic::harness::run_xenic_recorded;
-    use xenic_baselines::run_baseline_recorded;
+    use xenic::harness::run_recorded;
+    use xenic_baselines::Baseline;
     use xenic_check::{check_history, CheckOptions};
     use xenic_workloads::{YcsbE, YcsbEConfig};
 
@@ -394,21 +377,21 @@ fn scan_workloads_run_under_xenic_and_fasst_serializably() {
         ),
     ];
     for (name, mkw) in &workloads {
-        let (x, xh) = run_xenic_recorded(
+        let (x, _, xh) = run_recorded::<Xenic>(
             params.clone(),
             NetConfig::full(),
             XenicConfig::full(),
             &opts,
             mkw.as_ref(),
         );
-        let (f, fh) = run_baseline_recorded(
-            BaselineKind::Fasst,
+        let (f, _, fh) = run_recorded::<Baseline>(
             params.clone(),
             NetConfig::baseline(),
+            BaselineKind::Fasst,
             &opts,
             mkw.as_ref(),
         );
-        for (sys, r, h) in [("xenic", &x, &xh), ("fasst", &f, &fh)] {
+        for (sys, r, h) in [("xenic", &x, &xh.snapshot()), ("fasst", &f, &fh.snapshot())] {
             assert!(r.committed > 100, "{name}/{sys} committed {}", r.committed);
             let with_preds = h
                 .committed()

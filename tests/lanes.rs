@@ -12,9 +12,10 @@
 //! a recorded run's `History` is lane-invariant too.
 
 use xenic::harness::{
-    cluster_digest, run_xenic_cluster, run_xenic_cluster_with, RunOptions, RunResult,
+    cluster_digest, run, run_recorded, run_xenic_cluster_with, RunOptions, RunResult,
 };
-use xenic::{ReplBackend, Workload, XenicConfig};
+use xenic::{ReplBackend, Workload, Xenic, XenicConfig};
+use xenic_baselines::{Baseline, BaselineKind};
 use xenic_check::HistoryRecorder;
 use xenic_hw::HwParams;
 use xenic_net::{FaultPlan, NetConfig};
@@ -323,6 +324,50 @@ fn recorded_runs_are_lane_invariant() {
     }
 }
 
+/// The same referee for the four RDMA baselines, which share the harness
+/// and therefore the lane scheduler: `lanes: N` really runs N lanes and
+/// returns the serial run's `RunResult` fingerprint and `History`.
+#[test]
+fn baselines_are_lane_invariant() {
+    let nodes = 6usize;
+    for kind in [
+        BaselineKind::DrtmH,
+        BaselineKind::DrtmHNc,
+        BaselineKind::Fasst,
+        BaselineKind::DrtmR,
+    ] {
+        let run = |lanes: usize| {
+            let (r, cluster, recorder) = run_recorded::<Baseline>(
+                HwParams::paper_testbed(),
+                NetConfig::baseline(),
+                kind,
+                &quick_opts(29, lanes),
+                mk_workload(Wl::Smallbank, nodes as u32),
+            );
+            let fp = (
+                r.committed,
+                r.aborted,
+                cluster.rt.queue.processed(),
+                r.mean_ns.to_bits(),
+                r.p99_ns,
+                r.host_busy_cores.to_bits(),
+                r.cx5_utilization.to_bits(),
+            );
+            (fp, r.barriers, recorder.snapshot())
+        };
+        let (serial, barriers, history) = run(1);
+        assert_eq!(barriers, 0, "{kind:?}: one lane is the serial scheduler");
+        assert!(serial.0 > 0, "{kind:?}: point must commit work");
+        assert!(history.committed_count() > 0, "{kind:?}: nothing on record");
+        for lanes in [2usize, 4] {
+            let (par, barriers, par_history) = run(lanes);
+            assert!(barriers > 0, "{kind:?} lanes {lanes}: fell back to serial");
+            assert_eq!(par, serial, "{kind:?} lanes {lanes}: fingerprint diverged");
+            assert!(par_history == history, "{kind:?} lanes {lanes}: history diverged");
+        }
+    }
+}
+
 /// The first run ever above the paper's 6-node testbed: a 64-node
 /// Smallbank cluster completes deterministically on 4 lanes, matches the
 /// serial scheduler, and matches this pinned digest (update it only for
@@ -349,8 +394,8 @@ fn smallbank_64_nodes_smoke() {
         nodes,
         ..HwParams::paper_testbed()
     };
-    let (r4, c4) = run_xenic_cluster(params.clone(), net.clone(), XenicConfig::full(), &opts(4), mk);
-    let (r1, c1) = run_xenic_cluster(params, net, XenicConfig::full(), &opts(1), mk);
+    let (r4, c4) = run::<Xenic>(params.clone(), net.clone(), XenicConfig::full(), &opts(4), mk);
+    let (r1, c1) = run::<Xenic>(params, net, XenicConfig::full(), &opts(1), mk);
     assert!(r4.committed > 0, "64-node run must commit work");
     assert_eq!(r4.committed, r1.committed);
     assert_eq!(r4.aborted, r1.aborted);
@@ -395,7 +440,7 @@ fn smallbank_256_nodes_pinned() {
             nodes,
             ..HwParams::paper_testbed()
         };
-        let (r, c) = run_xenic_cluster(
+        let (r, c) = run::<Xenic>(
             params,
             net.clone(),
             XenicConfig::full(),

@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use xenic::api::Workload;
 use xenic::harness::{run_xenic, RunOptions};
-use xenic::XenicConfig;
+use xenic::{Xenic, XenicConfig};
 use xenic_hw::HwParams;
 use xenic_net::{FaultPlan, NetConfig};
 use xenic_sim::{DetRng, EventQueue, Histogram, SimTime, Zipf};
@@ -470,7 +470,7 @@ fn table_digest(cluster: &xenic_net::Cluster<xenic::engine::Xenic>) -> u64 {
 /// leaked into the simulation.
 #[test]
 fn hot_path_pinned_digests() {
-    use xenic::harness::run_xenic_cluster;
+    use xenic::harness::run;
 
     struct Pin {
         name: &'static str,
@@ -529,7 +529,7 @@ fn hot_path_pinned_digests() {
                 ))
             }
         };
-        let (r, cluster) = run_xenic_cluster(
+        let (r, cluster) = run::<Xenic>(
             HwParams::paper_testbed(),
             net,
             XenicConfig::full(),
@@ -559,7 +559,7 @@ fn hot_path_pinned_digests() {
 /// order) would show up here first.
 #[test]
 fn scan_cluster_digests_are_identical_serial_vs_parallel_jobs() {
-    use xenic::harness::run_xenic_cluster;
+    use xenic::harness::run;
     use xenic_bench::par_points;
     use xenic_workloads::{YcsbE, YcsbEConfig};
 
@@ -580,7 +580,7 @@ fn scan_cluster_digests_are_identical_serial_vs_parallel_jobs() {
             lanes: 1,
             ..Default::default()
         };
-        let (r, cluster) = run_xenic_cluster(
+        let (r, cluster) = run::<Xenic>(
             HwParams::paper_testbed(),
             NetConfig::full(),
             XenicConfig::full(),
@@ -667,7 +667,7 @@ fn backend_run(
     plan: Option<FaultPlan>,
     budget: u64,
 ) -> (u64, i64, u64) {
-    use xenic::harness::run_xenic_cluster;
+    use xenic::harness::run;
     let opts = RunOptions {
         windows: 2,
         warmup: SimTime::from_us(200),
@@ -680,7 +680,7 @@ fn backend_run(
         Some(p) => NetConfig::full().with_faults(p.clone()),
         None => NetConfig::full(),
     };
-    let (r, mut cluster) = run_xenic_cluster(
+    let (r, mut cluster) = run::<Xenic>(
         HwParams::paper_testbed(),
         net,
         XenicConfig::with_backend(backend),
@@ -749,7 +749,7 @@ fn replication_backends_install_identical_state() {
 /// RNG tree, so any divergence means hidden nondeterminism in a backend.
 #[test]
 fn backend_lossy_runs_replay_bit_for_bit() {
-    use xenic::harness::run_xenic_cluster;
+    use xenic::harness::run;
     use xenic::ReplBackend;
     for &backend in ReplBackend::ALL.iter() {
         let run = || {
@@ -762,7 +762,7 @@ fn backend_lossy_runs_replay_bit_for_bit() {
                 ..Default::default()
             };
             let plan = FaultPlan::lossy(0.02, 0.01, 1_000);
-            let (r, cluster) = run_xenic_cluster(
+            let (r, cluster) = run::<Xenic>(
                 HwParams::paper_testbed(),
                 NetConfig::full().with_faults(plan),
                 XenicConfig::with_backend(backend),

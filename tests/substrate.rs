@@ -18,8 +18,8 @@
 //!    zero-log-shipping trade are asserted as *orderings*, not magic
 //!    numbers.
 
-use xenic::harness::{cluster_digest, run_xenic_cluster, RunOptions, RunResult};
-use xenic::{Placement, ReplBackend, Workload, XenicConfig};
+use xenic::harness::{self, cluster_digest, RunOptions, RunResult};
+use xenic::{Placement, ReplBackend, Workload, Xenic, XenicConfig};
 use xenic_hw::HwParams;
 use xenic_net::{FaultPlan, NetConfig};
 use xenic_sim::SimTime;
@@ -69,7 +69,7 @@ fn run(
     seed: u64,
     wl: Wl,
 ) -> (RunResult, Fingerprint) {
-    let (r, cluster) = run_xenic_cluster(params, net, cfg, &quick_opts(seed), mk_workload(wl));
+    let (r, cluster) = harness::run::<Xenic>(params, net, cfg, &quick_opts(seed), mk_workload(wl));
     let fp = Fingerprint {
         committed: r.committed,
         aborted: r.aborted,

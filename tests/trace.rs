@@ -2,13 +2,12 @@
 //! (tracing never perturbs protocol outcomes), and span hygiene across
 //! full cluster runs.
 
-use xenic::api::{make_key, Partitioning, ShipMode, TxnSpec, UpdateOp, Workload};
-use xenic::engine::{Xenic, XenicNode};
-use xenic::harness::{run_xenic, run_xenic_cluster, RunOptions};
-use xenic::msg::XMsg;
+use xenic::api::{make_key, ShipMode, TxnSpec, UpdateOp, Workload};
+use xenic::engine::Xenic;
+use xenic::harness::{build, run, run_xenic, RunOptions};
 use xenic::XenicConfig;
 use xenic_hw::HwParams;
-use xenic_net::{Cluster, Exec, FaultPlan, NetConfig};
+use xenic_net::{Cluster, FaultPlan, NetConfig};
 use xenic_sim::{DetRng, SimTime, TraceConfig, TraceKind};
 use xenic_store::Value;
 use xenic_workloads::{Retwis, RetwisConfig};
@@ -73,7 +72,7 @@ fn export_is_byte_identical_across_reruns() {
     // (configuration, seed). We assert it at the strongest level: the
     // exported bytes. Once fault-free, once under a lossy fault plan.
     let export = |net: NetConfig| {
-        let (_, cluster) = run_xenic_cluster(
+        let (_, cluster) = run::<Xenic>(
             HwParams::paper_testbed(),
             net.with_trace(TraceConfig::full().with_capacity(1 << 22)),
             XenicConfig::full(),
@@ -123,7 +122,7 @@ fn range_walk_tracing_is_a_pure_observer_and_emits_instants() {
     assert_eq!(plain, disabled, "disabled tracing must be invisible");
     assert_eq!(plain, traced, "enabled tracing must not perturb scans");
 
-    let (_, cluster) = run_xenic_cluster(
+    let (_, cluster) = run::<Xenic>(
         HwParams::paper_testbed(),
         NetConfig::full().with_trace(TraceConfig::full().with_capacity(1 << 22)),
         XenicConfig::full(),
@@ -177,32 +176,14 @@ fn tracing_is_a_pure_observer() {
 
 /// Builds a traced counter cluster with every window seeded.
 fn traced_counter_cluster(windows: usize, seed: u64, cfg: XenicConfig) -> Cluster<Xenic> {
-    let part = Partitioning::new(6, 3);
     let net = NetConfig::full().with_trace(TraceConfig::spans().with_capacity(1 << 22));
-    let mut cluster: Cluster<Xenic> =
-        Cluster::new(HwParams::paper_testbed(), net, seed, |node| {
-            XenicNode::new(
-                node,
-                cfg,
-                part,
-                Box::new(Counters {
-                    keys: 3000,
-                    remote_frac: 0.7,
-                }),
-                windows,
-            )
-        });
-    for node in 0..6 {
-        for slot in 0..windows {
-            cluster.seed(
-                SimTime::from_ns((node * windows + slot) as u64 * 97),
-                node,
-                Exec::Host,
-                XMsg::StartTxn { slot: slot as u32 },
-            );
-        }
-    }
-    cluster
+    let opts = RunOptions { windows, seed, ..Default::default() };
+    build::<Xenic>(HwParams::paper_testbed(), net, cfg, &opts, |_| {
+        Box::new(Counters {
+            keys: 3000,
+            remote_frac: 0.7,
+        })
+    })
 }
 
 #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: everything a PR must keep green.
 #
-#   ./verify.sh          full gate (build, tests, clippy -D warnings)
+#   ./verify.sh          full gate (build, tests, workspace clippy -D warnings)
 #   ./verify.sh --quick  skip clippy (fast local loop)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -42,8 +42,8 @@ stage cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
 # xenic-weak-quorum (Raft-style backend commits before its majority),
 # and xenic-weak-cxl (CXL coherence fence and pool re-check skipped)
 # must each be rejected with a shrunk, bit-for-bit-replayable witness.
-# Three points are re-run on two scheduler lanes: same verdict, same
-# history size.
+# Three Xenic points and one baseline point are re-run on two scheduler
+# lanes: same verdict, same history size.
 stage cargo run --release -q -p xenic-bench --bin serial_fuzz -- --quick
 
 # Conservation under loss+dup, convergence across a healed partition,
@@ -54,6 +54,8 @@ stage cargo test --release -q --test chaos all_backends_
 # The multi-lane scheduler (DESIGN.md §16, §18) must reproduce the
 # serial scheduler bit for bit: workload × backend × fault-plan matrix
 # at lanes {1,2,4,8}, recorded runs (equal History at lanes {1,2,4}),
+# the baselines matrix (four RDMA systems x lanes {1,2,4}, recorder
+# attached: equal RunResult fingerprint and History, barriers > 0),
 # the group-aware matrix on 4 aligned replica groups (which must also
 # cut >= 5% of cross-lane events), plus pinned 64- and 256-node
 # fingerprints (256 nodes at every lane count, both assignments).
@@ -76,7 +78,7 @@ stage cargo test --release -q --test substrate
 stage cargo run --release -q -p xenic-bench --bin substrate_sweep -- --quick
 
 if [[ "${1:-}" != "--quick" ]]; then
-    stage cargo clippy --all-targets -- -D warnings
+    stage cargo clippy --workspace --all-targets -- -D warnings
 fi
 
 echo "verify: OK"
