@@ -25,10 +25,6 @@ impl Engine for Baseline {
         BaselineNode::new(node, kind, part, workload, windows)
     }
 
-    fn partitioning(state: &BaselineNode) -> Partitioning {
-        state.part
-    }
-
     fn start(slot: u32) -> BMsg {
         BMsg::Start { slot }
     }

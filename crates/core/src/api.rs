@@ -38,13 +38,6 @@ pub fn local_of(key: Key) -> u64 {
 /// Shard `s`'s primary is node `s`; its `replication - 1` backups are the
 /// next nodes ring-wise ("each node acts as ... a primary replica of one
 /// database shard, and a backup replica for \[other\] shards", §4).
-///
-/// The [`Partitioning::aligned`] variant instead confines each shard's
-/// backups to the aligned block of `replication` nodes containing its
-/// primary, so the replica groups are *disjoint* — the topology the
-/// group-aware lane assignment (DESIGN.md §18) exploits. Per-node load
-/// is identical to the ring: one primary shard and `replication - 1`
-/// backup shards each.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Partitioning {
     /// Number of nodes (= number of shards).
@@ -52,43 +45,16 @@ pub struct Partitioning {
     /// Total replicas per shard (paper's benchmarks: 3 = 1 primary + 2
     /// backups).
     pub replication: u32,
-    /// `false` = ring backups (the paper's placement, the default);
-    /// `true` = backups confined to aligned blocks of `replication`
-    /// nodes, making the shard groups disjoint.
-    pub aligned: bool,
 }
 
 impl Partitioning {
-    /// Creates a ring-placement partitioning; `replication` must fit the
-    /// cluster.
+    /// Creates a partitioning; `replication` must fit the cluster.
     pub fn new(nodes: u32, replication: u32) -> Self {
-        Self::check_fit(nodes, replication);
-        Partitioning {
-            nodes,
-            replication,
-            aligned: false,
-        }
-    }
-
-    /// Creates an aligned-block partitioning: backups stay inside the
-    /// block of `replication` nodes containing the primary, so replica
-    /// groups are disjoint. Requires `nodes % replication == 0` to tile
-    /// the cluster; otherwise falls back to ring placement (documented
-    /// fallback — [`Partitioning::groups`] then reports one component).
-    pub fn aligned(nodes: u32, replication: u32) -> Self {
-        Self::check_fit(nodes, replication);
-        Partitioning {
-            nodes,
-            replication,
-            aligned: nodes.is_multiple_of(replication),
-        }
-    }
-
-    fn check_fit(nodes: u32, replication: u32) {
         assert!(
             replication >= 1 && replication <= nodes,
             "replication {replication} does not fit a {nodes}-node cluster (need 1..={nodes})"
         );
+        Partitioning { nodes, replication }
     }
 
     /// The primary node of a shard.
@@ -96,60 +62,11 @@ impl Partitioning {
         (shard % self.nodes) as usize
     }
 
-    /// The backup nodes of a shard: ring order, or (aligned placement)
-    /// ring order *within* the shard's aligned block.
+    /// The backup nodes of a shard, in ring order.
     pub fn backups(&self, shard: u32) -> Vec<usize> {
-        if self.aligned {
-            let r = self.replication;
-            let s = shard % self.nodes;
-            let block = s / r * r;
-            (1..r)
-                .map(|i| (block + (s - block + i) % r) as usize)
-                .collect()
-        } else {
-            (1..self.replication)
-                .map(|i| ((shard + i) % self.nodes) as usize)
-                .collect()
-        }
-    }
-
-    /// Group id of every node: connected components of the "shares a
-    /// replica group with" relation, labeled in first-appearance order
-    /// (so the array is monotone for block-structured placements). With
-    /// aligned placement this is `node / replication` — disjoint
-    /// contiguous blocks; with ring placement the groups chain into a
-    /// single component. This is the topology input to the group-aware
-    /// lane assignment (DESIGN.md §18).
-    pub fn groups(&self) -> Vec<u32> {
-        let n = self.nodes as usize;
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        for s in 0..self.nodes {
-            let reps = self.replicas(s);
-            let root = find(&mut parent, reps[0]);
-            for &r in &reps[1..] {
-                let rr = find(&mut parent, r);
-                parent[rr] = root;
-            }
-        }
-        let mut label = vec![u32::MAX; n];
-        let mut next = 0u32;
-        let mut out = Vec::with_capacity(n);
-        for node in 0..n {
-            let root = find(&mut parent, node);
-            if label[root] == u32::MAX {
-                label[root] = next;
-                next += 1;
-            }
-            out.push(label[root]);
-        }
-        out
+        (1..self.replication)
+            .map(|i| ((shard + i) % self.nodes) as usize)
+            .collect()
     }
 
     /// All replica nodes of a shard: primary first.
@@ -496,12 +413,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "replication 0 does not fit a 4-node cluster")]
-    fn aligned_placement_names_a_misfit() {
-        Partitioning::aligned(4, 0);
-    }
-
-    #[test]
     fn backup_shards_inverse_of_backups() {
         let p = Partitioning::new(6, 3);
         for node in 0..6 {
@@ -511,50 +422,6 @@ mod tests {
             // With RF=3 each node backs exactly 2 shards.
             assert_eq!(p.backup_shards(node).len(), 2);
         }
-    }
-
-    #[test]
-    fn aligned_placement_keeps_backups_in_block() {
-        let p = Partitioning::aligned(12, 3);
-        assert!(p.aligned);
-        for s in 0..12u32 {
-            let block = (s / 3 * 3) as usize;
-            for b in p.backups(s) {
-                assert!(
-                    (block..block + 3).contains(&b),
-                    "shard {s} backup {b} escapes block {block}"
-                );
-                assert_ne!(b, p.primary(s));
-            }
-            assert_eq!(p.backups(s).len(), 2);
-        }
-        // Load identical to the ring: every node backs r-1 shards.
-        for node in 0..12 {
-            assert_eq!(p.backup_shards(node).len(), 2);
-        }
-    }
-
-    #[test]
-    fn aligned_placement_falls_back_when_blocks_dont_tile() {
-        // 7 % 3 != 0: documented fallback to ring placement.
-        let p = Partitioning::aligned(7, 3);
-        assert!(!p.aligned);
-        assert_eq!(p.backups(6), vec![0, 1]);
-        assert_eq!(p.groups(), vec![0; 7], "ring chains into one component");
-    }
-
-    #[test]
-    fn groups_are_disjoint_blocks_when_aligned() {
-        let p = Partitioning::aligned(12, 3);
-        let g = p.groups();
-        assert_eq!(g, vec![0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]);
-        // Every shard's replica set lives inside one group.
-        for s in 0..12u32 {
-            let gs: Vec<u32> = p.replicas(s).into_iter().map(|n| g[n]).collect();
-            assert!(gs.iter().all(|&x| x == gs[0]), "shard {s} spans groups {gs:?}");
-        }
-        // Ring placement at the same size: one connected component.
-        assert_eq!(Partitioning::new(12, 3).groups(), vec![0; 12]);
     }
 
     #[test]

@@ -225,14 +225,6 @@ pub struct XenicConfig {
     pub nic_cache: bool,
     /// Replication factor (primary + backups). Paper benchmarks use 3.
     pub replication: u32,
-    /// Confine each shard's backups to the aligned block of
-    /// `replication` nodes containing its primary
-    /// ([`crate::api::Partitioning::aligned`]), so shard groups are
-    /// disjoint and the group-aware lane assignment (DESIGN.md §18) can
-    /// keep replication traffic lane-local. Off = the paper's ring
-    /// placement (the default, so all historical pins hold). Falls back
-    /// to the ring when `nodes % replication != 0`.
-    pub aligned_groups: bool,
     /// NIC cache budget in values per node. The LiquidIO's 16 GB DRAM
     /// holds the paper's benchmark datasets outright (Retwis 64 MB,
     /// Smallbank 58 MB, TPC-C ~3.4 GB), so the default budget admits the
@@ -309,7 +301,6 @@ impl XenicConfig {
             occ_multihop: true,
             nic_cache: true,
             replication: 3,
-            aligned_groups: false,
             nic_cache_values: 1 << 20,
             retry_backoff_ns: (2_000, 12_000),
             log_capacity_bytes: 1 << 30,

@@ -58,7 +58,7 @@ pub struct RunResult {
     pub cxl_log_writes: u64,
     /// Events routed between scheduler lanes through the outboxes
     /// (DESIGN.md §18). Zero on the serial scheduler; deterministic for
-    /// a fixed `(seed, config, lanes, assignment)` on any host.
+    /// a fixed `(seed, config, lanes)` on any host.
     pub cross_lane_events: u64,
     /// Lane-worker wakeups the epoch coordinator actually paid (the
     /// amortized-barrier skip rule elides the rest). Zero on the serial
@@ -66,22 +66,15 @@ pub struct RunResult {
     pub barriers: u64,
 }
 
-/// Which lane assignment the multi-lane scheduler uses when
-/// [`RunOptions::lanes`] exceeds 1. Fingerprints are byte-identical
-/// under either choice — the assignment only moves nodes between worker
-/// threads (DESIGN.md §18).
+/// How nodes map onto lanes when [`RunOptions::lanes`] exceeds 1. One
+/// value: the shard-group policy was cut in PR 20 (DESIGN.md §18), and
+/// the type survives because the `benchmark/` crate, frozen for that PR,
+/// names `LaneAssign::Contiguous` (ROADMAP, blocked list).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum LaneAssign {
-    /// Balanced contiguous block split (the default; all historical
-    /// pins were captured under it).
+    /// Balanced contiguous block split.
     #[default]
     Contiguous,
-    /// Snap lane boundaries to the cluster's shard-group edges
-    /// ([`Partitioning::groups`]) so replication traffic stays
-    /// lane-local. Falls back to the block split — identical results,
-    /// no locality win — when the topology has no usable group edges
-    /// (e.g. ring placement's single component).
-    ShardGroups,
 }
 
 /// Harness options.
@@ -97,13 +90,10 @@ pub struct RunOptions {
     pub seed: u64,
     /// Scheduler lanes: 1 = the serial scheduler; N > 1 runs the cluster
     /// on N worker threads with epoch barriers (DESIGN.md §16). 0 clamps
-    /// to the machine's available parallelism. One fallback remains: a
-    /// run with tracing on stays on the serial scheduler — with
-    /// identical results — because the tracer is a single global buffer
-    /// whose `GaugeSample` event reads every node at once, so no lane
-    /// can own it. A history recorder does not force serial.
+    /// to the machine's available parallelism. Results, recorded
+    /// histories and trace exports are the same at every value.
     pub lanes: usize,
-    /// How nodes map onto lanes when `lanes > 1` (DESIGN.md §18).
+    /// One-valued; see [`LaneAssign`].
     pub assignment: LaneAssign,
 }
 
@@ -141,9 +131,6 @@ pub trait Engine: Protocol<Msg: Send, State: Send> {
         windows: usize,
     ) -> Self::State;
 
-    /// The replica placement a built node runs under (cluster-wide).
-    fn partitioning(state: &Self::State) -> Partitioning;
-
     /// The message that starts a transaction on application slot `slot`.
     fn start(slot: u32) -> Self::Msg;
 
@@ -167,16 +154,8 @@ impl Engine for Xenic {
         workload: Box<dyn Workload>,
         windows: usize,
     ) -> XenicNode {
-        let part = if cfg.aligned_groups {
-            Partitioning::aligned(nodes as u32, cfg.replication)
-        } else {
-            Partitioning::new(nodes as u32, cfg.replication)
-        };
+        let part = Partitioning::new(nodes as u32, cfg.replication);
         XenicNode::new(node, cfg, part, workload, windows)
-    }
-
-    fn partitioning(state: &XenicNode) -> Partitioning {
-        state.part
     }
 
     fn start(slot: u32) -> XMsg {
@@ -227,20 +206,14 @@ pub fn build<E: Engine>(
 }
 
 /// Stage two: warm-up, measurement window, metrics — on the serial
-/// event loop, or on `opts.lanes` scheduler lanes when that exceeds 1
-/// and the cluster is [`ParCluster::eligible`]. Returns the finished
-/// cluster so callers can read post-run state (tables, the tracer).
+/// event loop, or on `opts.lanes` scheduler lanes when that exceeds 1.
+/// Returns the finished cluster so callers can read post-run state
+/// (tables, the tracer).
 pub fn measure<E: Engine>(cluster: Cluster<E>, opts: &RunOptions) -> (RunResult, Cluster<E>) {
     let nodes = cluster.rt.node_count();
     let lanes = crate::resolve_parallelism(opts.lanes);
-    let mut drv = if lanes > 1 && ParCluster::eligible(&cluster) {
-        let assignment = match opts.assignment {
-            LaneAssign::Contiguous => LaneAssignment::contiguous(nodes, lanes),
-            LaneAssign::ShardGroups => {
-                let groups = E::partitioning(&cluster.states[0]).groups();
-                LaneAssignment::by_groups(nodes, lanes, &groups)
-            }
-        };
+    let mut drv = if lanes > 1 {
+        let assignment = LaneAssignment::contiguous(nodes, lanes);
         Driver::Par(ParCluster::from_cluster_assigned(cluster, &assignment))
     } else {
         Driver::Serial(cluster)

@@ -55,11 +55,13 @@
 //! global schedule is a pure function of `(seed, config)`, and
 //! whole-cluster digests are byte-identical to the serial scheduler's.
 //!
-//! History recording is order-free (`xenic_check::History` is keyed
-//! maps and sets), so recorded runs use the lanes like any other. The
-//! tracer is the one observer left that needs the serial scheduler: its
-//! gauge sampler is a global event no lane owns (see
-//! [`ParCluster::eligible`]).
+//! Observers ride along. History recording is order-free
+//! (`xenic_check::History` is keyed maps and sets). Each lane's runtime
+//! has its own tracer, gauge sampling is one self-re-arming event per
+//! node, owned by that node, and every trace record carries the
+//! `(time, stamp)` of the event whose dispatch produced it — so
+//! [`ParCluster::into_cluster`] merges the lane buffers into exactly the
+//! stream the serial scheduler writes, whatever the lane count.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -70,21 +72,15 @@ use crate::runtime::{dispatch_event, Cluster, Event, Protocol, Runtime};
 
 /// How a cluster's nodes map onto scheduler lanes.
 ///
-/// Lanes must own *contiguous* node ranges (lane-local state is indexed
-/// by `node - base`), so an assignment is fully described by a monotone
-/// `node → lane` map. [`LaneAssignment::contiguous`] is the balanced
-/// block split; [`LaneAssignment::by_groups`] snaps lane boundaries to
-/// shard-group edges so replication traffic — intra-group by
-/// construction for every backend — never crosses lanes (DESIGN.md §18).
+/// Lanes own *contiguous* node ranges (lane-local state is indexed by
+/// `node - base`), so an assignment is a monotone `node → lane` map; the
+/// one in use is the balanced block split.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LaneAssignment {
     /// node → lane, monotone nondecreasing, values `0..lanes`.
     node_lane: Vec<u16>,
     /// Number of (non-empty) lanes.
     lanes: usize,
-    /// Whether lane boundaries were actually snapped to group edges
-    /// (false for the block split and for every fallback path).
-    group_aware: bool,
 }
 
 impl LaneAssignment {
@@ -95,96 +91,6 @@ impl LaneAssignment {
         LaneAssignment {
             node_lane: (0..nodes).map(|i| (i * lanes / nodes) as u16).collect(),
             lanes,
-            group_aware: false,
-        }
-    }
-
-    /// No lane may own more than twice the ideal share — the balance
-    /// bound beyond which group-aware snapping would trade locality for
-    /// a straggler lane.
-    fn balance_bound(nodes: usize, lanes: usize) -> usize {
-        2 * nodes.div_ceil(lanes)
-    }
-
-    /// Group-aware assignment: each of the `lanes - 1` ideal block
-    /// boundaries snaps to the nearest shard-group edge (ties to the
-    /// smaller edge), so no replica group is split across lanes.
-    /// Deterministic; the effective lane count never exceeds the number
-    /// of groups. Falls back to [`LaneAssignment::contiguous`] — giving
-    /// identical results, just without the locality win — when the
-    /// group map's runs are not contiguous, when there are no internal
-    /// group edges, or when any snapped lane would exceed the balance
-    /// bound (`2 * ceil(nodes / lanes)` nodes).
-    pub fn by_groups(nodes: usize, lanes: usize, group_of: &[u32]) -> Self {
-        assert_eq!(group_of.len(), nodes, "group map must cover every node");
-        let lanes = lanes.clamp(1, nodes.max(1));
-        if lanes <= 1 {
-            return Self::contiguous(nodes, lanes);
-        }
-        // Group-run edges (prefix lengths at which the group id changes).
-        // A group id that reappears after a different group means no
-        // contiguous lane split can respect it: fall back.
-        let mut edges: Vec<usize> = Vec::new();
-        let mut closed: Vec<u32> = Vec::new();
-        for i in 1..nodes {
-            if group_of[i] != group_of[i - 1] {
-                if closed.contains(&group_of[i]) {
-                    return Self::contiguous(nodes, lanes);
-                }
-                closed.push(group_of[i - 1]);
-                edges.push(i);
-            }
-        }
-        if edges.is_empty() {
-            // One group: nothing to snap to.
-            return Self::contiguous(nodes, lanes);
-        }
-        // Snap ideal boundaries to nearest edges, keeping cuts monotone
-        // (duplicate snaps collapse — effective lanes ≤ groups).
-        let mut cuts: Vec<usize> = Vec::new();
-        for l in 1..lanes {
-            let ideal = l * nodes / lanes;
-            let e = match edges.binary_search(&ideal) {
-                Ok(_) => ideal,
-                Err(pos) => {
-                    let lo = pos.checked_sub(1).map(|p| edges[p]);
-                    let hi = edges.get(pos).copied();
-                    match (lo, hi) {
-                        (Some(a), Some(b)) => {
-                            if ideal - a <= b - ideal {
-                                a
-                            } else {
-                                b
-                            }
-                        }
-                        (Some(a), None) => a,
-                        (None, Some(b)) => b,
-                        (None, None) => unreachable!("edges is non-empty"),
-                    }
-                }
-            };
-            if cuts.last().is_none_or(|&c| e > c) {
-                cuts.push(e);
-            }
-        }
-        let bound = Self::balance_bound(nodes, lanes);
-        let mut node_lane = vec![0u16; nodes];
-        let mut lane = 0u16;
-        let mut prev = 0usize;
-        for &c in cuts.iter().chain(std::iter::once(&nodes)) {
-            if c - prev > bound {
-                return Self::contiguous(nodes, lanes);
-            }
-            for slot in &mut node_lane[prev..c] {
-                *slot = lane;
-            }
-            lane += 1;
-            prev = c;
-        }
-        LaneAssignment {
-            node_lane,
-            lanes: lane as usize,
-            group_aware: true,
         }
     }
 
@@ -206,11 +112,6 @@ impl LaneAssignment {
     /// The full monotone node → lane map.
     pub fn as_slice(&self) -> &[u16] {
         &self.node_lane
-    }
-
-    /// Whether lane boundaries were snapped to shard-group edges.
-    pub fn is_group_aware(&self) -> bool {
-        self.group_aware
     }
 }
 
@@ -245,8 +146,8 @@ type Pending<M> = (SimTime, u64, Event<M>);
 
 /// The coordinator→worker message for one epoch.
 struct Go<M> {
-    /// Exclusive time bound: pop events strictly below this.
-    barrier_ns: u64,
+    /// Inclusive time bound: pop events at or before this.
+    upto_ns: u64,
     /// Cross-lane events routed to this lane since it last ran.
     injects: Vec<Pending<M>>,
     /// Recycled buffer the worker installs as its outbox (MsgBox-pool
@@ -292,28 +193,14 @@ where
     P::Msg: Send,
     P::State: Send,
 {
-    /// Whether `cluster` can run on the lane scheduler: tracing must be
-    /// off. The tracer is one global event buffer and its `GaugeSample`
-    /// event reads every node at once, so no lane can own it; a traced
-    /// cluster stays on the serial scheduler — which produces identical
-    /// results by construction.
-    pub fn eligible(cluster: &Cluster<P>) -> bool {
-        !cluster.rt.trace_enabled()
-    }
-
     /// Splits `cluster` according to `assignment` (see
     /// [`LaneAssignment`]): every lane owns the contiguous node range
     /// the assignment maps to it, and the lookahead is the delivery
     /// floor of the cluster's substrate parameters.
     ///
     /// # Panics
-    /// If the cluster is not [`ParCluster::eligible`], or the assignment
-    /// does not cover exactly this cluster's nodes.
+    /// If the assignment does not cover exactly this cluster's nodes.
     pub fn from_cluster_assigned(cluster: Cluster<P>, assignment: &LaneAssignment) -> Self {
-        assert!(
-            Self::eligible(&cluster),
-            "lane scheduler requires tracing off"
-        );
         let n = cluster.states.len();
         assert_eq!(assignment.nodes(), n, "assignment must cover every node");
         let lanes = assignment.lanes();
@@ -345,10 +232,7 @@ where
             slots[node_lane[i] as usize].rt.nodes[i] = res;
         }
         for (t, seq, ev) in pending {
-            let owner = ev
-                .owner()
-                .expect("global events cannot cross into the lane scheduler");
-            slots[node_lane[owner] as usize].rt.queue.push_with_seq(t, seq, ev);
+            slots[node_lane[ev.owner()] as usize].rt.queue.push_with_seq(t, seq, ev);
         }
         ParCluster {
             lanes: slots,
@@ -380,7 +264,9 @@ where
     }
 
     /// The runtime owning `node` — use the per-node measurement accessors
-    /// on it exactly as on a serial cluster's runtime.
+    /// on it exactly as on a serial cluster's runtime. Its tracer holds
+    /// that lane's records only; the whole stream is on the cluster
+    /// [`ParCluster::into_cluster`] returns.
     pub fn rt_for(&self, node: usize) -> &Runtime<P::Msg> {
         &self.lanes[self.node_lane[node] as usize].rt
     }
@@ -430,7 +316,7 @@ where
                         for (t, seq, ev) in go.injects.drain(..) {
                             lane.rt.queue.push_with_seq(t, seq, ev);
                         }
-                        let upto = SimTime::from_ns(go.barrier_ns - 1);
+                        let upto = SimTime::from_ns(go.upto_ns);
                         let mut popped = 0u64;
                         while let Some((_, ev)) = lane.rt.queue.pop_at_or_before(upto) {
                             popped += 1;
@@ -473,29 +359,30 @@ where
                 epochs += 1;
                 // Per-lane bound from the other *active* lanes' horizons;
                 // idle lanes (eff_next = ∞) constrain nobody. Capped so no
-                // lane runs past the horizon (serial semantics pop events
-                // at `horizon` too, hence the exclusive `+ 1`).
+                // lane runs past the horizon. The module docs state the
+                // bound exclusively; here it is its last included instant,
+                // so that `SimTime::MAX` is a horizon like any other.
                 let mut woken = 0usize;
                 for l in 0..lanes_n {
                     let others = (0..lanes_n).filter(|&m| m != l).filter_map(|m| eff[m]).min();
-                    let mut bound = others.map_or(u64::MAX, |e| e.saturating_add(la));
+                    let mut upto = others.map_or(u64::MAX, |e| e.saturating_add(la - 1));
                     // Reflections of this lane's *own* events: a message
                     // sent while popping can bounce off a neighbor and
                     // come back after two hops, so the bound may not
                     // outrun eff_next(l) by more than a round trip.
                     if let Some(e) = eff[l] {
-                        bound = bound.min(e.saturating_add(round_trip));
+                        upto = upto.min(e.saturating_add(round_trip - 1));
                     }
-                    let bound = bound.min(horizon.0 + 1);
+                    let upto = upto.min(horizon.0);
                     // Amortized barrier: skip the wake entirely when the
                     // lane has nothing under its bound.
-                    if eff[l].is_none_or(|e| e >= bound) {
+                    if eff[l].is_none_or(|e| e > upto) {
                         continue;
                     }
                     let injects =
                         std::mem::replace(&mut pending[l], freelist.pop().unwrap_or_default());
                     let go = Go {
-                        barrier_ns: bound,
+                        upto_ns: upto,
                         injects,
                         outbox_buf: freelist.pop().unwrap_or_default(),
                     };
@@ -510,11 +397,7 @@ where
                     next[done.lane] = done.next;
                     cross_lane_events += done.outbox.len() as u64;
                     for entry in done.outbox.drain(..) {
-                        let owner = entry
-                            .2
-                            .owner()
-                            .expect("only node-owned events divert to outboxes");
-                        pending[node_lane[owner] as usize].push(entry);
+                        pending[node_lane[entry.2.owner()] as usize].push(entry);
                     }
                     freelist.push(done.outbox);
                     freelist.push(done.spare);
@@ -537,10 +420,10 @@ where
     }
 
     /// Reassembles the serial [`Cluster`]: node resources, protocol
-    /// states, RNG streams, and queue remainders return to the master
-    /// runtime, with the clock and processed-event counter advanced as a
-    /// serial run over the same horizon would have left them — post-run
-    /// inspection is indistinguishable.
+    /// states, RNG streams, queue remainders and trace records return to
+    /// the master runtime, with the clock and processed-event counter
+    /// advanced as a serial run over the same horizon would have left
+    /// them — post-run inspection is indistinguishable.
     pub fn into_cluster(self) -> Cluster<P> {
         let mut rt = self.shell;
         let max_now = self
@@ -551,9 +434,11 @@ where
             .unwrap_or(SimTime::ZERO);
         let mut states: Vec<P::State> = Vec::with_capacity(self.node_lane.len());
         let mut lane_pops = 0u64;
+        let mut lane_tracers = Vec::with_capacity(self.lanes.len());
         for lane in self.lanes {
             lane_pops += lane.processed;
             let mut lane_rt = lane.rt;
+            lane_tracers.push(std::mem::take(&mut lane_rt.tracer));
             for (j, st) in lane.states.into_iter().enumerate() {
                 let node = lane.base + j;
                 states.push(st);
@@ -570,6 +455,7 @@ where
         }
         rt.queue.set_now(max_now);
         rt.queue.add_processed(lane_pops);
+        rt.tracer.absorb(lane_tracers);
         Cluster { states, rt }
     }
 }
@@ -585,80 +471,10 @@ mod tests {
             let a = LaneAssignment::contiguous(nodes, lanes);
             let clamped = lanes.clamp(1, nodes);
             assert_eq!(a.lanes(), clamped);
-            assert!(!a.is_group_aware());
             for i in 0..nodes {
                 assert_eq!(a.lane_of(i), i * clamped / nodes);
             }
         }
-    }
-
-    /// 16 disjoint groups of 4 over 64 nodes: the ideal boundaries land
-    /// exactly on group edges, every lane is a whole number of groups,
-    /// and no group is split.
-    #[test]
-    fn by_groups_keeps_groups_intact() {
-        let nodes = 64usize;
-        let group_of: Vec<u32> = (0..nodes).map(|i| (i / 4) as u32).collect();
-        for lanes in [2usize, 4, 8] {
-            let a = LaneAssignment::by_groups(nodes, lanes, &group_of);
-            assert!(a.is_group_aware(), "{lanes} lanes");
-            assert_eq!(a.lanes(), lanes);
-            for i in 0..nodes {
-                assert_eq!(
-                    a.lane_of(i),
-                    a.lane_of(i / 4 * 4),
-                    "node {i} split from its group at {lanes} lanes"
-                );
-            }
-            // Balance bound respected.
-            let bound = 2 * nodes.div_ceil(lanes);
-            for l in 0..lanes {
-                let width = (0..nodes).filter(|&i| a.lane_of(i) == l).count();
-                assert!(width > 0 && width <= bound, "lane {l} width {width}");
-            }
-        }
-    }
-
-    /// Uneven groups still snap within the balance bound; a group wider
-    /// than the bound forces the contiguous fallback.
-    #[test]
-    fn by_groups_balance_bound_and_fallback() {
-        // Groups of 3 over 12 nodes at 8 lanes: only 4 groups exist, so
-        // the effective lane count collapses to 4 — still group-aware.
-        let g3: Vec<u32> = (0..12).map(|i| (i / 3) as u32).collect();
-        let a = LaneAssignment::by_groups(12, 8, &g3);
-        assert!(a.is_group_aware());
-        assert_eq!(a.lanes(), 4);
-
-        // One giant group of 10 + a group of 2, 2 lanes: bound is
-        // 2*ceil(12/2) = 12, so a 10-wide lane is tolerated.
-        let skew: Vec<u32> = (0..12).map(|i| u32::from(i >= 10)).collect();
-        let a = LaneAssignment::by_groups(12, 2, &skew);
-        assert!(a.is_group_aware());
-
-        // 4 lanes over the same skew: bound is 2*3 = 6 < 10 → fallback.
-        let a = LaneAssignment::by_groups(12, 4, &skew);
-        assert!(!a.is_group_aware());
-        assert_eq!(a, LaneAssignment::contiguous(12, 4));
-
-        // Non-contiguous group runs → fallback.
-        let scattered = vec![0u32, 1, 0, 1, 0, 1];
-        let a = LaneAssignment::by_groups(6, 2, &scattered);
-        assert!(!a.is_group_aware());
-
-        // A single group has no internal edges → fallback.
-        let one = vec![7u32; 6];
-        assert!(!LaneAssignment::by_groups(6, 2, &one).is_group_aware());
-    }
-
-    #[test]
-    fn by_groups_is_monotone_and_total() {
-        let group_of: Vec<u32> = (0..30).map(|i| (i / 5) as u32).collect();
-        let a = LaneAssignment::by_groups(30, 4, &group_of);
-        let map = a.as_slice();
-        assert_eq!(map.len(), 30);
-        assert!(map.windows(2).all(|w| w[0] <= w[1]), "monotone");
-        assert_eq!(usize::from(*map.last().unwrap()) + 1, a.lanes());
     }
 
     /// Differential test: the lookahead must equal a brute-force

@@ -145,16 +145,20 @@ pub enum Event<M> {
         /// The node to restart.
         node: usize,
     },
-    /// Periodic tracer gauge sampling (self-rescheduling; only ever
-    /// scheduled when tracing is enabled with a non-zero interval).
-    /// Sampling is read-only, so it cannot perturb protocol outcomes.
-    GaugeSample,
+    /// Periodic tracer gauge sampling of one node (self-rescheduling;
+    /// only ever scheduled when tracing is enabled with a non-zero
+    /// interval). Sampling is read-only, so it cannot perturb protocol
+    /// outcomes, and it reads only its own node, so the node's lane runs
+    /// it like any other event.
+    GaugeSample {
+        /// The node to sample.
+        node: usize,
+    },
 }
 
-
 impl<M> Event<M> {
-    /// The node this event belongss to.
-    pub(crate) fn owner(&self) -> Option<usize> {
+    /// The node this event belongs to.
+    pub(crate) fn owner(&self) -> usize {
         match self {
             Event::Deliver { node, .. }
             | Event::CoreFree { node, .. }
@@ -162,12 +166,12 @@ impl<M> Event<M> {
             | Event::FlushPcie { node, .. }
             | Event::FlushDma { node }
             | Event::Crash { node }
-            | Event::Restart { node } => Some(*node),
+            | Event::Restart { node }
+            | Event::GaugeSample { node } => *node,
             Event::NetArrive { dst, .. }
             | Event::RdmaArrive { dst, .. }
-            | Event::RdmaServed { dst, .. } => Some(*dst),
-            Event::RdmaReturn { to, .. } => Some(*to),
-            Event::GaugeSample => None,
+            | Event::RdmaServed { dst, .. } => *dst,
+            Event::RdmaReturn { to, .. } => *to,
         }
     }
 }
@@ -286,6 +290,8 @@ pub struct Runtime<M> {
     pub(crate) crashed: Vec<bool>,
     /// The run's trace recorder (disabled by default: zero events, zero
     /// RNG draws, so traced-off runs match an untraced build bit for bit).
+    /// A lane's runtime has its own; [`crate::ParCluster::into_cluster`]
+    /// merges them back into the master's.
     pub(crate) tracer: Tracer,
     pub(crate) nodes: Vec<NodeRes<M>>,
     pub(crate) cur_node: usize,
@@ -318,25 +324,28 @@ pub struct Runtime<M> {
 }
 
 impl<M: Clone + fmt::Debug> Runtime<M> {
-    fn new(params: HwParams, cfg: NetConfig, seed: u64) -> Self {
+    /// The one place a runtime is put together: an empty queue, nothing
+    /// crashed, no stamp issued, a fresh tracer from `cfg.trace`, and
+    /// node blocks of the given aggregation fan-out (see
+    /// [`Runtime::mk_node`]).
+    fn assemble(
+        params: HwParams,
+        cfg: NetConfig,
+        agg_fanout: usize,
+        fault_rngs: Vec<DetRng>,
+        node_rngs: Vec<DetRng>,
+    ) -> Self {
         let n = params.nodes;
-        let nodes = (0..n).map(|_| Self::mk_node(&params, n)).collect();
-        let faults_active = cfg.faults.active();
-        let tracer = Tracer::from_config(&cfg.trace);
-        let mut rt = Runtime {
-            fault_rngs: (0..n)
-                .map(|i| DetRng::new(seed).stream(&format!("net-faults-{i}")))
-                .collect(),
-            node_rngs: (0..n)
-                .map(|i| DetRng::new(seed).stream(&format!("node-txn-{i}")))
-                .collect(),
+        Runtime {
+            fault_rngs,
+            node_rngs,
+            faults_active: cfg.faults.active(),
+            crashed: vec![false; n],
+            tracer: Tracer::from_config(&cfg.trace),
+            nodes: (0..n).map(|_| Self::mk_node(&params, agg_fanout)).collect(),
             params,
             cfg,
             queue: EventQueue::new(),
-            faults_active,
-            crashed: vec![false; n],
-            tracer,
-            nodes,
             cur_node: 0,
             cur_exec: Exec::Host,
             cur_core: 0,
@@ -353,7 +362,17 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             lane_of: None,
             my_lane: 0,
             outbox: Vec::new(),
+        }
+    }
+
+    fn new(params: HwParams, cfg: NetConfig, seed: u64) -> Self {
+        let n = params.nodes;
+        let streams = |name: &str| {
+            (0..n)
+                .map(|i| DetRng::new(seed).stream(&format!("{name}-{i}")))
+                .collect()
         };
+        let mut rt = Self::assemble(params, cfg, n, streams("net-faults"), streams("node-txn"));
         // Fault-plan schedule: each crash/restart is stamped by (and lane-
         // routed to) the node it hits.
         let crashes = rt.cfg.faults.crashes.clone();
@@ -364,11 +383,15 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
                 rt.push_ev(SimTime::from_ns(r), Event::Restart { node: c.node });
             }
         }
-        rt.stamp_node = 0;
-        if rt.tracer.enabled() && rt.tracer.gauge_interval_ns() > 0 {
+        // A disabled tracer reports interval 0.
+        if rt.tracer.gauge_interval_ns() > 0 {
             let at = SimTime::from_ns(rt.tracer.gauge_interval_ns());
-            rt.push_ev(at, Event::GaugeSample);
+            for node in 0..n {
+                rt.stamp_node = node;
+                rt.push_ev(at, Event::GaugeSample { node });
+            }
         }
+        rt.stamp_node = 0;
         rt
     }
 
@@ -398,38 +421,24 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
         }
     }
 
-    /// A lane's runtime: clones the master's deterministic state (RNG
-    /// streams, push counters, crashed flags, config) with an empty queue
-    /// and placeholder node resources. The caller moves the lane's owned
-    /// [`NodeRes`] blocks in and routes its share of the pending events.
+    /// A lane's runtime: the master's deterministic state (RNG streams,
+    /// push counters, crashed flags, config) around an empty queue,
+    /// placeholder node resources and a tracer of its own. The caller
+    /// moves the lane's owned [`NodeRes`] blocks in and routes its share
+    /// of the pending events.
     pub(crate) fn lane_shell(&self, lane_of: std::sync::Arc<[u16]>, my_lane: u16) -> Runtime<M> {
-        let n = self.params.nodes;
         Runtime {
-            params: self.params.clone(),
-            cfg: self.cfg.clone(),
-            queue: EventQueue::new(),
-            fault_rngs: self.fault_rngs.clone(),
-            node_rngs: self.node_rngs.clone(),
-            faults_active: self.faults_active,
             crashed: self.crashed.clone(),
-            tracer: Tracer::disabled(),
-            nodes: (0..n).map(|_| Self::mk_node(&self.params, 0)).collect(),
-            cur_node: 0,
-            cur_exec: Exec::Host,
-            cur_core: 0,
-            cur_end: SimTime::ZERO,
-            in_handler: false,
-            net_scratch: Vec::new(),
-            pcie_scratch: Vec::new(),
-            fault_scratch: Vec::new(),
-            frame_pool: Vec::new(),
-            dma_batch_scratch: Vec::new(),
-            dma_ops_scratch: Vec::new(),
-            stamp_node: 0,
             push_ctr: self.push_ctr.clone(),
             lane_of: Some(lane_of),
             my_lane,
-            outbox: Vec::new(),
+            ..Self::assemble(
+                self.params.clone(),
+                self.cfg.clone(),
+                0,
+                self.fault_rngs.clone(),
+                self.node_rngs.clone(),
+            )
         }
     }
 
@@ -451,11 +460,9 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
         let seq = ((node as u64) << STAMP_NODE_SHIFT) | *ctr;
         *ctr += 1;
         if let Some(map) = &self.lane_of {
-            if let Some(owner) = ev.owner() {
-                if map[owner] != self.my_lane {
-                    self.outbox.push((t, seq, ev));
-                    return;
-                }
+            if map[ev.owner()] != self.my_lane {
+                self.outbox.push((t, seq, ev));
+                return;
             }
         }
         self.queue.push_with_seq(t, seq, ev);
@@ -1234,81 +1241,39 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
         self.tracer.instant(at, node, comp, name, id);
     }
 
-    /// Samples every node's gauges and re-arms the next [`Event::GaugeSample`].
+    /// Samples `node`'s gauges and re-arms its [`Event::GaugeSample`].
     /// Read-only with respect to protocol and hardware state.
-    pub(crate) fn sample_gauges(&mut self) {
+    pub(crate) fn sample_gauges(&mut self, node: usize) {
         let now = self.now();
-        for (i, res) in self.nodes.iter().enumerate() {
-            let node = i as u32;
-            let t = &mut self.tracer;
-            t.gauge(
-                now,
-                node,
-                Component::HostPool,
-                "runq",
-                res.inbox_host.len() as f64,
-            );
-            t.gauge(
-                now,
-                node,
+        let res = &self.nodes[node];
+        // Backlog queued at a port's egress serializer, expressed in
+        // bytes: remaining busy time × line rate.
+        let backlog = |port: &Port| port.egress_free_at().since(now) as f64 * port.gbps() / 8.0;
+        let samples = [
+            (Component::HostPool, "runq", res.inbox_host.len() as f64),
+            (
                 Component::HostPool,
                 "busy_frac",
                 res.host.busy_at(now) as f64 / res.host.len() as f64,
-            );
-            t.gauge(
-                now,
-                node,
-                Component::NicPool,
-                "runq",
-                res.inbox_nic.len() as f64,
-            );
-            t.gauge(
-                now,
-                node,
+            ),
+            (Component::NicPool, "runq", res.inbox_nic.len() as f64),
+            (
                 Component::NicPool,
                 "busy_frac",
                 res.nic.busy_at(now) as f64 / res.nic.len() as f64,
-            );
-            t.gauge(
-                now,
-                node,
-                Component::Dma,
-                "busy_queues",
-                res.dma.busy_queues(now) as f64,
-            );
-            t.gauge(
-                now,
-                node,
-                Component::Dma,
-                "vector_fill",
-                res.dma.mean_vector_fill(),
-            );
-            t.gauge(
-                now,
-                node,
-                Component::Dma,
-                "pending_elems",
-                res.dma_pending.len() as f64,
-            );
-            for (comp, port) in [
-                (Component::LioPort, &res.lio),
-                (Component::Cx5Port, &res.cx5),
-                (Component::PciePort, &res.pcie),
-            ] {
-                // Backlog queued at the egress serializer, expressed in
-                // bytes: remaining busy time × line rate.
-                let backlog_ns = port.egress_free_at().since(now);
-                t.gauge(
-                    now,
-                    node,
-                    comp,
-                    "inflight_bytes",
-                    backlog_ns as f64 * port.gbps() / 8.0,
-                );
-            }
+            ),
+            (Component::Dma, "busy_queues", res.dma.busy_queues(now) as f64),
+            (Component::Dma, "vector_fill", res.dma.mean_vector_fill()),
+            (Component::Dma, "pending_elems", res.dma_pending.len() as f64),
+            (Component::LioPort, "inflight_bytes", backlog(&res.lio)),
+            (Component::Cx5Port, "inflight_bytes", backlog(&res.cx5)),
+            (Component::PciePort, "inflight_bytes", backlog(&res.pcie)),
+        ];
+        for (component, name, value) in samples {
+            self.tracer.gauge(now, node as u32, component, name, value);
         }
         let at = now + self.tracer.gauge_interval_ns();
-        self.push_ev(at, Event::GaugeSample);
+        self.push_ev(at, Event::GaugeSample { node });
     }
 }
 
@@ -1373,7 +1338,8 @@ pub(crate) fn dispatch_event<P: Protocol>(
     rt: &mut Runtime<P::Msg>,
     ev: Event<P::Msg>,
 ) {
-    rt.stamp_node = ev.owner().unwrap_or(0);
+    rt.stamp_node = ev.owner();
+    rt.tracer.at_dispatch(rt.queue.last_seq());
     match ev {
         Event::Deliver { node, exec, msg } => {
             if rt.crashed[node] {
@@ -1416,7 +1382,7 @@ pub(crate) fn dispatch_event<P: Protocol>(
             rt.cur_exec = Exec::Nic;
             P::on_restart(&mut states[node - base], rt, node);
         }
-        Event::GaugeSample => rt.sample_gauges(),
+        Event::GaugeSample { node } => rt.sample_gauges(node),
     }
 }
 

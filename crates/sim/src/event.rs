@@ -84,6 +84,8 @@ pub struct EventQueue<E> {
     seq: u64,
     now: SimTime,
     popped: u64,
+    /// Tie-break sequence of the last popped event.
+    last_seq: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -104,12 +106,20 @@ impl<E> EventQueue<E> {
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
+            last_seq: 0,
         }
     }
 
     /// Current simulated time: the timestamp of the last popped event.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// Tie-break sequence of the last popped event (0 before the first
+    /// pop). With [`EventQueue::now`] it is the event's position in the
+    /// total order, which the tracer keys its records by.
+    pub fn last_seq(&self) -> u64 {
+        self.last_seq
     }
 
     /// Number of events waiting.
@@ -223,13 +233,14 @@ impl<E> EventQueue<E> {
             (None, Some(_)) => false,
             (Some(n), Some(f)) => n < (f.0, f.1),
         };
-        let (time, _seq, event) = if take_near {
+        let (time, seq, event) = if take_near {
             self.near_pop_min()
         } else {
             self.far_pop()
         };
         debug_assert!(time >= self.now);
         self.now = time;
+        self.last_seq = seq;
         self.popped += 1;
         Some((time, event))
     }
@@ -261,13 +272,14 @@ impl<E> EventQueue<E> {
                 near
             }
         };
-        let (time, _seq, event) = if take_near {
+        let (time, seq, event) = if take_near {
             self.near_pop_min()
         } else {
             self.far_pop()
         };
         debug_assert!(time >= self.now);
         self.now = time;
+        self.last_seq = seq;
         self.popped += 1;
         Some((time, event))
     }

@@ -20,6 +20,11 @@
 //! * The buffer is a bounded ring: when `capacity` is reached the oldest
 //!   event is evicted (and counted in [`Tracer::dropped`]), so memory is
 //!   bounded no matter how long a run is.
+//! * The stream does not depend on how the run was scheduled: every
+//!   record is keyed by `(time, stamp of the event being dispatched)`,
+//!   the simulation's total order, so per-lane recorders merge
+//!   ([`Tracer::absorb`]) into exactly the stream one recorder would
+//!   have written, ring bound included.
 //!
 //! # Exporters
 //!
@@ -222,7 +227,12 @@ pub struct Tracer {
     enabled: bool,
     capacity: usize,
     gauge_interval_ns: u64,
-    events: VecDeque<TraceEvent>,
+    /// Stamp of the simulation event being dispatched (see
+    /// [`Tracer::at_dispatch`]).
+    stamp: u64,
+    /// The ring, each record with the stamp it was made under; ascending
+    /// by `(at, stamp)`.
+    events: VecDeque<(u64, TraceEvent)>,
     dropped: u64,
     instant_totals: BTreeMap<&'static str, u64>,
 }
@@ -234,6 +244,7 @@ impl Tracer {
             enabled: false,
             capacity: 0,
             gauge_interval_ns: 0,
+            stamp: 0,
             events: VecDeque::new(),
             dropped: 0,
             instant_totals: BTreeMap::new(),
@@ -249,9 +260,7 @@ impl Tracer {
             enabled: true,
             capacity: cfg.capacity,
             gauge_interval_ns: cfg.gauge_interval_ns,
-            events: VecDeque::new(),
-            dropped: 0,
-            instant_totals: BTreeMap::new(),
+            ..Self::disabled()
         }
     }
 
@@ -265,6 +274,15 @@ impl Tracer {
         self.gauge_interval_ns
     }
 
+    /// Names the simulation event about to be dispatched by its queue
+    /// stamp. Everything recorded until the next call happened inside
+    /// that dispatch, at that event's time, so `(at, stamp)` places a
+    /// record in the simulation's total order whichever scheduler lane
+    /// wrote it down.
+    pub fn at_dispatch(&mut self, stamp: u64) {
+        self.stamp = stamp;
+    }
+
     fn push(&mut self, ev: TraceEvent) {
         if !self.enabled {
             return;
@@ -273,7 +291,35 @@ impl Tracer {
             self.events.pop_front();
             self.dropped += 1;
         }
-        self.events.push_back(ev);
+        self.events.push_back((self.stamp, ev));
+    }
+
+    /// Merges the recorders of a run's scheduler lanes into this one,
+    /// which holds whatever was recorded before the run was split: the
+    /// result is the stream a single recorder would hold after the same
+    /// run. Records interleave by `(at, stamp)`; records sharing a key
+    /// come from one dispatch, hence one recorder, and keep their order.
+    /// The ring rule stays exact, because an event among the last
+    /// `capacity` of the merged order is also among the last `capacity`
+    /// of its own recorder: the merge keeps that suffix and counts the
+    /// rest as dropped.
+    pub fn absorb(&mut self, lanes: impl IntoIterator<Item = Tracer>) {
+        if !self.enabled {
+            return;
+        }
+        let mut all = Vec::from(std::mem::take(&mut self.events));
+        for lane in lanes {
+            self.dropped += lane.dropped;
+            for (name, n) in lane.instant_totals {
+                *self.instant_totals.entry(name).or_insert(0) += n;
+            }
+            all.extend(lane.events);
+        }
+        all.sort_by_key(|(stamp, ev)| (ev.at, *stamp));
+        let excess = all.len().saturating_sub(self.capacity);
+        self.dropped += excess as u64;
+        all.drain(..excess);
+        self.events = all.into();
     }
 
     /// Opens a span.
@@ -355,7 +401,7 @@ impl Tracer {
 
     /// Events currently in the ring, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
+        self.events.iter().map(|(_, ev)| ev)
     }
 
     /// Number of buffered events.
@@ -386,7 +432,7 @@ impl Tracer {
         type OpenStacks = HashMap<(u32, &'static str, u64), Vec<(SimTime, Component)>>;
         let mut open: OpenStacks = HashMap::new();
         let mut out = Vec::new();
-        for ev in &self.events {
+        for ev in self.events() {
             match ev.kind {
                 TraceKind::Begin { id } => open
                     .entry((ev.node, ev.name, id))
@@ -416,7 +462,7 @@ impl Tracer {
     /// drained fault-free run).
     pub fn open_span_count(&self) -> usize {
         let mut open: HashMap<(u32, &'static str, u64), i64> = HashMap::new();
-        for ev in &self.events {
+        for ev in self.events() {
             match ev.kind {
                 TraceKind::Begin { id } => *open.entry((ev.node, ev.name, id)).or_insert(0) += 1,
                 TraceKind::End { id } => *open.entry((ev.node, ev.name, id)).or_insert(0) -= 1,
@@ -438,7 +484,7 @@ impl Tracer {
         // Pre-match spans so begin events can emit complete ("X") events.
         let mut open: HashMap<(u32, &'static str, u64), Vec<usize>> = HashMap::new();
         let mut end_at: HashMap<usize, SimTime> = HashMap::new();
-        for (i, ev) in self.events.iter().enumerate() {
+        for (i, ev) in self.events().enumerate() {
             match ev.kind {
                 TraceKind::Begin { id } => {
                     open.entry((ev.node, ev.name, id)).or_default().push(i)
@@ -454,7 +500,7 @@ impl Tracer {
             }
         }
         let mut tracks: BTreeSet<(u32, Component)> = BTreeSet::new();
-        for ev in &self.events {
+        for ev in self.events() {
             tracks.insert((ev.node, ev.component));
         }
         let mut out = String::from("{\"traceEvents\":[\n");
@@ -482,7 +528,7 @@ impl Tracer {
                 comp.label()
             );
         }
-        for (i, ev) in self.events.iter().enumerate() {
+        for (i, ev) in self.events().enumerate() {
             match ev.kind {
                 TraceKind::Begin { id } => {
                     let Some(&end) = end_at.get(&i) else {
@@ -540,7 +586,7 @@ impl Tracer {
     /// Exports the gauge series as CSV: `t_ns,node,component,gauge,value`.
     pub fn gauges_csv(&self) -> String {
         let mut out = String::from("t_ns,node,component,gauge,value\n");
-        for ev in &self.events {
+        for ev in self.events() {
             if let TraceKind::Gauge { value } = ev.kind {
                 let _ = writeln!(
                     out,
@@ -622,6 +668,48 @@ mod tests {
         assert_eq!(first.at, t(2));
         // The running total is eviction-proof.
         assert_eq!(tr.instant_total("tick"), 5);
+    }
+
+    /// Three lane recorders and the pre-split one, all at capacity 4,
+    /// against one recorder fed the same records in `(at, stamp)` order:
+    /// `absorb` must leave exactly its ring, drop count and totals.
+    #[test]
+    fn absorb_keeps_the_last_capacity_events_of_the_merged_order() {
+        let cfg = TraceConfig::spans().with_capacity(4);
+        // (recorder, at, stamp): recorder 0 is the pre-split shell, whose
+        // records all precede the lanes'. Lane 3 is long enough to evict
+        // on its own; two dispatches share t=20 and differ by stamp only.
+        let script: [(usize, u64, u64); 12] = [
+            (0, 1, 7),
+            (0, 2, 3),
+            (1, 10, 5),
+            (2, 10, 9),
+            (3, 11, 1),
+            (3, 12, 2),
+            (1, 20, 4),
+            (2, 20, 6),
+            (3, 21, 8),
+            (3, 22, 0),
+            (3, 23, 0),
+            (1, 30, 2),
+        ];
+        let mut one = Tracer::from_config(&cfg);
+        let mut parts: Vec<Tracer> = (0..4).map(|_| Tracer::from_config(&cfg)).collect();
+        for &(who, at, stamp) in &script {
+            for tr in [&mut one, &mut parts[who]] {
+                tr.at_dispatch(stamp);
+                tr.instant(t(at), who as u32, Component::NicPool, "tick", stamp);
+                tr.begin(t(at), who as u32, Component::NicPool, "Execute", stamp);
+            }
+        }
+        assert!(parts[3].dropped() > 0, "a lane ring must evict on its own");
+        let mut merged = parts.remove(0);
+        merged.absorb(parts);
+        assert_eq!(merged.len(), 4);
+        assert!(merged.events().eq(one.events()), "merged ring differs");
+        assert_eq!(merged.dropped(), one.dropped());
+        assert_eq!(merged.dropped(), 2 * script.len() as u64 - 4);
+        assert_eq!(merged.instant_total("tick"), script.len() as u64);
     }
 
     #[test]

@@ -9,17 +9,18 @@
 //! lanes ∈ {1, 2, 4} produce identical commit stats, identical event
 //! counts, and identical whole-cluster table digests — the same style of
 //! pin `queue_differential.rs` uses for the event queue itself — and that
-//! a recorded run's `History` is lane-invariant too.
+//! a recorded run's `History` and a traced run's exports are
+//! lane-invariant too.
 
 use xenic::harness::{
-    cluster_digest, run, run_recorded, run_xenic_cluster_with, RunOptions, RunResult,
+    build, cluster_digest, run, run_recorded, run_xenic_cluster_with, RunOptions, RunResult,
 };
 use xenic::{ReplBackend, Workload, Xenic, XenicConfig};
 use xenic_baselines::{Baseline, BaselineKind};
 use xenic_check::HistoryRecorder;
 use xenic_hw::HwParams;
-use xenic_net::{FaultPlan, NetConfig};
-use xenic_sim::SimTime;
+use xenic_net::{Cluster, FaultPlan, LaneAssignment, NetConfig, ParCluster};
+use xenic_sim::{SimTime, TraceConfig};
 use xenic_workloads::{
     Retwis, RetwisConfig, Smallbank, SmallbankConfig, YcsbE, YcsbEConfig,
 };
@@ -44,7 +45,8 @@ fn fingerprint(
 }
 
 /// One run — with `recorder`, if given, attached to every node — as its
-/// fingerprint plus the harness result (lane counters included).
+/// fingerprint, the harness result (lane counters included) and the
+/// finished cluster (for its tracer).
 fn run_on(
     base: HwParams,
     nodes: usize,
@@ -53,7 +55,7 @@ fn run_on(
     opts: &RunOptions,
     mk: impl Fn(usize) -> Box<dyn Workload>,
     recorder: Option<HistoryRecorder>,
-) -> (Fingerprint, RunResult) {
+) -> (Fingerprint, RunResult, Cluster<Xenic>) {
     let params = HwParams { nodes, ..base };
     let (r, cluster) = run_xenic_cluster_with(params, net, cfg, opts, mk, move |c| {
         if let Some(rec) = &recorder {
@@ -68,7 +70,7 @@ fn run_on(
         digest: cluster_digest(&cluster),
         processed: cluster.rt.queue.processed(),
     };
-    (fp, r)
+    (fp, r, cluster)
 }
 
 fn quick_opts(seed: u64, lanes: usize) -> RunOptions {
@@ -226,64 +228,6 @@ fn lane_count_invariance_substrates() {
     }
 }
 
-/// Group-aware lane assignment (DESIGN.md §18) is fingerprint-neutral:
-/// with aligned replica placement (12 nodes, replication 3 → 4 disjoint
-/// shard groups), `LaneAssign::ShardGroups` must reproduce the serial
-/// run bit for bit across every backend, a lossy plan, and lanes
-/// {2, 4, 8} — assignment only moves nodes between workers, never
-/// changes what any node computes. What it is *for* is checked too: at 8
-/// lanes the block split cuts through every replica group (12 / 8 is no
-/// multiple of 3), and snapping lane edges to the groups must route at
-/// least 5 % fewer events between lanes.
-#[test]
-fn group_aware_assignment_matches_serial() {
-    use xenic::harness::LaneAssign;
-    let nodes = 12usize;
-    for backend in ReplBackend::ALL {
-        let net = NetConfig::full().with_faults(FaultPlan::lossy(0.01, 0.01, 200));
-        let cfg = XenicConfig {
-            aligned_groups: true,
-            ..XenicConfig::with_backend(backend)
-        };
-        let run = |lanes: usize, assignment: LaneAssign| {
-            let opts = RunOptions {
-                assignment,
-                ..quick_opts(17, lanes)
-            };
-            run_on(
-                HwParams::paper_testbed(),
-                nodes,
-                net.clone(),
-                cfg,
-                &opts,
-                mk_workload(Wl::Smallbank, nodes as u32),
-                None,
-            )
-        };
-        let (serial, _) = run(1, LaneAssign::Contiguous);
-        assert!(serial.committed > 0, "{}: grouped point must commit work", backend.token());
-        for lanes in [2usize, 4, 8] {
-            let (grouped, _) = run(lanes, LaneAssign::ShardGroups);
-            assert_eq!(
-                grouped,
-                serial,
-                "backend {} lanes {} group-aware diverged from serial",
-                backend.token(),
-                lanes
-            );
-        }
-        let (_, block) = run(8, LaneAssign::Contiguous);
-        let (_, grouped) = run(8, LaneAssign::ShardGroups);
-        assert!(
-            grouped.cross_lane_events * 100 <= block.cross_lane_events * 95,
-            "backend {}: group-aware assignment routed {} cross-lane events, block split {}",
-            backend.token(),
-            grouped.cross_lane_events,
-            block.cross_lane_events
-        );
-    }
-}
-
 /// The referee on the scheduler users run: with a `HistoryRecorder`
 /// attached, `lanes: N` really runs N lanes (`barriers > 0`) and returns
 /// the fingerprint *and* the `History` of the serial run — Retwis for
@@ -296,7 +240,7 @@ fn recorded_runs_are_lane_invariant() {
         let net = NetConfig::full().with_faults(FaultPlan::lossy(0.01, 0.01, 200));
         let run = |lanes: usize| {
             let recorder = HistoryRecorder::new();
-            let (fp, r) = run_on(
+            let (fp, r, _) = run_on(
                 HwParams::paper_testbed(),
                 nodes,
                 net.clone(),
@@ -320,6 +264,46 @@ fn recorded_runs_are_lane_invariant() {
             assert!(barriers > 0, "lanes {lanes}: a recorded run must not fall back to serial");
             assert_eq!(par, serial, "lanes {lanes}: recorded fingerprint diverged");
             assert!(par_history == history, "lanes {lanes}: recorded history diverged");
+        }
+    }
+}
+
+/// The tracer on the scheduler users run: with `TraceConfig::full()`
+/// (spans, instants and per-node gauge sampling; the ring sized so
+/// nothing drops), `lanes: N` really runs N lanes and the merged trace is
+/// the serial run's, byte for byte, in both export formats.
+#[test]
+fn traced_runs_are_lane_invariant() {
+    let nodes = 6usize;
+    for wl in [Wl::Retwis, Wl::YcsbE] {
+        let net = NetConfig::full()
+            .with_faults(FaultPlan::lossy(0.01, 0.01, 200))
+            .with_trace(TraceConfig::full().with_capacity(1 << 22));
+        let run = |lanes: usize| {
+            let (fp, r, cluster) = run_on(
+                HwParams::paper_testbed(),
+                nodes,
+                net.clone(),
+                XenicConfig::full(),
+                &quick_opts(31, lanes),
+                mk_workload(wl, nodes as u32),
+                None,
+            );
+            let tr = cluster.rt.tracer();
+            let exports = (tr.chrome_json(), tr.gauges_csv());
+            (fp, r.barriers, exports, tr.dropped(), tr.instant_total("Commit"))
+        };
+        let (serial, _, exports, dropped, commits) = run(1);
+        assert_eq!(dropped, 0, "ring must hold the whole run");
+        assert!(commits > 0, "traced point must commit work");
+        assert!(exports.1.lines().count() > 10 * nodes, "every node must be sampled");
+        for lanes in [2usize, 4] {
+            let (par, barriers, par_exports, par_dropped, par_commits) = run(lanes);
+            assert!(barriers > 0, "lanes {lanes}: a traced run must not fall back to serial");
+            assert_eq!(par, serial, "lanes {lanes}: traced fingerprint diverged");
+            assert!(par_exports.0 == exports.0, "lanes {lanes}: chrome_json diverged");
+            assert!(par_exports.1 == exports.1, "lanes {lanes}: gauges_csv diverged");
+            assert_eq!((par_dropped, par_commits), (dropped, commits), "lanes {lanes}");
         }
     }
 }
@@ -414,20 +398,19 @@ const PIN_SMALLBANK_64: (u64, u64, u64) = (2202, 17434623591772061208, 225339);
 
 /// The scale proof for ISSUE 10: a 256-node Smallbank cluster — 4× the
 /// previous ceiling, 42× the paper's testbed — runs deterministically at
-/// every lane count in {1, 2, 4, 8} under both assignment disciplines
-/// and matches a single pinned fingerprint.
+/// every lane count in {1, 2, 4, 8} and matches a single pinned
+/// fingerprint.
 #[test]
 fn smallbank_256_nodes_pinned() {
-    use xenic::harness::LaneAssign;
     let nodes = 256usize;
     let net = NetConfig::full();
-    let opts = |lanes, assignment| RunOptions {
+    let opts = |lanes| RunOptions {
         windows: 2,
         warmup: SimTime::from_us(40),
         measure: SimTime::from_us(80),
         seed: 29,
         lanes,
-        assignment,
+        ..Default::default()
     };
     let mk = |_: usize| -> Box<dyn Workload> {
         Box::new(Smallbank::new(SmallbankConfig {
@@ -435,28 +418,62 @@ fn smallbank_256_nodes_pinned() {
             ..SmallbankConfig::sim(nodes as u32)
         }))
     };
-    let run = |lanes: usize, assignment: LaneAssign| {
+    let run = |lanes: usize| {
         let params = HwParams {
             nodes,
             ..HwParams::paper_testbed()
         };
-        let (r, c) = run::<Xenic>(
-            params,
-            net.clone(),
-            XenicConfig::full(),
-            &opts(lanes, assignment),
-            mk,
-        );
+        let (r, c) = run::<Xenic>(params, net.clone(), XenicConfig::full(), &opts(lanes), mk);
         (r.committed, cluster_digest(&c), c.rt.queue.processed())
     };
-    let serial = run(1, LaneAssign::Contiguous);
+    let serial = run(1);
     assert!(serial.0 > 0, "256-node run must commit work");
     assert_eq!(serial, PIN_SMALLBANK_256, "256-node smallbank fingerprint diverged");
     for lanes in [2usize, 4, 8] {
-        assert_eq!(run(lanes, LaneAssign::Contiguous), serial, "lanes {lanes} contiguous");
-        assert_eq!(run(lanes, LaneAssign::ShardGroups), serial, "lanes {lanes} grouped");
+        assert_eq!(run(lanes), serial, "lanes {lanes}");
     }
 }
 
 /// Captured from the first verified run of `smallbank_256_nodes_pinned`.
 const PIN_SMALLBANK_256: (u64, u64, u64) = (5375, 10831341962396519346, 474820);
+
+/// `SimTime::MAX` is a horizon like any other ("run until the queue
+/// drains"): a short Smallbank run, every node told to stop issuing, then
+/// drained to the end of time on two lanes must return and leave what the
+/// serial drain leaves. (The lane bound used to be `horizon + 1`: a
+/// debug-build overflow panic, and in release a bound of 0 that woke no
+/// lane and spun the coordinator forever.)
+#[test]
+fn draining_to_simtime_max_returns_on_lanes() {
+    let nodes = 6usize;
+    let drained = |lanes: usize| {
+        let params = HwParams { nodes, ..HwParams::paper_testbed() };
+        let mut cluster = build::<Xenic>(
+            params,
+            NetConfig::full(),
+            XenicConfig::full(),
+            &quick_opts(37, 1),
+            mk_workload(Wl::Smallbank, nodes as u32),
+        );
+        cluster.run_until(SimTime::from_us(50));
+        for st in &mut cluster.states {
+            st.draining = true;
+        }
+        let cluster = if lanes > 1 {
+            let mut par = ParCluster::from_cluster_assigned(
+                cluster,
+                &LaneAssignment::contiguous(nodes, lanes),
+            );
+            par.run_until(SimTime::MAX);
+            par.into_cluster()
+        } else {
+            cluster.run_until(SimTime::MAX);
+            cluster
+        };
+        assert!(cluster.rt.queue.is_empty(), "lanes {lanes}: drain must empty the queue");
+        (cluster.rt.queue.processed(), cluster_digest(&cluster))
+    };
+    let serial = drained(1);
+    assert!(serial.0 > 0);
+    assert_eq!(drained(2), serial);
+}

@@ -4,7 +4,7 @@
 
 use xenic::api::{make_key, ShipMode, TxnSpec, UpdateOp, Workload};
 use xenic::engine::Xenic;
-use xenic::harness::{build, run, run_xenic, RunOptions};
+use xenic::harness::{build, cluster_digest, run, run_xenic, RunOptions};
 use xenic::XenicConfig;
 use xenic_hw::HwParams;
 use xenic_net::{Cluster, FaultPlan, NetConfig};
@@ -53,7 +53,6 @@ fn traced_opts(seed: u64) -> RunOptions {
         warmup: SimTime::from_ms(1),
         measure: SimTime::from_ms(3),
         seed,
-        lanes: 1,
         ..Default::default()
     }
 }
@@ -152,12 +151,13 @@ fn tracing_is_a_pure_observer() {
     // tracing fully on. The first two are the "zero-cost when disabled"
     // contract; the third holds because recording only mutates the
     // tracer (gauge sampling reads hardware state, never advances it).
-    let digest = |net: NetConfig| {
-        let r = run_xenic(
+    // On the serial scheduler and on four lanes alike.
+    let digest = |net: NetConfig, lanes: usize| {
+        let (r, cluster) = run::<Xenic>(
             HwParams::paper_testbed(),
             net,
             XenicConfig::full(),
-            &traced_opts(9),
+            &RunOptions { lanes, ..traced_opts(9) },
             |_| {
                 Box::new(Counters {
                     keys: 2000,
@@ -165,13 +165,16 @@ fn tracing_is_a_pure_observer() {
                 }) as Box<dyn Workload>
             },
         );
-        (r.committed, r.aborted, r.p50_ns, r.p99_ns, r.ops_per_frame)
+        let table = cluster_digest(&cluster);
+        (r.committed, r.aborted, r.p50_ns, r.p99_ns, r.ops_per_frame, table)
     };
-    let plain = digest(NetConfig::full());
-    let disabled = digest(NetConfig::full().with_trace(TraceConfig::disabled()));
-    let traced = digest(NetConfig::full().with_trace(TraceConfig::full()));
-    assert_eq!(plain, disabled, "disabled tracing must be invisible");
-    assert_eq!(plain, traced, "enabled tracing must not perturb the run");
+    let plain = digest(NetConfig::full(), 1);
+    for lanes in [1usize, 4] {
+        let disabled = digest(NetConfig::full().with_trace(TraceConfig::disabled()), lanes);
+        let traced = digest(NetConfig::full().with_trace(TraceConfig::full()), lanes);
+        assert_eq!(plain, disabled, "lanes {lanes}: disabled tracing must be invisible");
+        assert_eq!(plain, traced, "lanes {lanes}: enabled tracing must not perturb the run");
+    }
 }
 
 /// Builds a traced counter cluster with every window seeded.

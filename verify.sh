@@ -37,6 +37,17 @@ stage cargo test --release -q -p xenic-store --test nic_index_differential
 stage cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
     --quick --workload ycsbe_scan
 
+# The lanes workload's short pair is the one stage that drives tracer
+# and history recorder through the harness on two lanes and checks
+# fingerprint, digest, p50/p99 and "tracer dropped no event" against an
+# untraced run. The benchmark refuses that workload on one core.
+if [[ $(nproc) -ge 2 ]]; then
+    stage cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+        --quick --workload smallbank_64n_lanes2
+else
+    echo "==> skipped: benchmark --quick --workload smallbank_64n_lanes2 (needs 2 cores, have $(nproc))"
+fi
+
 # Includes all four checker self-tests: xenic-weakened (skipped version
 # re-checks), xenic-weak-predicates (skipped range re-walks),
 # xenic-weak-quorum (Raft-style backend commits before its majority),
@@ -54,11 +65,11 @@ stage cargo test --release -q --test chaos all_backends_
 # The multi-lane scheduler (DESIGN.md §16, §18) must reproduce the
 # serial scheduler bit for bit: workload × backend × fault-plan matrix
 # at lanes {1,2,4,8}, recorded runs (equal History at lanes {1,2,4}),
-# the baselines matrix (four RDMA systems x lanes {1,2,4}, recorder
-# attached: equal RunResult fingerprint and History, barriers > 0),
-# the group-aware matrix on 4 aligned replica groups (which must also
-# cut >= 5% of cross-lane events), plus pinned 64- and 256-node
-# fingerprints (256 nodes at every lane count, both assignments).
+# traced runs (byte-equal chrome_json and gauges_csv at lanes {1,2,4},
+# barriers > 0), the baselines matrix (four RDMA systems x lanes
+# {1,2,4}, recorder attached: equal RunResult fingerprint and History,
+# barriers > 0), a drain to SimTime::MAX on two lanes, plus pinned 64-
+# and 256-node fingerprints (256 nodes at every lane count).
 stage cargo test --release -q --test lanes
 
 # Availability/throughput/latency per backend at two fault rates; every
