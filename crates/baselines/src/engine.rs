@@ -47,6 +47,30 @@ pub enum BaselineKind {
 }
 
 impl BaselineKind {
+    /// All four, in the paper's legend order.
+    pub const ALL: [BaselineKind; 4] = [
+        BaselineKind::DrtmH,
+        BaselineKind::DrtmHNc,
+        BaselineKind::Fasst,
+        BaselineKind::DrtmR,
+    ];
+
+    /// Short lowercase token (replay tokens).
+    pub fn token(self) -> &'static str {
+        match self {
+            BaselineKind::DrtmH => "drtmh",
+            BaselineKind::DrtmHNc => "drtmh-nc",
+            BaselineKind::Fasst => "fasst",
+            BaselineKind::DrtmR => "drtmr",
+        }
+    }
+
+    /// True if the system speaks the scan protocol: only FaSST's
+    /// two-sided RPCs can walk a range; the one-sided systems refuse.
+    pub fn scans(self) -> bool {
+        self == BaselineKind::Fasst
+    }
+
     /// True if execution reads use the coordinator location cache.
     pub fn location_cache(&self) -> bool {
         matches!(self, BaselineKind::DrtmH | BaselineKind::DrtmR)
@@ -768,7 +792,7 @@ fn start_txn(st: &mut BaselineNode, rt: &mut Runtime<BMsg>, me: usize, slot: u32
          instead, as the paper does for TPC-C)"
     );
     debug_assert!(
-        spec.scans.is_empty() || matches!(st.kind, BaselineKind::Fasst),
+        spec.scans.is_empty() || st.kind.scans(),
         "range scans are implemented only for the FaSST baseline: a \
          two-sided RPC can walk the primary's ordered index, but the \
          one-sided mappings have no remote compute to serve a range"

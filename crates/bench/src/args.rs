@@ -26,15 +26,6 @@ pub fn value<T: FromStr>(name: &str) -> Option<T> {
     })
 }
 
-/// [`value`] for a flag the mode cannot run without: exits 2 when it is
-/// absent as well.
-pub fn required<T: FromStr>(name: &str) -> T {
-    value(name).unwrap_or_else(|| {
-        eprintln!("{name}: required");
-        std::process::exit(2)
-    })
-}
-
 /// The first word that is neither a `--flag` nor the value of one of
 /// `value_flags` (the value-taking flags the binary accepts) — e.g.
 /// `fig8_sweep`'s workload name.

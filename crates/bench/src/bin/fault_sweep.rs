@@ -24,7 +24,7 @@ use xenic::harness::{run, RunOptions};
 use xenic::{Xenic, XenicConfig};
 use xenic_hw::HwParams;
 use xenic_net::{FaultPlan, NetConfig, TraceConfig};
-use xenic_bench::{args, par_points, plan_or_exit};
+use xenic_bench::{args, par_points};
 use xenic_sim::SimTime;
 use xenic_workloads::{Smallbank, SmallbankConfig};
 
@@ -72,7 +72,7 @@ fn main() {
         // Span tracing is a pure observer, so the traced rows replay the
         // untraced universe exactly — the retransmit count comes from the
         // tracer's eviction-proof instant tally.
-        let plan = plan_or_exit(FaultPlan::lossy(rate, dup_rate, jitter_ns), params.nodes);
+        let plan = FaultPlan::lossy(rate, dup_rate, jitter_ns);
         let net = NetConfig::full()
             .with_faults(plan)
             .with_trace(TraceConfig::spans());

@@ -55,24 +55,7 @@ impl Wl {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Pl {
-    Nic,
-    Host,
-    CxlPool,
-}
-
-impl Pl {
-    fn placement(self) -> Placement {
-        match self {
-            Pl::Nic => Placement::nic_resident(),
-            Pl::Host => Placement::host_resident(),
-            Pl::CxlPool => Placement::cxl_pool(),
-        }
-    }
-}
-
-type Point = (SubstrateKind, Pl, Wl);
+type Point = (SubstrateKind, Placement, Wl);
 
 fn params_for(kind: SubstrateKind) -> HwParams {
     HwParams::with_substrate(kind)
@@ -95,12 +78,11 @@ fn main() {
     let mut points: Vec<Point> = Vec::new();
     for wl in [Wl::Smallbank, Wl::Retwis] {
         for kind in SubstrateKind::ALL {
-            let placements: &[Pl] = match kind {
-                SubstrateKind::CxlShared => &[Pl::Nic, Pl::Host, Pl::CxlPool],
-                _ => &[Pl::Nic, Pl::Host],
-            };
-            for &pl in placements {
-                points.push((kind, pl, wl));
+            // The pool placement only means something where there is a pool.
+            for pl in Placement::ALL {
+                if pl != Placement::cxl_pool() || kind == SubstrateKind::CxlShared {
+                    points.push((kind, pl, wl));
+                }
             }
         }
     }
@@ -125,7 +107,7 @@ fn main() {
                 Wl::Retwis => Box::new(Retwis::new(RetwisConfig::sim(6))),
             }
         };
-        let cfg = XenicConfig::with_placement(pl.placement());
+        let cfg = XenicConfig::with_placement(pl);
         let (r, _, recorder) = run_recorded::<Xenic>(params, NetConfig::full(), cfg, &opts, mk);
         let report = check_history(&recorder.snapshot(), &CheckOptions::strict());
         (r, report)
@@ -138,7 +120,7 @@ fn main() {
     let mut violations = 0usize;
     for (&(kind, pl, wl), (r, report)) in points.iter().zip(&rows) {
         let sub = kind.token();
-        let place = pl.placement().token();
+        let place = pl.token();
         let ok = report.is_serializable();
         if !ok {
             violations += 1;
@@ -181,7 +163,7 @@ fn main() {
     }
 
     // Trend contracts, per workload.
-    let find = |kind: SubstrateKind, pl: Pl, wl: Wl| -> &RunResult {
+    let find = |kind: SubstrateKind, pl: Placement, wl: Wl| -> &RunResult {
         points
             .iter()
             .zip(&rows)
@@ -191,9 +173,9 @@ fn main() {
     };
     let mut trend_failures = 0usize;
     for wl in [Wl::Smallbank, Wl::Retwis] {
-        let on_nic = find(SubstrateKind::OnPathLiquidIO, Pl::Nic, wl);
-        let on_host = find(SubstrateKind::OnPathLiquidIO, Pl::Host, wl);
-        let bf_host = find(SubstrateKind::OffPathBluefield, Pl::Host, wl);
+        let on_nic = find(SubstrateKind::OnPathLiquidIO, Placement::nic_resident(), wl);
+        let on_host = find(SubstrateKind::OnPathLiquidIO, Placement::host_resident(), wl);
+        let bf_host = find(SubstrateKind::OffPathBluefield, Placement::host_resident(), wl);
         if !(bf_host.p99_ns > on_host.p99_ns && on_host.p99_ns > on_nic.p99_ns) {
             eprintln!(
                 "TREND VIOLATION [{}]: off-path cliff missing \
@@ -206,8 +188,8 @@ fn main() {
             trend_failures += 1;
         }
         for &(kind, pl) in &[
-            (SubstrateKind::OnPathLiquidIO, Pl::Nic),
-            (SubstrateKind::OffPathBluefield, Pl::Nic),
+            (SubstrateKind::OnPathLiquidIO, Placement::nic_resident()),
+            (SubstrateKind::OffPathBluefield, Placement::nic_resident()),
         ] {
             let r = find(kind, pl, wl);
             if r.log_ship_writes == 0 || r.cxl_log_writes != 0 {
@@ -222,7 +204,7 @@ fn main() {
                 trend_failures += 1;
             }
         }
-        let cxl = find(SubstrateKind::CxlShared, Pl::CxlPool, wl);
+        let cxl = find(SubstrateKind::CxlShared, Placement::cxl_pool(), wl);
         if cxl.log_ship_writes != 0 || cxl.cxl_log_writes == 0 {
             eprintln!(
                 "TREND VIOLATION [{}]: cxl must ship no log over DMA \

@@ -16,20 +16,8 @@ use xenic::harness::{RunOptions, RunResult};
 use xenic::XenicConfig;
 use xenic_baselines::{run_baseline, BaselineKind};
 use xenic_hw::HwParams;
-use xenic_net::{FaultPlan, NetConfig};
+use xenic_net::NetConfig;
 use xenic_sim::SimTime;
-
-/// `plan` if every node it names exists in a cluster of `nodes` nodes;
-/// otherwise prints [`FaultPlan::check`]'s message and exits 2 — the
-/// command-line front ends' answer to a plan `Cluster::new` would refuse
-/// with a panic.
-pub fn plan_or_exit(plan: FaultPlan, nodes: usize) -> FaultPlan {
-    if let Err(e) = plan.check(nodes) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    plan
-}
 
 /// Runs `run` over every point on up to `jobs` worker threads and returns
 /// the results **in input order**.

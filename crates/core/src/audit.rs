@@ -1,19 +1,20 @@
 //! Reusable whole-cluster correctness audits.
 //!
 //! These checks back the strongest end-to-end tests in the repository:
-//! after quiescing a cluster (set [`crate::engine::XenicNode::draining`]
-//! and drain the event queue), a serializable history must leave the
-//! cluster in a state these functions accept. They are deliberately
+//! after quiescing a cluster ([`crate::harness::drain`]), a serializable
+//! history must leave the cluster in a state these functions accept. They are deliberately
 //! *exact* — any lost, doubled, or phantom write fails them.
 
 use crate::api::Partitioning;
 use crate::engine::XenicNode;
-use xenic_store::Key;
+use xenic_store::{Key, TxnId};
 
 /// Sums the leading `i64` counter of every key at every primary.
 ///
 /// For workloads whose committed effects are balanced `AddI64` deltas
-/// plus `n` unit increments, the sum must equal `n` exactly.
+/// plus `n` unit increments, the sum must equal `n` exactly. (Wrapping:
+/// under any other workload the leading bytes are not counters and the
+/// sum means nothing, but [`full_audit`] still has to survive it.)
 pub fn counter_sum(states: &[XenicNode]) -> i64 {
     let mut sum = 0i64;
     for st in states {
@@ -22,7 +23,7 @@ pub fn counter_sum(states: &[XenicNode]) -> i64 {
                 let mut bytes = [0u8; 8];
                 let n = v.bytes().len().min(8);
                 bytes[..n].copy_from_slice(&v.bytes()[..n]);
-                sum += i64::from_le_bytes(bytes);
+                sum = sum.wrapping_add(i64::from_le_bytes(bytes));
             }
         }
     }
@@ -63,14 +64,15 @@ pub fn replicas_converged(states: &[XenicNode], part: &Partitioning) -> Result<u
     Ok(checked)
 }
 
-/// Checks that no SmartNIC holds a lock (a drained cluster must be
-/// lock-free) and returns any offenders.
-pub fn no_locks_held(states: &[XenicNode]) -> Result<(), Vec<(usize, Key)>> {
+/// Checks that no SmartNIC holds a lock or a pending-insert sentinel (a
+/// drained cluster must be lock-free: a lock that outlives its
+/// transaction aborts every later writer of the key) and returns any
+/// offenders.
+pub fn no_locks_held(states: &[XenicNode]) -> Result<(), Vec<(usize, Key, TxnId)>> {
     let mut held = Vec::new();
     for (node, st) in states.iter().enumerate() {
-        for (k, _) in st.nic_index.held_locks() {
-            held.push((node, k));
-        }
+        held.extend(st.nic_index.held_locks().into_iter().map(|(k, t)| (node, k, t)));
+        held.extend(st.nic_index.pending_inserts().into_iter().map(|(k, t)| (node, k, t)));
     }
     if held.is_empty() {
         Ok(())
@@ -90,11 +92,33 @@ pub fn logs_drained(states: &[XenicNode]) -> Result<(), usize> {
     }
 }
 
-/// Runs every audit; the all-in-one used by examples and tests.
+/// Checks that replication left nothing behind: no lingering Hermes
+/// invalidation mark (every INV must have been resolved by its
+/// retransmitted VAL) and no backup append still buffered behind a
+/// version gap (every Raft laggard catch-up must have completed) — both
+/// trivially true for the backends that don't use the respective
+/// machinery.
+pub fn no_replication_residue(states: &[XenicNode]) -> Result<(), String> {
+    for (n, st) in states.iter().enumerate() {
+        let inv: usize = st.hermes_invalid.values().map(|ks| ks.len()).sum();
+        let gaps: usize = st.backup_gaps.values().map(|v| v.len()).sum();
+        if inv + gaps > 0 {
+            return Err(format!(
+                "node {n}: {inv} invalidation marks and {gaps} version-gapped backup appends \
+                 survived the drain"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Runs every audit: the one post-drain referee of the fuzzer, the chaos
+/// suites and the examples.
 pub fn full_audit(states: &[XenicNode], part: &Partitioning) -> Result<AuditReport, String> {
     let replicated = replicas_converged(states, part)?;
     no_locks_held(states).map_err(|held| format!("locks held after drain: {held:?}"))?;
     logs_drained(states).map_err(|n| format!("{n} unapplied log records"))?;
+    no_replication_residue(states)?;
     Ok(AuditReport {
         committed: total_committed(states),
         counter_sum: counter_sum(states),
@@ -164,10 +188,7 @@ mod tests {
             st.stats.start_measuring(SimTime::ZERO);
         }
         cluster.run_until(SimTime::from_ms(4));
-        for st in &mut cluster.states {
-            st.draining = true;
-        }
-        cluster.run_until(SimTime::from_ms(60));
+        crate::harness::drain(&mut cluster, SimTime::from_ms(60));
         let report = full_audit(&cluster.states, &part).expect("clean run must audit");
         assert!(report.committed > 1_000);
         assert_eq!(report.counter_sum as u64, report.committed);
@@ -201,10 +222,9 @@ mod tests {
             });
         let k = make_key(2, 7);
         let seg = cluster.states[2].host_table.segment_of_key(k);
-        cluster.states[2]
-            .nic_index
-            .try_lock(seg, k, xenic_store::TxnId::new(0, 1));
+        let txn = TxnId::new(0, 1);
+        cluster.states[2].nic_index.try_lock(seg, k, txn);
         let held = no_locks_held(&cluster.states).unwrap_err();
-        assert_eq!(held, vec![(2, k)]);
+        assert_eq!(held, vec![(2, k, txn)]);
     }
 }

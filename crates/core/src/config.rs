@@ -65,9 +65,16 @@ pub struct Placement {
 }
 
 impl Placement {
+    /// The three presets, in sweep order.
+    pub const ALL: [Placement; 3] = [
+        Placement::nic_resident(),
+        Placement::host_resident(),
+        Placement::cxl_pool(),
+    ];
+
     /// The paper's placement: everything NIC-resident. Zero overlay on
     /// every substrate — the default, so all historical pins hold.
-    pub fn nic_resident() -> Self {
+    pub const fn nic_resident() -> Self {
         Placement {
             lock_words: Loc::Nic,
             versions: Loc::Nic,
@@ -79,7 +86,7 @@ impl Placement {
     /// Host-heavy placement: metadata in host DRAM, commit logic on
     /// host cores — what a conventional RDMA design looks like when the
     /// NIC must reach back for every word.
-    pub fn host_resident() -> Self {
+    pub const fn host_resident() -> Self {
         Placement {
             lock_words: Loc::Host,
             versions: Loc::Host,
@@ -90,7 +97,7 @@ impl Placement {
 
     /// CXL-pool placement: metadata in the shared pool, commit logic on
     /// host cores next to it. Only meaningful on the CXL substrate.
-    pub fn cxl_pool() -> Self {
+    pub const fn cxl_pool() -> Self {
         Placement {
             lock_words: Loc::CxlPool,
             versions: Loc::CxlPool,
@@ -203,6 +210,59 @@ impl ReplBackend {
     }
 }
 
+/// TEST ONLY: one deliberately seeded protocol bug. Each exists to prove
+/// a referee can fail — a run with it set must be rejected, shrunk and
+/// replayed by `serial_fuzz`'s negative self-tests (DESIGN.md §12). Never
+/// set by any preset.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Weakening {
+    /// Skip the Validate phase's lock/version re-check entirely, so
+    /// multi-shard OCC transactions commit on whatever they read during
+    /// Execute. Must be rejected with a G2 cycle (see
+    /// `tests/serializability.rs`).
+    Validation,
+    /// Skip the Validate phase's predicate re-walk and in-range lock
+    /// check for scans, so range transactions commit on whatever the
+    /// Execute walk observed even when a concurrent insert landed inside
+    /// the range. A scan-heavy run must be rejected with a G2 (phantom)
+    /// cycle.
+    PredicateLocks,
+    /// On the CXL substrate, skip the cross-node coherence charge *and*
+    /// the lock-word fence that Validate performs against the shared
+    /// pool — version/lock words are trusted as read during Execute.
+    /// Must be rejected with a G2 cycle on a CXL profile; a no-op on
+    /// every other substrate.
+    CxlCoherence,
+    /// The Raft-style backend acks the Log phase before a majority of
+    /// backups have logged, and drops the post-commit retransmission
+    /// bookkeeping that keeps lossy commits convergent. Under a lossy
+    /// plan the wire eats an unretried commit record, the acknowledged
+    /// write never reaches its primary, and the post-drain durability
+    /// audit pins the evaporated commit to an exact key/version. A
+    /// no-op under the other backends.
+    Quorum,
+}
+
+impl Weakening {
+    /// All weakenings, in self-test order.
+    pub const ALL: [Weakening; 4] = [
+        Weakening::Validation,
+        Weakening::PredicateLocks,
+        Weakening::CxlCoherence,
+        Weakening::Quorum,
+    ];
+
+    /// Short lowercase token (replay tokens).
+    pub fn token(self) -> &'static str {
+        match self {
+            Weakening::Validation => "validation",
+            Weakening::PredicateLocks => "predicates",
+            Weakening::CxlCoherence => "cxl",
+            Weakening::Quorum => "quorum",
+        }
+    }
+}
+
 /// Configuration for the Xenic protocol engine.
 #[derive(Clone, Copy, Debug)]
 pub struct XenicConfig {
@@ -251,20 +311,6 @@ pub struct XenicConfig {
     /// aborts the transaction. Log-phase and commit-phase messages are
     /// never abandoned — backups may already have applied the record.
     pub max_phase_retries: u32,
-    /// TEST ONLY: skip the Validate phase's lock/version re-check
-    /// entirely, so multi-shard OCC transactions commit on whatever they
-    /// read during Execute. Exists to prove the serializability checker
-    /// can fail: a run with this knob set must be rejected with a G2
-    /// cycle (see `tests/serializability.rs`). Never set by any preset.
-    pub weaken_validation: bool,
-    /// TEST ONLY: skip the Validate phase's predicate re-walk and
-    /// in-range lock check for scans, so range transactions commit on
-    /// whatever the Execute walk observed even when a concurrent insert
-    /// landed inside the range. Exists to prove the checker's phantom
-    /// detection can fail: a scan-heavy run with this knob set must be
-    /// rejected with a G2 (phantom) cycle — see `serial_fuzz`'s
-    /// negative self-test. Never set by any preset.
-    pub weaken_predicate_locks: bool,
     /// Which replication backend owns the Log phase (DESIGN.md §15).
     pub replication_backend: ReplBackend,
     /// Placement policy (DESIGN.md §17): where lock words, version
@@ -272,24 +318,8 @@ pub struct XenicConfig {
     /// Validate/Commit logic. A pure latency overlay — never changes
     /// outcomes. Default: the paper's all-NIC placement (zero overlay).
     pub placement: Placement,
-    /// TEST ONLY: on the CXL substrate, skip the cross-node coherence
-    /// charge *and* the lock-word fence that Validate performs against
-    /// the shared pool — version/lock words are trusted as read during
-    /// Execute. Exists to prove the checker catches the resulting G2
-    /// cycles on a CXL profile (see `serial_fuzz`'s negative
-    /// self-test). A no-op on non-CXL substrates. Never set by any
-    /// preset.
-    pub weaken_cxl_coherence: bool,
-    /// TEST ONLY: the Raft-style backend acks the Log phase before a
-    /// majority of backups have logged, and drops the post-commit
-    /// retransmission bookkeeping that keeps lossy commits convergent.
-    /// Exists to prove the checker catches quorum violations: under a
-    /// lossy plan the wire eats an unretried commit record, the
-    /// acknowledged write never reaches its primary, and the fuzzer's
-    /// post-drain durability audit pins the evaporated commit to an
-    /// exact key/version — see `serial_fuzz`'s negative self-test.
-    /// Never set by any preset.
-    pub weaken_quorum: bool,
+    /// TEST ONLY: the one seeded bug this run carries, if any.
+    pub weaken: Option<Weakening>,
 }
 
 impl XenicConfig {
@@ -307,12 +337,9 @@ impl XenicConfig {
             phase_timeout_ns: 30_000,
             commit_ack_timeout_ns: 30_000,
             max_phase_retries: 4,
-            weaken_validation: false,
-            weaken_predicate_locks: false,
             replication_backend: ReplBackend::LogShipping,
             placement: Placement::nic_resident(),
-            weaken_cxl_coherence: false,
-            weaken_quorum: false,
+            weaken: None,
         }
     }
 
@@ -341,10 +368,16 @@ impl XenicConfig {
     /// coordinator — so it is disabled for the other backends; the
     /// local fast path stays on for all of them.
     pub fn with_backend(backend: ReplBackend) -> Self {
+        Self::full().on_backend(backend)
+    }
+
+    /// This configuration running `backend`'s Log phase (multi-hop off
+    /// unless it is log shipping — see [`Self::with_backend`]).
+    pub fn on_backend(self, backend: ReplBackend) -> Self {
         XenicConfig {
             replication_backend: backend,
-            occ_multihop: backend == ReplBackend::LogShipping,
-            ..Self::full()
+            occ_multihop: self.occ_multihop && backend == ReplBackend::LogShipping,
+            ..self
         }
     }
 }
@@ -378,7 +411,6 @@ mod tests {
             let cfg = XenicConfig::with_backend(b);
             assert!(!cfg.occ_multihop, "{b:?} must not run multi-hop commit");
             assert!(cfg.nic_execution && cfg.smart_remote_ops);
-            assert!(!cfg.weaken_quorum);
         }
         assert_eq!(XenicConfig::full().replication_backend, ReplBackend::LogShipping);
     }
@@ -433,12 +465,13 @@ mod tests {
     }
 
     #[test]
-    fn no_preset_weakens_coherence() {
-        assert!(!XenicConfig::full().weaken_cxl_coherence);
-        assert!(!XenicConfig::fig9_baseline().weaken_cxl_coherence);
+    fn no_preset_weakens() {
+        assert_eq!(XenicConfig::full().weaken, None);
+        assert_eq!(XenicConfig::fig9_baseline().weaken, None);
         for b in ReplBackend::ALL {
-            assert!(!XenicConfig::with_backend(b).weaken_cxl_coherence);
+            assert_eq!(XenicConfig::with_backend(b).weaken, None);
         }
+        assert_eq!(XenicConfig::with_placement(Placement::host_resident()).weaken, None);
         assert_eq!(
             XenicConfig::with_placement(Placement::host_resident()).placement,
             Placement::host_resident()

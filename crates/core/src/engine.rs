@@ -49,7 +49,7 @@ use xenic_store::robinhood::{RobinhoodConfig, RobinhoodTable};
 use xenic_store::{CommitLog, Key, TxnId, Value, Version, WritePayload};
 
 use crate::api::{scan_fingerprint, shard_of, Partitioning, TxnSpec, UpdateOp, Workload, SCAN_FP_INIT};
-use crate::config::{ReplBackend, XenicConfig};
+use crate::config::{ReplBackend, Weakening, XenicConfig};
 use crate::msg::{
     AbortReq, CheckSet, CommitReq, DmaLogDone, DmaLookupDone, ExecMode, ExecShip, ExecShipResp,
     Execute, ExecuteResp, KeySet, LocalCommit, LogReq, RetryBackupLog, RetryCommitApply, ScanCheck,
@@ -558,21 +558,6 @@ impl XenicNode {
             .or_else(|| self.host_table.get(key).map(|(_, v)| v))
     }
 
-    /// Number of keys at this replica still marked invalid by in-flight
-    /// Hermes invalidations. Diagnostic for the chaos drain audits:
-    /// always 0 under the other backends, and 0 on any drained, healed
-    /// Hermes cluster (every INV is eventually resolved by its VAL).
-    pub fn hermes_pending_invalidations(&self) -> usize {
-        self.hermes_invalid.values().map(|ks| ks.len()).sum()
-    }
-
-    /// Number of backup appends still buffered behind a version gap
-    /// (see `backup_apply`). Diagnostic for the chaos drain audits:
-    /// zero on any drained, healed cluster under every backend.
-    pub fn backup_gap_entries(&self) -> usize {
-        self.backup_gaps.values().map(|v| v.len()).sum()
-    }
-
     /// Hermes backend: whether `key` is under an in-flight invalidation
     /// at this replica (an invalidated key must not serve reads until
     /// its validation arrives). The map is empty under every other
@@ -776,9 +761,17 @@ impl Protocol for Xenic {
             }
             XMsg::AbortReq(b) => {
                 let b = b.take();
+                // `send_abort` addresses one shard per (non-empty)
+                // AbortReq and, under faults, retransmits until this ack.
+                let shard = b.unlock.first().map(|k| shard_of(*k));
                 for k in b.unlock {
                     let seg = st.segment(k);
                     st.nic_index.unlock(seg, k, b.txn);
+                }
+                if let Some(shard) = shard.filter(|_| rt.faults_active()) {
+                    let ack = XMsg::CommitAck { txn: b.txn, shard, from: me as u32 };
+                    let bytes = ack.wire_bytes();
+                    rt.send_net(b.txn.node as usize, Exec::Nic, ack, bytes);
                 }
             }
             XMsg::ExecShip(b) => {
@@ -1540,6 +1533,7 @@ fn cnic_execute_resp(
     if rt.faults_active() && !ct.take_await(req) {
         return;
     }
+    let mut release = KeySet::new();
     if !ok {
         ct.ok = false;
     } else if ct.ok {
@@ -1553,7 +1547,7 @@ fn cnic_execute_resp(
         }
     } else {
         // The txn is already aborting: release whatever this shard locked.
-        let unlock: KeySet = if ct.phase == Phase::MhLocal {
+        release = if ct.phase == Phase::MhLocal {
             ct.local_locked.clone()
         } else {
             ct.spec
@@ -1561,17 +1555,14 @@ fn cnic_execute_resp(
                 .filter(|k| shard_of(*k) == shard)
                 .collect()
         };
-        if !unlock.is_empty() {
-            let msg = XMsg::from(AbortReq { txn, unlock });
-            let bytes = msg.wire_bytes();
-            rt.send_net(st.part.primary(shard), Exec::Nic, msg, bytes);
-        }
     }
     ct.pending -= 1;
-    if ct.pending > 0 {
+    let (pending, txn_ok) = (ct.pending, ct.ok);
+    send_abort(st, rt, txn, shard, release);
+    if pending > 0 {
         return;
     }
-    if !ct.ok {
+    if !txn_ok {
         abort_txn(st, rt, me, seq, txn);
         return;
     }
@@ -1946,12 +1937,7 @@ fn cnic_log_resp(
         // Post-commit ack under Raft: a laggard catch-up append became
         // durable — stop retransmitting that backup's entry.
         if rt.faults_active() && backend_kind == ReplBackend::Raft {
-            if let Some(unacked) = st.committing.get_mut(&seq) {
-                unacked.retain(|(s, d, _)| !(*s == shard && *d == from as usize));
-                if unacked.is_empty() {
-                    st.committing.remove(&seq);
-                }
-            }
+            cnic_commit_ack(st, txn, shard, from);
         }
         return;
     };
@@ -1999,9 +1985,7 @@ fn cnic_log_resp(
                             .all_keys()
                             .filter(|k| shard_of(*k) == remote)
                             .collect();
-                        let msg = XMsg::from(AbortReq { txn, unlock });
-                        let bytes = msg.wire_bytes();
-                        rt.send_net(st.part.primary(remote), Exec::Nic, msg, bytes);
+                        send_abort(st, rt, txn, remote, unlock);
                     }
                     st.recycle_coord(ct);
                     let msg = XMsg::Outcome {
@@ -2097,8 +2081,8 @@ pub(crate) fn finish_commit(
     let fa = rt.faults_active();
     // TEST ONLY: a weakened quorum also drops the retransmission
     // bookkeeping that keeps lossy commits convergent (see
-    // `XenicConfig::weaken_quorum`).
-    let weakened = st.cfg.weaken_quorum && backend_kind == ReplBackend::Raft;
+    // `Weakening::Quorum`).
+    let weakened = st.cfg.weaken == Some(Weakening::Quorum) && backend_kind == ReplBackend::Raft;
     let track = fa && !weakened;
     // Raft's post-commit catch-up needs the final ack set; the other
     // backends committed on every ack, so theirs is never consulted
@@ -2139,16 +2123,11 @@ pub(crate) fn finish_commit(
         let bytes = msg.wire_bytes();
         rt.send_net(dst, Exec::Nic, msg, bytes);
     }
-    if track && !unacked.is_empty() {
+    if track {
         // The outcome is already reported: CommitReqs (and the backend's
         // post-commit traffic) must eventually land or the commit
-        // evaporates. Retransmit until each target acks.
-        st.committing.insert(seq, unacked);
-        rt.send_local(
-            Exec::Nic,
-            XMsg::CommitTick { seq, attempt: 0 },
-            st.cfg.commit_ack_timeout_ns,
-        );
+        // evaporates.
+        retransmit_until_acked(st, rt, seq, unacked);
     }
 }
 
@@ -2198,12 +2177,7 @@ fn finish_commit_multihop(
             writes: Vec::new(),
         });
         if rt.faults_active() {
-            st.committing.insert(seq, vec![(remote, dst, msg.clone())]);
-            rt.send_local(
-                Exec::Nic,
-                XMsg::CommitTick { seq, attempt: 0 },
-                st.cfg.commit_ack_timeout_ns,
-            );
+            retransmit_until_acked(st, rt, seq, vec![(remote, dst, msg.clone())]);
         }
         let bytes = msg.wire_bytes();
         rt.send_net(dst, Exec::Nic, msg, bytes);
@@ -2291,12 +2265,7 @@ pub(crate) fn abort_txn(st: &mut XenicNode, rt: &mut Runtime<XMsg>, _me: usize, 
                 .filter(|k| shard_of(*k) == *shard)
                 .collect()
         };
-        if unlock.is_empty() {
-            continue;
-        }
-        let msg = XMsg::from(AbortReq { txn, unlock });
-        let bytes = msg.wire_bytes();
-        rt.send_net(st.part.primary(*shard), Exec::Nic, msg, bytes);
+        send_abort(st, rt, txn, *shard, unlock);
     }
     st.recycle_coord(ct);
     let msg = XMsg::Outcome {
@@ -2305,6 +2274,44 @@ pub(crate) fn abort_txn(st: &mut XenicNode, rt: &mut Runtime<XMsg>, _me: usize, 
     };
     let bytes = msg.wire_bytes();
     rt.send_pcie(Exec::Host, msg, bytes);
+}
+
+/// Tells `shard`'s primary to release `unlock`, if there is anything to
+/// release. On a lossy fabric a lost AbortReq would leave those keys
+/// locked by a dead transaction forever (every later writer aborts on
+/// them), so it is retransmitted like a CommitReq until the primary's
+/// `CommitAck`; the unlock is owner-checked, hence idempotent.
+fn send_abort(st: &mut XenicNode, rt: &mut Runtime<XMsg>, txn: TxnId, shard: u32, unlock: KeySet) {
+    if unlock.is_empty() {
+        return;
+    }
+    let dst = st.part.primary(shard);
+    let msg = XMsg::from(AbortReq { txn, unlock });
+    if rt.faults_active() {
+        retransmit_until_acked(st, rt, txn.seq, vec![(shard, dst, msg.clone())]);
+    }
+    let bytes = msg.wire_bytes();
+    rt.send_net(dst, Exec::Nic, msg, bytes);
+}
+
+/// Registers post-outcome messages of transaction `seq` — `(shard, dst,
+/// msg)` — for retransmission by `CommitTick` until `dst` acknowledges
+/// each with a `CommitAck` for `shard`.
+fn retransmit_until_acked(
+    st: &mut XenicNode,
+    rt: &mut Runtime<XMsg>,
+    seq: u64,
+    unacked: Vec<(u32, usize, XMsg)>,
+) {
+    if unacked.is_empty() {
+        return;
+    }
+    let pending = st.committing.entry(seq).or_default();
+    if pending.is_empty() {
+        let tick = XMsg::CommitTick { seq, attempt: 0 };
+        rt.send_local(Exec::Nic, tick, st.cfg.commit_ack_timeout_ns);
+    }
+    pending.extend(unacked);
 }
 
 // =====================================================================
@@ -2561,13 +2568,8 @@ fn finish_commit_local(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, se
         let shard = st.shard;
         let mut unacked: Vec<(u32, usize, XMsg)> = Vec::new();
         crate::repl::HermesInval::broadcast_validation(st, rt, txn, shard, track, &mut unacked);
-        if track && !unacked.is_empty() {
-            st.committing.insert(seq, unacked);
-            rt.send_local(
-                Exec::Nic,
-                XMsg::CommitTick { seq, attempt: 0 },
-                st.cfg.commit_ack_timeout_ns,
-            );
+        if track {
+            retransmit_until_acked(st, rt, seq, unacked);
         }
     }
     apply_commit_records(st, rt, me, txn, writes, unlock);
@@ -3180,36 +3182,21 @@ fn snic_validate(
 ) {
     let mut ok = true;
     let mut dma_fetch: Vec<Key> = Vec::new();
-    // TEST ONLY: `weaken_validation` skips the whole re-check loop, so
-    // every Validate answers ok — the seeded isolation bug the
-    // serializability checker must catch (tests/serializability.rs).
-    let checks = if st.cfg.weaken_validation {
-        CheckSet::new()
-    } else {
-        checks
-    };
-    // TEST ONLY: `weaken_predicate_locks` drops the predicate re-walk —
-    // the seeded phantom bug `serial_fuzz`'s negative self-test must
-    // catch. Dropping it server-side keeps the message flow (and thus
-    // the schedule) identical to a correct run.
-    let scan_checks = if st.cfg.weaken_predicate_locks {
-        ScanCheckSet::new()
-    } else {
-        scan_checks
-    };
     // CXL substrate (DESIGN.md §17): the lock and version words verified
     // below live in the shared pool, so Validate pays one cross-node
-    // coherence fence per word before reading it. The TEST ONLY
-    // `weaken_cxl_coherence` knob skips both the charge *and* the
-    // lock-word fence — words are trusted as read during Execute —
-    // seeding exactly the G2 cycles `serial_fuzz`'s negative self-test
-    // must catch. On non-CXL substrates `coherence_ns()` is zero and
-    // the knob is a no-op.
+    // coherence fence per word before reading it. On non-CXL substrates
+    // `coherence_ns()` is zero.
     let coherence_ns = rt.params.coherence_ns();
-    let checks = if coherence_ns > 0 && st.cfg.weaken_cxl_coherence {
-        CheckSet::new()
-    } else {
-        checks
+    // TEST ONLY (`Weakening`): the seeded bugs empty the check sets
+    // server-side, which keeps the message flow (and thus the schedule)
+    // identical to a correct run. `Validation` skips the whole re-check
+    // loop, `PredicateLocks` the predicate re-walk, `CxlCoherence` the
+    // pool re-check and its fence charge — on CXL only.
+    let (checks, scan_checks) = match st.cfg.weaken {
+        Some(Weakening::Validation) => (CheckSet::new(), scan_checks),
+        Some(Weakening::CxlCoherence) if coherence_ns > 0 => (CheckSet::new(), scan_checks),
+        Some(Weakening::PredicateLocks) => (checks, ScanCheckSet::new()),
+        _ => (checks, scan_checks),
     };
     if coherence_ns > 0 && !checks.is_empty() {
         rt.charge(coherence_ns * checks.len() as u64);

@@ -273,6 +273,17 @@ pub fn run_recorded<E: Engine>(
     (result, cluster, recorder)
 }
 
+/// Quiesces a Xenic cluster: every node stops issuing new transactions,
+/// then the event loop runs to `until` so in-flight work — and, under a
+/// fault plan, every retransmission path — finishes. The precondition of
+/// [`crate::audit::full_audit`].
+pub fn drain(cluster: &mut Cluster<Xenic>, until: SimTime) {
+    for st in &mut cluster.states {
+        st.draining = true;
+    }
+    cluster.run_until(until);
+}
+
 /// Builds and runs a Xenic cluster under the given workload.
 pub fn run_xenic(
     params: HwParams,

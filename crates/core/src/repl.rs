@@ -52,7 +52,7 @@ use xenic_net::{Exec, Runtime};
 use xenic_store::TxnId;
 
 use crate::api::Partitioning;
-use crate::config::ReplBackend;
+use crate::config::{ReplBackend, Weakening};
 use crate::engine::{
     abort_txn, arm_phase_timer, finish_commit, snic_log, CoordTxn, Phase, XenicNode,
 };
@@ -434,7 +434,7 @@ impl Replication for RaftCommit {
         by_shard: Vec<(u32, WriteSet)>,
     ) {
         let fa = rt.faults_active();
-        let weakened = st.cfg.weaken_quorum;
+        let weakened = st.cfg.weaken == Some(Weakening::Quorum);
         let mut pending = 0usize;
         let mut msgs: Vec<(usize, u32, XMsg)> = Vec::with_capacity(by_shard.len());
         for (shard, writes) in by_shard {
@@ -454,7 +454,7 @@ impl Replication for RaftCommit {
             msgs.push((leader_of(&st.part, shard, 0), shard, msg));
         }
         let ct = st.coord.get_mut(&seq).expect("coord exists");
-        // TEST ONLY (`weaken_quorum`): treat the quorum as already
+        // TEST ONLY (`Weakening::Quorum`): treat the quorum as already
         // satisfied — commit before any follower acked, and skip the
         // retransmission registration that would keep the appends and
         // CommitReqs alive under loss. The serial_fuzz negative

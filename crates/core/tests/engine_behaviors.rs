@@ -58,10 +58,7 @@ fn cluster_of(
 }
 
 fn drain(cluster: &mut Cluster<Xenic>) {
-    for st in &mut cluster.states {
-        st.draining = true;
-    }
-    cluster.run_until(SimTime::from_ms(100));
+    xenic::harness::drain(cluster, SimTime::from_ms(100));
 }
 
 fn committed(cluster: &Cluster<Xenic>) -> u64 {
@@ -204,10 +201,7 @@ fn inserts_become_visible_at_the_primary() {
         st.stats.start_measuring(SimTime::ZERO);
     }
     cluster.run_until(SimTime::from_ms(3));
-    for st in &mut cluster.states {
-        st.draining = true;
-    }
-    cluster.run_until(SimTime::from_ms(60));
+    xenic::harness::drain(&mut cluster, SimTime::from_ms(60));
     let inserted = committed(&cluster);
     assert!(inserted > 100, "inserted {inserted}");
     // Count fresh keys (local > 16_000) at shard 0's primary.

@@ -592,6 +592,14 @@ impl NicIndex {
         self.ordered.pending.get(&key).copied()
     }
 
+    /// All in-flight insert sentinels with their owners, sorted by key
+    /// (diagnostics: a drained index has none).
+    pub fn pending_inserts(&self) -> Vec<(Key, TxnId)> {
+        let mut out: Vec<(Key, TxnId)> = self.ordered.pending.iter().map(|(k, t)| (*k, *t)).collect();
+        out.sort_unstable_by_key(|&(k, _)| k);
+        out
+    }
+
     /// Committed + in-flight keys in the ordered index (diagnostics).
     pub fn ordered_len(&self) -> usize {
         self.ordered.tree.len()

@@ -62,10 +62,7 @@ fn run_and_settle(
     assert!(result.committed + result.aborted > 0 || mix == TpccMix::PaymentOnly);
     // Quiesce: stop issuing new transactions and let in-flight ones
     // finish, so the host tables reflect a transaction-consistent state.
-    for st in &mut cluster.states {
-        st.draining = true;
-    }
-    cluster.run_until(SimTime::from_ms(50));
+    xenic::harness::drain(&mut cluster, SimTime::from_ms(50));
 
     let probe = Tpcc::new(cfg(mix));
     let mut finals = Vec::new();

@@ -12,7 +12,7 @@
 //! ```
 
 use xenic::engine::{Xenic, XenicNode};
-use xenic::harness::{build, RunOptions};
+use xenic::harness::{build, drain, RunOptions};
 use xenic::XenicConfig;
 use xenic_hw::HwParams;
 use xenic_net::NetConfig;
@@ -52,10 +52,7 @@ fn main() {
 
     // Quiesce: stop issuing new transactions, then drain the event queue
     // so every in-flight commit replicates and applies.
-    for st in &mut cluster.states {
-        st.draining = true;
-    }
-    cluster.run_until(SimTime::from_ms(60));
+    drain(&mut cluster, SimTime::from_ms(60));
 
     let committed: u64 = cluster
         .states

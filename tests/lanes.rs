@@ -4,73 +4,102 @@
 //! Every event carries an intrinsic `(owner node, per-node counter)`
 //! stamp and every RNG draw comes from a per-node stream, so the whole
 //! simulation is a pure function of `(seed, config)` regardless of how
-//! nodes are spread across worker threads. These tests assert that for
-//! every workload × replication backend × fault plan in the matrix,
-//! lanes ∈ {1, 2, 4} produce identical commit stats, identical event
-//! counts, and identical whole-cluster table digests — the same style of
-//! pin `queue_differential.rs` uses for the event queue itself — and that
-//! a recorded run's `History` and a traced run's exports are
-//! lane-invariant too.
+//! nodes are spread across worker threads. These tests take the
+//! multi-lane cells of the fuzzer's pairwise sample
+//! (`FuzzPoint::sample`: every engine, backend, substrate, workload and
+//! plan shape meets lanes 2 and lanes 4 there) and assert that each one
+//! reproduces its serial sibling — commit stats, latencies, event counts,
+//! whole-cluster table digests and the recorded `History` — and that a
+//! traced run's exports are lane-invariant too. `serial_fuzz` makes the
+//! same comparison in release, beside the exhaustive serial product.
 
-use xenic::harness::{
-    build, cluster_digest, run, run_recorded, run_xenic_cluster_with, RunOptions, RunResult,
-};
-use xenic::{ReplBackend, Workload, Xenic, XenicConfig};
-use xenic_baselines::{Baseline, BaselineKind};
-use xenic_check::HistoryRecorder;
-use xenic_hw::HwParams;
-use xenic_net::{Cluster, FaultPlan, LaneAssignment, NetConfig, ParCluster};
+use xenic::harness::{build, cluster_digest, run, RunOptions};
+use xenic::{Workload, Xenic, XenicConfig};
+use xenic_bench::fuzz::{run_point, FuzzEngine, FuzzPoint, PLANS};
+use xenic_hw::{HwParams, SubstrateKind};
+use xenic_net::{FaultPlan, LaneAssignment, NetConfig, ParCluster};
 use xenic_sim::{SimTime, TraceConfig};
-use xenic_workloads::{
-    Retwis, RetwisConfig, Smallbank, SmallbankConfig, YcsbE, YcsbEConfig,
-};
+use xenic_workloads::{Retwis, RetwisConfig, Smallbank, SmallbankConfig, YcsbE, YcsbEConfig};
 
-/// One run's complete fingerprint.
-#[derive(Debug, PartialEq, Eq, Clone, Copy)]
-struct Fingerprint {
-    committed: u64,
-    aborted: u64,
-    digest: u64,
-    processed: u64,
-}
-
-fn fingerprint(
-    nodes: usize,
-    net: NetConfig,
-    cfg: XenicConfig,
-    opts: &RunOptions,
-    mk: impl Fn(usize) -> Box<dyn Workload>,
-) -> Fingerprint {
-    run_on(HwParams::paper_testbed(), nodes, net, cfg, opts, mk, None).0
-}
-
-/// One run — with `recorder`, if given, attached to every node — as its
-/// fingerprint, the harness result (lane counters included) and the
-/// finished cluster (for its tracer).
-fn run_on(
-    base: HwParams,
-    nodes: usize,
-    net: NetConfig,
-    cfg: XenicConfig,
-    opts: &RunOptions,
-    mk: impl Fn(usize) -> Box<dyn Workload>,
-    recorder: Option<HistoryRecorder>,
-) -> (Fingerprint, RunResult, Cluster<Xenic>) {
-    let params = HwParams { nodes, ..base };
-    let (r, cluster) = run_xenic_cluster_with(params, net, cfg, opts, mk, move |c| {
-        if let Some(rec) = &recorder {
-            for st in &mut c.states {
-                st.set_recorder(rec.clone());
-            }
+/// Runs every multi-lane sampled cell `keep` accepts beside its serial
+/// sibling: both must pass the fuzzer's referee and agree on everything
+/// but the lane counters.
+fn assert_lane_invariant(keep: impl Fn(&FuzzPoint) -> bool) {
+    let cells: Vec<FuzzPoint> =
+        FuzzPoint::sample().into_iter().filter(|p| p.lanes > 1 && keep(p)).collect();
+    assert!(!cells.is_empty(), "the filter matches no sampled cell");
+    for p in cells {
+        let (par, serial) = (run_point(&p), run_point(&FuzzPoint { lanes: 1, ..p }));
+        assert!(serial.passed(), "{p} at lanes 1: {}", serial.describe());
+        assert_eq!(serial.result.barriers, 0, "{p}: one lane is the serial scheduler");
+        assert!(par.result.barriers > 0, "{p}: fell back to the serial scheduler");
+        assert_eq!(par.fingerprint(), serial.fingerprint(), "{p}: fingerprint diverged");
+        let timing = |r: &xenic::RunResult| {
+            (r.p50_ns, r.p99_ns, r.mean_ns.to_bits(), r.host_busy_cores.to_bits(), r.cx5_utilization.to_bits())
+        };
+        assert_eq!(timing(&par.result), timing(&serial.result), "{p}: latencies diverged");
+        assert!(par.history == serial.history, "{p}: recorded history diverged");
+        if p.wl.has_scans() {
+            assert!(
+                par.history.committed().any(|(_, rec)| !rec.predicates.is_empty()),
+                "{p}: a scan workload must put predicates on record"
+            );
         }
+    }
+}
+
+fn is_xenic(p: &FuzzPoint) -> bool {
+    matches!(p.engine, FuzzEngine::Xenic { .. })
+}
+
+/// Fault-free lane invariance (no plan active: engines take the
+/// pre-fault code paths, which must be just as lane-stable).
+#[test]
+fn lane_count_invariance_fault_free() {
+    assert_lane_invariant(|p| is_xenic(p) && p.plan == PLANS[0]);
+}
+
+/// The paper's substrate under jitter and loss: retransmissions and
+/// duplicate suppression cross lanes too.
+#[test]
+fn lane_count_invariance_matrix() {
+    assert_lane_invariant(|p| {
+        is_xenic(p) && [PLANS[1], PLANS[2]].contains(&p.plan) && p.substrate == SubstrateKind::OnPathLiquidIO
     });
-    let fp = Fingerprint {
-        committed: r.committed,
-        aborted: r.aborted,
-        digest: cluster_digest(&cluster),
-        processed: cluster.rt.queue.processed(),
-    };
-    (fp, r, cluster)
+}
+
+/// The alternative substrates (DESIGN.md §17) under jitter and loss:
+/// BlueField's shifted PCIe/DMA latencies and CXL's local pool-store log
+/// completions are all owner-stamped events.
+#[test]
+fn lane_count_invariance_substrates() {
+    assert_lane_invariant(|p| {
+        is_xenic(p) && [PLANS[1], PLANS[2]].contains(&p.plan) && p.substrate != SubstrateKind::OnPathLiquidIO
+    });
+}
+
+/// Crash/restart fault plans cross the lane scheduler too: crash events
+/// are stamped by (and routed to) the crashing node's lane, and every
+/// `crashed[]` read in the runtime is owner-lane-local.
+#[test]
+fn lane_count_invariance_crash_restart() {
+    assert_lane_invariant(|p| is_xenic(p) && p.plan == PLANS[3]);
+}
+
+/// The referee on the scheduler users run: with a `HistoryRecorder`
+/// attached, `lanes: N` really runs N lanes and returns the fingerprint
+/// *and* the `History` of the serial run — predicates included, which is
+/// what the scan workloads put on record.
+#[test]
+fn recorded_runs_are_lane_invariant() {
+    assert_lane_invariant(|p| is_xenic(p) && p.wl.has_scans());
+}
+
+/// The same referee for the four RDMA baselines, which share the harness
+/// and therefore the lane scheduler.
+#[test]
+fn baselines_are_lane_invariant() {
+    assert_lane_invariant(|p| !is_xenic(p));
 }
 
 fn quick_opts(seed: u64, lanes: usize) -> RunOptions {
@@ -84,190 +113,6 @@ fn quick_opts(seed: u64, lanes: usize) -> RunOptions {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Wl {
-    Smallbank,
-    Retwis,
-    YcsbE,
-}
-
-fn mk_workload(wl: Wl, nodes: u32) -> impl Fn(usize) -> Box<dyn Workload> {
-    move |_| match wl {
-        Wl::Smallbank => Box::new(Smallbank::new(SmallbankConfig {
-            accounts_per_node: 5_000,
-            ..SmallbankConfig::sim(nodes)
-        })),
-        Wl::Retwis => Box::new(Retwis::new(RetwisConfig::sim(nodes))),
-        Wl::YcsbE => Box::new(YcsbE::new(YcsbEConfig::sim(nodes))),
-    }
-}
-
-/// The tentpole contract: Smallbank/Retwis/YCSB-E × every replication
-/// backend × a lossy fault plan, at lanes ∈ {1, 2, 4, 8}, all
-/// byte-identical (8 lanes over 6 nodes also exercises the lane-count
-/// clamp).
-#[test]
-fn lane_count_invariance_matrix() {
-    let nodes = 6usize;
-    for wl in [Wl::Smallbank, Wl::Retwis, Wl::YcsbE] {
-        for backend in ReplBackend::ALL {
-            let net = NetConfig::full().with_faults(FaultPlan::lossy(0.01, 0.01, 200));
-            let cfg = XenicConfig::with_backend(backend);
-            let run = |lanes: usize| {
-                fingerprint(
-                    nodes,
-                    net.clone(),
-                    cfg,
-                    &quick_opts(11, lanes),
-                    mk_workload(wl, nodes as u32),
-                )
-            };
-            let serial = run(1);
-            assert!(
-                serial.committed > 0,
-                "{}: matrix point must commit work",
-                backend.token()
-            );
-            for lanes in [2usize, 4, 8] {
-                let par = run(lanes);
-                assert_eq!(
-                    par,
-                    serial,
-                    "backend {} lanes {} diverged from serial",
-                    backend.token(),
-                    lanes
-                );
-            }
-        }
-    }
-}
-
-/// Fault-free lane invariance on the plain full config (no plan active:
-/// engines take the pre-fault code paths, which must be just as
-/// lane-stable).
-#[test]
-fn lane_count_invariance_fault_free() {
-    let nodes = 6usize;
-    let net = NetConfig::full();
-    let run = |lanes: usize| {
-        fingerprint(
-            nodes,
-            net.clone(),
-            XenicConfig::full(),
-            &quick_opts(3, lanes),
-            mk_workload(Wl::Retwis, nodes as u32),
-        )
-    };
-    let serial = run(1);
-    assert!(serial.committed > 0);
-    assert_eq!(run(2), serial);
-    assert_eq!(run(4), serial);
-    assert_eq!(run(8), serial);
-}
-
-/// Crash/restart fault plans cross the lane scheduler too: crash events
-/// are stamped by (and routed to) the crashing node's lane, and every
-/// `crashed[]` read in the runtime is owner-lane-local.
-#[test]
-fn lane_count_invariance_crash_restart() {
-    use xenic_net::CrashEvent;
-    let nodes = 6usize;
-    let mut plan = FaultPlan::lossy(0.005, 0.0, 100);
-    plan.crashes.push(CrashEvent {
-        node: 2,
-        at_ns: 150_000,
-        restart_at_ns: Some(230_000),
-    });
-    let net = NetConfig::full().with_faults(plan);
-    let run = |lanes: usize| {
-        fingerprint(
-            nodes,
-            net.clone(),
-            XenicConfig::full(),
-            &quick_opts(5, lanes),
-            mk_workload(Wl::Smallbank, nodes as u32),
-        )
-    };
-    let serial = run(1);
-    assert!(serial.committed > 0);
-    assert_eq!(run(2), serial);
-    assert_eq!(run(4), serial);
-    assert_eq!(run(8), serial);
-}
-
-/// The alternative substrates (DESIGN.md §17) cross the lane scheduler
-/// too: BlueField's shifted PCIe/DMA latencies and CXL's local
-/// pool-store log completions are all owner-stamped events, so every
-/// substrate must be fingerprint-identical at lanes {1, 2, 4, 8}.
-#[test]
-fn lane_count_invariance_substrates() {
-    let nodes = 6usize;
-    for base in [HwParams::off_path_bluefield(), HwParams::cxl_shared()] {
-        let token = base.substrate.token();
-        for wl in [Wl::Smallbank, Wl::Retwis] {
-            let net = NetConfig::full().with_faults(FaultPlan::lossy(0.01, 0.01, 200));
-            let run = |lanes: usize| {
-                run_on(
-                    base.clone(),
-                    nodes,
-                    net.clone(),
-                    XenicConfig::full(),
-                    &quick_opts(11, lanes),
-                    mk_workload(wl, nodes as u32),
-                    None,
-                )
-                .0
-            };
-            let serial = run(1);
-            assert!(serial.committed > 0, "{token}: substrate point must commit work");
-            for lanes in [2usize, 4, 8] {
-                let par = run(lanes);
-                assert_eq!(par, serial, "{token} lanes {lanes} diverged from serial");
-            }
-        }
-    }
-}
-
-/// The referee on the scheduler users run: with a `HistoryRecorder`
-/// attached, `lanes: N` really runs N lanes (`barriers > 0`) and returns
-/// the fingerprint *and* the `History` of the serial run — Retwis for
-/// item reads and writes, YCSB-E for scans (predicates), both under a
-/// lossy plan so retransmissions cross lanes too.
-#[test]
-fn recorded_runs_are_lane_invariant() {
-    let nodes = 6usize;
-    for wl in [Wl::Retwis, Wl::YcsbE] {
-        let net = NetConfig::full().with_faults(FaultPlan::lossy(0.01, 0.01, 200));
-        let run = |lanes: usize| {
-            let recorder = HistoryRecorder::new();
-            let (fp, r, _) = run_on(
-                HwParams::paper_testbed(),
-                nodes,
-                net.clone(),
-                XenicConfig::full(),
-                &quick_opts(23, lanes),
-                mk_workload(wl, nodes as u32),
-                Some(recorder.clone()),
-            );
-            (fp, r.barriers, recorder.snapshot())
-        };
-        let (serial, _, history) = run(1);
-        assert!(history.committed_count() > 0, "recorded point must commit work");
-        if matches!(wl, Wl::YcsbE) {
-            assert!(
-                history.committed().any(|(_, rec)| !rec.predicates.is_empty()),
-                "YCSB-E must put predicates on record"
-            );
-        }
-        for lanes in [2usize, 4] {
-            let (par, barriers, par_history) = run(lanes);
-            assert!(barriers > 0, "lanes {lanes}: a recorded run must not fall back to serial");
-            assert_eq!(par, serial, "lanes {lanes}: recorded fingerprint diverged");
-            assert!(par_history == history, "lanes {lanes}: recorded history diverged");
-        }
-    }
-}
-
 /// The tracer on the scheduler users run: with `TraceConfig::full()`
 /// (spans, instants and per-node gauge sampling; the ring sized so
 /// nothing drops), `lanes: N` really runs N lanes and the merged trace is
@@ -275,20 +120,23 @@ fn recorded_runs_are_lane_invariant() {
 #[test]
 fn traced_runs_are_lane_invariant() {
     let nodes = 6usize;
-    for wl in [Wl::Retwis, Wl::YcsbE] {
+    let workloads: [fn() -> Box<dyn Workload>; 2] = [
+        || Box::new(Retwis::new(RetwisConfig::sim(6))),
+        || Box::new(YcsbE::new(YcsbEConfig::sim(6))),
+    ];
+    for mk in workloads {
         let net = NetConfig::full()
             .with_faults(FaultPlan::lossy(0.01, 0.01, 200))
             .with_trace(TraceConfig::full().with_capacity(1 << 22));
         let run = |lanes: usize| {
-            let (fp, r, cluster) = run_on(
+            let (r, cluster) = run::<Xenic>(
                 HwParams::paper_testbed(),
-                nodes,
                 net.clone(),
                 XenicConfig::full(),
                 &quick_opts(31, lanes),
-                mk_workload(wl, nodes as u32),
-                None,
+                |_| mk(),
             );
+            let fp = (r.committed, r.aborted, cluster_digest(&cluster), cluster.rt.queue.processed());
             let tr = cluster.rt.tracer();
             let exports = (tr.chrome_json(), tr.gauges_csv());
             (fp, r.barriers, exports, tr.dropped(), tr.instant_total("Commit"))
@@ -304,50 +152,6 @@ fn traced_runs_are_lane_invariant() {
             assert!(par_exports.0 == exports.0, "lanes {lanes}: chrome_json diverged");
             assert!(par_exports.1 == exports.1, "lanes {lanes}: gauges_csv diverged");
             assert_eq!((par_dropped, par_commits), (dropped, commits), "lanes {lanes}");
-        }
-    }
-}
-
-/// The same referee for the four RDMA baselines, which share the harness
-/// and therefore the lane scheduler: `lanes: N` really runs N lanes and
-/// returns the serial run's `RunResult` fingerprint and `History`.
-#[test]
-fn baselines_are_lane_invariant() {
-    let nodes = 6usize;
-    for kind in [
-        BaselineKind::DrtmH,
-        BaselineKind::DrtmHNc,
-        BaselineKind::Fasst,
-        BaselineKind::DrtmR,
-    ] {
-        let run = |lanes: usize| {
-            let (r, cluster, recorder) = run_recorded::<Baseline>(
-                HwParams::paper_testbed(),
-                NetConfig::baseline(),
-                kind,
-                &quick_opts(29, lanes),
-                mk_workload(Wl::Smallbank, nodes as u32),
-            );
-            let fp = (
-                r.committed,
-                r.aborted,
-                cluster.rt.queue.processed(),
-                r.mean_ns.to_bits(),
-                r.p99_ns,
-                r.host_busy_cores.to_bits(),
-                r.cx5_utilization.to_bits(),
-            );
-            (fp, r.barriers, recorder.snapshot())
-        };
-        let (serial, barriers, history) = run(1);
-        assert_eq!(barriers, 0, "{kind:?}: one lane is the serial scheduler");
-        assert!(serial.0 > 0, "{kind:?}: point must commit work");
-        assert!(history.committed_count() > 0, "{kind:?}: nothing on record");
-        for lanes in [2usize, 4] {
-            let (par, barriers, par_history) = run(lanes);
-            assert!(barriers > 0, "{kind:?} lanes {lanes}: fell back to serial");
-            assert_eq!(par, serial, "{kind:?} lanes {lanes}: fingerprint diverged");
-            assert!(par_history == history, "{kind:?} lanes {lanes}: history diverged");
         }
     }
 }
@@ -453,7 +257,12 @@ fn draining_to_simtime_max_returns_on_lanes() {
             NetConfig::full(),
             XenicConfig::full(),
             &quick_opts(37, 1),
-            mk_workload(Wl::Smallbank, nodes as u32),
+            |_| {
+                Box::new(Smallbank::new(SmallbankConfig {
+                    accounts_per_node: 5_000,
+                    ..SmallbankConfig::sim(nodes as u32)
+                }))
+            },
         );
         cluster.run_until(SimTime::from_us(50));
         for st in &mut cluster.states {

@@ -1,79 +1,87 @@
 //! End-to-end serializability checks through the fuzz harness: the sound
 //! engines must verify, and — the checker's own acceptance test — a
-//! deliberately weakened Xenic (`weaken_validation` skips Validate's
-//! version re-check) must be **rejected** with a G2 witness cycle that
-//! survives shrinking.
+//! deliberately weakened Xenic (`Weakening::Validation` skips Validate's
+//! version re-check, `Weakening::PredicateLocks` its range re-walks) must
+//! be **rejected** with a G2 witness cycle that survives shrinking.
 
-use xenic_bench::fuzz::{replay_cmd, run_point, shrink, FuzzPoint, FuzzSystem, WlKind};
+use xenic::Weakening;
+use xenic_baselines::BaselineKind;
+use xenic_bench::fuzz::{reject, replay_cmd, run_point, FuzzEngine, FuzzPoint, WlKind};
 use xenic_check::{AnomalyClass, Verdict};
 
-fn point(system: FuzzSystem, wl: WlKind, seed: u64, plan: u32) -> FuzzPoint {
-    FuzzPoint {
-        system,
+/// The fault-free serial default-config cells of `engine` under `wl`, at
+/// `seeds` and `windows` windows.
+fn crossfire(engine: FuzzEngine, wl: WlKind, seeds: u64, windows: usize) -> Vec<FuzzPoint> {
+    let cell = FuzzPoint {
+        engine,
         wl,
-        seed,
-        plan,
-        windows: 4,
-        measure_us: 800,
+        ..FuzzPoint::default()
+    };
+    assert!(
+        FuzzPoint::cells().contains(&cell),
+        "{cell} is not a cell of the product"
+    );
+    (1..=seeds)
+        .map(|seed| FuzzPoint {
+            seed,
+            windows,
+            ..cell
+        })
+        .collect()
+}
+
+/// Rejects `weaken` and checks the witness: a G2 cycle, still failing
+/// after the shrink, named exactly by its replay command.
+fn assert_rejected_with_g2(weaken: Weakening) {
+    let w = reject(weaken).expect("the weakened engine must be caught on some cell");
+    match &w.outcome.report.verdict {
+        Verdict::Cycle { class, witness } => {
+            assert_eq!(*class, AnomalyClass::G2, "{}: must class as G2", w.shrunk);
+            assert!(witness.len() >= 2, "a cycle needs at least two edges");
+        }
+        other => panic!("{}: expected a witness cycle, got {other:?}", w.shrunk),
     }
+    let described = w.outcome.describe();
+    assert!(
+        described.contains("G2"),
+        "describe() must name the class: {described}"
+    );
+    assert!(w.shrunk.measure_us <= w.found.measure_us && w.shrunk.windows <= w.found.windows);
+    let cmd = replay_cmd(&w.shrunk);
+    assert!(cmd.contains("serial_fuzz -- --replay xenic/"), "{cmd}");
+    assert!(cmd.ends_with(&format!("/weak-{}", weaken.token())), "{cmd}");
+    assert_eq!(
+        cmd.rsplit(' ').next().unwrap().parse(),
+        Ok(w.shrunk),
+        "{cmd}"
+    );
 }
 
 #[test]
 fn sound_xenic_survives_the_write_skew_crossfire() {
     // The control arm: the same workload that breaks the weakened engine
     // below must pass with Validate intact.
-    for seed in 1..=3 {
-        let out = run_point(&point(FuzzSystem::Xenic, WlKind::Skew, seed, 0));
-        assert!(out.committed > 50, "seed {seed}: committed {}", out.committed);
+    for p in crossfire(FuzzEngine::Xenic { fig9: false }, WlKind::Skew, 3, 4) {
+        let out = run_point(&p);
+        assert!(
+            out.result.committed > 50,
+            "{p}: committed {}",
+            out.result.committed
+        );
         assert!(
             out.passed(),
-            "seed {seed}: sound Xenic rejected:\n{}",
-            out.report.describe()
+            "{p}: sound Xenic rejected:\n{}",
+            out.describe()
         );
     }
 }
 
 #[test]
 fn weakened_validation_is_rejected_with_a_g2_cycle() {
-    // Sweep a few seeds; skipping the Validate version re-check lets two
-    // cross-shard transactions each read the key the other writes before
-    // either lock request lands — classic write skew. At least one seed
-    // must produce a history the DSG checker rejects, the witness must be
-    // a G2 (anti-dependency) cycle, and shrinking must preserve the
-    // failure so the printed replay command reproduces it.
-    let failing = (1..=6)
-        .map(|seed| point(FuzzSystem::XenicWeakened, WlKind::Skew, seed, 0))
-        .find(|p| !run_point(p).passed())
-        .expect("weakened validation must be caught on some seed");
-
-    let out = run_point(&failing);
-    match &out.report.verdict {
-        Verdict::Cycle { class, witness } => {
-            assert_eq!(*class, AnomalyClass::G2, "write skew must class as G2");
-            assert!(witness.len() >= 2, "a cycle needs at least two edges");
-        }
-        other => panic!("expected a witness cycle, got {other:?}"),
-    }
-    let described = out.report.describe();
-    assert!(described.contains("G2"), "describe() must name the class: {described}");
-
-    // Shrinking keeps the failure and the replay command names the
-    // shrunk point exactly.
-    let small = shrink(failing);
-    let small_out = run_point(&small);
-    assert!(!small_out.passed(), "shrunk point must still fail");
-    assert!(small.measure_us <= failing.measure_us && small.windows <= failing.windows);
-    let cmd = replay_cmd(&small);
-    for needle in [
-        "serial_fuzz",
-        "--replay",
-        "--system xenic-weakened",
-        "--wl skew",
-        &format!("--seed {}", small.seed),
-        &format!("--windows {}", small.windows),
-    ] {
-        assert!(cmd.contains(needle), "replay command missing `{needle}`: {cmd}");
-    }
+    // Skipping the Validate version re-check lets two cross-shard
+    // transactions each read the key the other writes before either lock
+    // request lands — classic write skew.
+    assert_rejected_with_g2(Weakening::Validation);
 }
 
 #[test]
@@ -82,25 +90,24 @@ fn sound_scan_engines_survive_the_phantom_crossfire() {
     // pairs range observers with inserts into the observed ranges, and
     // both engines that speak the scan protocol (Xenic's NIC walk +
     // Validate re-walk, FaSST's RPC walk + re-walk) must keep every
-    // history serializable under it.
-    for system in [FuzzSystem::Xenic, FuzzSystem::Fasst] {
-        for seed in 1..=2 {
-            // Three windows, not four: FaSST's retry backoff collapses
-            // under maximal crossfire concurrency, and a near-empty
-            // history would verify vacuously.
-            let out = run_point(&FuzzPoint {
-                windows: 3,
-                ..point(system, WlKind::Scan, seed, 0)
-            });
+    // history serializable under it. Three windows, not four: FaSST's
+    // retry backoff collapses under maximal crossfire concurrency, and a
+    // near-empty history would verify vacuously.
+    for engine in [
+        FuzzEngine::Xenic { fig9: false },
+        FuzzEngine::Baseline(BaselineKind::Fasst),
+    ] {
+        for p in crossfire(engine, WlKind::Scan, 2, 3) {
+            let out = run_point(&p);
             assert!(
-                out.committed > 20,
-                "{system:?} seed {seed}: committed {}",
-                out.committed
+                out.result.committed > 20,
+                "{p}: committed {}",
+                out.result.committed
             );
             assert!(
                 out.passed(),
-                "{system:?} seed {seed}: sound engine rejected:\n{}",
-                out.report.describe()
+                "{p}: sound engine rejected:\n{}",
+                out.describe()
             );
         }
     }
@@ -112,32 +119,6 @@ fn weakened_predicate_locks_are_rejected_with_a_phantom_g2_cycle() {
     // stay intact) admits phantoms: both halves of a scan/insert pair
     // walk their ranges before either insert's lock lands, then commit
     // unchecked. The recorded predicates must turn that into a G2
-    // (anti-dependency) witness cycle, and the witness must survive
-    // shrinking so the replay command reproduces it. Jitter plans widen
-    // the walk-before-lock window, so the sweep covers both fault-free
-    // and jittered schedules (as `serial_fuzz`'s self-test does).
-    let failing = [0u32, 1, 2, 4]
-        .into_iter()
-        .flat_map(|plan| {
-            (1..=6).map(move |seed| point(FuzzSystem::XenicWeakPredicates, WlKind::Scan, seed, plan))
-        })
-        .find(|p| !run_point(p).passed())
-        .expect("weakened predicate locks must be caught on some point");
-
-    let out = run_point(&failing);
-    match &out.report.verdict {
-        Verdict::Cycle { class, witness } => {
-            assert_eq!(*class, AnomalyClass::G2, "phantoms must class as G2");
-            assert!(witness.len() >= 2, "a cycle needs at least two edges");
-        }
-        other => panic!("expected a witness cycle, got {other:?}"),
-    }
-
-    let small = shrink(failing);
-    let small_out = run_point(&small);
-    assert!(!small_out.passed(), "shrunk point must still fail");
-    let cmd = replay_cmd(&small);
-    for needle in ["--system xenic-weak-predicates", "--wl scan"] {
-        assert!(cmd.contains(needle), "replay command missing `{needle}`: {cmd}");
-    }
+    // (anti-dependency) witness cycle.
+    assert_rejected_with_g2(Weakening::PredicateLocks);
 }

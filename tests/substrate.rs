@@ -19,63 +19,40 @@
 //!    numbers.
 
 use xenic::harness::{self, cluster_digest, RunOptions, RunResult};
-use xenic::{Placement, ReplBackend, Workload, Xenic, XenicConfig};
-use xenic_hw::HwParams;
-use xenic_net::{FaultPlan, NetConfig};
+use xenic::{Placement, ReplBackend, Weakening, Workload, Xenic, XenicConfig};
+use xenic_bench::fuzz::{diverging, run_point, FuzzEngine, FuzzPoint, WlKind, PLANS};
+use xenic_hw::{HwParams, SubstrateKind};
+use xenic_net::NetConfig;
 use xenic_sim::SimTime;
 use xenic_workloads::{Retwis, RetwisConfig, Smallbank, SmallbankConfig};
 
-/// One run's outcome fingerprint (latency intentionally excluded — it
-/// is the one thing placement is allowed to move).
-#[derive(Debug, PartialEq, Eq, Clone, Copy)]
-struct Fingerprint {
-    committed: u64,
-    aborted: u64,
-    digest: u64,
-    processed: u64,
-}
+/// One run's outcome fingerprint — (committed, aborted, digest,
+/// processed); latency intentionally excluded, it is the one thing
+/// placement is allowed to move.
+type Fingerprint = (u64, u64, u64, u64);
 
-fn quick_opts(seed: u64) -> RunOptions {
-    RunOptions {
+/// The pinned runs' shape (seed 21, fault-free): Smallbank, or Retwis.
+fn run(params: HwParams, cfg: XenicConfig, smallbank: bool) -> (RunResult, Fingerprint) {
+    let opts = RunOptions {
         windows: 2,
         warmup: SimTime::from_us(100),
         measure: SimTime::from_us(250),
-        seed,
+        seed: 21,
         lanes: 1,
         ..Default::default()
-    }
-}
-
-#[derive(Clone, Copy)]
-enum Wl {
-    Smallbank,
-    Retwis,
-}
-
-fn mk_workload(wl: Wl) -> impl Fn(usize) -> Box<dyn Workload> {
-    move |_| match wl {
-        Wl::Smallbank => Box::new(Smallbank::new(SmallbankConfig {
-            accounts_per_node: 5_000,
-            ..SmallbankConfig::sim(6)
-        })),
-        Wl::Retwis => Box::new(Retwis::new(RetwisConfig::sim(6))),
-    }
-}
-
-fn run(
-    params: HwParams,
-    net: NetConfig,
-    cfg: XenicConfig,
-    seed: u64,
-    wl: Wl,
-) -> (RunResult, Fingerprint) {
-    let (r, cluster) = harness::run::<Xenic>(params, net, cfg, &quick_opts(seed), mk_workload(wl));
-    let fp = Fingerprint {
-        committed: r.committed,
-        aborted: r.aborted,
-        digest: cluster_digest(&cluster),
-        processed: cluster.rt.queue.processed(),
     };
+    let mk = |_: usize| -> Box<dyn Workload> {
+        if smallbank {
+            Box::new(Smallbank::new(SmallbankConfig {
+                accounts_per_node: 5_000,
+                ..SmallbankConfig::sim(6)
+            }))
+        } else {
+            Box::new(Retwis::new(RetwisConfig::sim(6)))
+        }
+    };
+    let (r, cluster) = harness::run::<Xenic>(params, NetConfig::full(), cfg, &opts, mk);
+    let fp = (r.committed, r.aborted, cluster_digest(&cluster), cluster.rt.queue.processed());
     (r, fp)
 }
 
@@ -95,15 +72,9 @@ const PIN_ONPATH_RETWIS: (u64, u64, u64, u64, u64, u64) =
 
 #[test]
 fn onpath_identity_smallbank() {
-    let (r, fp) = run(
-        HwParams::paper_testbed(),
-        NetConfig::full(),
-        XenicConfig::full(),
-        21,
-        Wl::Smallbank,
-    );
+    let (r, fp) = run(HwParams::paper_testbed(), XenicConfig::full(), true);
     assert_eq!(
-        (fp.committed, fp.aborted, fp.digest, fp.processed, r.p50_ns, r.p99_ns),
+        (fp.0, fp.1, fp.2, fp.3, r.p50_ns, r.p99_ns),
         PIN_ONPATH_SMALLBANK,
         "OnPathLiquidIO diverged from its pin"
     );
@@ -114,40 +85,21 @@ fn onpath_identity_smallbank() {
 
 #[test]
 fn onpath_identity_retwis() {
-    let (r, fp) = run(
-        HwParams::paper_testbed(),
-        NetConfig::full(),
-        XenicConfig::full(),
-        21,
-        Wl::Retwis,
-    );
+    let (r, fp) = run(HwParams::paper_testbed(), XenicConfig::full(), false);
     assert_eq!(
-        (fp.committed, fp.aborted, fp.digest, fp.processed, r.p50_ns, r.p99_ns),
+        (fp.0, fp.1, fp.2, fp.3, r.p50_ns, r.p99_ns),
         PIN_ONPATH_RETWIS,
         "OnPathLiquidIO diverged from its pin"
     );
 }
 
-/// `weaken_cxl_coherence` must be a complete no-op away from the CXL
+/// `Weakening::CxlCoherence` must be a complete no-op away from the CXL
 /// substrate — it guards a fence that only exists there.
 #[test]
 fn coherence_knob_is_noop_off_cxl() {
-    let mut weak = XenicConfig::full();
-    weak.weaken_cxl_coherence = true;
-    let (_, base) = run(
-        HwParams::paper_testbed(),
-        NetConfig::full(),
-        XenicConfig::full(),
-        21,
-        Wl::Smallbank,
-    );
-    let (_, weakened) = run(
-        HwParams::paper_testbed(),
-        NetConfig::full(),
-        weak,
-        21,
-        Wl::Smallbank,
-    );
+    let weak = XenicConfig { weaken: Some(Weakening::CxlCoherence), ..XenicConfig::full() };
+    let (_, base) = run(HwParams::paper_testbed(), XenicConfig::full(), true);
+    let (_, weakened) = run(HwParams::paper_testbed(), weak, true);
     assert_eq!(base, weakened);
 }
 
@@ -165,20 +117,16 @@ const PIN_CXL_RETWIS: (u64, u64, u64, u64) = (401, 0, 12849898709383498819, 5635
 
 #[test]
 fn substrate_fingerprints_pinned() {
-    for (params, wl, pin) in [
-        (HwParams::off_path_bluefield(), Wl::Smallbank, PIN_BLUEFIELD_SMALLBANK),
-        (HwParams::off_path_bluefield(), Wl::Retwis, PIN_BLUEFIELD_RETWIS),
-        (HwParams::cxl_shared(), Wl::Smallbank, PIN_CXL_SMALLBANK),
-        (HwParams::cxl_shared(), Wl::Retwis, PIN_CXL_RETWIS),
+    for (params, smallbank, pin) in [
+        (HwParams::off_path_bluefield(), true, PIN_BLUEFIELD_SMALLBANK),
+        (HwParams::off_path_bluefield(), false, PIN_BLUEFIELD_RETWIS),
+        (HwParams::cxl_shared(), true, PIN_CXL_SMALLBANK),
+        (HwParams::cxl_shared(), false, PIN_CXL_RETWIS),
     ] {
         let token = params.substrate.token();
-        let (_, fp) = run(params, NetConfig::full(), XenicConfig::full(), 21, wl);
-        assert!(fp.committed > 0, "{token}: substrate run must commit work");
-        assert_eq!(
-            (fp.committed, fp.aborted, fp.digest, fp.processed),
-            pin,
-            "{token} fingerprint diverged"
-        );
+        let (_, fp) = run(params, XenicConfig::full(), smallbank);
+        assert!(fp.0 > 0, "{token}: substrate run must commit work");
+        assert_eq!(fp, pin, "{token} fingerprint diverged");
     }
 }
 
@@ -192,27 +140,9 @@ fn substrate_fingerprints_pinned() {
 #[test]
 fn offpath_latency_cliff_ordering() {
     let host = XenicConfig::with_placement(Placement::host_resident());
-    let (on_nic, _) = run(
-        HwParams::paper_testbed(),
-        NetConfig::full(),
-        XenicConfig::full(),
-        21,
-        Wl::Smallbank,
-    );
-    let (on_host, _) = run(
-        HwParams::paper_testbed(),
-        NetConfig::full(),
-        host,
-        21,
-        Wl::Smallbank,
-    );
-    let (bf_host, _) = run(
-        HwParams::off_path_bluefield(),
-        NetConfig::full(),
-        host,
-        21,
-        Wl::Smallbank,
-    );
+    let (on_nic, _) = run(HwParams::paper_testbed(), XenicConfig::full(), true);
+    let (on_host, _) = run(HwParams::paper_testbed(), host, true);
+    let (bf_host, _) = run(HwParams::off_path_bluefield(), host, true);
     assert!(
         on_host.p99_ns > on_nic.p99_ns,
         "host placement must cost latency: {} <= {}",
@@ -232,23 +162,11 @@ fn offpath_latency_cliff_ordering() {
 /// store — and the paper substrates are the exact complement.
 #[test]
 fn cxl_ships_no_log() {
-    let (cxl, _) = run(
-        HwParams::cxl_shared(),
-        NetConfig::full(),
-        XenicConfig::full(),
-        21,
-        Wl::Smallbank,
-    );
+    let (cxl, _) = run(HwParams::cxl_shared(), XenicConfig::full(), true);
     assert!(cxl.committed > 0);
     assert_eq!(cxl.log_ship_writes, 0, "CXL must not DMA-ship log records");
     assert!(cxl.cxl_log_writes > 0, "CXL commits must write pool records");
-    let (bf, _) = run(
-        HwParams::off_path_bluefield(),
-        NetConfig::full(),
-        XenicConfig::full(),
-        21,
-        Wl::Smallbank,
-    );
+    let (bf, _) = run(HwParams::off_path_bluefield(), XenicConfig::full(), true);
     assert!(bf.log_ship_writes > 0);
     assert_eq!(bf.cxl_log_writes, 0);
 }
@@ -257,63 +175,43 @@ fn cxl_ships_no_log() {
 // 4. Placement differential: cost moves, outcomes never.
 // ---------------------------------------------------------------------
 
-/// Same (seed, workload) under `nic_resident` vs `host_resident`, with
-/// FaultPlan chaos, for all three replication backends: identical
-/// commit set, digest-equal stores, identical event counts — and
-/// measurably different latency. On the CXL substrate, `cxl_pool`
-/// placement obeys the same contract.
+/// The lossy Smallbank cells of the product — every replication backend
+/// on the paper's substrate, and the CXL substrate — under all three
+/// placements: identical commit set, digest-equal stores, identical
+/// event counts and histories, and measurably different latency.
 #[test]
 fn placement_differential_under_chaos() {
-    let plan = FaultPlan::lossy(0.01, 0.005, 300);
-    for backend in ReplBackend::ALL {
-        let net = NetConfig::full().with_faults(plan.clone());
-        let nic = XenicConfig {
-            placement: Placement::nic_resident(),
-            ..XenicConfig::with_backend(backend)
-        };
-        let host = XenicConfig {
-            placement: Placement::host_resident(),
-            ..XenicConfig::with_backend(backend)
-        };
-        let (r_nic, fp_nic) = run(
-            HwParams::paper_testbed(),
-            net.clone(),
-            nic,
-            33,
-            Wl::Smallbank,
-        );
-        let (r_host, fp_host) = run(HwParams::paper_testbed(), net, host, 33, Wl::Smallbank);
-        assert!(fp_nic.committed > 0, "{}: must commit work", backend.token());
-        assert_eq!(
-            fp_nic,
-            fp_host,
-            "{}: placement changed outcomes",
-            backend.token()
-        );
-        assert!(
-            r_host.p99_ns > r_nic.p99_ns,
-            "{}: host placement must cost latency ({} <= {})",
-            backend.token(),
-            r_host.p99_ns,
-            r_nic.p99_ns
-        );
+    let cells: Vec<FuzzPoint> = FuzzPoint::cells()
+        .into_iter()
+        .filter(|p| {
+            p.engine == FuzzEngine::Xenic { fig9: false }
+                && (p.wl, p.plan, p.lanes) == (WlKind::Smallbank, PLANS[2], 1)
+                && match p.substrate {
+                    SubstrateKind::OnPathLiquidIO => true,
+                    SubstrateKind::CxlShared => p.backend == ReplBackend::LogShipping,
+                    SubstrateKind::OffPathBluefield => false,
+                }
+        })
+        .collect();
+    assert_eq!(cells.len(), (ReplBackend::ALL.len() + 1) * Placement::ALL.len());
+    let runs: Vec<_> = cells.into_iter().map(|p| (p, run_point(&p))).collect();
+    for (p, out) in &runs {
+        assert!(out.passed(), "{p}: {}", out.describe());
     }
-    // CXL substrate: pool placement moves cost, not outcomes, either.
-    let net = NetConfig::full().with_faults(plan);
-    let (r_base, fp_base) = run(
-        HwParams::cxl_shared(),
-        net.clone(),
-        XenicConfig::full(),
-        33,
-        Wl::Smallbank,
-    );
-    let (r_pool, fp_pool) = run(
-        HwParams::cxl_shared(),
-        net,
-        XenicConfig::with_placement(Placement::cxl_pool()),
-        33,
-        Wl::Smallbank,
-    );
-    assert_eq!(fp_base, fp_pool, "cxl_pool placement changed outcomes");
-    assert!(r_pool.p99_ns > r_base.p99_ns);
+    let moved = diverging(&runs, |p| FuzzPoint { placement: Placement::default(), ..p });
+    assert!(moved.is_empty(), "placement changed outcomes: {moved:?}");
+    // Canonical order varies placement fastest here: one chunk per
+    // (backend, substrate), as [nic, host, cxlpool].
+    for group in runs.chunks(Placement::ALL.len()) {
+        let [(nic, base), off_nic @ ..] = group else { unreachable!() };
+        assert_eq!(nic.placement, Placement::nic_resident());
+        for (p, out) in off_nic {
+            assert!(
+                out.result.p99_ns > base.result.p99_ns,
+                "{p}: leaving the NIC must cost latency ({} <= {})",
+                out.result.p99_ns,
+                base.result.p99_ns
+            );
+        }
+    }
 }

@@ -2,50 +2,15 @@
 //! (tracing never perturbs protocol outcomes), and span hygiene across
 //! full cluster runs.
 
-use xenic::api::{make_key, ShipMode, TxnSpec, UpdateOp, Workload};
+use xenic::api::Workload;
 use xenic::engine::Xenic;
-use xenic::harness::{build, cluster_digest, run, run_xenic, RunOptions};
+use xenic::harness::{build, cluster_digest, drain, run, run_xenic, RunOptions};
 use xenic::XenicConfig;
+use xenic_bench::fuzz::{Counters, ScanWl};
 use xenic_hw::HwParams;
 use xenic_net::{Cluster, FaultPlan, NetConfig};
-use xenic_sim::{DetRng, SimTime, TraceConfig, TraceKind};
-use xenic_store::Value;
+use xenic_sim::{SimTime, TraceConfig, TraceKind};
 use xenic_workloads::{Retwis, RetwisConfig};
-
-/// Counter workload (same shape as the integration suite's): single
-/// remote-update transactions whose effects are exactly auditable.
-struct Counters {
-    keys: u64,
-    remote_frac: f64,
-}
-
-impl Workload for Counters {
-    fn next_txn(&mut self, node: usize, rng: &mut DetRng) -> TxnSpec {
-        let shard = if rng.chance(self.remote_frac) {
-            rng.below(6) as u32
-        } else {
-            node as u32
-        };
-        TxnSpec {
-            reads: vec![make_key(node as u32, rng.below(self.keys))],
-            updates: vec![(make_key(shard, rng.below(self.keys)), UpdateOp::AddI64(1))],
-            exec_host_ns: 150,
-            exec_nic_ns: 480,
-            ship: ShipMode::Nic,
-            ..Default::default()
-        }
-    }
-
-    fn value_bytes(&self) -> u32 {
-        16
-    }
-
-    fn preload(&self, shard: u32) -> Vec<(u64, Value)> {
-        (0..self.keys)
-            .map(|i| (make_key(shard, i), Value::from_bytes(&0i64.to_le_bytes())))
-            .collect()
-    }
-}
 
 fn traced_opts(seed: u64) -> RunOptions {
     RunOptions {
@@ -103,7 +68,6 @@ fn range_walk_tracing_is_a_pure_observer_and_emits_instants() {
     // the `RangeWalk` (Execute-phase ordered-index walk) and
     // `RangeRecheck` (Validate-phase re-walk) instants must appear in
     // the trace without perturbing one measured bit of the run.
-    use xenic_bench::fuzz::ScanWl;
     let mk = |_: usize| Box::new(ScanWl { span: 16 }) as Box<dyn Workload>;
     let digest = |net: NetConfig| {
         let r = run_xenic(
@@ -197,10 +161,7 @@ fn drained_run_leaves_no_open_spans() {
     // leaked span on some protocol path.
     let mut cluster = traced_counter_cluster(8, 21, XenicConfig::full());
     cluster.run_until(SimTime::from_ms(4));
-    for st in &mut cluster.states {
-        st.draining = true;
-    }
-    cluster.run_until(SimTime::from_ms(80));
+    drain(&mut cluster, SimTime::from_ms(80));
     let tracer = cluster.rt.tracer();
     assert_eq!(tracer.dropped(), 0, "sized the ring to hold everything");
     assert!(tracer.spans().len() > 1_000, "run must have produced spans");

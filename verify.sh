@@ -48,28 +48,30 @@ else
     echo "==> skipped: benchmark --quick --workload smallbank_64n_lanes2 (needs 2 cores, have $(nproc))"
 fi
 
-# Includes all four checker self-tests: xenic-weakened (skipped version
-# re-checks), xenic-weak-predicates (skipped range re-walks),
-# xenic-weak-quorum (Raft-style backend commits before its majority),
-# and xenic-weak-cxl (CXL coherence fence and pool re-check skipped)
-# must each be rejected with a shrunk, bit-for-bit-replayable witness.
-# Three Xenic points and one baseline point are re-run on two scheduler
-# lanes: same verdict, same history size.
-stage cargo run --release -q -p xenic-bench --bin serial_fuzz -- --quick
+# The whole config product under one referee (DESIGN.md §12): every
+# serial cell of engine x backend x substrate x placement x plan shape
+# on the three synthetic workloads (684), plus the pairwise sample that
+# carries lanes {2,4} and the real workloads with its serial siblings
+# (720 cells in all; ~6 s at --jobs 2). Each must commit, verify
+# serializable, lose no commit and audit clean after its drain; outcomes
+# must not depend on placement or lanes. Then the four checker
+# self-tests: weak-validation, weak-predicates, weak-cxl and weak-quorum
+# must each be rejected with a shrunk, twice-replayed witness.
+stage cargo run --release -q -p xenic-bench --bin serial_fuzz -- --jobs "$(nproc)"
 
 # Conservation under loss+dup, convergence across a healed partition,
-# and crash/restart chained into shard recovery — for each pluggable
-# replication backend (log shipping, Raft-style, Hermes-style).
-stage cargo test --release -q --test chaos all_backends_
+# and crash/restart chained into shard recovery — on the native backend
+# and for each pluggable one — all under xenic::audit's post-drain
+# referee (no lock, sentinel or replication residue).
+stage cargo test --release -q --test chaos
 
 # The multi-lane scheduler (DESIGN.md §16, §18) must reproduce the
-# serial scheduler bit for bit: workload × backend × fault-plan matrix
-# at lanes {1,2,4,8}, recorded runs (equal History at lanes {1,2,4}),
-# traced runs (byte-equal chrome_json and gauges_csv at lanes {1,2,4},
-# barriers > 0), the baselines matrix (four RDMA systems x lanes
-# {1,2,4}, recorder attached: equal RunResult fingerprint and History,
-# barriers > 0), a drain to SimTime::MAX on two lanes, plus pinned 64-
-# and 256-node fingerprints (256 nodes at every lane count).
+# serial scheduler bit for bit: every multi-lane cell of the fuzzer's
+# pairwise sample against its serial sibling (fingerprint, latencies,
+# History; barriers > 0), traced runs (byte-equal chrome_json and
+# gauges_csv at lanes {1,2,4}), a drain to SimTime::MAX on two lanes,
+# plus pinned 64- and 256-node fingerprints (256 nodes at every lane
+# count).
 stage cargo test --release -q --test lanes
 
 # Availability/throughput/latency per backend at two fault rates; every
@@ -80,8 +82,8 @@ stage cargo run --release -q -p xenic-bench --bin repl_sweep -- --quick
 # The substrate/placement contract (DESIGN.md §17): pinned
 # OnPathLiquidIO (p50/p99 included), BlueField and CXL fingerprints,
 # the off-path cliff ordering, the CXL zero-log-shipping trade, and
-# placement differentials (same outcomes, different latency) under
-# chaos for every replication backend.
+# placement differentials (same outcomes, different latency) over the
+# product's lossy Smallbank cells for every replication backend.
 stage cargo test --release -q --test substrate
 
 # Substrate × placement × workload; every row verified serializable and
