@@ -18,7 +18,7 @@
 //! and the checker's teeth.
 //!
 //! ```text
-//! serial_fuzz [--jobs N]        # sweep + self-tests
+//! serial_fuzz [--jobs N]        # sweep + self-tests; prints `product fingerprint <hex>`
 //! serial_fuzz --replay TOKEN    # one cell, e.g. xenic/raft/cxl/host/scan/plan2/seed1/lanes2
 //! ```
 
@@ -63,6 +63,13 @@ fn main() {
             failed.push(*p);
         }
     }
+    // Always printed, pass or fail: two builds that print the same value
+    // here behaved identically on every cell, not just at the pins.
+    println!(
+        "product fingerprint {:016x} ({} cells)",
+        product_fingerprint(&runs),
+        runs.len()
+    );
 
     // Placement is a latency overlay and lanes a scheduling detail: a
     // group of cells equal in everything else shares one outcome.
@@ -122,6 +129,27 @@ fn main() {
          lanes changed nothing; all four checker self-tests passed",
         runs.len()
     );
+}
+
+/// FNV-1a fold of every cell's `(token, committed, aborted, digest,
+/// processed)` in sweep (`cells()`) order: one number that moves iff any
+/// cell's outcome does, so a behaviour-preserving refactor is refereed
+/// over the whole product by comparing it against the parent's.
+fn product_fingerprint(runs: &[(FuzzPoint, PointOutcome)]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |bytes: &[u8]| {
+        for b in bytes {
+            h = (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for (p, out) in runs {
+        fold(p.to_string().as_bytes());
+        let (committed, aborted, digest, processed) = out.fingerprint();
+        for word in [committed, aborted, digest, processed] {
+            fold(&word.to_le_bytes());
+        }
+    }
+    h
 }
 
 /// Replays one cell from its token; exit 0 iff it verifies, 2 (naming

@@ -56,7 +56,10 @@ fi
 # serializable, lose no commit and audit clean after its drain; outcomes
 # must not depend on placement or lanes. Then the four checker
 # self-tests: weak-validation, weak-predicates, weak-cxl and weak-quorum
-# must each be rejected with a shrunk, twice-replayed witness.
+# must each be rejected with a shrunk, twice-replayed witness. The
+# `product fingerprint <hex>` line folds every cell's (token, committed,
+# aborted, digest, processed): a behaviour-preserving change prints the
+# parent's value.
 stage cargo run --release -q -p xenic-bench --bin serial_fuzz -- --jobs "$(nproc)"
 
 # Conservation under loss+dup, convergence across a healed partition,
