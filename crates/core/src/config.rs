@@ -263,7 +263,11 @@ impl Weakening {
     }
 }
 
-/// Configuration for the Xenic protocol engine.
+/// Configuration for the Xenic protocol engine: the §4 mechanisms an
+/// experiment switches, and nothing else. Loss-tolerance timing (abort
+/// retry backoff, phase timeout, commit-ack period, retry budget) was
+/// never varied by any experiment and lives as constants in
+/// `engine.rs`.
 #[derive(Clone, Copy, Debug)]
 pub struct XenicConfig {
     /// Combined remote commit operations: one Execute request both locks
@@ -291,26 +295,10 @@ pub struct XenicConfig {
     /// full sim-scale keyspace; shrink it to study cache pressure
     /// (§4.3.3).
     pub nic_cache_values: usize,
-    /// Abort retry backoff range in ns (uniform draw).
-    pub retry_backoff_ns: (u64, u64),
     /// Host-memory commit-log ring capacity in bytes ("a hugepage of
     /// host memory reserved for logging", §4.2 step 5). When the ring
     /// fills, NICs retry appends until host workers drain it.
     pub log_capacity_bytes: u64,
-    /// Commit-phase timeout (ns): when fault injection is active, a
-    /// coordinator NIC that has not heard back from every shard within
-    /// this window retransmits the outstanding Execute/Validate/Log
-    /// requests (Log retransmits forever; Execute/Validate give up after
-    /// [`Self::max_phase_retries`] and abort). Ignored on a reliable
-    /// fabric.
-    pub phase_timeout_ns: u64,
-    /// Retransmission period (ns) for unacknowledged CommitReq messages
-    /// when fault injection is active; backs off linearly per attempt.
-    pub commit_ack_timeout_ns: u64,
-    /// Execute/Validate retransmission budget before the coordinator
-    /// aborts the transaction. Log-phase and commit-phase messages are
-    /// never abandoned — backups may already have applied the record.
-    pub max_phase_retries: u32,
     /// Which replication backend owns the Log phase (DESIGN.md §15).
     pub replication_backend: ReplBackend,
     /// Placement policy (DESIGN.md §17): where lock words, version
@@ -332,11 +320,7 @@ impl XenicConfig {
             nic_cache: true,
             replication: 3,
             nic_cache_values: 1 << 20,
-            retry_backoff_ns: (2_000, 12_000),
             log_capacity_bytes: 1 << 30,
-            phase_timeout_ns: 30_000,
-            commit_ack_timeout_ns: 30_000,
-            max_phase_retries: 4,
             replication_backend: ReplBackend::LogShipping,
             placement: Placement::nic_resident(),
             weaken: None,

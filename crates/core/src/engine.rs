@@ -23,6 +23,19 @@
 //!   the critical path, acknowledging so the NIC can unpin and reclaim
 //!   (§4.2 step 7).
 //!
+//! # Coordinator rounds and exits
+//!
+//! Every coordinator wait has the same shape — fan requests out, count
+//! each response exactly once, retransmit what is still outstanding when
+//! the timer fires — and it is written once: `Round` is the one record
+//! of retransmittable sends (a phase's in `CoordTxn`, a concluded
+//! transaction's in `XenicNode::committing`), `request` the one place a
+//! request id is allocated, `Round::heard` the one exactly-once gate
+//! and `Round::retransmit` the one resend loop. Every transaction
+//! leaves through `conclude`, so no exit can forget to close its span,
+//! release a lock, recycle the context or report the outcome. Tracking
+//! is populated only when fault injection is on (DESIGN.md §8 note 9).
+//!
 //! # Modeling notes
 //!
 //! * A DMA lookup's result is determined when the chain is planned; a
@@ -51,10 +64,11 @@ use xenic_store::{CommitLog, Key, TxnId, Value, Version, WritePayload};
 use crate::api::{scan_fingerprint, shard_of, Partitioning, TxnSpec, UpdateOp, Workload, SCAN_FP_INIT};
 use crate::config::{ReplBackend, Weakening, XenicConfig};
 use crate::msg::{
-    AbortReq, CheckSet, CommitReq, DmaLogDone, DmaLookupDone, ExecMode, ExecShip, ExecShipResp,
-    Execute, ExecuteResp, KeySet, LocalCommit, LogReq, RetryBackupLog, RetryCommitApply, ScanCheck,
+    AbortReq, CheckSet, CommitReq, DmaLogDone, DmaLookupDone, ExecShip, ExecShipResp, Execute,
+    ExecuteResp, KeySet, LocalCommit, LogReq, RetryBackupLog, RetryCommitApply, ScanCheck,
     ScanCheckSet, ScanObs, ScanObsSet, ScanSet, TxnSubmit, Validate, WriteSet, XMsg,
 };
+use crate::repl::{backend, HermesInval, RaftCommit};
 use crate::stats::NodeStats;
 use xenic_hw::HwParams;
 
@@ -64,6 +78,22 @@ const WORKER_POLL_NS: u64 = 1_500;
 /// Delay before a primary retries a Commit append that found the log
 /// ring full (the host drains it within a few poll periods).
 const COMMIT_RETRY_NS: u64 = 5_000;
+/// Abort retry backoff range in ns (uniform draw).
+const RETRY_BACKOFF_NS: (u64, u64) = (2_000, 12_000);
+/// Phase timeout (ns): when fault injection is active, a coordinator NIC
+/// that has not heard back from every shard within this window
+/// retransmits the outstanding Execute/Validate/Log requests (Log
+/// retransmits forever; Execute/Validate give up after
+/// [`MAX_PHASE_RETRIES`] and abort). Never armed on a reliable fabric.
+const PHASE_TIMEOUT_NS: u64 = 30_000;
+/// Retransmission period (ns) for unacknowledged post-outcome messages
+/// (CommitReq, AbortReq, backend catch-up traffic) when fault injection
+/// is active; backs off linearly per attempt.
+const COMMIT_ACK_TIMEOUT_NS: u64 = 30_000;
+/// Execute/Validate retransmission budget before the coordinator aborts
+/// the transaction. Log-phase and post-outcome messages are never
+/// abandoned — backups may already have applied the record.
+const MAX_PHASE_RETRIES: u32 = 4;
 /// Retired [`CoordTxn`] contexts kept for reuse (DESIGN.md §13): enough
 /// to cover every app slot's in-flight transaction plus commit-phase
 /// stragglers, small enough that a fault burst can't hoard memory.
@@ -103,6 +133,126 @@ pub(crate) enum Phase {
     LocalRepl,
 }
 
+/// How a coordinator transaction leaves through [`conclude`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Verdict {
+    /// The commit point was reached.
+    Commit,
+    /// A shard refused, validation failed, or the retry budget ran out.
+    Abort,
+}
+
+/// What a tracked send is waiting to hear.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Awaits {
+    /// The Execute/Validate response echoing this request id.
+    Req(u64),
+    /// Node `from`'s acknowledgement for `shard`: a backup's LogResp
+    /// while the round is open, a CommitAck after the outcome.
+    Ack { from: u32, shard: u32 },
+    /// The multi-hop ExecShipResp.
+    Shipped,
+}
+
+/// One retransmittable send.
+pub(crate) struct InFlight {
+    pub(crate) awaits: Awaits,
+    pub(crate) dst: usize,
+    pub(crate) msg: XMsg,
+    /// Set by [`Round::heard`]; kept (not removed) so registration order
+    /// survives and a retransmit policy may still resend it — the
+    /// multi-hop ExecShip is resent after its response was heard, to
+    /// make the remote primary replay its LogReq fan-out.
+    pub(crate) heard: bool,
+}
+
+/// The retransmittable sends of one wait — a coordinator phase, or the
+/// post-outcome Commit/Abort fan-out — in registration order. Populated
+/// only when fault injection is on: on a reliable fabric nothing is
+/// tracked, no timer is armed and responses are counted by `pending`
+/// alone.
+#[derive(Default)]
+pub(crate) struct Round(pub(crate) Vec<InFlight>);
+
+impl Round {
+    /// Tracks `msg`, already on its way to `dst`, until `awaits` is heard.
+    pub(crate) fn track(&mut self, awaits: Awaits, dst: usize, msg: XMsg) {
+        self.0.push(InFlight { awaits, dst, msg, heard: false });
+    }
+
+    /// Sends `msg` to `dst`, tracking a clone when faults are active.
+    fn send_tracked(
+        &mut self,
+        rt: &mut Runtime<XMsg>,
+        awaits: Awaits,
+        dst: usize,
+        msg: XMsg,
+    ) {
+        if rt.faults_active() {
+            self.track(awaits, dst, msg.clone());
+        }
+        send(rt, dst, msg);
+    }
+
+    /// Counts a response exactly once: true iff a tracked send was still
+    /// waiting for `awaits`. A duplicated frame, a response to a request
+    /// already retransmitted-and-heard, or one nothing here asked for is
+    /// false and must not be counted.
+    fn heard(&mut self, awaits: Awaits) -> bool {
+        let mut any = false;
+        for e in self.0.iter_mut().filter(|e| !e.heard && e.awaits == awaits) {
+            e.heard = true;
+            any = true;
+        }
+        any
+    }
+
+    /// True once every tracked send was heard.
+    fn settled(&self) -> bool {
+        self.0.iter().all(|e| e.heard)
+    }
+
+    /// Re-sends, in registration order, every tracked message `keep`
+    /// selects.
+    pub(crate) fn retransmit(
+        &self,
+        rt: &mut Runtime<XMsg>,
+        seq: u64,
+        keep: impl Fn(&InFlight) -> bool,
+    ) {
+        rt.trace_instant("Retransmit", seq);
+        for e in self.0.iter().filter(|e| keep(e)) {
+            send(rt, e.dst, e.msg.clone());
+        }
+    }
+}
+
+/// Sends `msg` to `dst`'s NIC over the fabric, charging its own wire size.
+pub(crate) fn send(rt: &mut Runtime<XMsg>, dst: usize, msg: XMsg) {
+    let bytes = msg.wire_bytes();
+    rt.send_net(dst, Exec::Nic, msg, bytes);
+}
+
+/// Sends `msg` across PCIe to this node's `exec` side.
+fn send_pcie(rt: &mut Runtime<XMsg>, exec: Exec, msg: XMsg) {
+    let bytes = msg.wire_bytes();
+    rt.send_pcie(exec, msg, bytes);
+}
+
+/// The group for `shard` in `groups`, appended empty if absent. Callers
+/// sort by shard once filled: a linear scan into a tiny vec (≤ nodes
+/// entries) plus one sort gives ascending-shard order without a tree map.
+fn group_of<G: Default>(groups: &mut Vec<(u32, G)>, shard: u32) -> &mut G {
+    let i = match groups.iter().position(|(s, _)| *s == shard) {
+        Some(i) => i,
+        None => {
+            groups.push((shard, G::default()));
+            groups.len() - 1
+        }
+    };
+    &mut groups[i].1
+}
+
 /// Coordinator-NIC state for one in-flight transaction.
 ///
 /// Memory discipline (DESIGN.md §13): the spec is shared (`Arc`), the
@@ -119,7 +269,7 @@ pub(crate) struct CoordTxn {
     /// Outstanding responses in the current phase.
     pub(crate) pending: usize,
     /// Set false at the first failure; the txn is aborting.
-    pub(crate) ok: bool,
+    ok: bool,
     /// Read results collected in Execute.
     values: Vec<(Key, Value, Version)>,
     /// Versions of locked write-set keys collected in Execute.
@@ -131,43 +281,42 @@ pub(crate) struct CoordTxn {
     #[allow(clippy::box_collection)]
     scan_obs: Box<Vec<(u32, ScanObs)>>,
     /// Computed write set. Stays a `Vec`: it is moved in whole from
-    /// host/NIC execution results, and the pool recycles its capacity.
+    /// host/NIC execution results. Empty once the Log phase grouped it.
     writes: WriteSet,
+    /// The write set grouped by ascending shard, built once on entering
+    /// Log and read by both the backend's appends and the CommitReq
+    /// fan-out (which drains it; the outer capacity recycles).
+    pub(crate) by_shard: Vec<(u32, WriteSet)>,
     /// Shards where this txn acquired write locks (for abort cleanup).
     locked_shards: SmallVec<u32, 4>,
     /// Number of distinct primaries contacted during Execute.
     shards_contacted: usize,
     /// Execution rounds completed so far (multi-shot transactions).
     rounds_done: usize,
-    /// Multi-hop remote shard.
+    /// Multi-hop: the remote shard whose primary executes (and holds the
+    /// locks and staged writes of) this transaction.
     remote_shard: Option<u32>,
     /// Multi-hop: write set for the coordinator's local shard.
     local_writes: WriteSet,
-    /// Multi-hop: keys locked locally (incl. read-set keys).
-    local_locked: SmallVec<Key, 4>,
+    /// Multi-hop / local fast path: keys locked on this NIC directly
+    /// (incl. read-set keys).
+    local_locked: KeySet,
 
     // ---- Loss tolerance (populated only when fault injection is on) ----
     /// Phase epoch: bumped on every phase entry so stale [`XMsg::PhaseTimeout`]
     /// timers are ignored.
-    pub(crate) epoch: u64,
-    /// Retransmission attempts in the current Exec/Validate phase.
+    epoch: u64,
+    /// Retransmission attempts in the current phase.
     pub(crate) attempts: u32,
-    /// Outstanding Execute/Validate requests as `(req, dst, msg)`.
-    /// Request ids are allocated monotonically and removal shifts (never
-    /// swaps), so iteration order is ascending request id — exactly the
-    /// old `BTreeMap<req, _>` order the retransmit path depends on.
-    /// Empty (and allocation-free) whenever faults are inactive.
-    pub(crate) awaiting: Vec<(u64, usize, XMsg)>,
-    /// Retransmittable sends for the Log/LocalRepl phases (backend
-    /// append messages, keyed by `(dst, shard)`) and the MhShipped
-    /// phase (the ExecShip).
-    pub(crate) resend: Vec<(usize, u32, XMsg)>,
-    /// Log acks already counted, keyed by `(from, shard)`. The Raft
-    /// backend also tallies these on a reliable fabric (its majority
-    /// quorum needs per-shard counts either way).
+    /// This phase's retransmittable sends: Execute/Validate requests,
+    /// backend appends, the ExecShip.
+    pub(crate) round: Round,
+    /// Log acks already counted, keyed by `(from, shard)`. Covers acks
+    /// for sends this coordinator did not make itself (a shipped
+    /// execution's LogReqs, a Raft leader's relays); the Raft backend
+    /// also tallies these on a reliable fabric (its majority quorum
+    /// needs per-shard counts either way).
     pub(crate) acks: FastSet<(u32, u32)>,
-    /// The multi-hop ExecShipResp was already counted.
-    mh_ship_seen: bool,
 }
 
 // CoordTxn moves by value through the pool and the coordinator map on
@@ -188,6 +337,7 @@ impl CoordTxn {
             lock_versions: Vec::new(),
             scan_obs: Box::new(Vec::new()),
             writes: Vec::new(),
+            by_shard: Vec::new(),
             locked_shards: SmallVec::new(),
             shards_contacted: 0,
             rounds_done: 0,
@@ -196,10 +346,8 @@ impl CoordTxn {
             local_locked: SmallVec::new(),
             epoch: 0,
             attempts: 0,
-            awaiting: Vec::new(),
-            resend: Vec::new(),
+            round: Round::default(),
             acks: FastSet::default(),
-            mh_ship_seen: false,
         }
     }
 
@@ -214,6 +362,7 @@ impl CoordTxn {
         self.lock_versions.clear();
         self.scan_obs.clear();
         self.writes.clear();
+        self.by_shard.clear();
         self.locked_shards.clear();
         self.shards_contacted = 0;
         self.rounds_done = 0;
@@ -222,36 +371,18 @@ impl CoordTxn {
         self.local_locked.clear();
         self.epoch = 0;
         self.attempts = 0;
-        self.awaiting.clear();
-        self.resend.clear();
+        self.round.0.clear();
         self.acks.clear();
-        self.mh_ship_seen = false;
     }
 
+    /// Starts a new wait: nothing outstanding, a fresh retransmission
+    /// budget, and a new epoch so the previous wait's timer chain dies.
     fn enter_phase(&mut self, phase: Phase) {
         self.phase = phase;
+        self.pending = 0;
         self.epoch += 1;
         self.attempts = 0;
-        self.awaiting.clear();
-        self.resend.clear();
-    }
-
-    /// Records an outstanding request. Callers allocate request ids
-    /// monotonically, so pushing keeps `awaiting` sorted by id.
-    fn await_req(&mut self, req: u64, dst: usize, msg: XMsg) {
-        self.awaiting.push((req, dst, msg));
-    }
-
-    /// Counts a response exactly once: true if `req` was outstanding.
-    /// Order-preserving removal (see the field invariant).
-    fn take_await(&mut self, req: u64) -> bool {
-        match self.awaiting.iter().position(|(r, _, _)| *r == req) {
-            Some(i) => {
-                self.awaiting.remove(i);
-                true
-            }
-            None => false,
-        }
+        self.round.0.clear();
     }
 }
 
@@ -354,11 +485,11 @@ pub struct XenicNode {
     // ---- Loss tolerance (populated only when fault injection is on) ----
     // Next Execute/Validate request id.
     next_req: u64,
-    // Commit retransmission: seq → unacked (shard, dst, msg). Holds
-    // CommitReqs plus backend post-commit traffic (Hermes validations,
-    // Raft laggard catch-up appends). Iterated only by on_restart,
-    // which sorts the keys first.
-    pub(crate) committing: FastMap<u64, Vec<(u32, usize, XMsg)>>,
+    // Post-outcome retransmission: seq → the still-unacknowledged
+    // CommitReqs, AbortReqs and backend post-commit traffic (Hermes
+    // validations, Raft laggard catch-up appends). Iterated only by
+    // on_restart, which sorts the keys first.
+    pub(crate) committing: FastMap<u64, Round>,
     // CommitReqs already applied at this primary (dedup + re-ack).
     commit_seen: FastSet<TxnId>,
     // Backup log records by (txn, shard): false while the append's DMA is
@@ -537,9 +668,9 @@ impl XenicNode {
             ct.spec = Arc::clone(&self.default_spec);
             ct.values.clear();
             ct.writes.clear();
+            ct.by_shard.clear();
             ct.local_writes.clear();
-            ct.awaiting.clear();
-            ct.resend.clear();
+            ct.round.0.clear();
             self.coord_pool.push(ct);
         }
     }
@@ -558,18 +689,39 @@ impl XenicNode {
             .or_else(|| self.host_table.get(key).map(|(_, v)| v))
     }
 
-    /// Hermes backend: whether `key` is under an in-flight invalidation
-    /// at this replica (an invalidated key must not serve reads until
-    /// its validation arrives). The map is empty under every other
-    /// backend, so the check is one branch on the hot path.
-    pub(crate) fn hermes_key_invalid(&self, key: Key) -> bool {
-        !self.hermes_invalid.is_empty()
-            && self.hermes_invalid.values().any(|ks| ks.contains(&key))
+}
+
+/// Hermes backend: whether `key` is under an in-flight invalidation at
+/// this replica (an invalidated key must not serve reads until its
+/// validation arrives). A function of the mark table alone, so point
+/// reads and range-walk rows (which hold the node partially borrowed)
+/// share it. The table is empty under every other backend, so the check
+/// is one branch on the hot path.
+fn hermes_invalid(marks: &FastMap<(TxnId, u32), KeySet>, key: Key) -> bool {
+    !marks.is_empty() && marks.values().any(|ks| ks.contains(&key))
+}
+
+/// Releases `keys` on this node's NIC index if `txn` holds them (the
+/// unlock is owner-checked, hence idempotent).
+fn unlock_keys(st: &mut XenicNode, txn: TxnId, keys: &[Key]) {
+    for k in keys {
+        let seg = st.segment(*k);
+        st.nic_index.unlock(seg, *k, txn);
     }
 }
 
 /// The Xenic protocol (marker type implementing [`Protocol`]).
 pub struct Xenic;
+
+/// NIC-core cost of a message carrying a log record (LogReq and the
+/// backend append messages): the per-byte DMA-descriptor work.
+fn log_record_cost(writes: &WriteSet) -> u64 {
+    let bytes: u64 = writes
+        .iter()
+        .map(|(_, p, _)| u64::from(p.wire_bytes()) + 8)
+        .sum();
+    150 + bytes / 16
+}
 
 impl Protocol for Xenic {
     type Msg = XMsg;
@@ -593,36 +745,15 @@ impl Protocol for Xenic {
                     110 + 12 * b.checks.len() as u64 + 20 * b.scan_checks.len() as u64
                 }
                 XMsg::ValidateResp { .. } => 70,
-                XMsg::LogReq(b) => {
-                    let bytes: u64 = b
-                        .writes
-                        .iter()
-                        .map(|(_, p, _)| u64::from(p.wire_bytes()) + 8)
-                        .sum();
-                    150 + bytes / 16
-                }
+                XMsg::LogReq(b) => log_record_cost(&b.writes),
                 XMsg::LogResp { .. } => 70,
                 // Backend append messages carry the same record as a
                 // LogReq and pay the same per-byte DMA-descriptor cost;
                 // the protocol deltas ride on top (leader relay work is
                 // charged in the handler — it scales with the follower
                 // count, which the message alone doesn't know).
-                XMsg::RaftAppend(b) => {
-                    let bytes: u64 = b
-                        .writes
-                        .iter()
-                        .map(|(_, p, _)| u64::from(p.wire_bytes()) + 8)
-                        .sum();
-                    150 + bytes / 16
-                }
-                XMsg::HermesInv(b) => {
-                    let bytes: u64 = b
-                        .writes
-                        .iter()
-                        .map(|(_, p, _)| u64::from(p.wire_bytes()) + 8)
-                        .sum();
-                    150 + bytes / 16 + p.repl_inval_apply_ns
-                }
+                XMsg::RaftAppend(b) => log_record_cost(&b.writes),
+                XMsg::HermesInv(b) => log_record_cost(&b.writes) + p.repl_inval_apply_ns,
                 XMsg::HermesVal { .. } => 40 + p.repl_val_apply_ns,
                 XMsg::RaftNack { .. } => 70,
                 XMsg::CommitReq(b) => 150 + 40 * b.writes.len() as u64,
@@ -655,27 +786,13 @@ impl Protocol for Xenic {
             XMsg::StartTxn { slot } | XMsg::RetryTxn { slot } => {
                 host_start_txn(st, rt, me, slot, retry);
             }
-            XMsg::ReadSet { seq, values } => host_read_set(st, rt, me, seq, values),
-            XMsg::Outcome { seq, committed } => host_outcome(st, rt, me, seq, committed),
-            XMsg::ApplyLog { lsn } => host_apply_log(st, rt, me, lsn),
+            XMsg::ReadSet { seq, values } => host_read_set(st, rt, seq, values),
+            XMsg::Outcome { seq, committed } => host_outcome(st, rt, seq, committed),
+            XMsg::ApplyLog { lsn } => host_apply_log(st, rt, lsn),
 
             // ---------------- Coordinator NIC ----------------
-            XMsg::TxnSubmit(b) => {
-                let b = b.take();
-                cnic_submit(st, rt, me, b.seq, b.spec)
-            }
-            XMsg::ExecuteResp(b) => {
-                let ExecuteResp {
-                    txn,
-                    req,
-                    shard,
-                    ok,
-                    values,
-                    lock_versions,
-                    scan_obs,
-                } = b.take();
-                cnic_execute_resp(st, rt, me, txn, req, shard, ok, values, lock_versions, scan_obs)
-            }
+            XMsg::TxnSubmit(b) => cnic_submit(st, rt, me, b.take()),
+            XMsg::ExecuteResp(b) => cnic_execute_resp(st, rt, me, b.take()),
             XMsg::ValidateResp { txn, req, ok, .. } => {
                 cnic_validate_resp(st, rt, me, txn, req, ok)
             }
@@ -687,165 +804,29 @@ impl Protocol for Xenic {
             } => cnic_log_resp(st, rt, me, txn, from, shard, ok),
             XMsg::CommitAck { txn, shard, from } => cnic_commit_ack(st, txn, shard, from),
             XMsg::RaftNack { txn, shard, term } => {
-                crate::repl::RaftCommit::coordinator_nack(st, rt, txn, shard, term)
+                RaftCommit::coordinator_nack(st, rt, txn, shard, term)
             }
             XMsg::PhaseTimeout { seq, epoch } => cnic_phase_timeout(st, rt, me, seq, epoch),
-            XMsg::CommitTick { seq, attempt } => cnic_commit_tick(st, rt, me, seq, attempt),
-            XMsg::ExecShipResp(b) => {
-                let b = b.take();
-                cnic_ship_resp(st, rt, me, b.txn, b.ok, b.local_writes)
-            }
+            XMsg::CommitTick { seq, attempt } => cnic_commit_tick(st, rt, seq, attempt),
+            XMsg::ExecShipResp(b) => cnic_ship_resp(st, rt, me, b.take()),
             XMsg::WritesReady { seq, writes } => cnic_writes_ready(st, rt, me, seq, writes),
-            XMsg::LocalCommit(b) => {
-                let b = b.take();
-                cnic_local_commit(st, rt, me, b.seq, b.checks, b.writes)
-            }
+            XMsg::LocalCommit(b) => cnic_local_commit(st, rt, me, b.take()),
 
             // ---------------- Server NIC ----------------
-            XMsg::Execute(b) => {
-                let Execute {
-                    txn,
-                    req,
-                    reply_to,
-                    mode,
-                    reads,
-                    locks,
-                    scans,
-                } = b.take();
-                snic_execute(st, rt, me, txn, req, reply_to, mode, reads, locks, scans, None)
-            }
-            XMsg::Validate(b) => {
-                let Validate {
-                    txn,
-                    req,
-                    reply_to,
-                    checks,
-                    scan_checks,
-                } = b.take();
-                snic_validate(st, rt, me, txn, req, reply_to, checks, scan_checks)
-            }
-            XMsg::LogReq(b) => {
-                let LogReq {
-                    txn,
-                    shard,
-                    reply_to,
-                    writes,
-                } = b.take();
-                snic_log(st, rt, me, txn, shard, reply_to, writes, false)
-            }
-            XMsg::RaftAppend(b) => {
-                let crate::msg::RaftAppend {
-                    txn,
-                    shard,
-                    term,
-                    reply_to,
-                    writes,
-                } = b.take();
-                crate::repl::RaftCommit::leader_append(st, rt, me, txn, shard, term, reply_to, writes)
-            }
-            XMsg::HermesInv(b) => {
-                let crate::msg::HermesInv {
-                    txn,
-                    shard,
-                    reply_to,
-                    writes,
-                } = b.take();
-                crate::repl::HermesInval::backup_invalidate(st, rt, me, txn, shard, reply_to, writes)
-            }
-            XMsg::HermesVal { txn, shard } => {
-                crate::repl::HermesInval::backup_validate(st, rt, txn, shard)
-            }
-            XMsg::CommitReq(b) => {
-                let b = b.take();
-                snic_commit(st, rt, me, b.txn, b.shard, b.writes)
-            }
-            XMsg::AbortReq(b) => {
-                let b = b.take();
-                // `send_abort` addresses one shard per (non-empty)
-                // AbortReq and, under faults, retransmits until this ack.
-                let shard = b.unlock.first().map(|k| shard_of(*k));
-                for k in b.unlock {
-                    let seg = st.segment(k);
-                    st.nic_index.unlock(seg, k, b.txn);
-                }
-                if let Some(shard) = shard.filter(|_| rt.faults_active()) {
-                    let ack = XMsg::CommitAck { txn: b.txn, shard, from: me as u32 };
-                    let bytes = ack.wire_bytes();
-                    rt.send_net(b.txn.node as usize, Exec::Nic, ack, bytes);
-                }
-            }
-            XMsg::ExecShip(b) => {
-                let ExecShip {
-                    txn,
-                    reply_to,
-                    spec,
-                    local_vals,
-                } = b.take();
-                // A retransmitted ExecShip replays the cached outcome —
-                // re-executing could re-lock keys the commit already
-                // released, or double-log at the backups.
-                if rt.faults_active() {
-                    if let Some((resp, fanout)) = st.ship_resp.get(&txn).cloned() {
-                        for (dst, msg) in fanout {
-                            let bytes = msg.wire_bytes();
-                            rt.send_net(dst, Exec::Nic, msg, bytes);
-                        }
-                        let bytes = resp.wire_bytes();
-                        rt.send_net(reply_to as usize, Exec::Nic, resp, bytes);
-                        return;
-                    }
-                }
-                let reads: KeySet = spec
-                    .reads
-                    .iter()
-                    .copied()
-                    .filter(|k| shard_of(*k) == st.shard)
-                    .collect();
-                // Shipped executions lock read keys too (validation-free).
-                let locks: KeySet = spec
-                    .all_keys()
-                    .filter(|k| shard_of(*k) == st.shard)
-                    .collect();
-                // Multi-hop shipping is gated on `!spec.has_scans()` at
-                // the coordinator, so shipped executions never carry
-                // range predicates.
-                debug_assert!(!spec.has_scans());
-                let ship = Some(Box::new(ShipCtx { spec, local_vals }));
-                snic_execute(
-                    st,
-                    rt,
-                    me,
-                    txn,
-                    0,
-                    reply_to,
-                    ExecMode::Combined,
-                    reads,
-                    locks,
-                    ScanSet::new(),
-                    ship,
-                );
-            }
-            XMsg::DmaLookupDone(b) => {
-                let DmaLookupDone {
-                    op,
-                    key,
-                    remaining,
-                    result,
-                } = b.take();
-                snic_dma_lookup_done(st, rt, me, op, key, remaining, result)
-            }
-            XMsg::DmaLogDone(b) => {
-                let DmaLogDone {
-                    txn,
-                    reply_to,
-                    lsn,
-                    unlock,
-                } = b.take();
-                snic_dma_log_done(st, rt, me, txn, reply_to, lsn, unlock)
-            }
+            XMsg::Execute(b) => snic_execute(st, rt, b.take(), None),
+            XMsg::Validate(b) => snic_validate(st, rt, b.take()),
+            XMsg::LogReq(b) => snic_log(st, rt, b.take(), false),
+            XMsg::RaftAppend(b) => RaftCommit::leader_append(st, rt, me, b.take()),
+            XMsg::HermesInv(b) => HermesInval::backup_invalidate(st, rt, b.take()),
+            XMsg::HermesVal { txn, shard } => HermesInval::backup_validate(st, rt, txn, shard),
+            XMsg::CommitReq(b) => snic_commit(st, rt, b.take()),
+            XMsg::AbortReq(b) => snic_abort(st, rt, b.take()),
+            XMsg::ExecShip(b) => snic_exec_ship(st, rt, b.take()),
+            XMsg::DmaLookupDone(b) => snic_dma_lookup_done(st, rt, b.take()),
+            XMsg::DmaLogDone(b) => snic_dma_log_done(st, rt, b.take()),
             XMsg::RetryCommitApply(b) => {
                 let b = b.take();
-                apply_commit_records(st, rt, me, b.txn, b.writes, b.unlock);
+                apply_commit_records(st, rt, b.txn, b.writes, b.unlock);
             }
             XMsg::RetryBackupLog(b) => {
                 let RetryBackupLog {
@@ -854,7 +835,7 @@ impl Protocol for Xenic {
                     reply_to,
                     writes,
                 } = b.take();
-                snic_log(st, rt, me, txn, shard, reply_to, writes, true)
+                snic_log(st, rt, LogReq { txn, shard, reply_to, writes }, true)
             }
             XMsg::AppliedAck { lsn } => {
                 let XenicNode {
@@ -879,7 +860,7 @@ impl Protocol for Xenic {
     /// tables) survived, but every in-flight event targeting this node —
     /// DMA completions, ApplyLog hand-offs, retransmission timers — was
     /// discarded. Re-prime the pipelines that those events were driving.
-    fn on_restart(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize) {
+    fn on_restart(st: &mut XenicNode, rt: &mut Runtime<XMsg>, _me: usize) {
         // Revive the log-apply pipeline: any unacked record whose
         // DmaLogDone or ApplyLog event died with the crash is re-handed
         // to a host worker (host_apply_log applies strictly in LSN order
@@ -915,48 +896,39 @@ impl Protocol for Xenic {
         // in-flight transaction in a network-bound phase. The old timer
         // chains died with the crash; epoch bumps keep any stragglers
         // (scheduled pre-crash, delivered post-restart) inert.
-        let fa = rt.faults_active();
-        if fa {
-            // Sorted scan: HashMap iteration order is per-instance random,
-            // and the timer-arm order decides event-queue FIFO ties.
-            let mut seqs: Vec<u64> = st.coord.keys().copied().collect();
-            seqs.sort_unstable();
-            for seq in seqs {
-                let ct = st.coord.get_mut(&seq).expect("coord exists");
-                match ct.phase {
-                    Phase::Exec
-                    | Phase::Validate
-                    | Phase::Log
-                    | Phase::MhShipped
-                    | Phase::LocalRepl => {
-                        ct.epoch += 1;
-                        let epoch = ct.epoch;
-                        rt.send_local(
-                            Exec::Nic,
-                            XMsg::PhaseTimeout { seq, epoch },
-                            st.cfg.phase_timeout_ns,
-                        );
-                    }
-                    // PCIe and intra-NIC hand-offs died with the crash and
-                    // cannot be retransmitted from here; these transactions
-                    // stall (their slots stay idle) but hold no remote
-                    // protocol obligations that block others.
-                    Phase::WaitHost | Phase::MhLocal => {}
+        if !rt.faults_active() {
+            return;
+        }
+        // Sorted scan: HashMap iteration order is per-instance random,
+        // and the timer-arm order decides event-queue FIFO ties.
+        let mut seqs: Vec<u64> = st.coord.keys().copied().collect();
+        seqs.sort_unstable();
+        for seq in seqs {
+            let ct = st.coord.get_mut(&seq).expect("coord exists");
+            match ct.phase {
+                Phase::Exec
+                | Phase::Validate
+                | Phase::Log
+                | Phase::MhShipped
+                | Phase::LocalRepl => {
+                    ct.epoch += 1;
+                    arm_phase_timer(st, rt, seq);
                 }
-            }
-            // Same sorted-scan idiom: `committing` is hash-ordered now,
-            // and the CommitTick arm order decides FIFO ties.
-            let mut pending_commits: Vec<u64> = st.committing.keys().copied().collect();
-            pending_commits.sort_unstable();
-            for seq in pending_commits {
-                rt.send_local(
-                    Exec::Nic,
-                    XMsg::CommitTick { seq, attempt: 0 },
-                    st.cfg.commit_ack_timeout_ns,
-                );
+                // PCIe and intra-NIC hand-offs died with the crash and
+                // cannot be retransmitted from here; these transactions
+                // stall (their slots stay idle) but hold no remote
+                // protocol obligations that block others.
+                Phase::WaitHost | Phase::MhLocal => {}
             }
         }
-        let _ = me;
+        // Same sorted-scan idiom: `committing` is hash-ordered too, and
+        // the CommitTick arm order decides FIFO ties.
+        let mut pending_commits: Vec<u64> = st.committing.keys().copied().collect();
+        pending_commits.sort_unstable();
+        for seq in pending_commits {
+            let tick = XMsg::CommitTick { seq, attempt: 0 };
+            rt.send_local(Exec::Nic, tick, COMMIT_ACK_TIMEOUT_NS);
+        }
     }
 }
 
@@ -995,15 +967,21 @@ fn host_start_txn(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, slot: u
     let shards = spec.shards();
     let local_only = shards.len() == 1 && shards[0] == st.shard;
 
-    if shards.is_empty() {
-        // A no-op transaction (e.g. a TPC-C Delivery that found no
-        // pending order): commits trivially after its local work.
-        rt.charge(spec.exec_host_ns);
+    // A transaction the host finishes by itself: record the commit and
+    // turn the slot over.
+    let commit_on_host = |st: &mut XenicNode, rt: &mut Runtime<XMsg>| {
         let started = st.slots[slot as usize].first_started;
         st.stats.record_commit(spec.metric, started, rt.now());
         st.slots[slot as usize].spec = None;
         st.host_txns.remove(&seq);
         rt.send_local(Exec::Host, XMsg::StartTxn { slot }, 50);
+    };
+
+    if shards.is_empty() {
+        // A no-op transaction (e.g. a TPC-C Delivery that found no
+        // pending order): commits trivially after its local work.
+        rt.charge(spec.exec_host_ns);
+        commit_on_host(st, rt);
         return;
     }
 
@@ -1029,11 +1007,7 @@ fn host_start_txn(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, slot: u
             r.commit(txn);
         }
         st.stats.local_fast_path.inc();
-        let started = st.slots[slot as usize].first_started;
-        st.stats.record_commit(spec.metric, started, rt.now());
-        st.slots[slot as usize].spec = None;
-        st.host_txns.remove(&seq);
-        rt.send_local(Exec::Host, XMsg::StartTxn { slot }, 50);
+        commit_on_host(st, rt);
         return;
     }
 
@@ -1051,38 +1025,29 @@ fn host_start_txn(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, slot: u
         for (k, op) in spec.all_updates() {
             let ver = st.host_table.get(*k).map(|(_, ver)| ver).unwrap_or(0);
             checks.push((*k, ver));
-            let payload = match op {
-                UpdateOp::Put(v) => WritePayload::Full(v.clone()),
-                UpdateOp::AddI64(d) => WritePayload::AddI64(*d),
-                UpdateOp::Mutate => WritePayload::Mutate,
-            };
-            writes.push((*k, payload, ver + 1));
+            writes.push((*k, payload_of(op), ver + 1));
         }
         for (k, v) in &spec.inserts {
             let ver = st.host_table.get(*k).map(|(_, ver)| ver).unwrap_or(0);
             writes.push((*k, WritePayload::Full(v.clone()), ver + 1));
         }
         st.stats.local_fast_path.inc();
-        let msg = XMsg::from(LocalCommit {
+        let commit = LocalCommit {
             seq,
             checks,
             writes,
-        });
-        let bytes = msg.wire_bytes();
-        rt.send_pcie(Exec::Nic, msg, bytes);
+        };
+        send_pcie(rt, Exec::Nic, commit.into());
         return;
     }
 
     // Distributed: ship the transaction state to the local SmartNIC.
-    let msg = XMsg::from(TxnSubmit { seq, spec });
-    let bytes = msg.wire_bytes();
-    rt.send_pcie(Exec::Nic, msg, bytes);
+    send_pcie(rt, Exec::Nic, TxnSubmit { seq, spec }.into());
 }
 
 fn host_read_set(
     st: &mut XenicNode,
     rt: &mut Runtime<XMsg>,
-    _me: usize,
     seq: u64,
     values: Vec<(Key, Value, Version)>,
 ) {
@@ -1094,30 +1059,27 @@ fn host_read_set(
     };
     rt.charge(spec.exec_host_ns);
     let writes = compute_writes(&spec, &values, &[]);
-    let msg = XMsg::WritesReady { seq, writes };
-    let bytes = msg.wire_bytes();
-    rt.send_pcie(Exec::Nic, msg, bytes);
+    send_pcie(rt, Exec::Nic, XMsg::WritesReady { seq, writes });
 }
 
-fn host_outcome(st: &mut XenicNode, rt: &mut Runtime<XMsg>, _me: usize, seq: u64, committed: bool) {
-    let Some((slot, metric)) = st.host_txns.remove(&seq) else {
+fn host_outcome(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64, committed: bool) {
+    let Some((slot, _)) = st.host_txns.remove(&seq) else {
         return;
     };
     if committed {
         // Commit statistics were already recorded NIC-side (atomically
         // with the commit decision); only the slot turns over here.
-        let _ = metric;
         st.slots[slot as usize].spec = None;
         rt.send_local(Exec::Host, XMsg::StartTxn { slot }, 50);
     } else {
         st.stats.record_abort();
-        let (lo, hi) = st.cfg.retry_backoff_ns;
+        let (lo, hi) = RETRY_BACKOFF_NS;
         let backoff = rt.txn_rng().range_inclusive(lo, hi);
         rt.send_local(Exec::Host, XMsg::RetryTxn { slot }, backoff);
     }
 }
 
-fn host_apply_log(st: &mut XenicNode, rt: &mut Runtime<XMsg>, _me: usize, lsn: u64) {
+fn host_apply_log(st: &mut XenicNode, rt: &mut Runtime<XMsg>, lsn: u64) {
     st.apply_ready.insert(lsn);
     let mut applied_to = None;
     while st.apply_ready.remove(&st.next_apply_lsn) {
@@ -1152,9 +1114,7 @@ fn host_apply_log(st: &mut XenicNode, rt: &mut Runtime<XMsg>, _me: usize, lsn: u
         applied_to = Some(lsn);
     }
     if let Some(lsn) = applied_to {
-        let msg = XMsg::AppliedAck { lsn };
-        let bytes = msg.wire_bytes();
-        rt.send_pcie(Exec::Nic, msg, bytes);
+        send_pcie(rt, Exec::Nic, XMsg::AppliedAck { lsn });
     }
 }
 
@@ -1219,43 +1179,77 @@ fn compute_writes(
     values: &[(Key, Value, Version)],
     lock_versions: &[(Key, Version)],
 ) -> WriteSet {
-    let version_of = |k: Key| -> Version {
-        lock_versions
-            .iter()
-            .find(|(key, _)| *key == k)
-            .map(|(_, v)| *v)
-            .or_else(|| {
-                values
-                    .iter()
-                    .find(|(key, _, _)| *key == k)
-                    .map(|(_, _, v)| *v)
-            })
-            .unwrap_or(0)
-    };
     let mut out = Vec::with_capacity(spec.updates.len() + spec.inserts.len());
     for (k, op) in spec.all_updates() {
-        let ver = version_of(*k);
-        let payload = match op {
-            UpdateOp::Put(v) => WritePayload::Full(v.clone()),
-            UpdateOp::AddI64(d) => WritePayload::AddI64(*d),
-            UpdateOp::Mutate => WritePayload::Mutate,
-        };
-        out.push((*k, payload, ver + 1));
+        out.push((*k, payload_of(op), version_of(values, lock_versions, *k) + 1));
     }
     for (k, v) in &spec.inserts {
-        let ver = version_of(*k);
+        let ver = version_of(values, lock_versions, *k);
         out.push((*k, WritePayload::Full(v.clone()), ver + 1));
     }
     out
+}
+
+/// The write payload an update op ships to each replica.
+fn payload_of(op: &UpdateOp) -> WritePayload {
+    match op {
+        UpdateOp::Put(v) => WritePayload::Full(v.clone()),
+        UpdateOp::AddI64(d) => WritePayload::AddI64(*d),
+        UpdateOp::Mutate => WritePayload::Mutate,
+    }
+}
+
+/// The version Execute observed for `k`: lock metadata first, else the
+/// read value's, else 0 (a key nobody has written yet).
+fn version_of(values: &[(Key, Value, Version)], lock_versions: &[(Key, Version)], k: Key) -> Version {
+    let locked = lock_versions.iter().find(|(key, _)| *key == k).map(|(_, v)| *v);
+    locked
+        .or_else(|| values.iter().find(|(key, _, _)| *key == k).map(|(_, _, v)| *v))
+        .unwrap_or(0)
 }
 
 // =====================================================================
 // Coordinator-NIC handlers
 // =====================================================================
 
-fn cnic_submit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64, spec: Arc<TxnSpec>) {
-    let fa = rt.faults_active();
+/// Opens one Execute/Validate request of `seq`'s current wait: allocates
+/// its id, counts it in `pending` and — only when faults are active —
+/// tracks a clone of `build(id)` for retransmission. Returns the body
+/// for the caller to deliver.
+fn open_request<B: Clone + Into<XMsg>>(
+    st: &mut XenicNode,
+    rt: &mut Runtime<XMsg>,
+    seq: u64,
+    dst: usize,
+    build: impl FnOnce(u64) -> B,
+) -> B {
+    let req = st.next_req;
+    st.next_req += 1;
+    let body = build(req);
+    let ct = st.coord.get_mut(&seq).expect("coord exists");
+    ct.pending += 1;
+    if rt.faults_active() {
+        ct.round.track(Awaits::Req(req), dst, body.clone().into());
+    }
+    body
+}
+
+/// Opens a request (see [`open_request`]) and sends it to `dst`.
+fn request<B: Clone + Into<XMsg>>(
+    st: &mut XenicNode,
+    rt: &mut Runtime<XMsg>,
+    seq: u64,
+    dst: usize,
+    build: impl FnOnce(u64) -> B,
+) {
+    let body = open_request(st, rt, seq, dst, build);
+    send(rt, dst, body.into());
+}
+
+fn cnic_submit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, submit: TxnSubmit) {
+    let TxnSubmit { seq, spec } = submit;
     let txn = TxnId::new(me as u32, seq);
+    let reply_to = me as u32;
     // The Execute span covers every coordinator variant: the standard
     // per-shard Execute round, the multi-hop local lock+read, and the
     // direct-ship path (which stays "executing" until the ship resolves).
@@ -1290,83 +1284,42 @@ fn cnic_submit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64, 
 
     if multihop_ok {
         ct.remote_shard = Some(remote_shards[0]);
+        st.stats.multihop.inc();
         let local_keys: KeySet = spec
             .all_keys()
             .filter(|k| shard_of(*k) == st.shard)
             .collect();
         if local_keys.is_empty() {
             // Ship straight to the remote primary.
-            ct.phase = Phase::MhShipped;
-            ct.pending = mh_expected_acks(st, &spec, remote_shards[0]);
-            let msg = XMsg::from(ExecShip {
-                txn,
-                reply_to: me as u32,
-                spec: Arc::clone(&spec),
-                local_vals: Vec::new(),
-            });
-            let bytes = msg.wire_bytes();
-            let dst = st.part.primary(remote_shards[0]);
-            if fa {
-                ct.resend.push((dst, remote_shards[0], msg.clone()));
-            }
-            rt.send_net(dst, Exec::Nic, msg, bytes);
-            st.stats.multihop.inc();
-        } else {
-            // Lock+read the local part inline — the coordinator NIC holds
-            // the local locks and cache itself, so no self-message hop is
-            // needed (cache misses fall back to the DMA machinery, whose
-            // ExecuteResp self-delivers).
-            ct.phase = Phase::MhLocal;
-            ct.pending = 1;
-            ct.local_locked = local_keys.clone();
-            let local_reads: KeySet = spec
-                .reads
-                .iter()
-                .copied()
-                .filter(|k| shard_of(*k) == st.shard)
-                .collect();
-            let req = st.next_req;
-            st.next_req += 1;
-            if fa {
-                // Self-delivery is reliable; the entry exists for dedup
-                // symmetry, never for retransmission (MhLocal arms no
-                // timer).
-                ct.await_req(
-                    req,
-                    me,
-                    XMsg::from(Execute {
-                        txn,
-                        req,
-                        reply_to: me as u32,
-                        mode: ExecMode::Combined,
-                        reads: local_reads.clone(),
-                        locks: local_keys.clone(),
-                        scans: ScanSet::new(),
-                    }),
-                );
-            }
-            st.stats.multihop.inc();
             st.coord.insert(seq, ct);
-            rt.charge(30 * local_keys.len() as u64);
-            snic_execute(
-                st,
-                rt,
-                me,
-                txn,
-                req,
-                me as u32,
-                ExecMode::Combined,
-                local_reads,
-                local_keys,
-                ScanSet::new(),
-                None,
-            );
+            ship_exec(st, rt, me, seq, Vec::new());
             return;
         }
+        // Lock+read the local part inline — the coordinator NIC holds
+        // the local locks and cache itself, so no self-message hop is
+        // needed (cache misses fall back to the DMA machinery, whose
+        // ExecuteResp self-delivers). Self-delivery is reliable: the
+        // request is tracked for dedup symmetry, never retransmitted
+        // (MhLocal arms no timer).
+        ct.phase = Phase::MhLocal;
+        ct.local_locked = local_keys.clone();
         st.coord.insert(seq, ct);
-        if fa {
-            arm_phase_timer(st, rt, seq);
-        }
+        let reads: KeySet = spec
+            .reads
+            .iter()
+            .copied()
+            .filter(|k| shard_of(*k) == st.shard)
+            .collect();
+        let exec = open_request(st, rt, seq, me, |req| Execute {
+            txn,
+            req,
+            reply_to,
+            reads,
+            locks: local_keys,
+            scans: ScanSet::new(),
+        });
+        rt.charge(30 * exec.locks.len() as u64);
+        snic_execute(st, rt, exec, None);
         return;
     }
 
@@ -1374,6 +1327,7 @@ fn cnic_submit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64, 
     // (update/insert) keys are locked and return only their versions —
     // delta payloads make the values unnecessary at the coordinator.
     ct.shards_contacted = shards.len();
+    st.coord.insert(seq, ct);
     for &shard in &shards {
         let reads: KeySet = spec
             .reads
@@ -1389,148 +1343,99 @@ fn cnic_submit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64, 
             .filter(|s| s.shard() == shard)
             .collect();
         let dst = st.part.primary(shard);
+        let exec = |req, reads, locks, scans| Execute {
+            txn,
+            req,
+            reply_to,
+            reads,
+            locks,
+            scans,
+        };
         if st.cfg.smart_remote_ops {
-            ct.pending += 1;
-            let req = st.next_req;
-            st.next_req += 1;
-            let msg = XMsg::from(Execute {
-                txn,
-                req,
-                reply_to: me as u32,
-                mode: ExecMode::Combined,
-                reads,
-                locks,
-                scans,
-            });
-            if fa {
-                ct.await_req(req, dst, msg.clone());
-            }
-            let bytes = msg.wire_bytes();
-            rt.send_net(dst, Exec::Nic, msg, bytes);
-        } else {
-            // Figure 9 baseline: separate per-key read and lock requests,
-            // mirroring one-sided RDMA's one-op-one-request structure.
-            for k in reads {
-                ct.pending += 1;
-                let req = st.next_req;
-                st.next_req += 1;
-                let msg = XMsg::from(Execute {
-                    txn,
-                    req,
-                    reply_to: me as u32,
-                    mode: ExecMode::ReadOnly,
-                    reads: std::iter::once(k).collect(),
-                    locks: KeySet::new(),
-                    scans: ScanSet::new(),
-                });
-                if fa {
-                    ct.await_req(req, dst, msg.clone());
-                }
-                let bytes = msg.wire_bytes();
-                rt.send_net(dst, Exec::Nic, msg, bytes);
-            }
-            for s in scans {
-                // One request per predicate, mirroring the baseline's
-                // one-op-one-request structure.
-                ct.pending += 1;
-                let req = st.next_req;
-                st.next_req += 1;
-                let msg = XMsg::from(Execute {
-                    txn,
-                    req,
-                    reply_to: me as u32,
-                    mode: ExecMode::ReadOnly,
-                    reads: KeySet::new(),
-                    locks: KeySet::new(),
-                    scans: std::iter::once(s).collect(),
-                });
-                if fa {
-                    ct.await_req(req, dst, msg.clone());
-                }
-                let bytes = msg.wire_bytes();
-                rt.send_net(dst, Exec::Nic, msg, bytes);
-            }
-            for k in locks {
-                ct.pending += 1;
-                let req = st.next_req;
-                st.next_req += 1;
-                let msg = XMsg::from(Execute {
-                    txn,
-                    req,
-                    reply_to: me as u32,
-                    mode: ExecMode::LockOnly,
-                    reads: KeySet::new(),
-                    locks: std::iter::once(k).collect(),
-                    scans: ScanSet::new(),
-                });
-                if fa {
-                    ct.await_req(req, dst, msg.clone());
-                }
-                let bytes = msg.wire_bytes();
-                rt.send_net(dst, Exec::Nic, msg, bytes);
-            }
+            request(st, rt, seq, dst, |req| exec(req, reads, locks, scans));
+            continue;
+        }
+        // Figure 9 baseline: one request per read key, per predicate and
+        // per lock key, mirroring one-sided RDMA's one-op-one-request
+        // structure.
+        for k in reads {
+            let one = std::iter::once(k).collect();
+            request(st, rt, seq, dst, |req| exec(req, one, KeySet::new(), ScanSet::new()));
+        }
+        for s in scans {
+            let one = std::iter::once(s).collect();
+            request(st, rt, seq, dst, |req| exec(req, KeySet::new(), KeySet::new(), one));
+        }
+        for k in locks {
+            let one = std::iter::once(k).collect();
+            request(st, rt, seq, dst, |req| exec(req, KeySet::new(), one, ScanSet::new()));
         }
     }
-    let pending = ct.pending;
-    st.coord.insert(seq, ct);
-    if pending == 0 {
+    if st.coord[&seq].pending == 0 {
         // Nothing to wait for (degenerate spec): advance immediately.
         exec_complete(st, rt, me, seq, txn);
-    } else if fa {
+    } else if rt.faults_active() {
         arm_phase_timer(st, rt, seq);
     }
 }
 
 /// Arms one retransmission-timer chain for the coordinator transaction's
 /// current phase epoch (fault injection only).
-pub(crate) fn arm_phase_timer(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64) {
+fn arm_phase_timer(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64) {
     let Some(ct) = st.coord.get(&seq) else {
         return;
     };
-    let epoch = ct.epoch;
-    rt.send_local(
-        Exec::Nic,
-        XMsg::PhaseTimeout { seq, epoch },
-        st.cfg.phase_timeout_ns,
-    );
+    let timeout = XMsg::PhaseTimeout { seq, epoch: ct.epoch };
+    rt.send_local(Exec::Nic, timeout, PHASE_TIMEOUT_NS);
 }
 
-/// Expected multi-hop acknowledgements: the ExecShipResp plus one LogResp
-/// per backup of each written shard.
-fn mh_expected_acks(st: &XenicNode, spec: &TxnSpec, remote: u32) -> usize {
-    let mut acks = 1;
-    let writes_remote = spec.write_keys().any(|k| shard_of(k) == remote);
-    let writes_local = spec.write_keys().any(|k| shard_of(k) == st.shard);
-    if writes_remote {
-        acks += st.part.backups(remote).len();
-    }
-    if writes_local {
-        acks += st.part.backups(st.shard).len();
-    }
-    acks
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cnic_execute_resp(
+/// Multi-hop: ships the whole transaction to its one remote primary,
+/// carrying the coordinator-local values read and locked here. Expects
+/// the ExecShipResp plus one LogResp per backup of each written shard.
+fn ship_exec(
     st: &mut XenicNode,
     rt: &mut Runtime<XMsg>,
     me: usize,
-    txn: TxnId,
-    req: u64,
-    shard: u32,
-    ok: bool,
-    values: Vec<(Key, Value, Version)>,
-    lock_versions: Vec<(Key, Version)>,
-    scan_obs: ScanObsSet,
+    seq: u64,
+    local_vals: Vec<(Key, Value, Version)>,
 ) {
+    let ct = st.coord.get_mut(&seq).expect("coord exists");
+    ct.enter_phase(Phase::MhShipped);
+    let remote = ct.remote_shard.expect("multihop has remote");
+    let spec = Arc::clone(&ct.spec);
+    ct.pending = 1;
+    for shard in [remote, st.shard] {
+        if spec.write_keys().any(|k| shard_of(k) == shard) {
+            ct.pending += st.part.backups(shard).len();
+        }
+    }
+    let msg = XMsg::from(ExecShip {
+        txn: TxnId::new(me as u32, seq),
+        reply_to: me as u32,
+        spec,
+        local_vals,
+    });
+    ct.round.send_tracked(rt, Awaits::Shipped, st.part.primary(remote), msg);
+    if rt.faults_active() {
+        arm_phase_timer(st, rt, seq);
+    }
+}
+
+fn cnic_execute_resp(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, resp: ExecuteResp) {
+    let ExecuteResp {
+        txn,
+        req,
+        shard,
+        ok,
+        values,
+        lock_versions,
+        scan_obs,
+    } = resp;
     let seq = txn.seq;
     let Some(ct) = st.coord.get_mut(&seq) else {
         return;
     };
-    // Count each request's response exactly once: a duplicated frame or a
-    // response to a request we already retransmitted-and-heard must not
-    // decrement `pending` again.
-    if rt.faults_active() && !ct.take_await(req) {
+    if rt.faults_active() && !ct.round.heard(Awaits::Req(req)) {
         return;
     }
     let mut release = KeySet::new();
@@ -1540,67 +1445,42 @@ fn cnic_execute_resp(
         ct.values.extend(values);
         ct.lock_versions.extend(lock_versions);
         ct.scan_obs.extend(scan_obs.iter().map(|o| (shard, *o)));
-        let locks_here = ct.spec.write_keys().any(|k| shard_of(k) == shard)
-            || ct.phase == Phase::MhLocal;
+        let locks_here = ct.spec.write_keys().any(|k| shard_of(k) == shard);
         if locks_here && !ct.locked_shards.contains(&shard) {
             ct.locked_shards.push(shard);
         }
     } else {
         // The txn is already aborting: release whatever this shard locked.
-        release = if ct.phase == Phase::MhLocal {
-            ct.local_locked.clone()
-        } else {
-            ct.spec
-                .write_keys()
-                .filter(|k| shard_of(*k) == shard)
-                .collect()
-        };
+        release = ct
+            .spec
+            .write_keys()
+            .filter(|k| shard_of(*k) == shard)
+            .collect();
     }
     ct.pending -= 1;
-    let (pending, txn_ok) = (ct.pending, ct.ok);
+    let (pending, txn_ok, phase) = (ct.pending, ct.ok, ct.phase);
     send_abort(st, rt, txn, shard, release);
     if pending > 0 {
         return;
     }
     if !txn_ok {
-        abort_txn(st, rt, me, seq, txn);
+        conclude(st, rt, me, seq, Verdict::Abort);
         return;
     }
-    match st.coord.get(&seq).map(|c| c.phase) {
-        Some(Phase::MhLocal) => {
+    match phase {
+        Phase::MhLocal => {
             // Local part locked & read; ship to the remote primary. Lock
             // versions travel as value-less entries (16 B each).
-            let ct = st.coord.get_mut(&seq).expect("coord exists");
-            ct.enter_phase(Phase::MhShipped);
-            let remote = ct.remote_shard.expect("multihop has remote");
-            let spec = Arc::clone(&ct.spec);
+            let ct = &st.coord[&seq];
             let mut local_vals = ct.values.to_vec();
             local_vals.extend(
                 ct.lock_versions
                     .iter()
                     .map(|(k, v)| (*k, Value::filled(0, 0), *v)),
             );
-            let acks = mh_expected_acks(st, &spec, remote);
-            let ct = st.coord.get_mut(&seq).expect("coord exists");
-            ct.pending = acks;
-            let msg = XMsg::from(ExecShip {
-                txn,
-                reply_to: me as u32,
-                spec,
-                local_vals,
-            });
-            let bytes = msg.wire_bytes();
-            let dst = st.part.primary(remote);
-            let fa = rt.faults_active();
-            if fa {
-                ct.resend.push((dst, remote, msg.clone()));
-            }
-            rt.send_net(dst, Exec::Nic, msg, bytes);
-            if fa {
-                arm_phase_timer(st, rt, seq);
-            }
+            ship_exec(st, rt, me, seq, local_vals);
         }
-        Some(Phase::Exec) => exec_complete(st, rt, me, seq, txn),
+        Phase::Exec => exec_complete(st, rt, me, seq, txn),
         _ => {}
     }
 }
@@ -1609,105 +1489,60 @@ fn cnic_execute_resp(
 /// issue the next round if the transaction is multi-shot, otherwise run
 /// execution logic (on NIC or host) and move to Validate.
 fn exec_complete(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64, txn: TxnId) {
-    {
-        let ct = st.coord.get_mut(&seq).expect("coord exists");
-        if ct.rounds_done < ct.spec.rounds.len() {
-            // §4.2 step 3: subsequent execute requests read and/or lock
-            // additional keys until execution is finished.
-            let round = ct.spec.rounds[ct.rounds_done].clone();
-            ct.rounds_done += 1;
-            // Group by shard without a tree map: linear-scan into a tiny
-            // vec (≤ nodes entries), then sort by shard so the send order
-            // matches the old ascending-key BTreeMap iteration exactly.
-            let mut sends: Vec<(u32, KeySet, KeySet)> = Vec::new();
-            let entry_of = |sends: &mut Vec<(u32, KeySet, KeySet)>, s: u32| -> usize {
-                match sends.iter().position(|(sh, _, _)| *sh == s) {
-                    Some(i) => i,
-                    None => {
-                        sends.push((s, KeySet::new(), KeySet::new()));
-                        sends.len() - 1
-                    }
-                }
-            };
-            for k in &round.reads {
-                let i = entry_of(&mut sends, shard_of(*k));
-                sends[i].1.push(*k);
-            }
-            for (k, _) in &round.updates {
-                let i = entry_of(&mut sends, shard_of(*k));
-                sends[i].2.push(*k);
-            }
-            sends.sort_unstable_by_key(|(s, _, _)| *s);
-            ct.pending = sends.len();
-            ct.shards_contacted += sends.len();
-            // New round, new wait: bump the epoch so the previous round's
-            // timer chain dies, and start a fresh retransmission budget.
-            ct.epoch += 1;
-            ct.attempts = 0;
-            let fa = rt.faults_active();
-            let mut msgs: Vec<(usize, u64, XMsg)> = Vec::with_capacity(sends.len());
-            for (shard, reads, locks) in sends {
-                let req = st.next_req;
-                st.next_req += 1;
-                let msg = XMsg::from(Execute {
-                    txn,
-                    req,
-                    reply_to: me as u32,
-                    mode: ExecMode::Combined,
-                    reads,
-                    locks,
-                    scans: ScanSet::new(),
-                });
-                msgs.push((st.part.primary(shard), req, msg));
-            }
-            if fa {
-                let ct = st.coord.get_mut(&seq).expect("coord exists");
-                for (dst, req, msg) in &msgs {
-                    ct.await_req(*req, *dst, msg.clone());
-                }
-            }
-            for (dst, _, msg) in msgs {
-                let bytes = msg.wire_bytes();
-                rt.send_net(dst, Exec::Nic, msg, bytes);
-            }
-            if fa {
-                arm_phase_timer(st, rt, seq);
-            }
-            return;
-        }
-    }
-    rt.trace_end("Execute", seq);
     let ct = st.coord.get_mut(&seq).expect("coord exists");
-    let spec = ct.spec.clone();
-    if spec.is_read_only() {
-        // Reads from a single primary form an atomic snapshot; multi-shard
-        // read sets must validate.
-        if ct.shards_contacted <= 1 {
-            finish_commit_readonly(st, rt, me, seq);
-            return;
+    let spec = Arc::clone(&ct.spec);
+    if let Some(round) = spec.rounds.get(ct.rounds_done) {
+        // §4.2 step 3: subsequent execute requests read and/or lock
+        // additional keys until execution is finished.
+        ct.rounds_done += 1;
+        let mut sends: Vec<(u32, (KeySet, KeySet))> = Vec::new();
+        for k in &round.reads {
+            group_of(&mut sends, shard_of(*k)).0.push(*k);
         }
-        ct.phase = Phase::Validate;
-        send_validates(st, rt, me, seq, txn);
+        for (k, _) in &round.updates {
+            group_of(&mut sends, shard_of(*k)).1.push(*k);
+        }
+        sends.sort_unstable_by_key(|(s, _)| *s);
+        ct.shards_contacted += sends.len();
+        // New round, new wait: the previous round's timer chain dies and
+        // the retransmission budget starts afresh.
+        ct.enter_phase(Phase::Exec);
+        for (shard, (reads, locks)) in sends {
+            let dst = st.part.primary(shard);
+            request(st, rt, seq, dst, |req| Execute {
+                txn,
+                req,
+                reply_to: me as u32,
+                reads,
+                locks,
+                scans: ScanSet::new(),
+            });
+        }
+        if rt.faults_active() {
+            arm_phase_timer(st, rt, seq);
+        }
         return;
     }
-    if st.cfg.nic_execution && spec.ship == crate::api::ShipMode::Nic {
+    if spec.is_read_only() && ct.shards_contacted <= 1 {
+        // Reads from a single primary form an atomic snapshot; multi-shard
+        // read sets must validate.
+        conclude(st, rt, me, seq, Verdict::Commit);
+        return;
+    }
+    rt.trace_end("Execute", seq);
+    if spec.is_read_only() {
+        send_validates(st, rt, me, seq, txn);
+    } else if st.cfg.nic_execution && spec.ship == crate::api::ShipMode::Nic {
         // §4.2.2: run execution logic here on the coordinator NIC.
         rt.charge(spec.exec_nic_ns);
         st.stats.nic_executed.inc();
-        let ct = st.coord.get_mut(&seq).expect("coord exists");
         ct.writes = compute_writes(&spec, &ct.values, &ct.lock_versions);
-        ct.phase = Phase::Validate;
         send_validates(st, rt, me, seq, txn);
     } else {
         // Return the read set to the host for execution (§4.2 step 3).
-        let ct = st.coord.get_mut(&seq).expect("coord exists");
         ct.enter_phase(Phase::WaitHost);
-        let msg = XMsg::ReadSet {
-            seq,
-            values: ct.values.to_vec(),
-        };
-        let bytes = msg.wire_bytes();
-        rt.send_pcie(Exec::Host, msg, bytes);
+        let values = ct.values.to_vec();
+        send_pcie(rt, Exec::Host, XMsg::ReadSet { seq, values });
     }
 }
 
@@ -1721,29 +1556,13 @@ fn cnic_writes_ready(
     let Some(ct) = st.coord.get_mut(&seq) else {
         return;
     };
-    let txn = TxnId::new(me as u32, seq);
     // The host computed payloads; versions come from the NIC's execute-
     // phase lock metadata.
     ct.writes = writes
         .into_iter()
-        .map(|(k, p, _)| {
-            let ver = ct
-                .lock_versions
-                .iter()
-                .find(|(key, _)| *key == k)
-                .map(|(_, v)| *v)
-                .or_else(|| {
-                    ct.values
-                        .iter()
-                        .find(|(key, _, _)| *key == k)
-                        .map(|(_, _, v)| *v)
-                })
-                .unwrap_or(0);
-            (k, p, ver + 1)
-        })
+        .map(|(k, p, _)| (k, p, version_of(&ct.values, &ct.lock_versions, k) + 1))
         .collect();
-    ct.phase = Phase::Validate;
-    send_validates(st, rt, me, seq, txn);
+    send_validates(st, rt, me, seq, TxnId::new(me as u32, seq));
 }
 
 /// Sends Validate requests for read-set keys (not write-locked ones);
@@ -1758,15 +1577,7 @@ fn send_validates(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u6
     let checks: Vec<(Key, Version)> = ct
         .spec
         .all_reads()
-        .map(|k| {
-            let ver = ct
-                .values
-                .iter()
-                .find(|(key, _, _)| *key == k)
-                .map(|(_, _, v)| *v)
-                .unwrap_or(0);
-            (k, ver)
-        })
+        .map(|k| (k, version_of(&ct.values, &[], k)))
         .collect();
     if (checks.is_empty() && ct.scan_obs.is_empty()) || ct.shards_contacted <= 1 {
         // Single-shard execute was atomic at the primary; no window —
@@ -1775,76 +1586,46 @@ fn send_validates(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u6
         log_phase(st, rt, me, seq, txn);
         return;
     }
-    // Group by shard via linear scan + sort (≤ nodes entries); sorted
-    // order matches the old ascending-key BTreeMap iteration. Scan
-    // re-checks ride the same per-shard Validate: each Execute-phase
+    // Scan re-checks ride the same per-shard Validate: each Execute-phase
     // observation already carries everything the primary needs to
     // re-walk its predicate.
-    let mut by_shard: Vec<(u32, CheckSet, ScanCheckSet)> = Vec::new();
-    let entry_of = |by: &mut Vec<(u32, CheckSet, ScanCheckSet)>, s: u32| -> usize {
-        match by.iter().position(|(sh, _, _)| *sh == s) {
-            Some(i) => i,
-            None => {
-                by.push((s, CheckSet::new(), ScanCheckSet::new()));
-                by.len() - 1
-            }
-        }
-    };
+    let mut by_shard: Vec<(u32, (CheckSet, ScanCheckSet))> = Vec::new();
     for (k, v) in checks {
-        let i = entry_of(&mut by_shard, shard_of(k));
-        by_shard[i].1.push((k, v));
+        group_of(&mut by_shard, shard_of(k)).0.push((k, v));
     }
     for &(s, o) in ct.scan_obs.iter() {
-        let i = entry_of(&mut by_shard, s);
-        by_shard[i].2.push(ScanCheck {
+        group_of(&mut by_shard, s).1.push(ScanCheck {
             lo: o.lo,
             hi_obs: o.hi_obs,
             count: o.count,
             fp: o.fp,
         });
     }
-    by_shard.sort_unstable_by_key(|(s, _, _)| *s);
-    ct.pending = 0;
+    by_shard.sort_unstable_by_key(|(s, _)| *s);
     let smart = st.cfg.smart_remote_ops;
-    let mut to_send: Vec<(u32, CheckSet, ScanCheckSet)> = Vec::new();
-    for (shard, checks, scan_checks) in by_shard {
+    let validate = |req, checks, scan_checks| Validate {
+        txn,
+        req,
+        reply_to: me as u32,
+        checks,
+        scan_checks,
+    };
+    for (shard, (checks, scan_checks)) in by_shard {
+        let dst = st.part.primary(shard);
         if smart {
-            to_send.push((shard, checks, scan_checks));
-        } else {
-            for c in checks {
-                to_send.push((shard, std::iter::once(c).collect(), ScanCheckSet::new()));
-            }
-            for sc in scan_checks {
-                to_send.push((shard, CheckSet::new(), std::iter::once(sc).collect()));
-            }
+            request(st, rt, seq, dst, |req| validate(req, checks, scan_checks));
+            continue;
+        }
+        for c in checks {
+            let one = std::iter::once(c).collect();
+            request(st, rt, seq, dst, |req| validate(req, one, ScanCheckSet::new()));
+        }
+        for sc in scan_checks {
+            let one = std::iter::once(sc).collect();
+            request(st, rt, seq, dst, |req| validate(req, CheckSet::new(), one));
         }
     }
-    let fa = rt.faults_active();
-    let mut msgs: Vec<(usize, u64, XMsg)> = Vec::with_capacity(to_send.len());
-    for (shard, checks, scan_checks) in to_send {
-        let req = st.next_req;
-        st.next_req += 1;
-        let msg = XMsg::from(Validate {
-            txn,
-            req,
-            reply_to: me as u32,
-            checks,
-            scan_checks,
-        });
-        msgs.push((st.part.primary(shard), req, msg));
-    }
-    let ct = st.coord.get_mut(&seq).expect("coord exists");
-    ct.pending = msgs.len();
-    if fa {
-        for (dst, req, msg) in &msgs {
-            ct.await_req(*req, *dst, msg.clone());
-        }
-    }
-    for (dst, _, msg) in msgs {
-        let bytes = msg.wire_bytes();
-        rt.send_net(dst, Exec::Nic, msg, bytes);
-    }
-    if fa {
+    if rt.faults_active() {
         arm_phase_timer(st, rt, seq);
     }
 }
@@ -1864,7 +1645,7 @@ fn cnic_validate_resp(
     if ct.phase != Phase::Validate {
         return;
     }
-    if rt.faults_active() && !ct.take_await(req) {
+    if rt.faults_active() && !ct.round.heard(Awaits::Req(req)) {
         return;
     }
     if !ok {
@@ -1874,16 +1655,10 @@ fn cnic_validate_resp(
     if ct.pending > 0 {
         return;
     }
-    if !ct.ok {
-        abort_txn(st, rt, me, seq, txn);
-        return;
-    }
-    if st.coord[&seq].spec.is_read_only() {
-        // log_phase (which normally ends Validate) is skipped here.
-        rt.trace_end("Validate", seq);
-        finish_commit_readonly(st, rt, me, seq);
-    } else {
+    if ct.ok {
         log_phase(st, rt, me, seq, txn);
+    } else {
+        conclude(st, rt, me, seq, Verdict::Abort);
     }
 }
 
@@ -1892,34 +1667,60 @@ fn cnic_validate_resp(
 /// point — who the appends go to, how many acks commit, and what the
 /// retransmission policy is.
 fn log_phase(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64, txn: TxnId) {
-    rt.trace_end("Validate", seq);
     let ct = st.coord.get_mut(&seq).expect("coord exists");
     if ct.spec.is_read_only() {
-        finish_commit_readonly(st, rt, me, seq);
+        // Nothing to replicate: validated reads commit here.
+        conclude(st, rt, me, seq, Verdict::Commit);
         return;
     }
+    rt.trace_end("Validate", seq);
     ct.enter_phase(Phase::Log);
     ct.acks.clear();
     rt.trace_begin("Log", seq);
-    // Group by shard via linear scan + sort (≤ nodes entries); sorted
-    // order matches the old ascending-key BTreeMap iteration.
-    let mut by_shard: Vec<(u32, WriteSet)> = Vec::new();
-    for (k, p, ver) in &ct.writes {
-        let s = shard_of(*k);
-        match by_shard.iter_mut().find(|(sh, _)| *sh == s) {
-            Some((_, group)) => group.push((*k, p.clone(), *ver)),
-            None => {
-                // Exact-capacity groups: TPC-C's wide write sets (10+ keys,
-                // mostly one shard) would otherwise pay the full doubling
-                // ladder from capacity 1.
-                let mut group = WriteSet::with_capacity(ct.writes.len());
-                group.push((*k, p.clone(), *ver));
-                by_shard.push((s, group));
-            }
+    // Group the write set by shard, once: the backend's appends clone
+    // from the groups and the CommitReq fan-out later moves them out.
+    let writes = std::mem::take(&mut ct.writes);
+    let total = writes.len();
+    for (k, p, ver) in writes {
+        let group = group_of(&mut ct.by_shard, shard_of(k));
+        if group.is_empty() {
+            // Exact-capacity groups: TPC-C's wide write sets (10+ keys,
+            // mostly one shard) would otherwise pay the full doubling
+            // ladder from capacity 1.
+            group.reserve_exact(total);
         }
+        group.push((k, p, ver));
     }
-    by_shard.sort_unstable_by_key(|(s, _)| *s);
-    crate::repl::backend(st.cfg.replication_backend).begin_log(st, rt, me, seq, txn, by_shard);
+    ct.by_shard.sort_unstable_by_key(|(s, _)| *s);
+    backend(st.cfg.replication_backend).begin_log(st, rt, me, seq, txn);
+}
+
+/// Sends one append (`build()`) to every backup of `shard`, each
+/// expected (and, under faults, tracked until) acknowledged.
+pub(crate) fn append_to_backups(
+    round: &mut Round,
+    pending: &mut usize,
+    rt: &mut Runtime<XMsg>,
+    part: &Partitioning,
+    shard: u32,
+    build: impl Fn() -> XMsg,
+) {
+    for b in part.backups(shard) {
+        *pending += 1;
+        let from = b as u32;
+        round.send_tracked(rt, Awaits::Ack { from, shard }, b, build());
+    }
+}
+
+/// The appends of `seq`'s replication wait are out: commit at once if
+/// no backup exists to acknowledge (replication factor 1), else — under
+/// faults — arm the phase timer.
+pub(crate) fn appends_sent(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64) {
+    if st.coord[&seq].pending == 0 {
+        conclude(st, rt, me, seq, Verdict::Commit);
+    } else if rt.faults_active() {
+        arm_phase_timer(st, rt, seq);
+    }
 }
 
 fn cnic_log_resp(
@@ -1941,17 +1742,15 @@ fn cnic_log_resp(
         }
         return;
     };
+    let log_awaiting = matches!(ct.phase, Phase::Log | Phase::MhShipped | Phase::LocalRepl);
     if rt.faults_active() {
         // Acks only count in log-awaiting phases, and each backup's ack
         // for each shard's record counts once — retransmitted LogReqs
         // produce duplicate LogResps.
-        match ct.phase {
-            Phase::Log | Phase::MhShipped | Phase::LocalRepl => {}
-            _ => return,
-        }
-        if !ct.acks.insert((from, shard)) {
+        if !log_awaiting || !ct.acks.insert((from, shard)) {
             return;
         }
+        ct.round.heard(Awaits::Ack { from, shard });
     } else if backend_kind == ReplBackend::Raft && ct.phase == Phase::Log {
         // Raft's majority quorum needs per-shard ack tallies even on a
         // reliable fabric (the other backends count every ack equally).
@@ -1960,73 +1759,24 @@ fn cnic_log_resp(
     if !ok {
         ct.ok = false;
     }
-    match ct.phase {
-        Phase::Log => {
-            crate::repl::backend(backend_kind).on_log_ack(st, rt, me, seq, txn, shard);
-        }
-        Phase::MhShipped => {
-            ct.pending -= 1;
-            if ct.pending == 0 {
-                if st.coord[&seq].ok {
-                    finish_commit_multihop(st, rt, me, seq, txn);
-                } else {
-                    // A backup refused the log: unlock local keys, tell
-                    // the remote primary to abort its staged writes.
-                    let ct = st.coord.remove(&seq).expect("coord exists");
-                    rt.trace_end("Execute", seq);
-                    rt.trace_instant("Abort", seq);
-                    for k in &ct.local_locked {
-                        let seg = st.segment(*k);
-                        st.nic_index.unlock(seg, *k, txn);
-                    }
-                    if let Some(remote) = ct.remote_shard {
-                        let unlock: KeySet = ct
-                            .spec
-                            .all_keys()
-                            .filter(|k| shard_of(*k) == remote)
-                            .collect();
-                        send_abort(st, rt, txn, remote, unlock);
-                    }
-                    st.recycle_coord(ct);
-                    let msg = XMsg::Outcome {
-                        seq,
-                        committed: false,
-                    };
-                    let bytes = msg.wire_bytes();
-                    rt.send_pcie(Exec::Host, msg, bytes);
-                }
-            }
-        }
-        Phase::LocalRepl => {
-            ct.pending -= 1;
-            if ct.pending == 0 {
-                if st.coord[&seq].ok {
-                    finish_commit_local(st, rt, me, seq, txn);
-                } else {
-                    // Unlock locally and report the abort.
-                    let ct = st.coord.remove(&seq).expect("coord exists");
-                    rt.trace_end("Log", seq);
-                    rt.trace_instant("Abort", seq);
-                    for k in &ct.local_locked {
-                        let seg = st.segment(*k);
-                        st.nic_index.unlock(seg, *k, txn);
-                    }
-                    st.recycle_coord(ct);
-                    let msg = XMsg::Outcome {
-                        seq,
-                        committed: false,
-                    };
-                    let bytes = msg.wire_bytes();
-                    rt.send_pcie(Exec::Host, msg, bytes);
-                }
-            }
-        }
-        _ => {}
+    if ct.phase == Phase::Log {
+        backend(backend_kind).on_log_ack(st, rt, me, seq, shard);
+    } else if log_awaiting {
+        count_ack(st, rt, me, seq);
     }
 }
 
-/// §4.2 step 6: all Log acks in — report Committed, then send Commit
-/// requests to the primaries.
+/// Counts one expected response of `seq`'s wait; the last one concludes
+/// the transaction — committed, unless some replica refused.
+pub(crate) fn count_ack(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64) {
+    let ct = st.coord.get_mut(&seq).expect("coord exists");
+    ct.pending -= 1;
+    if ct.pending == 0 {
+        let verdict = if ct.ok { Verdict::Commit } else { Verdict::Abort };
+        conclude(st, rt, me, seq, verdict);
+    }
+}
+
 /// Reports a commit to the host. Statistics are recorded *here*, on the
 /// NIC, atomically with the commit decision: the Outcome message crossing
 /// PCIe only recycles the slot, so a crash that swallows it can stall the
@@ -2047,233 +1797,168 @@ fn report_committed(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64) {
         };
         st.stats.record_commit_overlaid(*metric, started, rt.now(), overlay);
     }
-    let msg = XMsg::Outcome {
-        seq,
-        committed: true,
-    };
-    let bytes = msg.wire_bytes();
-    rt.send_pcie(Exec::Host, msg, bytes);
+    send_pcie(rt, Exec::Host, XMsg::Outcome { seq, committed: true });
 }
 
-pub(crate) fn finish_commit(
+/// The one exit of every coordinator transaction: closes the span its
+/// phase left open, marks the verdict on the trace, and then
+///
+/// * **Commit** (§4.2 step 6; the backend's quorum of Log acks is in
+///   hand, so the writes survive a coordinator crash): notes the
+///   transaction's evidence in the history, reports Committed to the
+///   host, and installs the writes — CommitReqs to the primaries (Log),
+///   a slim CommitReq to the remote primary plus the local apply
+///   (multi-hop), or the local apply alone (local fast path);
+/// * **Abort**: releases the locks held on this NIC, tells every shard
+///   that locked for the transaction to release, and reports the abort;
+///
+/// and recycles the context. A LocalCommit refused at the door
+/// (`cnic_local_commit`) opened no context and no span, so only its
+/// Outcome is left to send.
+fn conclude(
     st: &mut XenicNode,
     rt: &mut Runtime<XMsg>,
     me: usize,
     seq: u64,
-    txn: TxnId,
+    verdict: Verdict,
 ) {
-    let backend_kind = st.cfg.replication_backend;
-    let mut ct = st.coord.remove(&seq).expect("coord exists");
-    rt.trace_end("Log", seq);
-    rt.trace_instant("Commit", seq);
-    // Commit point: the backend's quorum of Log acks is in hand, so the
-    // writes are durable at enough backups to survive a coordinator
-    // crash (on_restart re-arms CommitTick for `committing` entries).
-    if let Some(r) = &st.recorder {
-        r.note_reads(txn, ct.values.iter().map(|(k, _, v)| (*k, *v)));
-        r.note_reads(txn, ct.lock_versions.iter().copied());
-        r.note_scans(txn, ct.scan_obs.iter().map(|(_, o)| (o.lo, o.hi_obs)));
-        r.note_writes(txn, ct.writes.iter().map(|(k, _, v)| (*k, *v)));
-        r.commit(txn);
-    }
-    report_committed(st, rt, seq);
-    let writes = std::mem::take(&mut ct.writes);
-    let fa = rt.faults_active();
-    // TEST ONLY: a weakened quorum also drops the retransmission
-    // bookkeeping that keeps lossy commits convergent (see
-    // `Weakening::Quorum`).
-    let weakened = st.cfg.weaken == Some(Weakening::Quorum) && backend_kind == ReplBackend::Raft;
-    let track = fa && !weakened;
-    // Raft's post-commit catch-up needs the final ack set; the other
-    // backends committed on every ack, so theirs is never consulted
-    // (and the set's capacity stays with the pooled context).
-    let acks = if track && backend_kind == ReplBackend::Raft {
-        std::mem::take(&mut ct.acks)
-    } else {
-        FastSet::default()
-    };
-    st.recycle_coord(ct);
-    // Group by shard via linear scan + sort (≤ nodes entries); sorted
-    // order matches the old ascending-key BTreeMap iteration.
-    let mut by_shard: Vec<(u32, WriteSet)> = Vec::new();
-    let total = writes.len();
-    for (k, p, ver) in writes {
-        let s = shard_of(k);
-        match by_shard.iter_mut().find(|(sh, _)| *sh == s) {
-            Some((_, group)) => group.push((k, p, ver)),
-            None => {
-                // Exact-capacity groups (see `log_phase`): avoids the
-                // doubling ladder on TPC-C's wide single-shard write sets.
-                let mut group = WriteSet::with_capacity(total);
-                group.push((k, p, ver));
-                by_shard.push((s, group));
-            }
-        }
-    }
-    by_shard.sort_unstable_by_key(|(s, _)| *s);
-    let mut unacked: Vec<(u32, usize, XMsg)> = Vec::new();
-    crate::repl::backend(backend_kind)
-        .after_commit(st, rt, me, txn, &acks, &by_shard, track, &mut unacked);
-    for (shard, writes) in by_shard {
-        let dst = st.part.primary(shard);
-        let msg = XMsg::from(CommitReq { txn, shard, writes });
-        if track {
-            unacked.push((shard, dst, msg.clone()));
-        }
-        let bytes = msg.wire_bytes();
-        rt.send_net(dst, Exec::Nic, msg, bytes);
-    }
-    if track {
-        // The outcome is already reported: CommitReqs (and the backend's
-        // post-commit traffic) must eventually land or the commit
-        // evaporates.
-        retransmit_until_acked(st, rt, seq, unacked);
-    }
-}
-
-fn finish_commit_readonly(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64) {
+    let txn = TxnId::new(me as u32, seq);
     let ct = st.coord.remove(&seq);
-    if let (Some(r), Some(ct)) = (&st.recorder, ct.as_ref()) {
-        let txn = TxnId::new(me as u32, seq);
-        r.note_reads(txn, ct.values.iter().map(|(k, _, v)| (*k, *v)));
-        r.note_scans(txn, ct.scan_obs.iter().map(|(_, o)| (o.lo, o.hi_obs)));
-        r.commit(txn);
-    }
-    if let Some(ct) = ct {
+    debug_assert!(ct.is_some() || verdict == Verdict::Abort, "commit without a context");
+    if let Some(mut ct) = ct {
+        // WaitHost has no open span: Execute already ended and the host
+        // round-trip is untraced.
+        match ct.phase {
+            Phase::Exec | Phase::MhLocal | Phase::MhShipped => rt.trace_end("Execute", seq),
+            Phase::Validate => rt.trace_end("Validate", seq),
+            Phase::Log | Phase::LocalRepl => rt.trace_end("Log", seq),
+            Phase::WaitHost => {}
+        }
+        match verdict {
+            Verdict::Commit => commit(st, rt, seq, txn, &mut ct),
+            Verdict::Abort => abort(st, rt, seq, txn, &ct),
+        }
         st.recycle_coord(ct);
     }
-    rt.trace_instant("Commit", seq);
-    report_committed(st, rt, seq);
-}
-
-fn finish_commit_multihop(
-    st: &mut XenicNode,
-    rt: &mut Runtime<XMsg>,
-    me: usize,
-    seq: u64,
-    txn: TxnId,
-) {
-    let mut ct = st.coord.remove(&seq).expect("coord exists");
-    // A multi-hop txn is one Execute span: the shipped round subsumes
-    // validation and logging at the remote primary.
-    rt.trace_end("Execute", seq);
-    rt.trace_instant("Commit", seq);
-    // Commit point. Remote-shard reads/writes were noted by the remote
-    // primary in resolve_exec (before any ack could reach us); the local
-    // round's evidence lives in ct.
-    if let Some(r) = &st.recorder {
-        r.note_reads(txn, ct.values.iter().map(|(k, _, v)| (*k, *v)));
-        r.note_reads(txn, ct.lock_versions.iter().copied());
-        r.note_writes(txn, ct.local_writes.iter().map(|(k, _, v)| (*k, *v)));
-        r.commit(txn);
-    }
-    report_committed(st, rt, seq);
-    // Slim Commit to the remote primary (it staged its writes).
-    if let Some(remote) = ct.remote_shard {
-        let dst = st.part.primary(remote);
-        let msg = XMsg::from(CommitReq {
-            txn,
-            shard: remote,
-            writes: Vec::new(),
-        });
-        if rt.faults_active() {
-            retransmit_until_acked(st, rt, seq, vec![(remote, dst, msg.clone())]);
-        }
-        let bytes = msg.wire_bytes();
-        rt.send_net(dst, Exec::Nic, msg, bytes);
-    }
-    // Apply the local-shard commit here (locks released after the DMA).
-    let local_writes = std::mem::take(&mut ct.local_writes);
-    let local_locked = std::mem::take(&mut ct.local_locked);
-    st.recycle_coord(ct);
-    if !local_writes.is_empty() {
-        apply_commit_records(st, rt, me, txn, local_writes, local_locked);
-    } else if !local_locked.is_empty() {
-        // Read-only local participation: just unlock.
-        for k in &local_locked {
-            let seg = st.segment(*k);
-            st.nic_index.unlock(seg, *k, txn);
-        }
+    if verdict == Verdict::Abort {
+        send_pcie(rt, Exec::Host, XMsg::Outcome { seq, committed: false });
     }
 }
 
-fn cnic_ship_resp(
-    st: &mut XenicNode,
-    rt: &mut Runtime<XMsg>,
-    me: usize,
-    txn: TxnId,
-    ok: bool,
-    local_writes: WriteSet,
-) {
-    let seq = txn.seq;
-    if !ok {
-        // Remote failed: unlock local keys and abort. Remaining pending
-        // acks (log acks) will never arrive — the remote never logged.
-        let Some(ct) = st.coord.remove(&seq) else {
-            return;
-        };
-        rt.trace_end("Execute", seq);
-        rt.trace_instant("Abort", seq);
-        for k in &ct.local_locked {
-            let seg = st.segment(*k);
-            st.nic_index.unlock(seg, *k, txn);
+/// The Abort half of [`conclude`].
+fn abort(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64, txn: TxnId, ct: &CoordTxn) {
+    rt.trace_instant("Abort", seq);
+    if matches!(ct.phase, Phase::MhShipped | Phase::LocalRepl) {
+        // Multi-hop / local fast path: this NIC locked the local keys
+        // itself. A shipped transaction's remote primary — unless it was
+        // the one refusing (`cnic_ship_resp`) — executed, so it holds
+        // every key of its shard plus the staged writes.
+        unlock_keys(st, txn, &ct.local_locked);
+        if let Some(remote) = ct.remote_shard {
+            let unlock = ct.spec.all_keys().filter(|k| shard_of(*k) == remote);
+            send_abort(st, rt, txn, remote, unlock.collect());
         }
-        st.recycle_coord(ct);
-        let msg = XMsg::Outcome {
-            seq,
-            committed: false,
-        };
-        let bytes = msg.wire_bytes();
-        rt.send_pcie(Exec::Host, msg, bytes);
         return;
     }
+    for &shard in &ct.locked_shards {
+        let unlock = ct.spec.write_keys().filter(|k| shard_of(*k) == shard);
+        send_abort(st, rt, txn, shard, unlock.collect());
+    }
+}
+
+/// The Commit half of [`conclude`].
+fn commit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64, txn: TxnId, ct: &mut CoordTxn) {
+    rt.trace_instant("Commit", seq);
+    // Remote-shard evidence of a multi-hop transaction was noted by the
+    // remote primary in resolve_exec (before any ack could reach us), and
+    // the local fast path noted its own when validation passed; whatever
+    // this context collected is noted here.
+    if let Some(r) = &st.recorder {
+        r.note_reads(txn, ct.values.iter().map(|(k, _, v)| (*k, *v)));
+        r.note_reads(txn, ct.lock_versions.iter().copied());
+        r.note_scans(txn, ct.scan_obs.iter().map(|(_, o)| (o.lo, o.hi_obs)));
+        let writes = ct.by_shard.iter().flat_map(|(_, ws)| ws).chain(&ct.local_writes);
+        r.note_writes(txn, writes.map(|(k, _, v)| (*k, *v)));
+        r.commit(txn);
+    }
+    report_committed(st, rt, seq);
+    let fa = rt.faults_active();
+    let backend_kind = st.cfg.replication_backend;
+    let mut unacked = Round::default();
+    match ct.phase {
+        Phase::Log => {
+            // TEST ONLY: a weakened quorum also drops the retransmission
+            // bookkeeping that keeps lossy commits convergent (see
+            // `Weakening::Quorum`).
+            let weakened =
+                st.cfg.weaken == Some(Weakening::Quorum) && backend_kind == ReplBackend::Raft;
+            let track = fa && !weakened;
+            backend(backend_kind).after_commit(st, rt, txn, ct, track, &mut unacked);
+            for (shard, writes) in ct.by_shard.drain(..) {
+                let dst = st.part.primary(shard);
+                let msg = XMsg::from(CommitReq { txn, shard, writes });
+                if track {
+                    let from = dst as u32;
+                    unacked.track(Awaits::Ack { from, shard }, dst, msg.clone());
+                }
+                send(rt, dst, msg);
+            }
+            // The outcome is already reported: CommitReqs (and the
+            // backend's post-commit traffic) must eventually land or the
+            // commit evaporates.
+            retransmit_until_acked(st, rt, seq, unacked);
+        }
+        Phase::MhShipped => {
+            // Slim Commit to the remote primary (it staged its writes),
+            // then the local-shard commit here (locks released after the
+            // DMA; read-only local participation just unlocks).
+            let remote = ct.remote_shard.expect("multihop has remote");
+            let slim = XMsg::from(CommitReq { txn, shard: remote, writes: Vec::new() });
+            send_until_acked(st, rt, seq, remote, slim);
+            let local_locked = std::mem::take(&mut ct.local_locked);
+            if ct.local_writes.is_empty() {
+                unlock_keys(st, txn, &local_locked);
+            } else {
+                let local_writes = std::mem::take(&mut ct.local_writes);
+                apply_commit_records(st, rt, txn, local_writes, local_locked);
+            }
+        }
+        Phase::LocalRepl => {
+            if backend_kind == ReplBackend::Hermes {
+                // Return the backups to the valid state now that the
+                // write is committed; under faults the validations
+                // retransmit until each backup acks.
+                let shard = st.shard;
+                HermesInval::broadcast_validation(st, rt, txn, shard, fa, &mut unacked);
+                retransmit_until_acked(st, rt, seq, unacked);
+            }
+            let writes = std::mem::take(&mut ct.writes);
+            let unlock = std::mem::take(&mut ct.local_locked);
+            apply_commit_records(st, rt, txn, writes, unlock);
+        }
+        // Read-only: nothing was written anywhere.
+        _ => {}
+    }
+}
+
+fn cnic_ship_resp(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, resp: ExecShipResp) {
+    let seq = resp.txn.seq;
     let Some(ct) = st.coord.get_mut(&seq) else {
         return;
     };
-    if rt.faults_active() {
-        if ct.phase != Phase::MhShipped || ct.mh_ship_seen {
-            return;
-        }
-        ct.mh_ship_seen = true;
+    if !resp.ok {
+        // The remote primary refused and released its own locks: nothing
+        // is left to abort there, and the log acks still pending will
+        // never arrive — it never logged.
+        ct.remote_shard = None;
+        conclude(st, rt, me, seq, Verdict::Abort);
+        return;
     }
-    ct.local_writes = local_writes;
-    ct.pending -= 1;
-    if ct.pending == 0 {
-        finish_commit_multihop(st, rt, me, seq, txn);
+    if rt.faults_active() && !(ct.phase == Phase::MhShipped && ct.round.heard(Awaits::Shipped)) {
+        return;
     }
-}
-
-/// Abort: release locks at every shard that acquired them, tell the host.
-pub(crate) fn abort_txn(st: &mut XenicNode, rt: &mut Runtime<XMsg>, _me: usize, seq: u64, txn: TxnId) {
-    let ct = st.coord.remove(&seq).expect("coord exists");
-    // Close whichever phase span is open for this transaction before
-    // recording the abort (WaitHost has no open span: Execute already
-    // ended and the host round-trip is untraced).
-    match ct.phase {
-        Phase::Exec | Phase::MhLocal | Phase::MhShipped => rt.trace_end("Execute", seq),
-        Phase::Validate => rt.trace_end("Validate", seq),
-        Phase::Log | Phase::LocalRepl => rt.trace_end("Log", seq),
-        Phase::WaitHost => {}
-    }
-    rt.trace_instant("Abort", seq);
-    for shard in &ct.locked_shards {
-        let unlock: KeySet = if ct.remote_shard.is_some() && *shard == st.shard {
-            ct.local_locked.clone()
-        } else {
-            ct.spec
-                .write_keys()
-                .filter(|k| shard_of(*k) == *shard)
-                .collect()
-        };
-        send_abort(st, rt, txn, *shard, unlock);
-    }
-    st.recycle_coord(ct);
-    let msg = XMsg::Outcome {
-        seq,
-        committed: false,
-    };
-    let bytes = msg.wire_bytes();
-    rt.send_pcie(Exec::Host, msg, bytes);
+    ct.local_writes = resp.local_writes;
+    count_ack(st, rt, me, seq);
 }
 
 /// Tells `shard`'s primary to release `unlock`, if there is anything to
@@ -2282,52 +1967,51 @@ pub(crate) fn abort_txn(st: &mut XenicNode, rt: &mut Runtime<XMsg>, _me: usize, 
 /// them), so it is retransmitted like a CommitReq until the primary's
 /// `CommitAck`; the unlock is owner-checked, hence idempotent.
 fn send_abort(st: &mut XenicNode, rt: &mut Runtime<XMsg>, txn: TxnId, shard: u32, unlock: KeySet) {
-    if unlock.is_empty() {
-        return;
+    if !unlock.is_empty() {
+        send_until_acked(st, rt, txn.seq, shard, XMsg::from(AbortReq { txn, unlock }));
     }
-    let dst = st.part.primary(shard);
-    let msg = XMsg::from(AbortReq { txn, unlock });
-    if rt.faults_active() {
-        retransmit_until_acked(st, rt, txn.seq, vec![(shard, dst, msg.clone())]);
-    }
-    let bytes = msg.wire_bytes();
-    rt.send_net(dst, Exec::Nic, msg, bytes);
 }
 
-/// Registers post-outcome messages of transaction `seq` — `(shard, dst,
-/// msg)` — for retransmission by `CommitTick` until `dst` acknowledges
-/// each with a `CommitAck` for `shard`.
-fn retransmit_until_acked(
-    st: &mut XenicNode,
-    rt: &mut Runtime<XMsg>,
-    seq: u64,
-    unacked: Vec<(u32, usize, XMsg)>,
-) {
-    if unacked.is_empty() {
+/// Sends a post-outcome `msg` to `shard`'s primary; under faults it is
+/// registered first, to be retransmitted until that primary's CommitAck.
+fn send_until_acked(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64, shard: u32, msg: XMsg) {
+    let dst = st.part.primary(shard);
+    if rt.faults_active() {
+        let mut one = Round::default();
+        one.track(Awaits::Ack { from: dst as u32, shard }, dst, msg.clone());
+        retransmit_until_acked(st, rt, seq, one);
+    }
+    send(rt, dst, msg);
+}
+
+/// Registers post-outcome messages of transaction `seq` (already sent)
+/// for retransmission by `CommitTick` until each is acknowledged by a
+/// `CommitAck` (on_restart re-arms the tick for `committing` entries).
+fn retransmit_until_acked(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64, unacked: Round) {
+    if unacked.0.is_empty() {
         return;
     }
     let pending = st.committing.entry(seq).or_default();
-    if pending.is_empty() {
+    if pending.0.is_empty() {
         let tick = XMsg::CommitTick { seq, attempt: 0 };
-        rt.send_local(Exec::Nic, tick, st.cfg.commit_ack_timeout_ns);
+        rt.send_local(Exec::Nic, tick, COMMIT_ACK_TIMEOUT_NS);
     }
-    pending.extend(unacked);
+    pending.0.extend(unacked.0);
 }
 
 // =====================================================================
 // Loss-tolerance handlers (reached only when fault injection is active)
 // =====================================================================
 
-/// A replica acknowledged a post-commit message (a primary's CommitReq,
-/// or a backup's Hermes validation): stop retransmitting that entry.
-/// Matching on `(shard, from)` keeps a backup's ack from clearing the
-/// primary's CommitReq for the same shard.
+/// A replica acknowledged a post-outcome message (a primary's CommitReq
+/// or AbortReq, a backup's Hermes validation or Raft catch-up append):
+/// stop retransmitting that entry. Matching on `(from, shard)` keeps a
+/// backup's ack from clearing the primary's CommitReq for the same shard.
 fn cnic_commit_ack(st: &mut XenicNode, txn: TxnId, shard: u32, from: u32) {
-    let seq = txn.seq;
-    if let Some(unacked) = st.committing.get_mut(&seq) {
-        unacked.retain(|(s, d, _)| !(*s == shard && *d == from as usize));
-        if unacked.is_empty() {
-            st.committing.remove(&seq);
+    if let Some(unacked) = st.committing.get_mut(&txn.seq) {
+        unacked.heard(Awaits::Ack { from, shard });
+        if unacked.settled() {
+            st.committing.remove(&txn.seq);
         }
     }
 }
@@ -2337,114 +2021,70 @@ fn cnic_commit_ack(st: &mut XenicNode, txn: TxnId, shard: u32, from: u32) {
 /// spent. Log-awaiting phases retransmit forever: backups apply log
 /// records on receipt, so the coordinator may never walk a commit back.
 fn cnic_phase_timeout(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64, epoch: u64) {
-    let max_retries = st.cfg.max_phase_retries;
     let Some(ct) = st.coord.get_mut(&seq) else {
         return;
     };
     if ct.epoch != epoch {
         return;
     }
-    let txn = TxnId::new(me as u32, seq);
     match ct.phase {
-        Phase::Exec | Phase::Validate => {
-            if ct.attempts >= max_retries {
-                // A server may have locked and had its response lost, so
-                // release at every write-key shard, not only the shards
-                // whose locks we heard about.
-                ct.ok = false;
-                let extra: Vec<u32> = ct.spec.write_keys().map(shard_of).collect();
-                for s in extra {
-                    if !ct.locked_shards.contains(&s) {
-                        ct.locked_shards.push(s);
-                    }
+        Phase::Exec | Phase::Validate if ct.attempts >= MAX_PHASE_RETRIES => {
+            // A server may have locked and had its response lost, so
+            // release at every write-key shard, not only the shards
+            // whose locks we heard about.
+            ct.ok = false;
+            let spec = Arc::clone(&ct.spec);
+            for s in spec.write_keys().map(shard_of) {
+                if !ct.locked_shards.contains(&s) {
+                    ct.locked_shards.push(s);
                 }
-                abort_txn(st, rt, me, seq, txn);
-                return;
             }
+            conclude(st, rt, me, seq, Verdict::Abort);
+            return;
+        }
+        Phase::Exec | Phase::Validate | Phase::LocalRepl => {
             ct.attempts += 1;
-            let resends: Vec<(usize, XMsg)> =
-                ct.awaiting.iter().map(|(_, d, m)| (*d, m.clone())).collect();
-            rt.trace_instant("Retransmit", seq);
-            for (dst, msg) in resends {
-                let bytes = msg.wire_bytes();
-                rt.send_net(dst, Exec::Nic, msg, bytes);
-            }
-            arm_phase_timer(st, rt, seq);
+            ct.round.retransmit(rt, seq, |e| !e.heard);
         }
-        Phase::Log => {
-            // The replication backend owns the Log-phase retransmission
-            // policy (resend-unacked for the all-ack backends; term
-            // bumps and leader re-routing for Raft).
-            crate::repl::backend(st.cfg.replication_backend).on_log_timeout(st, rt, me, seq, txn);
-        }
-        Phase::LocalRepl => {
-            let resends: Vec<(usize, XMsg)> = ct
-                .resend
-                .iter()
-                .filter(|(dst, shard, _)| !ct.acks.contains(&(*dst as u32, *shard)))
-                .map(|(dst, _, msg)| (*dst, msg.clone()))
-                .collect();
-            rt.trace_instant("Retransmit", seq);
-            for (dst, msg) in resends {
-                let bytes = msg.wire_bytes();
-                rt.send_net(dst, Exec::Nic, msg, bytes);
-            }
-            arm_phase_timer(st, rt, seq);
-        }
-        Phase::MhShipped => {
-            // Resend the ExecShip; the remote primary replays its cached
-            // outcome and LogReq fan-out, and the backups re-ack.
-            let resends: Vec<(usize, XMsg)> = ct
-                .resend
-                .iter()
-                .map(|(dst, _, msg)| (*dst, msg.clone()))
-                .collect();
-            rt.trace_instant("Retransmit", seq);
-            for (dst, msg) in resends {
-                let bytes = msg.wire_bytes();
-                rt.send_net(dst, Exec::Nic, msg, bytes);
-            }
-            arm_phase_timer(st, rt, seq);
-        }
+        // The replication backend owns the Log-phase retransmission
+        // policy (resend-unacked for the all-ack backends; term bumps
+        // and leader re-routing for Raft).
+        Phase::Log => backend(st.cfg.replication_backend).on_log_timeout(st, rt, seq),
+        // Resend the ExecShip even once its response was heard; the
+        // remote primary replays its cached outcome and LogReq fan-out,
+        // and the backups re-ack.
+        Phase::MhShipped => ct.round.retransmit(rt, seq, |_| true),
         // PCIe and intra-node hand-offs are reliable; a stale timer from
         // the preceding phase has nothing to do here.
-        Phase::WaitHost | Phase::MhLocal => {}
+        Phase::WaitHost | Phase::MhLocal => return,
     }
+    arm_phase_timer(st, rt, seq);
 }
 
-/// Commit-retransmission timer: re-send every unacknowledged CommitReq
-/// with linear backoff, forever — the outcome was already reported.
-fn cnic_commit_tick(st: &mut XenicNode, rt: &mut Runtime<XMsg>, _me: usize, seq: u64, attempt: u32) {
+/// Commit-retransmission timer: re-send every unacknowledged post-outcome
+/// message with linear backoff, forever — the outcome was already
+/// reported.
+fn cnic_commit_tick(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64, attempt: u32) {
     let Some(unacked) = st.committing.get(&seq) else {
         return;
     };
-    let resends: Vec<(usize, XMsg)> = unacked
-        .iter()
-        .map(|(_, dst, msg)| (*dst, msg.clone()))
-        .collect();
-    rt.trace_instant("Retransmit", seq);
-    for (dst, msg) in resends {
-        let bytes = msg.wire_bytes();
-        rt.send_net(dst, Exec::Nic, msg, bytes);
-    }
+    unacked.retransmit(rt, seq, |e| !e.heard);
     let next = attempt.saturating_add(1);
-    let delay = st.cfg.commit_ack_timeout_ns * u64::from(next.min(8) + 1);
+    let delay = COMMIT_ACK_TIMEOUT_NS * u64::from(next.min(8) + 1);
     rt.send_local(Exec::Nic, XMsg::CommitTick { seq, attempt: next }, delay);
 }
 
 /// §4.2.4 local fast path: the NIC validates host-read versions, locks,
 /// and replicates.
-fn cnic_local_commit(
-    st: &mut XenicNode,
-    rt: &mut Runtime<XMsg>,
-    me: usize,
-    seq: u64,
-    checks: Vec<(Key, Version)>,
-    writes: WriteSet,
-) {
+fn cnic_local_commit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, lc: LocalCommit) {
+    let LocalCommit {
+        seq,
+        checks,
+        writes,
+    } = lc;
     let txn = TxnId::new(me as u32, seq);
     // Lock write keys.
-    let mut locked: SmallVec<Key, 4> = SmallVec::new();
+    let mut locked = KeySet::new();
     let mut ok = true;
     for (k, _, _) in &writes {
         let seg = st.segment(*k);
@@ -2475,104 +2115,41 @@ fn cnic_local_commit(
         }
     }
     if !ok {
-        for k in locked {
-            let seg = st.segment(k);
-            st.nic_index.unlock(seg, k, txn);
-        }
-        let msg = XMsg::Outcome {
-            seq,
-            committed: false,
-        };
-        let bytes = msg.wire_bytes();
-        rt.send_pcie(Exec::Host, msg, bytes);
+        // Refused at the door: no context was opened, so releasing what
+        // this attempt locked is all `conclude` does not already do.
+        unlock_keys(st, txn, &locked);
+        conclude(st, rt, me, seq, Verdict::Abort);
         return;
     }
     // Validation passed and all write locks are held: the commit is now
     // only waiting on replication, so this is where the transaction's
     // reads and writes are known-final. (The commit mark itself lands in
-    // finish_commit_local once every Log ack arrives.)
+    // `conclude` once every Log ack arrives.)
     if let Some(r) = &st.recorder {
         r.note_reads(txn, checks.iter().copied());
         r.note_writes(txn, writes.iter().map(|(k, _, v)| (*k, *v)));
     }
-    // Replicate to this shard's backups. The context comes from the pool:
-    // the local fast path never runs Execute rounds, so only the fields
-    // it uses are filled in after the reset.
-    let backups = st.part.backups(st.shard);
+    // The context comes from the pool: the local fast path never runs
+    // Execute rounds, so only the fields it uses are filled in after the
+    // reset.
     let mut ct = st.alloc_coord(Arc::clone(&st.default_spec));
     ct.phase = Phase::LocalRepl;
-    ct.pending = backups.len();
-    ct.writes = writes.clone();
-    ct.locked_shards.push(st.shard);
-    ct.shards_contacted = 1;
     ct.local_locked = locked;
-    st.coord.insert(seq, ct);
     // The local fast path skips Execute/Validate rounds entirely; its
     // replication wait is the transaction's Log phase.
     rt.trace_begin("Log", seq);
-    if backups.is_empty() {
-        finish_commit_local(st, rt, me, seq, txn);
-        return;
-    }
-    let fa = rt.faults_active();
-    let my_shard = st.shard;
-    // The local fast path replicates to all backups under every backend
-    // (its coordinator IS the shard's primary — Raft's term-0 leader —
-    // so a leader relay would be a self-send); Hermes appends double as
-    // invalidations here exactly like in the remote Log phase.
-    let hermes = st.cfg.replication_backend == ReplBackend::Hermes;
-    for b in backups {
-        let msg = if hermes {
-            XMsg::from(crate::msg::HermesInv {
-                txn,
-                shard: my_shard,
-                reply_to: me as u32,
-                writes: writes.clone(),
-            })
-        } else {
-            XMsg::from(LogReq {
-                txn,
-                shard: my_shard,
-                reply_to: me as u32,
-                writes: writes.clone(),
-            })
-        };
-        if fa {
-            let ct = st.coord.get_mut(&seq).expect("coord exists");
-            ct.resend.push((b, my_shard, msg.clone()));
-        }
-        let bytes = msg.wire_bytes();
-        rt.send_net(b, Exec::Nic, msg, bytes);
-    }
-    if fa {
-        arm_phase_timer(st, rt, seq);
-    }
-}
-
-fn finish_commit_local(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64, txn: TxnId) {
-    let mut ct = st.coord.remove(&seq).expect("coord exists");
-    rt.trace_end("Log", seq);
-    rt.trace_instant("Commit", seq);
-    if let Some(r) = &st.recorder {
-        r.commit(txn);
-    }
-    report_committed(st, rt, seq);
-    let writes = std::mem::take(&mut ct.writes);
-    let unlock = std::mem::take(&mut ct.local_locked);
-    st.recycle_coord(ct);
-    if st.cfg.replication_backend == ReplBackend::Hermes {
-        // Return the backups to the valid state now that the write is
-        // committed; under faults the validations retransmit until each
-        // backup acks (on_restart re-arms the tick like any commit).
-        let track = rt.faults_active();
-        let shard = st.shard;
-        let mut unacked: Vec<(u32, usize, XMsg)> = Vec::new();
-        crate::repl::HermesInval::broadcast_validation(st, rt, txn, shard, track, &mut unacked);
-        if track {
-            retransmit_until_acked(st, rt, seq, unacked);
-        }
-    }
-    apply_commit_records(st, rt, me, txn, writes, unlock);
+    // It replicates to all backups under every backend (its coordinator
+    // IS the shard's primary — Raft's term-0 leader — so a leader relay
+    // would be a self-send); Hermes appends double as invalidations here
+    // exactly like in the remote Log phase.
+    let append = backend(st.cfg.replication_backend);
+    let shard = st.shard;
+    append_to_backups(&mut ct.round, &mut ct.pending, rt, &st.part, shard, || {
+        append.append(txn, shard, me as u32, writes.clone())
+    });
+    ct.writes = writes;
+    st.coord.insert(seq, ct);
+    appends_sent(st, rt, me, seq);
 }
 
 /// Commits a write set at this (primary) node: log append + DMA, cache
@@ -2580,7 +2157,6 @@ fn finish_commit_local(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, se
 fn apply_commit_records(
     st: &mut XenicNode,
     rt: &mut Runtime<XMsg>,
-    _me: usize,
     txn: TxnId,
     writes: WriteSet,
     unlock: KeySet,
@@ -2668,20 +2244,22 @@ fn log_record_durable(
 // Server-NIC handlers
 // =====================================================================
 
-#[allow(clippy::too_many_arguments)]
+/// Serves an Execute request — or, with `ship`, the Execute round of a
+/// shipped (multi-hop) transaction — at this shard's primary.
 fn snic_execute(
     st: &mut XenicNode,
     rt: &mut Runtime<XMsg>,
-    me: usize,
-    txn: TxnId,
-    req: u64,
-    reply_to: u32,
-    _mode: ExecMode,
-    reads: KeySet,
-    locks: KeySet,
-    scans: ScanSet,
+    exec: Execute,
     ship: Option<Box<ShipCtx>>,
 ) {
+    let Execute {
+        txn,
+        req,
+        reply_to,
+        reads,
+        locks,
+        scans,
+    } = exec;
     // Lock phase (§4.2 step 2): all-or-nothing within this request.
     let mut acquired: SmallVec<Key, 4> = SmallVec::new();
     for k in &locks {
@@ -2712,13 +2290,9 @@ fn snic_execute(
     // (invalid marks only cover keys this node *backs up*), but after
     // recover_shard promotes a backup it is what keeps not-yet-validated
     // writes invisible.
-    if !st.hermes_invalid.is_empty() {
-        for k in &reads {
-            if st.hermes_key_invalid(*k) {
-                refuse_exec(st, rt, txn, req, reply_to, ship.is_some(), acquired);
-                return;
-            }
-        }
+    if reads.iter().any(|k| hermes_invalid(&st.hermes_invalid, *k)) {
+        refuse_exec(st, rt, txn, req, reply_to, ship.is_some(), acquired);
+        return;
     }
     // Range walks (DESIGN.md §14): the ordered index is NIC-resident and
     // authoritative, so walks resolve synchronously — no DMA wait. The
@@ -2736,7 +2310,7 @@ fn snic_execute(
         let XenicNode {
             nic_index,
             host_table,
-            hermes_invalid,
+            hermes_invalid: marks,
             ..
         } = &*st;
         for s in &scans {
@@ -2757,9 +2331,7 @@ fn snic_execute(
                 }
                 // Hermes: rows under an in-flight invalidation are not
                 // readable (see the point-read check above).
-                if !hermes_invalid.is_empty()
-                    && hermes_invalid.values().any(|ks| ks.contains(&k))
-                {
+                if hermes_invalid(marks, k) {
                     conflict = true;
                     return false;
                 }
@@ -2868,7 +2440,7 @@ fn snic_execute(
         locked: acquired,
     };
     if awaiting == 0 {
-        resolve_exec(st, rt, me, op);
+        resolve_exec(st, rt, op);
     } else {
         st.pending.insert(op_id, op);
     }
@@ -2885,11 +2457,8 @@ fn refuse_exec(
     shipped: bool,
     acquired: SmallVec<Key, 4>,
 ) {
-    for a in acquired {
-        let seg = st.segment(a);
-        st.nic_index.unlock(seg, a, txn);
-    }
-    if shipped {
+    unlock_keys(st, txn, &acquired);
+    let msg = if shipped {
         st.ship_locked.remove(&txn);
         let msg = XMsg::from(ExecShipResp {
             txn,
@@ -2901,10 +2470,9 @@ fn refuse_exec(
             // re-attempt the locks after the coordinator aborted.
             st.ship_resp.insert(txn, (msg.clone(), Vec::new()));
         }
-        let bytes = msg.wire_bytes();
-        rt.send_net(reply_to as usize, Exec::Nic, msg, bytes);
+        msg
     } else {
-        let msg = XMsg::from(ExecuteResp {
+        XMsg::from(ExecuteResp {
             txn,
             req,
             shard: st.shard,
@@ -2912,10 +2480,9 @@ fn refuse_exec(
             values: Vec::new(),
             lock_versions: Vec::new(),
             scan_obs: ScanObsSet::new(),
-        });
-        let bytes = msg.wire_bytes();
-        rt.send_net(reply_to as usize, Exec::Nic, msg, bytes);
-    }
+        })
+    };
+    send(rt, reply_to as usize, msg);
 }
 
 /// Plans a DMA lookup against the host table using the NIC's hints and
@@ -2952,15 +2519,13 @@ fn start_lookup_chain(st: &mut XenicNode, rt: &mut Runtime<XMsg>, op_id: u64, ke
     );
 }
 
-fn snic_dma_lookup_done(
-    st: &mut XenicNode,
-    rt: &mut Runtime<XMsg>,
-    me: usize,
-    op_id: u64,
-    key: Key,
-    mut remaining: Vec<u32>,
-    result: Option<(Value, Version)>,
-) {
+fn snic_dma_lookup_done(st: &mut XenicNode, rt: &mut Runtime<XMsg>, done: DmaLookupDone) {
+    let DmaLookupDone {
+        op: op_id,
+        key,
+        mut remaining,
+        result,
+    } = done;
     if !remaining.is_empty() {
         let next = remaining.remove(0);
         rt.dma_read(
@@ -3020,7 +2585,7 @@ fn snic_dma_lookup_done(
             }
             if done {
                 let op = st.pending.remove(&op_id).expect("present");
-                resolve_exec(st, rt, me, op);
+                resolve_exec(st, rt, op);
             }
         }
         PendingOp::Val { awaiting, ok, .. } => {
@@ -3045,9 +2610,8 @@ fn snic_dma_lookup_done(
                     ..
                 } = op
                 {
-                    let msg = XMsg::ValidateResp { txn, req, shard, ok };
-                    let bytes = msg.wire_bytes();
-                    rt.send_net(reply_to as usize, Exec::Nic, msg, bytes);
+                    let resp = XMsg::ValidateResp { txn, req, shard, ok };
+                    send(rt, reply_to as usize, resp);
                 }
             }
         }
@@ -3057,7 +2621,7 @@ fn snic_dma_lookup_done(
 /// Finishes an Execute: ordinary requests answer the coordinator;
 /// shipped requests run execution logic and fan out Log requests
 /// (§4.2.3, Figure 7b).
-fn resolve_exec(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, op: PendingOp) {
+fn resolve_exec(st: &mut XenicNode, rt: &mut Runtime<XMsg>, op: PendingOp) {
     let PendingOp::Exec {
         txn,
         req,
@@ -3082,7 +2646,7 @@ fn resolve_exec(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, op: Pendi
     }
     match ship {
         None => {
-            let msg = XMsg::from(ExecuteResp {
+            let resp = ExecuteResp {
                 txn,
                 req,
                 shard,
@@ -3090,9 +2654,8 @@ fn resolve_exec(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, op: Pendi
                 values,
                 lock_versions,
                 scan_obs,
-            });
-            let bytes = msg.wire_bytes();
-            rt.send_net(reply_to as usize, Exec::Nic, msg, bytes);
+            };
+            send(rt, reply_to as usize, resp.into());
         }
         Some(ctx) => {
             // Execute the whole transaction here at the remote primary.
@@ -3121,33 +2684,27 @@ fn resolve_exec(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, op: Pendi
                 .cloned()
                 .collect();
             // Fan out Log requests for both shards, acks direct to the
-            // coordinator (the multi-hop pattern).
+            // coordinator (the multi-hop pattern). Under faults the
+            // outcome is remembered so a retransmitted ExecShip replays
+            // it instead of re-executing.
+            let fa = rt.faults_active();
             let mut fanout: Vec<(usize, XMsg)> = Vec::new();
-            if !mine.is_empty() {
-                for b in st.part.backups(st.shard) {
+            for (shard, writes) in [(st.shard, &mine), (coord_shard, &local_writes)] {
+                if writes.is_empty() {
+                    continue;
+                }
+                for b in st.part.backups(shard) {
                     let msg = XMsg::from(LogReq {
                         txn,
-                        shard: st.shard,
+                        shard,
                         reply_to,
-                        writes: mine.clone(),
+                        writes: writes.clone(),
                     });
-                    fanout.push((b, msg));
+                    if fa {
+                        fanout.push((b, msg.clone()));
+                    }
+                    send(rt, b, msg);
                 }
-            }
-            if !local_writes.is_empty() {
-                for b in st.part.backups(coord_shard) {
-                    let msg = XMsg::from(LogReq {
-                        txn,
-                        shard: coord_shard,
-                        reply_to,
-                        writes: local_writes.clone(),
-                    });
-                    fanout.push((b, msg));
-                }
-            }
-            for (b, msg) in &fanout {
-                let bytes = msg.wire_bytes();
-                rt.send_net(*b, Exec::Nic, msg.clone(), bytes);
             }
             if !mine.is_empty() {
                 st.ship_staged.insert(txn, mine);
@@ -3157,29 +2714,22 @@ fn resolve_exec(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, op: Pendi
                 ok: true,
                 local_writes,
             });
-            if rt.faults_active() {
-                // Remember the outcome so a retransmitted ExecShip replays
-                // it instead of re-executing.
+            if fa {
                 st.ship_resp.insert(txn, (msg.clone(), fanout));
             }
-            let bytes = msg.wire_bytes();
-            rt.send_net(reply_to as usize, Exec::Nic, msg, bytes);
-            let _ = me;
+            send(rt, reply_to as usize, msg);
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn snic_validate(
-    st: &mut XenicNode,
-    rt: &mut Runtime<XMsg>,
-    _me: usize,
-    txn: TxnId,
-    req: u64,
-    reply_to: u32,
-    checks: CheckSet,
-    scan_checks: ScanCheckSet,
-) {
+fn snic_validate(st: &mut XenicNode, rt: &mut Runtime<XMsg>, validate: Validate) {
+    let Validate {
+        txn,
+        req,
+        reply_to,
+        checks,
+        scan_checks,
+    } = validate;
     let mut ok = true;
     let mut dma_fetch: Vec<Key> = Vec::new();
     // CXL substrate (DESIGN.md §17): the lock and version words verified
@@ -3273,14 +2823,8 @@ fn snic_validate(
         }
     }
     if !ok || dma_fetch.is_empty() {
-        let msg = XMsg::ValidateResp {
-            txn,
-            req,
-            shard: st.shard,
-            ok,
-        };
-        let bytes = msg.wire_bytes();
-        rt.send_net(reply_to as usize, Exec::Nic, msg, bytes);
+        let shard = st.shard;
+        send(rt, reply_to as usize, XMsg::ValidateResp { txn, req, shard, ok });
         return;
     }
     // Pay the DMA latency for the fallback fetches before answering.
@@ -3303,31 +2847,23 @@ fn snic_validate(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn snic_log(
-    st: &mut XenicNode,
-    rt: &mut Runtime<XMsg>,
-    _me: usize,
-    txn: TxnId,
-    shard: u32,
-    reply_to: u32,
-    writes: WriteSet,
-    retry: bool,
-) {
+/// Appends a backup log record (`retry`: re-attempting an append that
+/// found the ring full, so the in-flight marker is this attempt's own).
+pub(crate) fn snic_log(st: &mut XenicNode, rt: &mut Runtime<XMsg>, log: LogReq, retry: bool) {
+    let LogReq {
+        txn,
+        shard,
+        reply_to,
+        writes,
+    } = log;
     let fa = rt.faults_active();
     if fa && !retry {
         // Appending the same record twice would double-apply delta writes
         // at this backup. Ack retransmitted LogReqs from the log instead.
         match st.backup_log_acked.get(&(txn, shard)) {
             Some(true) => {
-                let msg = XMsg::LogResp {
-                    txn,
-                    from: st.shard,
-                    shard,
-                    ok: true,
-                };
-                let bytes = msg.wire_bytes();
-                rt.send_net(reply_to as usize, Exec::Nic, msg, bytes);
+                let from = st.shard;
+                send(rt, reply_to as usize, XMsg::LogResp { txn, from, shard, ok: true });
                 return;
             }
             // Append (or its DMA) still in flight: the pending completion
@@ -3378,26 +2914,15 @@ pub(crate) fn snic_log(
     }
 }
 
-fn snic_commit(
-    st: &mut XenicNode,
-    rt: &mut Runtime<XMsg>,
-    me: usize,
-    txn: TxnId,
-    shard: u32,
-    writes: WriteSet,
-) {
+fn snic_commit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, commit: CommitReq) {
+    let CommitReq { txn, shard, writes } = commit;
     if rt.faults_active() {
         // The coordinator retransmits CommitReq until acked; commit is past
         // the point of no return once processed, so ack immediately and
         // drop duplicates (re-applying delta writes would corrupt state).
         let dup = !st.commit_seen.insert(txn);
-        let msg = XMsg::CommitAck {
-            txn,
-            shard,
-            from: st.shard,
-        };
-        let bytes = msg.wire_bytes();
-        rt.send_net(txn.node as usize, Exec::Nic, msg, bytes);
+        let from = st.shard;
+        send(rt, txn.node as usize, XMsg::CommitAck { txn, shard, from });
         if dup {
             return;
         }
@@ -3411,35 +2936,84 @@ fn snic_commit(
     };
     // A shipped execution locked its read-set keys too; release the ones
     // that are not covered by the commit DMA's unlock list.
-    if let Some(locked) = st.ship_locked.remove(&txn) {
-        for k in locked {
-            if !writes.iter().any(|(wk, _, _)| *wk == k) {
-                let seg = st.segment(k);
-                st.nic_index.unlock(seg, k, txn);
-            }
-        }
+    if let Some(mut locked) = st.ship_locked.remove(&txn) {
+        locked.retain(|k| !writes.iter().any(|(wk, _, _)| wk == k));
+        unlock_keys(st, txn, &locked);
     }
     if writes.is_empty() {
         return;
     }
     let unlock: KeySet = writes.iter().map(|(k, _, _)| *k).collect();
-    apply_commit_records(st, rt, me, txn, writes, unlock);
+    apply_commit_records(st, rt, txn, writes, unlock);
 }
 
-fn snic_dma_log_done(
-    st: &mut XenicNode,
-    rt: &mut Runtime<XMsg>,
-    _me: usize,
-    txn: TxnId,
-    reply_to: Option<u32>,
-    lsn: u64,
-    unlock: KeySet,
-) {
-    // Locks release only once the commit record is durable (§4.2 step 6).
-    for k in unlock {
-        let seg = st.segment(k);
-        st.nic_index.unlock(seg, k, txn);
+/// Releases the locks a refused or timed-out transaction left at this
+/// primary. `send_abort` addresses one shard per (non-empty) AbortReq
+/// and, under faults, retransmits until this ack.
+fn snic_abort(st: &mut XenicNode, rt: &mut Runtime<XMsg>, abort: AbortReq) {
+    let AbortReq { txn, unlock } = abort;
+    unlock_keys(st, txn, &unlock);
+    if let Some(shard) = unlock.first().map(|k| shard_of(*k)).filter(|_| rt.faults_active()) {
+        let from = st.shard;
+        send(rt, txn.node as usize, XMsg::CommitAck { txn, shard, from });
     }
+}
+
+/// Serves an ExecShip: lock every key of this shard and execute the
+/// whole transaction here (§4.2.3).
+fn snic_exec_ship(st: &mut XenicNode, rt: &mut Runtime<XMsg>, ship: ExecShip) {
+    let ExecShip {
+        txn,
+        reply_to,
+        spec,
+        local_vals,
+    } = ship;
+    // A retransmitted ExecShip replays the cached outcome — re-executing
+    // could re-lock keys the commit already released, or double-log at
+    // the backups.
+    if rt.faults_active() {
+        if let Some((resp, fanout)) = st.ship_resp.get(&txn).cloned() {
+            for (dst, msg) in fanout {
+                send(rt, dst, msg);
+            }
+            send(rt, reply_to as usize, resp);
+            return;
+        }
+    }
+    let reads: KeySet = spec
+        .reads
+        .iter()
+        .copied()
+        .filter(|k| shard_of(*k) == st.shard)
+        .collect();
+    // Shipped executions lock read keys too (validation-free).
+    let locks: KeySet = spec
+        .all_keys()
+        .filter(|k| shard_of(*k) == st.shard)
+        .collect();
+    // Multi-hop shipping is gated on `!spec.has_scans()` at the
+    // coordinator, so shipped executions never carry range predicates.
+    debug_assert!(!spec.has_scans());
+    let exec = Execute {
+        txn,
+        req: 0,
+        reply_to,
+        reads,
+        locks,
+        scans: ScanSet::new(),
+    };
+    snic_execute(st, rt, exec, Some(Box::new(ShipCtx { spec, local_vals })));
+}
+
+fn snic_dma_log_done(st: &mut XenicNode, rt: &mut Runtime<XMsg>, done: DmaLogDone) {
+    let DmaLogDone {
+        txn,
+        reply_to,
+        lsn,
+        unlock,
+    } = done;
+    // Locks release only once the commit record is durable (§4.2 step 6).
+    unlock_keys(st, txn, &unlock);
     if let Some(r) = reply_to {
         // A node backs up several shards; recover the logged shard so the
         // coordinator can match this ack against the right LogReq.
@@ -3449,15 +3023,198 @@ fn snic_dma_log_done(
                 *acked = true;
             }
         }
-        let msg = XMsg::LogResp {
-            txn,
-            from: st.shard,
-            shard: entry_shard,
-            ok: true,
-        };
-        let bytes = msg.wire_bytes();
-        rt.send_net(r as usize, Exec::Nic, msg, bytes);
+        let (from, shard) = (st.shard, entry_shard);
+        send(rt, r as usize, XMsg::LogResp { txn, from, shard, ok: true });
     }
     // Hand the durable record to a host worker (§4.2 step 7).
     rt.send_local(Exec::Host, XMsg::ApplyLog { lsn }, WORKER_POLL_NS);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::{make_key, ShipMode};
+    use xenic_net::{Cluster, FaultPlan, NetConfig};
+    use xenic_sim::DetRng;
+
+    fn resp(req: u64) -> XMsg {
+        XMsg::ValidateResp {
+            txn: TxnId::new(0, 1),
+            req,
+            shard: 0,
+            ok: true,
+        }
+    }
+
+    /// A round with one request to node 1 per id, registered in `reqs` order.
+    fn round_of(reqs: &[u64]) -> Round {
+        let mut round = Round::default();
+        for &r in reqs {
+            round.track(Awaits::Req(r), 1, resp(r));
+        }
+        round
+    }
+
+    #[test]
+    fn duplicated_response_is_counted_once() {
+        let mut round = round_of(&[7, 8]);
+        assert!(round.heard(Awaits::Req(7)));
+        assert!(!round.heard(Awaits::Req(7)), "a duplicate must not count again");
+        assert!(!round.settled());
+        assert!(round.heard(Awaits::Req(8)));
+        assert!(round.settled());
+    }
+
+    #[test]
+    fn response_for_unknown_key_is_ignored() {
+        let mut round = round_of(&[7]);
+        assert!(!round.heard(Awaits::Req(9)));
+        assert!(!round.heard(Awaits::Ack { from: 1, shard: 0 }));
+        assert!(!round.heard(Awaits::Shipped));
+        assert!(!round.settled(), "nothing this round asked for was heard");
+        // Reliable fabric: nothing is tracked, so nothing is ever "heard".
+        assert!(!Round::default().heard(Awaits::Req(7)));
+    }
+
+    /// Probe protocol: a `CommitTick` makes a node retransmit its round's
+    /// unheard sends; every arriving `ValidateResp` is logged by id.
+    struct Probe;
+    #[derive(Default)]
+    struct ProbeNode {
+        round: Round,
+        got: Vec<u64>,
+    }
+    impl Protocol for Probe {
+        type Msg = XMsg;
+        type State = ProbeNode;
+        fn cost(_: &XMsg, _: Exec, _: &HwParams) -> u64 {
+            10
+        }
+        fn handle(st: &mut ProbeNode, rt: &mut Runtime<XMsg>, _node: usize, msg: XMsg) {
+            match msg {
+                XMsg::CommitTick { seq, .. } => st.round.retransmit(rt, seq, |e| !e.heard),
+                XMsg::ValidateResp { req, .. } => st.got.push(req),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn retransmit_resends_in_registration_order_and_skips_heard() {
+        let mut cluster: Cluster<Probe> =
+            Cluster::new(HwParams::paper_testbed(), NetConfig::full(), 1, |_| ProbeNode::default());
+        // Registration order is not id order, and one was already heard.
+        cluster.states[0].round = round_of(&[5, 3, 9, 4]);
+        assert!(cluster.states[0].round.heard(Awaits::Req(9)));
+        let tick = XMsg::CommitTick { seq: 1, attempt: 0 };
+        cluster.seed(SimTime::ZERO, 0, Exec::Nic, tick.clone());
+        cluster.run_until(SimTime::from_ms(1));
+        assert_eq!(cluster.states[1].got, [5, 3, 4]);
+        // Tracked sends stay tracked until heard: the next timer resends
+        // exactly what is still outstanding.
+        assert!(cluster.states[0].round.heard(Awaits::Req(5)));
+        cluster.seed(SimTime::from_ms(1), 0, Exec::Nic, tick);
+        cluster.run_until(SimTime::from_ms(2));
+        assert_eq!(cluster.states[1].got, [5, 3, 4, 3, 4]);
+    }
+
+    /// Rotates through specs that between them reach every exit: two-shard
+    /// write contention (standard path), multi-shard reads (Validate),
+    /// one hot remote key (direct ship), a local key plus a remote one
+    /// (MhLocal, then ship), and one hot local key (local fast path).
+    struct EveryExit(u64);
+    impl Workload for EveryExit {
+        fn next_txn(&mut self, node: usize, _rng: &mut DetRng) -> TxnSpec {
+            self.0 += 1;
+            let bump = |k| (k, UpdateOp::AddI64(1));
+            let (me, next) = (node as u32, (node as u32 + 1) % 6);
+            let (reads, updates, ship) = match self.0 % 5 {
+                0 => (vec![], vec![bump(make_key(0, 7)), bump(make_key(1, 9))], ShipMode::Host),
+                1 => (vec![make_key(0, 7), make_key(1, 9)], vec![], ShipMode::Host),
+                2 => (vec![], vec![bump(make_key(next, 7))], ShipMode::Nic),
+                3 => (vec![make_key(me, 3)], vec![bump(make_key(next, 7))], ShipMode::Nic),
+                _ => (vec![], vec![bump(make_key(me, 7))], ShipMode::Nic),
+            };
+            TxnSpec {
+                reads,
+                updates,
+                ship,
+                ..Default::default()
+            }
+        }
+        fn value_bytes(&self) -> u32 {
+            16
+        }
+        fn preload(&self, shard: u32) -> Vec<(Key, Value)> {
+            (0..16)
+                .map(|i| (make_key(shard, i), Value::from_bytes(&0i64.to_le_bytes())))
+                .collect()
+        }
+    }
+
+    fn every_exit_cluster(net: NetConfig, windows: u32) -> Cluster<Xenic> {
+        let part = Partitioning::new(6, 3);
+        let mut cluster: Cluster<Xenic> = Cluster::new(HwParams::paper_testbed(), net, 5, |node| {
+            let wl = Box::new(EveryExit(node as u64));
+            XenicNode::new(node, XenicConfig::full(), part, wl, windows as usize)
+        });
+        for node in 0..6 {
+            for slot in 0..windows {
+                let at = SimTime::from_ns(u64::from(slot) * 97);
+                cluster.seed(at, node, Exec::Host, XMsg::StartTxn { slot });
+            }
+        }
+        cluster
+    }
+
+    #[test]
+    fn stale_epoch_timer_is_inert() {
+        // Jitter alone makes faults "active" (sends are tracked, timers
+        // armed) while every message still arrives. No slot is started.
+        let net = NetConfig::full().with_faults(FaultPlan::lossy(0.0, 0.0, 1));
+        let mut cluster = every_exit_cluster(net, 0);
+        // A transaction parked in Exec at epoch 3, one request outstanding.
+        let mut ct = CoordTxn::new(Arc::new(TxnSpec::default()));
+        (ct.epoch, ct.pending) = (3, 1);
+        ct.round.track(Awaits::Req(1), 1, resp(1));
+        cluster.states[0].coord.insert(9, ct);
+
+        cluster.seed(SimTime::ZERO, 0, Exec::Nic, XMsg::PhaseTimeout { seq: 9, epoch: 2 });
+        cluster.run_until(SimTime::from_ns(10_000));
+        let attempts = |c: &Cluster<Xenic>| c.states[0].coord[&9].attempts;
+        assert_eq!((attempts(&cluster), cluster.rt.net_msgs_sent(0)), (0, 0), "stale timer acted");
+
+        let live = XMsg::PhaseTimeout { seq: 9, epoch: 3 };
+        cluster.seed(SimTime::from_ns(10_000), 0, Exec::Nic, live);
+        cluster.run_until(SimTime::from_ns(20_000));
+        assert_eq!((attempts(&cluster), cluster.rt.net_msgs_sent(0)), (1, 1), "live timer resends");
+    }
+
+    #[test]
+    fn every_exit_leaves_no_context_behind() {
+        // Once on a reliable fabric, once under loss and duplication
+        // (timeouts, retransmission, post-outcome ack tracking).
+        let lossy = NetConfig::full().with_faults(FaultPlan::lossy(0.01, 0.01, 2_000));
+        for net in [NetConfig::full(), lossy] {
+            let faults = net.faults.active();
+            let mut cluster = every_exit_cluster(net, 4);
+            for st in &mut cluster.states {
+                st.stats.start_measuring(SimTime::ZERO);
+            }
+            cluster.run_until(SimTime::from_ms(3));
+            crate::harness::drain(&mut cluster, SimTime::from_ms(100));
+            let (mut committed, mut aborted, mut multihop, mut local) = (0, 0, 0, 0);
+            for (node, st) in cluster.states.iter().enumerate() {
+                assert!(st.coord.is_empty(), "faults={faults}: node {node} kept a context");
+                assert!(st.committing.is_empty(), "faults={faults}: node {node} awaits acks");
+                committed += st.stats.committed_all.get();
+                aborted += st.stats.aborted.get();
+                multihop += st.stats.multihop.get();
+                local += st.stats.local_fast_path.get();
+            }
+            assert!(committed > 500 && aborted > 50, "faults={faults}: {committed}/{aborted}");
+            assert!(multihop > 100 && local > 100, "faults={faults}: {multihop}/{local}");
+            crate::audit::no_locks_held(&cluster.states).expect("no lock outlives its txn");
+        }
+    }
 }

@@ -91,18 +91,6 @@ pub struct ScanCheck {
     pub fp: u64,
 }
 
-/// What a server-side Execute request does (smart mode combines; the
-/// Figure 9 baseline splits, mimicking one-sided RDMA's restrictions).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Lock write-set keys *and* read read-set values in one request.
-    Combined,
-    /// Read values only.
-    ReadOnly,
-    /// Acquire locks only.
-    LockOnly,
-}
-
 /// The Xenic message set.
 ///
 /// The enum itself is the hot payload of every simulator event, inbox slot,
@@ -320,14 +308,13 @@ pub struct Execute {
     pub req: u64,
     /// Coordinator node to respond to.
     pub reply_to: u32,
-    /// Request flavor.
-    pub mode: ExecMode,
-    /// Keys to read (Combined/ReadOnly).
+    /// Keys to read. Smart mode combines all three sets in one request
+    /// per shard; the Figure 9 baseline sends each key or predicate in a
+    /// request of its own (one-sided RDMA's one-op-one-request shape).
     pub reads: KeySet,
-    /// Keys to write-lock (Combined/LockOnly).
+    /// Keys to write-lock.
     pub locks: KeySet,
-    /// Range predicates to walk on the NIC-resident ordered index
-    /// (Combined/ReadOnly).
+    /// Range predicates to walk on the NIC-resident ordered index.
     pub scans: ScanSet,
 }
 
@@ -577,7 +564,7 @@ fn recycle<T: PoolSlot>(slot: Box<MaybeUninit<T>>) {
 /// retiring it on B is sound either way. Release builds recycle it into
 /// B's pool (it's just a spare allocation). Debug builds carry the
 /// allocating thread's id and *drain* (free) the box instead, with a
-/// `debug_assert` in [`recycle`] enforcing that no slot ever enters a
+/// `debug_assert` in `recycle` enforcing that no slot ever enters a
 /// foreign pool — making the confinement argument checkable, not just
 /// prose.
 ///
@@ -807,7 +794,6 @@ mod tests {
             txn: TxnId::new(0, 1),
             req: 0,
             reply_to: 0,
-            mode: ExecMode::Combined,
             reads: vec![make_key(1, 1)].into(),
             locks: vec![].into(),
             scans: ScanSet::new(),
@@ -816,7 +802,6 @@ mod tests {
             txn: TxnId::new(0, 1),
             req: 0,
             reply_to: 0,
-            mode: ExecMode::Combined,
             reads: vec![make_key(1, 1); 10].into(),
             locks: vec![make_key(1, 2); 5].into(),
             scans: ScanSet::new(),
@@ -976,7 +961,6 @@ mod tests {
             txn: TxnId::new(0, 1),
             req: 0,
             reply_to: 0,
-            mode: ExecMode::Combined,
             reads: vec![1, 2].into(),
             locks: vec![3].into(),
             scans: ScanSet::new(),
@@ -987,7 +971,6 @@ mod tests {
                 txn: TxnId::new(0, 1),
                 req: 0,
                 reply_to: 0,
-                mode: ExecMode::ReadOnly,
                 reads: vec![1].into(),
                 locks: vec![].into(),
                 scans: ScanSet::new(),
@@ -997,7 +980,6 @@ mod tests {
                 txn: TxnId::new(0, 1),
                 req: 0,
                 reply_to: 0,
-                mode: ExecMode::ReadOnly,
                 reads: vec![2].into(),
                 locks: vec![].into(),
                 scans: ScanSet::new(),
@@ -1007,7 +989,6 @@ mod tests {
                 txn: TxnId::new(0, 1),
                 req: 0,
                 reply_to: 0,
-                mode: ExecMode::LockOnly,
                 reads: vec![].into(),
                 locks: vec![3].into(),
                 scans: ScanSet::new(),

@@ -273,7 +273,7 @@ pub struct CoordinatorRecovery {
 /// coordinator acknowledges commit only after its replication backend's
 /// quorum logged. So:
 ///
-/// * at least [`crate::repl::Replication::evidence_threshold`] records
+/// * at least `Replication::evidence_threshold` records
 ///   at every written shard → the outcome may have been observable →
 ///   commit everywhere;
 /// * anything less → it cannot have been acknowledged → abort and

@@ -2,20 +2,20 @@
 //!
 //! The engine's Log phase — everything between "validation passed, the
 //! write set is final" and "the commit point is reached" — is owned by a
-//! [`Replication`] backend. "Reliable Replication Protocols on
+//! `Replication` backend. "Reliable Replication Protocols on
 //! SmartNICs" argues the replication protocol itself belongs on the NIC
 //! beside the transaction logic; this module makes the protocol a
 //! configuration axis rather than hard-coded machinery, with three
 //! implementations charged identical `xenic-hw` NIC-core/DMA/verb costs:
 //!
-//! * [`LogShipping`] — Xenic's native scheme (§4.2 step 5): fan appends
+//! * `LogShipping` — Xenic's native scheme (§4.2 step 5): fan appends
 //!   to every backup of every written shard, commit when all ack.
-//! * [`RaftCommit`] — leader-based commit: term-tagged appends route
+//! * `RaftCommit` — leader-based commit: term-tagged appends route
 //!   through the shard group's leader, which relays to followers; the
 //!   coordinator commits on a **majority** of backup acks, re-elects
 //!   (bumps the term) when the leader goes quiet, and keeps laggard
 //!   replicas convergent with a post-commit catch-up stream.
-//! * [`HermesInval`] — invalidation-based: appends double as broadcast
+//! * `HermesInval` — invalidation-based: appends double as broadcast
 //!   invalidations (reads of an invalid key refuse until validation),
 //!   every backup must ack, and a post-commit validation broadcast
 //!   returns replicas to the valid state.
@@ -24,60 +24,69 @@
 //!
 //! **What the engine guarantees the backend:** `begin_log` is called
 //! exactly once per transaction, after Validate succeeded, with the
-//! write set grouped by shard in ascending shard order and the
-//! coordinator context in `Phase::Log` with cleared ack state.
-//! `on_log_ack` is called only for acks that passed the phase gate and
-//! the `(from, shard)` dedup. `on_log_timeout` is called only while the
-//! transaction is still in `Phase::Log` (epoch-checked). `after_commit`
-//! is called at the commit point, before the CommitReq fan-out, with
-//! the final ack set. On crash/restart the engine re-arms a phase timer
-//! for every in-flight Log-phase transaction and a CommitTick for every
-//! registered post-commit entry, and re-primes backup-append dedup from
-//! the durable log — backends need no restart hook of their own as long
-//! as all their retransmittable state lives in `CoordTxn::resend` and
-//! `XenicNode::committing`.
+//! coordinator context in `Phase::Log`, nothing pending, cleared ack
+//! state, and the write set grouped by ascending shard in
+//! `CoordTxn::by_shard` (the CommitReq fan-out reuses those groups, so
+//! appends clone from them). `on_log_ack` is called only for acks that
+//! passed the phase gate and the `(from, shard)` dedup.
+//! `on_log_timeout` is called only while the transaction is still in
+//! `Phase::Log` (epoch-checked); the engine re-arms the timer after it.
+//! `after_commit` is called at the commit point, before the CommitReq
+//! fan-out, with the final ack set. On crash/restart the engine re-arms
+//! a phase timer for every in-flight Log-phase transaction and a
+//! CommitTick for every registered post-commit entry, and re-primes
+//! backup-append dedup from the durable log — backends need no restart
+//! hook of their own as long as all their retransmittable state lives
+//! in `CoordTxn::round` and `XenicNode::committing`.
 //!
 //! **What the backend must guarantee recovery:** once the backend
 //! reports the commit point, enough replicas must hold the log record
-//! that [`Replication::evidence_threshold`] surviving records prove the
+//! that `Replication::evidence_threshold` surviving records prove the
 //! transaction (coordinator recovery re-commits on that evidence), and
 //! the backend must drive every remaining replica of every written
 //! shard to convergence — by refusing to commit before all acks
 //! (log shipping, Hermes) or by registering catch-up retransmissions
 //! for laggards (Raft). The backend may never walk a commit back.
 
-use xenic_sim::FastSet;
-
-use xenic_net::{Exec, Runtime};
+use xenic_net::Runtime;
 use xenic_store::TxnId;
 
 use crate::api::Partitioning;
 use crate::config::{ReplBackend, Weakening};
 use crate::engine::{
-    abort_txn, arm_phase_timer, finish_commit, snic_log, CoordTxn, Phase, XenicNode,
+    append_to_backups, appends_sent, count_ack, send, snic_log, Awaits, CoordTxn, InFlight, Phase,
+    Round, XenicNode,
 };
 use crate::msg::{HermesInv, KeySet, LogReq, RaftAppend, WriteSet, XMsg};
 
 /// A NIC-resident replication protocol owning the Log phase end to end.
 ///
 /// Implementations are stateless unit structs — all per-transaction
-/// state lives in the engine's `CoordTxn` (retransmit buffer, ack set)
-/// and per-node maps (`raft_terms`, `hermes_invalid`), which crash
-/// recovery already knows how to re-prime.
-pub trait Replication {
-    /// The config token this backend implements.
-    fn kind(&self) -> ReplBackend;
-
-    /// Human-readable protocol name (figures, CSV headers).
-    fn name(&self) -> &'static str;
+/// state lives in the engine's `CoordTxn` (tracked sends, ack set) and
+/// per-node maps (`raft_terms`, `hermes_invalid`), which crash recovery
+/// already knows how to re-prime. The provided methods are the all-ack
+/// protocol shared by log shipping and Hermes: fan an append to every
+/// backup of every written shard, count every ack, resend what was not
+/// acked.
+pub(crate) trait Replication {
+    /// The message that makes one backup log `writes` for `shard` and
+    /// acknowledge `reply_to` (also what the local fast path, which
+    /// replicates to every backup under every backend, sends).
+    fn append(&self, txn: TxnId, shard: u32, reply_to: u32, writes: WriteSet) -> XMsg {
+        XMsg::from(LogReq {
+            txn,
+            shard,
+            reply_to,
+            writes,
+        })
+    }
 
     /// Starts the Log phase: send the protocol's append messages for
-    /// `by_shard` (write set grouped by ascending shard), set
-    /// `CoordTxn::pending` to the number of acks that reach the commit
-    /// point, register retransmittable sends when faults are active,
-    /// and arm the phase timer. Must call `finish_commit` directly when
-    /// nothing needs replicating (replication factor 1).
-    #[allow(clippy::too_many_arguments)]
+    /// `CoordTxn::by_shard`, count in `CoordTxn::pending` the acks that
+    /// reach the commit point, track retransmittable sends when faults
+    /// are active, and finish with `appends_sent` (which arms the phase
+    /// timer, or commits directly when nothing needs replicating —
+    /// replication factor 1).
     fn begin_log(
         &self,
         st: &mut XenicNode,
@@ -85,8 +94,20 @@ pub trait Replication {
         me: usize,
         seq: u64,
         txn: TxnId,
-        by_shard: Vec<(u32, WriteSet)>,
-    );
+    ) {
+        let CoordTxn {
+            by_shard,
+            round,
+            pending,
+            ..
+        } = st.coord.get_mut(&seq).expect("coord exists");
+        for (shard, writes) in by_shard.iter() {
+            append_to_backups(round, pending, rt, &st.part, *shard, || {
+                self.append(txn, *shard, me as u32, writes.clone())
+            });
+        }
+        appends_sent(st, rt, me, seq);
+    }
 
     /// A counted (deduplicated, phase-gated) Log ack from a backup for
     /// `shard` arrived; decide whether it advances the quorum and reach
@@ -97,51 +118,52 @@ pub trait Replication {
         rt: &mut Runtime<XMsg>,
         me: usize,
         seq: u64,
-        txn: TxnId,
-        shard: u32,
-    );
+        _shard: u32,
+    ) {
+        count_ack(st, rt, me, seq);
+    }
 
     /// The Log-phase retransmission timer fired (faults active, epoch
     /// current): resend whatever the quorum is still missing. Log-phase
     /// messages are never abandoned — a backup may already have logged.
-    fn on_log_timeout(
-        &self,
-        st: &mut XenicNode,
-        rt: &mut Runtime<XMsg>,
-        me: usize,
-        seq: u64,
-        txn: TxnId,
-    );
+    fn on_log_timeout(&self, st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64) {
+        st.coord[&seq].round.retransmit(rt, seq, |e| !e.heard);
+    }
 
     /// The commit point was reached: push any post-commit protocol
-    /// traffic. Called before the CommitReq fan-out with the final ack
-    /// set; entries pushed into `unacked` as `(shard, dst, msg)` are
-    /// sent by CommitTick retransmission until a matching ack clears
-    /// them (and re-armed across coordinator crashes). `track` is false
-    /// when faults are inactive or the quorum is (test-only) weakened.
-    #[allow(clippy::too_many_arguments)]
+    /// traffic. Called before the CommitReq fan-out with the concluding
+    /// context (final ack set, grouped write set); sends tracked in
+    /// `unacked` are retransmitted by CommitTick until a matching ack
+    /// clears them (and re-armed across coordinator crashes). `track` is
+    /// false when faults are inactive or the quorum is (test-only)
+    /// weakened.
     fn after_commit(
         &self,
-        st: &mut XenicNode,
-        rt: &mut Runtime<XMsg>,
-        me: usize,
-        txn: TxnId,
-        acks: &FastSet<(u32, u32)>,
-        by_shard: &[(u32, WriteSet)],
-        track: bool,
-        unacked: &mut Vec<(u32, usize, XMsg)>,
-    );
+        _st: &mut XenicNode,
+        _rt: &mut Runtime<XMsg>,
+        _txn: TxnId,
+        _ct: &CoordTxn,
+        _track: bool,
+        _unacked: &mut Round,
+    ) {
+        // All backups acked before the commit point; the CommitReq
+        // fan-out (engine-generic) is the only post-commit traffic.
+    }
 
     /// Minimum number of surviving backup log records that prove a
     /// transaction may have committed, for a shard group of `group`
     /// replicas (primary + backups). Coordinator recovery re-commits a
     /// transaction with this much evidence at every written shard and
     /// discards anything below it.
-    fn evidence_threshold(&self, group: usize) -> usize;
+    fn evidence_threshold(&self, group: usize) -> usize {
+        // Commit required every backup's ack, so a possibly-committed
+        // transaction left a record at all `group - 1` backups.
+        group.saturating_sub(1)
+    }
 }
 
 /// Returns the backend singleton for a config token.
-pub fn backend(kind: ReplBackend) -> &'static dyn Replication {
+pub(crate) fn backend(kind: ReplBackend) -> &'static dyn Replication {
     match kind {
         ReplBackend::LogShipping => &LogShipping,
         ReplBackend::Raft => &RaftCommit,
@@ -173,141 +195,11 @@ fn raft_needed(backups: usize) -> usize {
 // =====================================================================
 
 /// Xenic's native DMA log shipping: all backups of every written shard
-/// must append and ack before the commit point.
-pub struct LogShipping;
+/// must append and ack before the commit point — the trait's provided
+/// protocol, unmodified.
+pub(crate) struct LogShipping;
 
-impl Replication for LogShipping {
-    fn kind(&self) -> ReplBackend {
-        ReplBackend::LogShipping
-    }
-
-    fn name(&self) -> &'static str {
-        "DMA log shipping"
-    }
-
-    fn begin_log(
-        &self,
-        st: &mut XenicNode,
-        rt: &mut Runtime<XMsg>,
-        me: usize,
-        seq: u64,
-        txn: TxnId,
-        by_shard: Vec<(u32, WriteSet)>,
-    ) {
-        let mut sends = Vec::new();
-        for (shard, writes) in by_shard {
-            for b in st.part.backups(shard) {
-                sends.push((b, shard, writes.clone()));
-            }
-        }
-        let fa = rt.faults_active();
-        let ct = st.coord.get_mut(&seq).expect("coord exists");
-        ct.pending = sends.len();
-        if sends.is_empty() {
-            // No backups configured (replication = 1): commit directly.
-            finish_commit(st, rt, me, seq, txn);
-            return;
-        }
-        let mut msgs: Vec<(usize, XMsg)> = Vec::with_capacity(sends.len());
-        for (backup, shard, writes) in sends {
-            let msg = XMsg::from(LogReq {
-                txn,
-                shard,
-                reply_to: me as u32,
-                writes,
-            });
-            if fa {
-                ct.resend.push((backup, shard, msg.clone()));
-            }
-            msgs.push((backup, msg));
-        }
-        for (backup, msg) in msgs {
-            let bytes = msg.wire_bytes();
-            rt.send_net(backup, Exec::Nic, msg, bytes);
-        }
-        if fa {
-            arm_phase_timer(st, rt, seq);
-        }
-    }
-
-    fn on_log_ack(
-        &self,
-        st: &mut XenicNode,
-        rt: &mut Runtime<XMsg>,
-        me: usize,
-        seq: u64,
-        txn: TxnId,
-        _shard: u32,
-    ) {
-        all_ack_count(st, rt, me, seq, txn);
-    }
-
-    fn on_log_timeout(
-        &self,
-        st: &mut XenicNode,
-        rt: &mut Runtime<XMsg>,
-        _me: usize,
-        seq: u64,
-        _txn: TxnId,
-    ) {
-        resend_unacked(st, rt, seq);
-    }
-
-    fn after_commit(
-        &self,
-        _st: &mut XenicNode,
-        _rt: &mut Runtime<XMsg>,
-        _me: usize,
-        _txn: TxnId,
-        _acks: &FastSet<(u32, u32)>,
-        _by_shard: &[(u32, WriteSet)],
-        _track: bool,
-        _unacked: &mut Vec<(u32, usize, XMsg)>,
-    ) {
-        // All backups acked before the commit point; the CommitReq
-        // fan-out (engine-generic) is the only post-commit traffic.
-    }
-
-    fn evidence_threshold(&self, group: usize) -> usize {
-        // Commit required every backup's ack, so a possibly-committed
-        // transaction left a record at all `group - 1` backups.
-        group.saturating_sub(1)
-    }
-}
-
-/// Shared every-ack-counts quorum: decrement pending, commit (or abort)
-/// at zero. Exactly the pre-refactor Log-phase arm.
-fn all_ack_count(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64, txn: TxnId) {
-    let ct = st.coord.get_mut(&seq).expect("coord exists");
-    ct.pending -= 1;
-    if ct.pending == 0 {
-        if st.coord[&seq].ok {
-            finish_commit(st, rt, me, seq, txn);
-        } else {
-            abort_txn(st, rt, me, seq, txn);
-        }
-    }
-}
-
-/// Shared retransmit-unacked policy: resend every registered send whose
-/// `(dst, shard)` ack has not arrived. Exactly the pre-refactor arm.
-fn resend_unacked(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64) {
-    let Some(ct) = st.coord.get_mut(&seq) else {
-        return;
-    };
-    let resends: Vec<(usize, XMsg)> = ct
-        .resend
-        .iter()
-        .filter(|(dst, shard, _)| !ct.acks.contains(&(*dst as u32, *shard)))
-        .map(|(dst, _, msg)| (*dst, msg.clone()))
-        .collect();
-    rt.trace_instant("Retransmit", seq);
-    for (dst, msg) in resends {
-        let bytes = msg.wire_bytes();
-        rt.send_net(dst, Exec::Nic, msg, bytes);
-    }
-    arm_phase_timer(st, rt, seq);
-}
+impl Replication for LogShipping {}
 
 // =====================================================================
 // Leader-based Raft-style commit
@@ -320,32 +212,36 @@ fn resend_unacked(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64) {
 /// unresponsive leader is deposed by bumping the term (deterministic
 /// rotation — see [`leader_of`]); laggard followers are caught up by
 /// post-commit retransmission so replicas still converge.
-pub struct RaftCommit;
+pub(crate) struct RaftCommit;
+
+/// The shard and append body of a tracked [`XMsg::RaftAppend`].
+fn tracked_append(e: &mut InFlight) -> Option<(u32, &mut RaftAppend)> {
+    match (e.awaits, &mut e.msg) {
+        (Awaits::Ack { shard, .. }, XMsg::RaftAppend(b)) => Some((shard, &mut **b)),
+        _ => None,
+    }
+}
 
 impl RaftCommit {
     /// Handles a [`XMsg::RaftAppend`] at the (supposed) leader.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn leader_append(
         st: &mut XenicNode,
         rt: &mut Runtime<XMsg>,
         me: usize,
-        txn: TxnId,
-        shard: u32,
-        term: u32,
-        reply_to: u32,
-        writes: WriteSet,
+        append: RaftAppend,
     ) {
+        let RaftAppend {
+            txn,
+            shard,
+            term,
+            reply_to,
+            writes,
+        } = append;
         let cur = st.raft_terms.get(&shard).copied().unwrap_or(0);
         if term < cur {
             // Stale term: refuse, tell the coordinator the current one.
             st.stats.raft_nacks.inc();
-            let msg = XMsg::RaftNack {
-                txn,
-                shard,
-                term: cur,
-            };
-            let bytes = msg.wire_bytes();
-            rt.send_net(reply_to as usize, Exec::Nic, msg, bytes);
+            send(rt, reply_to as usize, XMsg::RaftNack { txn, shard, term: cur });
             return;
         }
         if term > cur {
@@ -358,22 +254,21 @@ impl RaftCommit {
         // bookkeeping, descriptor copies).
         rt.charge(rt.params.repl_leader_relay_ns * followers.len() as u64);
         for b in followers {
+            let relay = LogReq {
+                txn,
+                shard,
+                reply_to,
+                writes: writes.clone(),
+            };
             if b == me {
                 // A deposed-primary era can elect a backup leader: its
                 // own append is local. The primary itself is never a
                 // follower of its own shard, so a term-0 leader (the
                 // primary) never self-appends — it installs the record
                 // at CommitReq like every primary.
-                snic_log(st, rt, me, txn, shard, reply_to, writes.clone(), false);
+                snic_log(st, rt, relay, false);
             } else {
-                let msg = XMsg::from(LogReq {
-                    txn,
-                    shard,
-                    reply_to,
-                    writes: writes.clone(),
-                });
-                let bytes = msg.wire_bytes();
-                rt.send_net(b, Exec::Nic, msg, bytes);
+                send(rt, b, relay.into());
             }
         }
     }
@@ -387,43 +282,24 @@ impl RaftCommit {
         shard: u32,
         term: u32,
     ) {
-        let seq = txn.seq;
-        let part = st.part;
-        let Some(ct) = st.coord.get_mut(&seq) else {
+        let Some(ct) = st.coord.get_mut(&txn.seq) else {
             return;
         };
         if ct.phase != Phase::Log {
             return;
         }
-        let mut resends: Vec<(usize, XMsg)> = Vec::new();
-        for (dst, s, msg) in ct.resend.iter_mut() {
-            if *s != shard {
-                continue;
+        for e in ct.round.0.iter_mut() {
+            match tracked_append(e) {
+                Some((s, b)) if s == shard && term > b.term => b.term = term,
+                _ => continue,
             }
-            if let XMsg::RaftAppend(b) = msg {
-                if term > b.term {
-                    b.term = term;
-                    *dst = leader_of(&part, shard, term);
-                    resends.push((*dst, msg.clone()));
-                }
-            }
-        }
-        for (dst, msg) in resends {
-            let bytes = msg.wire_bytes();
-            rt.send_net(dst, Exec::Nic, msg, bytes);
+            e.dst = leader_of(&st.part, shard, term);
+            send(rt, e.dst, e.msg.clone());
         }
     }
 }
 
 impl Replication for RaftCommit {
-    fn kind(&self) -> ReplBackend {
-        ReplBackend::Raft
-    }
-
-    fn name(&self) -> &'static str {
-        "Raft-style leader commit"
-    }
-
     fn begin_log(
         &self,
         st: &mut XenicNode,
@@ -431,51 +307,43 @@ impl Replication for RaftCommit {
         me: usize,
         seq: u64,
         txn: TxnId,
-        by_shard: Vec<(u32, WriteSet)>,
     ) {
-        let fa = rt.faults_active();
-        let weakened = st.cfg.weaken == Some(Weakening::Quorum);
-        let mut pending = 0usize;
-        let mut msgs: Vec<(usize, u32, XMsg)> = Vec::with_capacity(by_shard.len());
-        for (shard, writes) in by_shard {
-            let needed = raft_needed(st.part.backups(shard).len());
-            if needed == 0 {
-                // Replication factor 1: no followers to replicate to.
-                continue;
-            }
-            pending += needed;
-            let msg = XMsg::from(RaftAppend {
-                txn,
-                shard,
-                term: 0,
-                reply_to: me as u32,
-                writes,
-            });
-            msgs.push((leader_of(&st.part, shard, 0), shard, msg));
-        }
-        let ct = st.coord.get_mut(&seq).expect("coord exists");
         // TEST ONLY (`Weakening::Quorum`): treat the quorum as already
         // satisfied — commit before any follower acked, and skip the
         // retransmission registration that would keep the appends and
         // CommitReqs alive under loss. The serial_fuzz negative
         // self-test proves the DSG checker rejects the result.
-        ct.pending = if weakened { 0 } else { pending };
-        if fa && !weakened {
-            for (dst, shard, msg) in &msgs {
-                ct.resend.push((*dst, *shard, msg.clone()));
+        let weakened = st.cfg.weaken == Some(Weakening::Quorum);
+        let track = rt.faults_active() && !weakened;
+        let ct = st.coord.get_mut(&seq).expect("coord exists");
+        for (shard, writes) in ct.by_shard.iter() {
+            let needed = raft_needed(st.part.backups(*shard).len());
+            if needed == 0 {
+                // Replication factor 1: no followers to replicate to.
+                continue;
             }
+            ct.pending += needed;
+            let dst = leader_of(&st.part, *shard, 0);
+            let msg = XMsg::from(RaftAppend {
+                txn,
+                shard: *shard,
+                term: 0,
+                reply_to: me as u32,
+                writes: writes.clone(),
+            });
+            if track {
+                let awaits = Awaits::Ack {
+                    from: dst as u32,
+                    shard: *shard,
+                };
+                ct.round.track(awaits, dst, msg.clone());
+            }
+            send(rt, dst, msg);
         }
-        for (dst, _, msg) in msgs {
-            let bytes = msg.wire_bytes();
-            rt.send_net(dst, Exec::Nic, msg, bytes);
+        if weakened {
+            ct.pending = 0;
         }
-        if weakened || pending == 0 {
-            finish_commit(st, rt, me, seq, txn);
-            return;
-        }
-        if fa {
-            arm_phase_timer(st, rt, seq);
-        }
+        appends_sent(st, rt, me, seq);
     }
 
     fn on_log_ack(
@@ -484,76 +352,48 @@ impl Replication for RaftCommit {
         rt: &mut Runtime<XMsg>,
         me: usize,
         seq: u64,
-        txn: TxnId,
         shard: u32,
     ) {
         let needed = raft_needed(st.cfg.replication.saturating_sub(1) as usize);
-        let ct = st.coord.get_mut(&seq).expect("coord exists");
-        // The ack was just inserted into `ct.acks`; count this shard's
+        // The ack was just inserted into `acks`; count this shard's
         // tally and ignore acks beyond its majority (they still shrink
         // the post-commit catch-up set via the ack set itself).
-        let tally = ct.acks.iter().filter(|(_, s)| *s == shard).count();
-        if tally > needed {
-            return;
+        let tally = st.coord[&seq].acks.iter().filter(|(_, s)| *s == shard).count();
+        if tally <= needed {
+            count_ack(st, rt, me, seq);
         }
-        all_ack_count(st, rt, me, seq, txn);
     }
 
-    fn on_log_timeout(
-        &self,
-        st: &mut XenicNode,
-        rt: &mut Runtime<XMsg>,
-        _me: usize,
-        seq: u64,
-        _txn: TxnId,
-    ) {
+    fn on_log_timeout(&self, st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64) {
         let needed = raft_needed(st.cfg.replication.saturating_sub(1) as usize);
-        let part = st.part;
-        let Some(ct) = st.coord.get_mut(&seq) else {
-            return;
-        };
+        let ct = st.coord.get_mut(&seq).expect("coord exists");
         ct.attempts += 1;
+        let CoordTxn { round, acks, .. } = ct;
+        let behind = |shard: u32| acks.iter().filter(|(_, s)| *s == shard).count() < needed;
         // Every second silent timeout deposes the shard's leader: bump
         // the term and re-route the append to the next group member.
         // (The first timeout retries the same leader — the append or
         // its acks may merely have been lost.)
-        let elect = ct.attempts % 2 == 0;
-        let CoordTxn { resend, acks, .. } = ct;
-        let mut elections = 0u64;
-        let mut resends: Vec<(usize, XMsg)> = Vec::new();
-        for (dst, s, msg) in resend.iter_mut() {
-            let tally = acks.iter().filter(|(_, sh)| sh == s).count();
-            if tally >= needed {
-                continue;
-            }
-            if elect {
-                if let XMsg::RaftAppend(b) = msg {
+        if ct.attempts.is_multiple_of(2) {
+            for e in round.0.iter_mut() {
+                if let Some((shard, b)) = tracked_append(e).filter(|(s, _)| behind(*s)) {
                     b.term += 1;
-                    *dst = leader_of(&part, *s, b.term);
-                    elections += 1;
+                    e.dst = leader_of(&st.part, shard, b.term);
+                    st.stats.raft_elections.inc();
                 }
             }
-            resends.push((*dst, msg.clone()));
         }
-        st.stats.raft_elections.add(elections);
-        rt.trace_instant("Retransmit", seq);
-        for (dst, msg) in resends {
-            let bytes = msg.wire_bytes();
-            rt.send_net(dst, Exec::Nic, msg, bytes);
-        }
-        arm_phase_timer(st, rt, seq);
+        round.retransmit(rt, seq, |e| matches!(e.awaits, Awaits::Ack { shard, .. } if behind(shard)));
     }
 
     fn after_commit(
         &self,
         st: &mut XenicNode,
         _rt: &mut Runtime<XMsg>,
-        me: usize,
         txn: TxnId,
-        acks: &FastSet<(u32, u32)>,
-        by_shard: &[(u32, WriteSet)],
+        ct: &CoordTxn,
         track: bool,
-        unacked: &mut Vec<(u32, usize, XMsg)>,
+        unacked: &mut Round,
     ) {
         if !track {
             // Reliable fabric: the leader's relayed LogReqs are in
@@ -566,18 +406,13 @@ impl Replication for RaftCommit {
         // them) until each backup's LogResp clears its entry — the
         // leader's original relay usually wins the race, and the
         // backup-side dedup makes the overlap harmless.
-        for (shard, writes) in by_shard {
+        for (shard, writes) in &ct.by_shard {
             for b in st.part.backups(*shard) {
-                if acks.contains(&(b as u32, *shard)) {
-                    continue;
+                let from = b as u32;
+                if !ct.acks.contains(&(from, *shard)) {
+                    let msg = self.append(txn, *shard, txn.node, writes.clone());
+                    unacked.track(Awaits::Ack { from, shard: *shard }, b, msg);
                 }
-                let msg = XMsg::from(LogReq {
-                    txn,
-                    shard: *shard,
-                    reply_to: me as u32,
-                    writes: writes.clone(),
-                });
-                unacked.push((*shard, b, msg));
             }
         }
     }
@@ -597,24 +432,23 @@ impl Replication for RaftCommit {
 /// Hermes-style invalidation replication: the append broadcast doubles
 /// as an invalidation (backups mark the written keys invalid before
 /// logging, and reads of invalid keys refuse until validated), every
-/// backup must ack before the commit point, and a post-commit
-/// validation broadcast clears the marks. The all-ack quorum is what
-/// makes local reads at any valid replica safe — the Hermes trade:
-/// higher write latency under faults, read availability everywhere.
-pub struct HermesInval;
+/// backup must ack before the commit point (the trait's provided
+/// all-ack protocol), and a post-commit validation broadcast clears the
+/// marks. The all-ack quorum is what makes local reads at any valid
+/// replica safe — the Hermes trade: higher write latency under faults,
+/// read availability everywhere.
+pub(crate) struct HermesInval;
 
 impl HermesInval {
     /// Handles a [`XMsg::HermesInv`] at a backup: install the invalid
     /// marks, then append + ack exactly like a LogReq.
-    pub(crate) fn backup_invalidate(
-        st: &mut XenicNode,
-        rt: &mut Runtime<XMsg>,
-        me: usize,
-        txn: TxnId,
-        shard: u32,
-        reply_to: u32,
-        writes: WriteSet,
-    ) {
+    pub(crate) fn backup_invalidate(st: &mut XenicNode, rt: &mut Runtime<XMsg>, inv: HermesInv) {
+        let HermesInv {
+            txn,
+            shard,
+            reply_to,
+            writes,
+        } = inv;
         // Marks are installed only on the first arrival: a straggler
         // retransmission landing after the validation must not
         // resurrect marks that the (already-consumed) validation would
@@ -627,7 +461,13 @@ impl HermesInval {
             st.hermes_invalid.insert((txn, shard), keys);
             st.stats.hermes_invalidations.inc();
         }
-        snic_log(st, rt, me, txn, shard, reply_to, writes, false);
+        let log = LogReq {
+            txn,
+            shard,
+            reply_to,
+            writes,
+        };
+        snic_log(st, rt, log, false);
     }
 
     /// Handles a [`XMsg::HermesVal`] at a backup: clear the marks and
@@ -644,135 +484,56 @@ impl HermesInval {
         if rt.faults_active() {
             // Idempotent re-ack: duplicated or retransmitted VALs find
             // nothing to clear but still acknowledge.
-            let msg = XMsg::CommitAck {
-                txn,
-                shard,
-                from: st.shard,
-            };
-            let bytes = msg.wire_bytes();
-            rt.send_net(txn.node as usize, Exec::Nic, msg, bytes);
+            let from = st.shard;
+            send(rt, txn.node as usize, XMsg::CommitAck { txn, shard, from });
         }
     }
 
     /// Broadcasts the post-commit validation for `shard` to its
-    /// backups, registering retransmittable entries when `track`.
+    /// backups, tracking each in `unacked` when `track`.
     pub(crate) fn broadcast_validation(
         st: &mut XenicNode,
         rt: &mut Runtime<XMsg>,
         txn: TxnId,
         shard: u32,
         track: bool,
-        unacked: &mut Vec<(u32, usize, XMsg)>,
+        unacked: &mut Round,
     ) {
         for b in st.part.backups(shard) {
             let msg = XMsg::HermesVal { txn, shard };
             if track {
-                unacked.push((shard, b, msg.clone()));
+                let from = b as u32;
+                unacked.track(Awaits::Ack { from, shard }, b, msg.clone());
             }
-            let bytes = msg.wire_bytes();
-            rt.send_net(b, Exec::Nic, msg, bytes);
+            send(rt, b, msg);
         }
     }
 }
 
 impl Replication for HermesInval {
-    fn kind(&self) -> ReplBackend {
-        ReplBackend::Hermes
-    }
-
-    fn name(&self) -> &'static str {
-        "Hermes-style invalidation"
-    }
-
-    fn begin_log(
-        &self,
-        st: &mut XenicNode,
-        rt: &mut Runtime<XMsg>,
-        me: usize,
-        seq: u64,
-        txn: TxnId,
-        by_shard: Vec<(u32, WriteSet)>,
-    ) {
-        // Same all-backup fan-out and all-ack quorum as log shipping;
-        // the append message doubles as the invalidation.
-        let mut sends = Vec::new();
-        for (shard, writes) in by_shard {
-            for b in st.part.backups(shard) {
-                sends.push((b, shard, writes.clone()));
-            }
-        }
-        let fa = rt.faults_active();
-        let ct = st.coord.get_mut(&seq).expect("coord exists");
-        ct.pending = sends.len();
-        if sends.is_empty() {
-            finish_commit(st, rt, me, seq, txn);
-            return;
-        }
-        let mut msgs: Vec<(usize, XMsg)> = Vec::with_capacity(sends.len());
-        for (backup, shard, writes) in sends {
-            let msg = XMsg::from(HermesInv {
-                txn,
-                shard,
-                reply_to: me as u32,
-                writes,
-            });
-            if fa {
-                ct.resend.push((backup, shard, msg.clone()));
-            }
-            msgs.push((backup, msg));
-        }
-        for (backup, msg) in msgs {
-            let bytes = msg.wire_bytes();
-            rt.send_net(backup, Exec::Nic, msg, bytes);
-        }
-        if fa {
-            arm_phase_timer(st, rt, seq);
-        }
-    }
-
-    fn on_log_ack(
-        &self,
-        st: &mut XenicNode,
-        rt: &mut Runtime<XMsg>,
-        me: usize,
-        seq: u64,
-        txn: TxnId,
-        _shard: u32,
-    ) {
-        all_ack_count(st, rt, me, seq, txn);
-    }
-
-    fn on_log_timeout(
-        &self,
-        st: &mut XenicNode,
-        rt: &mut Runtime<XMsg>,
-        _me: usize,
-        seq: u64,
-        _txn: TxnId,
-    ) {
-        resend_unacked(st, rt, seq);
+    /// The append doubles as the invalidation.
+    fn append(&self, txn: TxnId, shard: u32, reply_to: u32, writes: WriteSet) -> XMsg {
+        XMsg::from(HermesInv {
+            txn,
+            shard,
+            reply_to,
+            writes,
+        })
     }
 
     fn after_commit(
         &self,
         st: &mut XenicNode,
         rt: &mut Runtime<XMsg>,
-        _me: usize,
         txn: TxnId,
-        _acks: &FastSet<(u32, u32)>,
-        by_shard: &[(u32, WriteSet)],
+        ct: &CoordTxn,
         track: bool,
-        unacked: &mut Vec<(u32, usize, XMsg)>,
+        unacked: &mut Round,
     ) {
         // Validation broadcast: return every backup to the valid state.
-        for (shard, _) in by_shard {
+        for (shard, _) in &ct.by_shard {
             Self::broadcast_validation(st, rt, txn, *shard, track, unacked);
         }
-    }
-
-    fn evidence_threshold(&self, group: usize) -> usize {
-        // All-ack quorum, same recovery evidence as log shipping.
-        group.saturating_sub(1)
     }
 }
 
@@ -812,9 +573,12 @@ mod tests {
 
     #[test]
     fn backend_dispatch_is_total() {
+        // Each token reaches its own protocol: only Hermes appends with
+        // an invalidation, only Raft commits on a majority.
         for k in ReplBackend::ALL {
-            assert_eq!(backend(k).kind(), k);
-            assert!(!backend(k).name().is_empty());
+            let append = backend(k).append(TxnId::new(0, 1), 0, 0, Vec::new());
+            assert_eq!(matches!(append, XMsg::HermesInv(_)), k == ReplBackend::Hermes);
+            assert_eq!(backend(k).evidence_threshold(3) == 1, k == ReplBackend::Raft);
         }
     }
 }

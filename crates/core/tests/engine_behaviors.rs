@@ -322,6 +322,176 @@ fn multihop_toggle_changes_path_not_outcome() {
     }
 }
 
+/// One way a coordinator transaction can be forced to abort.
+struct AbortCase {
+    name: &'static str,
+    cfg: XenicConfig,
+    windows: usize,
+    spec: fn(usize) -> TxnSpec,
+    /// A refusal injected at `(node, msg)` as soon as that node's first
+    /// network message has left; `None` when contention alone forces
+    /// the abort.
+    inject: Option<(usize, XMsg)>,
+    /// The span an abort of this kind closes on its way out — `None`
+    /// when it leaves untraced (refused before any span opened).
+    exit: Option<&'static str>,
+}
+
+fn bump(key: u64) -> (u64, UpdateOp) {
+    (key, UpdateOp::AddI64(1))
+}
+
+#[test]
+fn every_abort_exit_releases_everything_and_reports_once() {
+    use std::collections::HashMap;
+    use xenic_sim::{TraceConfig, TraceKind};
+    use xenic_store::TxnId;
+
+    let no_multihop = XenicConfig {
+        occ_multihop: false,
+        ..XenicConfig::full()
+    };
+    let cases = [
+        AbortCase {
+            // Write-write contention on the standard path: Execute lock
+            // refusals are the only way out (nothing to validate).
+            name: "Exec refusal",
+            cfg: no_multihop,
+            windows: 4,
+            spec: |_| TxnSpec {
+                updates: vec![bump(make_key(0, 7)), bump(make_key(1, 9))],
+                ship: ShipMode::Nic,
+                ..Default::default()
+            },
+            inject: None,
+            exit: Some("Execute"),
+        },
+        AbortCase {
+            // Multi-shard readers race writers of the key they read.
+            name: "Validate mismatch",
+            cfg: no_multihop,
+            windows: 4,
+            spec: |node| {
+                if node % 2 == 0 {
+                    TxnSpec {
+                        reads: vec![make_key(0, 3), make_key(1, 4)],
+                        ..Default::default()
+                    }
+                } else {
+                    TxnSpec {
+                        updates: vec![bump(make_key(0, 3))],
+                        ship: ShipMode::Nic,
+                        ..Default::default()
+                    }
+                }
+            },
+            inject: None,
+            exit: Some("Validate"),
+        },
+        AbortCase {
+            // Direct-shipped single-key transactions collide at the
+            // remote primary, which refuses the ExecShip. (Node 0's own
+            // are local: refused at the door, untraced.)
+            name: "MhShipped remote refusal",
+            cfg: XenicConfig::full(),
+            windows: 4,
+            spec: |_| TxnSpec {
+                updates: vec![bump(make_key(0, 7))],
+                ship: ShipMode::Nic,
+                ..Default::default()
+            },
+            inject: None,
+            exit: Some("Execute"),
+        },
+        AbortCase {
+            // Conflict-free shipped transactions; a backup's refusal of
+            // node 1's first one is injected ahead of the real acks, so
+            // the remote primary — which executed — must be told to
+            // release.
+            name: "MhShipped backup refusal",
+            cfg: XenicConfig::full(),
+            windows: 1,
+            spec: |node| TxnSpec {
+                updates: vec![bump(make_key(((node + 5) % 6) as u32, 50 + node as u64))],
+                ship: ShipMode::Nic,
+                ..Default::default()
+            },
+            inject: Some((
+                1,
+                XMsg::LogResp {
+                    txn: TxnId::new(1, 1),
+                    from: 2,
+                    shard: 0,
+                    ok: false,
+                },
+            )),
+            exit: Some("Execute"),
+        },
+        AbortCase {
+            // Local fast path: a node's windows fight over one local key
+            // and the NIC refuses the loser's LocalCommit at the door.
+            name: "LocalRepl lock conflict",
+            cfg: XenicConfig::full(),
+            windows: 4,
+            spec: |node| TxnSpec {
+                updates: vec![bump(make_key(node as u32, 7))],
+                ship: ShipMode::Nic,
+                ..Default::default()
+            },
+            inject: None,
+            exit: None,
+        },
+    ];
+    for case in cases {
+        let name = case.name;
+        let net = NetConfig::full().with_trace(TraceConfig::spans());
+        let mut cluster = cluster_of(case.cfg, net, case.windows, case.spec);
+        if let Some((node, refusal)) = case.inject {
+            let mut t = SimTime::ZERO;
+            while cluster.rt.net_msgs_sent(node) == 0 {
+                t += 100;
+                cluster.run_until(t);
+            }
+            cluster.seed(t + 1, node, Exec::Nic, refusal);
+        }
+        cluster.run_until(SimTime::from_ms(2));
+        drain(&mut cluster);
+
+        // Which span each traced abort closed on its way out.
+        let mut last_end: HashMap<(u32, u64), &'static str> = HashMap::new();
+        let mut exits: HashMap<&'static str, u64> = HashMap::new();
+        for ev in cluster.rt.tracer().events() {
+            match ev.kind {
+                TraceKind::End { id } => {
+                    last_end.insert((ev.node, id), ev.name);
+                }
+                TraceKind::Instant { id } if ev.name == "Abort" => {
+                    *exits.entry(last_end[&(ev.node, id)]).or_default() += 1;
+                }
+                _ => {}
+            }
+        }
+        let a = aborted(&cluster);
+        match case.exit {
+            Some(span) => assert!(
+                exits.get(span).copied().unwrap_or(0) > 0,
+                "{name}: no abort left through {span} (exits {exits:?})"
+            ),
+            None => assert!(
+                a > 0 && exits.is_empty(),
+                "{name}: expected untraced aborts only, got {a} with exits {exits:?}"
+            ),
+        }
+        // The exit forgot nothing: no lock or sentinel outlives its
+        // transaction, and every attempt got exactly one Outcome.
+        xenic::audit::no_locks_held(&cluster.states)
+            .unwrap_or_else(|held| panic!("{name}: locks leaked: {held:?}"));
+        let attempts: u64 = cluster.states.iter().map(|s| s.next_seq - 1).sum();
+        assert_eq!(committed(&cluster) + a, attempts, "{name}: one Outcome per attempt");
+        assert!(committed(&cluster) > 0, "{name}: nothing committed");
+    }
+}
+
 #[test]
 fn multi_shot_transactions_commit_all_rounds() {
     use xenic::api::TxnRound;
