@@ -57,7 +57,7 @@ use xenic_sim::{FastMap, FastSet, SmallVec};
 use xenic_net::{Exec, Protocol, Runtime};
 use xenic_sim::SimTime;
 use xenic_store::log::{LogFull, LogKind};
-use xenic_store::nic_index::{NicIndex, NicIndexConfig, NicLookup};
+use xenic_store::nic_index::{NicIndex, NicIndexConfig, NicLookup, ScanRow};
 use xenic_store::robinhood::{RobinhoodConfig, RobinhoodTable};
 use xenic_store::{CommitLog, Key, TxnId, Value, Version, WritePayload};
 
@@ -481,6 +481,9 @@ pub struct XenicNode {
     // membership — never iterated — so an unordered set is safe.
     apply_ready: FastSet<u64>,
     next_apply_lsn: u64,
+    // Range-walk scratch: one scan's collected rows, reused across
+    // requests so a scan allocates only the rows it returns.
+    scan_walk: Vec<ScanRow>,
 
     // ---- Loss tolerance (populated only when fault injection is on) ----
     // Next Execute/Validate request id.
@@ -611,6 +614,7 @@ impl XenicNode {
             ship_locked: FastMap::default(),
             apply_ready: FastSet::default(),
             next_apply_lsn: 1,
+            scan_walk: Vec::new(),
             next_req: 1,
             committing: FastMap::default(),
             commit_seen: FastSet::default(),
@@ -699,6 +703,35 @@ impl XenicNode {
 /// is one branch on the hot path.
 fn hermes_invalid(marks: &FastMap<(TxnId, u32), KeySet>, key: Key) -> bool {
     !marks.is_empty() && marks.values().any(|ks| ks.contains(&key))
+}
+
+/// Serves one row of `txn`'s range walk: its version and value, or `None`
+/// if the row refuses the request — another transaction's insert
+/// sentinel or write lock, a Hermes invalidation (see the point-read
+/// check in `snic_execute`), or a row whose only value copy (the host
+/// table) lags the committed version or is missing: the same staleness
+/// refusal the DMA path makes.
+fn scan_row_value(
+    nic_index: &NicIndex,
+    host_table: &RobinhoodTable,
+    marks: &FastMap<(TxnId, u32), KeySet>,
+    txn: TxnId,
+    row: &ScanRow,
+) -> Option<(Version, Value)> {
+    let (k, ver) = (row.key, row.version?);
+    let seg = host_table.segment_of_key(k);
+    let lock = nic_index.lock_state(seg, k);
+    if (lock.is_held() && !lock.held_by(txn)) || hermes_invalid(marks, k) {
+        return None;
+    }
+    let value = match nic_index.peek_value(seg, k) {
+        Some(value) => value,
+        None => match host_table.get(k) {
+            Some((value, hv)) if hv == ver => value.clone(),
+            _ => return None,
+        },
+    };
+    Some((ver, value))
 }
 
 /// Releases `keys` on this node's NIC index if `txn` holds them (the
@@ -1095,8 +1128,7 @@ fn host_apply_log(st: &mut XenicNode, rt: &mut Runtime<XMsg>, lsn: u64) {
             // insert may have deepened.
             for (k, p, ver) in &entry.writes {
                 if !st.host_table.apply_payload(*k, p, *ver) {
-                    let new_value = p.apply(&Value::filled(0, 0));
-                    st.host_table.insert_versioned(*k, new_value, *ver);
+                    st.host_table.insert_versioned(*k, p.apply_absent(), *ver);
                     let seg = st.host_table.segment_of_key(*k);
                     st.nic_index.set_hint(
                         seg,
@@ -1133,7 +1165,8 @@ fn backup_apply(
     p: &WritePayload,
     ver: Version,
 ) {
-    let cur = map.get(&k).map_or(0, |slot| slot.1);
+    let slot = map.get_mut(&k);
+    let cur = slot.as_ref().map_or(0, |slot| slot.1);
     if ver <= cur {
         return;
     }
@@ -1144,13 +1177,13 @@ fn backup_apply(
         }
         return;
     }
-    match map.get_mut(&k) {
+    match slot {
         Some(slot) => {
             p.apply_in_place(&mut slot.0);
             slot.1 = ver;
         }
         None => {
-            map.insert(k, (p.apply(&Value::filled(0, 0)), ver));
+            map.insert(k, (p.apply_absent(), ver));
         }
     }
     // The gap just closed may unblock buffered successors; drain every
@@ -2178,14 +2211,13 @@ fn apply_commit_records(
                     // Resolve the new value locally: the primary holds the
                     // current value (cache, else host table — nothing newer
                     // can be pending while we hold the lock).
-                    let current = match nic_index.lookup(seg, *k) {
-                        NicLookup::Hit { value, .. } => value,
-                        NicLookup::Miss { .. } => host_table
-                            .get(*k)
-                            .map(|(v, _)| v.clone())
-                            .unwrap_or_else(|| Value::filled(0, 0)),
+                    let new_value = match nic_index.lookup(seg, *k) {
+                        NicLookup::Hit { value, .. } => p.apply(&value),
+                        NicLookup::Miss { .. } => match host_table.get(*k) {
+                            Some((value, _)) => p.apply(value),
+                            None => p.apply_absent(),
+                        },
                     };
-                    let new_value = p.apply(&current);
                     nic_index.commit_write(seg, *k, new_value, *ver);
                 } else {
                     nic_index.commit_write_meta(seg, *k, *ver);
@@ -2301,6 +2333,11 @@ fn snic_execute(
     // range, or a row whose only value copy (the host table) lags the
     // committed version, all refuse the request. That atomicity is what
     // lets single-shard scans skip Validate.
+    //
+    // Each scan resolves as a batch: collect the rows the walk reaches,
+    // prefetch their index entries and cached values so the misses
+    // overlap, then check the rows in key order. A refusal at a row
+    // charges the visits a walk stopped there would have made.
     let mut scan_obs = ScanObsSet::new();
     let mut scan_values: Vec<(Key, Value, Version)> = Vec::new();
     if !scans.is_empty() {
@@ -2311,52 +2348,30 @@ fn snic_execute(
             nic_index,
             host_table,
             hermes_invalid: marks,
+            scan_walk: rows,
             ..
-        } = &*st;
+        } = &mut *st;
         for s in &scans {
             let mut count = 0u32;
             let mut fp = SCAN_FP_INIT;
             let mut hi_obs = s.hi;
-            let visits = nic_index.range_walk(s.lo, s.hi, Some(txn), &mut |k, v| {
-                let Some(ver) = v else {
-                    // Another transaction's uncommitted insert sentinel.
+            let mut visits = nic_index.collect_rows(s.lo, s.hi, Some(txn), s.limit as usize, rows);
+            nic_index.prefetch_rows(rows, |k| host_table.segment_of_key(k));
+            scan_rows.reserve(rows.len());
+            for row in rows.iter() {
+                let Some((ver, value)) = scan_row_value(nic_index, host_table, marks, txn, row)
+                else {
                     conflict = true;
-                    return false;
+                    visits = row.visits;
+                    break;
                 };
-                let seg = host_table.segment_of_key(k);
-                let lock = nic_index.lock_state(seg, k);
-                if lock.is_held() && !lock.held_by(txn) {
-                    conflict = true;
-                    return false;
-                }
-                // Hermes: rows under an in-flight invalidation are not
-                // readable (see the point-read check above).
-                if hermes_invalid(marks, k) {
-                    conflict = true;
-                    return false;
-                }
-                let value = match nic_index.peek_value(seg, k) {
-                    Some(val) => val,
-                    None => match host_table.get(k) {
-                        Some((val, hv)) if hv == ver => val.clone(),
-                        // Host copy lags the committed version (the log
-                        // apply is still in flight) or is missing: the
-                        // same staleness refusal the DMA path makes.
-                        _ => {
-                            conflict = true;
-                            return false;
-                        }
-                    },
-                };
-                scan_rows.push((k, value, ver));
+                scan_rows.push((row.key, value, ver));
                 count += 1;
-                fp = scan_fingerprint(fp, k, ver);
+                fp = scan_fingerprint(fp, row.key, ver);
                 if count >= s.limit {
-                    hi_obs = k;
-                    return false;
+                    hi_obs = row.key;
                 }
-                true
-            });
+            }
             visits_total += visits as u64;
             if conflict {
                 break;

@@ -213,16 +213,14 @@ pub fn recover_shard(
             for (k, p, ver) in writes {
                 let current_ver = node.host_table.get(*k).map(|(_, cv)| cv).unwrap_or(0);
                 if *ver > current_ver {
-                    let current = node
-                        .host_table
-                        .get(*k)
-                        .map(|(v, _)| v.clone())
-                        .unwrap_or_else(|| Value::filled(0, 0));
-                    let new_value = p.apply(&current);
-                    if node.host_table.contains(*k) {
-                        node.host_table.update(*k, new_value, *ver);
-                    } else {
-                        node.host_table.insert_versioned(*k, new_value, *ver);
+                    match node.host_table.get(*k) {
+                        Some((current, _)) => {
+                            let new_value = p.apply(current);
+                            node.host_table.update(*k, new_value, *ver);
+                        }
+                        None => {
+                            node.host_table.insert_versioned(*k, p.apply_absent(), *ver);
+                        }
                     }
                     // Mirror the applied version (promoting the sentinel
                     // step 4's lock registered if the key is new).
@@ -358,16 +356,14 @@ pub fn recover_coordinator(
                 for (k, p, ver) in writes {
                     let current_ver = node.host_table.get(*k).map(|(_, v)| v).unwrap_or(0);
                     if *ver > current_ver {
-                        let current = node
-                            .host_table
-                            .get(*k)
-                            .map(|(v, _)| v.clone())
-                            .unwrap_or_else(|| Value::filled(0, 0));
-                        let new_value = p.apply(&current);
-                        if node.host_table.contains(*k) {
-                            node.host_table.update(*k, new_value, *ver);
-                        } else {
-                            node.host_table.insert_versioned(*k, new_value, *ver);
+                        match node.host_table.get(*k) {
+                            Some((current, _)) => {
+                                let new_value = p.apply(current);
+                                node.host_table.update(*k, new_value, *ver);
+                            }
+                            None => {
+                                node.host_table.insert_versioned(*k, p.apply_absent(), *ver);
+                            }
                         }
                     }
                 }

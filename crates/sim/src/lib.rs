@@ -34,6 +34,7 @@
 
 pub mod event;
 pub mod fasthash;
+pub mod prefetch;
 pub mod rng;
 pub mod smallvec;
 pub mod stats;
@@ -42,6 +43,7 @@ pub mod trace;
 
 pub use event::EventQueue;
 pub use fasthash::{FastMap, FastSet};
+pub use prefetch::prefetch;
 pub use smallvec::SmallVec;
 pub use rng::{DetRng, Zipf};
 pub use stats::{Counter, Histogram, Meter, Summary};

@@ -256,8 +256,8 @@ impl<V> BTree<V> {
     /// order.
     ///
     /// Allocates a fresh `Vec` per call — fine for tests and cold paths;
-    /// hot paths (the NIC scan walk, TPC-C generation) use [`Self::range_visit`]
-    /// or [`Self::range_into`] instead.
+    /// hot paths (the NIC scan walk, TPC-C generation) use
+    /// [`Self::range_visit_counted`] or [`Self::range_into`] instead.
     pub fn range(&self, lo: TreeKey, hi: TreeKey) -> Vec<(TreeKey, &V)> {
         let mut out = Vec::new();
         self.range_visit(lo, hi, &mut |k, v| {
@@ -276,6 +276,17 @@ impl<V> BTree<V> {
     where
         F: FnMut(TreeKey, &'a V) -> bool,
     {
+        self.range_visit_counted(lo, hi, &mut |k, v, _| f(k, v))
+    }
+
+    /// [`Self::range_visit`] whose visitor also receives the running
+    /// node-visit count: the third argument at a pair is exactly what the
+    /// walk returns if `f` stops there. A node counts when the walk
+    /// enters it, so a pair's count includes its own leaf.
+    pub fn range_visit_counted<'a, F>(&'a self, lo: TreeKey, hi: TreeKey, f: &mut F) -> usize
+    where
+        F: FnMut(TreeKey, &'a V, usize) -> bool,
+    {
         let mut visited = 0;
         Self::range_visit_rec(&self.root, lo, hi, f, &mut visited);
         visited
@@ -290,7 +301,7 @@ impl<V> BTree<V> {
         visited: &mut usize,
     ) -> bool
     where
-        F: FnMut(TreeKey, &'a V) -> bool,
+        F: FnMut(TreeKey, &'a V, usize) -> bool,
     {
         *visited += 1;
         match node {
@@ -300,7 +311,7 @@ impl<V> BTree<V> {
                     if keys[i] > hi {
                         break;
                     }
-                    if !f(keys[i], &vals[i]) {
+                    if !f(keys[i], &vals[i], *visited) {
                         return false;
                     }
                 }
@@ -516,6 +527,44 @@ mod tests {
         let (found, visited) = t.get_traced(500);
         assert!(found.is_some());
         assert_eq!(visited, t.height());
+    }
+
+    #[test]
+    fn counted_visitor_reports_what_a_stop_there_returns() {
+        // Order 4 over 120 keys: three levels, dozens of leaf boundaries.
+        let mut t = BTree::with_order(4);
+        for k in (0..240u64).step_by(2) {
+            t.insert(k, k);
+        }
+        assert!(t.height() >= 3);
+        for (lo, hi) in [(0, 239), (7, 93), (31, 31), (32, 32), (100, 500)] {
+            let mut seen = Vec::new();
+            let total = t.range_visit_counted(lo, hi, &mut |k, _, visits| {
+                seen.push((k, visits));
+                true
+            });
+            if lo < hi {
+                assert!(
+                    seen.last().unwrap().1 > seen[0].1,
+                    "{lo}..={hi} must cross leaves"
+                );
+            }
+            for (i, &(key, visits)) in seen.iter().enumerate() {
+                let mut rows = 0;
+                let stopped = t.range_visit_counted(lo, hi, &mut |_, _, _| {
+                    rows += 1;
+                    rows <= i
+                });
+                assert_eq!(stopped, visits, "{lo}..={hi}: stop at row {i} (key {key})");
+                // Independent of where counting happens: an unstopped
+                // walk that ends at the row's key enters the same nodes.
+                let to_key = t.range_visit_counted(lo, key, &mut |_, _, _| true);
+                assert_eq!(visits, to_key, "{lo}..={hi}: walk to key {key}");
+                assert_eq!(t.range_visit(lo, key, &mut |_, _| true), to_key);
+            }
+            assert!(total >= seen.last().map_or(0, |s| s.1));
+            assert_eq!(t.range_visit(lo, hi, &mut |_, _| true), total);
+        }
     }
 
     #[test]

@@ -262,17 +262,33 @@ impl OrderedMirror {
         }
     }
 
+    /// The one walk: `f(key, version, visits)` for every row a walker on
+    /// behalf of `exclude` sees — committed keys at their current version,
+    /// other transactions' pending inserts as `None`, its own skipped.
     fn walk<F>(&self, lo: Key, hi: Key, exclude: Option<TxnId>, f: &mut F) -> usize
     where
-        F: FnMut(Key, Option<Version>) -> bool,
+        F: FnMut(Key, Option<Version>, usize) -> bool,
     {
-        self.tree.range_visit(lo, hi, &mut |k, v| {
+        self.tree.range_visit_counted(lo, hi, &mut |k, v, visits| {
             if let Some(owner) = self.pending.get(&k) {
-                return Some(*owner) == exclude || f(k, None);
+                return Some(*owner) == exclude || f(k, None, visits);
             }
-            f(k, Some(self.buffer.get(&k).copied().unwrap_or(*v)))
+            f(k, Some(self.buffer.get(&k).copied().unwrap_or(*v)), visits)
         })
     }
+}
+
+/// One row of a collected range walk ([`NicIndex::collect_rows`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScanRow {
+    /// The row's key.
+    pub key: Key,
+    /// Its committed version, or `None` for another transaction's
+    /// in-flight insert sentinel.
+    pub version: Option<Version>,
+    /// Tree nodes visited up to and including this row's leaf: what
+    /// [`NicIndex::range_walk`] returns when its visitor stops here.
+    pub visits: usize,
 }
 
 /// The SmartNIC caching index.
@@ -584,7 +600,53 @@ impl NicIndex {
     where
         F: FnMut(Key, Option<Version>) -> bool,
     {
-        self.ordered.walk(lo, hi, exclude, f)
+        self.ordered.walk(lo, hi, exclude, &mut |k, v, _| f(k, v))
+    }
+
+    /// Clears `out` and fills it with the rows of [`Self::range_walk`]
+    /// over `lo..=hi`, stopping where a scan must: after the first
+    /// sentinel (another transaction's insert, which refuses the scan) or
+    /// after `limit` committed rows (at least one). Returns the walk's
+    /// node visits — every row's [`ScanRow::visits`] is what the walk
+    /// would have returned had it stopped there instead, so a caller
+    /// that rejects row `i` charges exactly `out[i].visits`.
+    pub fn collect_rows(
+        &self,
+        lo: Key,
+        hi: Key,
+        exclude: Option<TxnId>,
+        limit: usize,
+        out: &mut Vec<ScanRow>,
+    ) -> usize {
+        out.clear();
+        let mut committed = 0;
+        self.ordered
+            .walk(lo, hi, exclude, &mut |key, version, visits| {
+                out.push(ScanRow {
+                    key,
+                    version,
+                    visits,
+                });
+                committed += 1;
+                version.is_some() && committed < limit
+            })
+    }
+
+    /// Starts the memory fetches that serving `rows` will wait on — every
+    /// row's index entry, then every cached value those entries hold —
+    /// so their misses overlap instead of arriving one row at a time.
+    /// `segment_of` maps a key to its segment. Changes nothing.
+    pub fn prefetch_rows(&self, rows: &[ScanRow], segment_of: impl Fn(Key) -> usize) {
+        for row in rows {
+            xenic_sim::prefetch(&self.entries[segment_of(row.key)]);
+        }
+        for row in rows {
+            let entry = &self.entries[segment_of(row.key)];
+            if let Some(value) = entry.record(row.key).and_then(|r| r.value.as_ref()) {
+                // The bytes sit right after the refcount a clone bumps.
+                xenic_sim::prefetch(value.bytes().as_ptr());
+            }
+        }
     }
 
     /// Owner of the in-flight insert sentinel at `key`, if any.

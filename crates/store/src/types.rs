@@ -124,6 +124,17 @@ impl WritePayload {
         }
     }
 
+    /// The value this payload gives a key that has none yet (an insert
+    /// landing at a replica): `apply` to an empty value, without building
+    /// one. `Full` hands back its own buffer.
+    pub fn apply_absent(&self) -> Value {
+        match self {
+            WritePayload::Full(v) => v.clone(),
+            WritePayload::AddI64(d) => Value::from_bytes(&d.to_le_bytes()),
+            WritePayload::Mutate => Value::from_bytes(&[]),
+        }
+    }
+
     /// Applies the payload to `current` in place, equivalent to
     /// `*current = self.apply(current)` but without reallocating when
     /// `current`'s buffer is uniquely owned (no outstanding read-set
@@ -243,6 +254,21 @@ mod tests {
         let s = format!("{v:?}");
         assert!(s.contains("100B"));
         assert!(s.len() < 40);
+    }
+
+    #[test]
+    fn apply_absent_equals_applying_to_an_empty_value() {
+        let full = Value::filled(24, 9);
+        for p in [
+            WritePayload::Full(full.clone()),
+            WritePayload::AddI64(-7),
+            WritePayload::AddI64(i64::MAX),
+            WritePayload::Mutate,
+        ] {
+            assert_eq!(p.apply_absent(), p.apply(&Value::filled(0, 0)), "{p:?}");
+        }
+        let absent = WritePayload::Full(full.clone()).apply_absent();
+        assert!(Arc::ptr_eq(&absent.0, &full.0), "Full must not copy");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use xenic_sim::DetRng;
-use xenic_store::nic_index::{NicIndex, NicIndexConfig, NicLookup};
+use xenic_store::nic_index::{NicIndex, NicIndexConfig, NicLookup, ScanRow};
 use xenic_store::{BTree, Key, LockState, TxnId, Value, Version};
 
 const SEGMENTS: usize = 64;
@@ -299,6 +299,80 @@ impl Reference {
         });
         (rows, visits)
     }
+
+    /// Every row a scan's collection reaches with no limit, up to and
+    /// including the first sentinel, and the walk's total visits. A
+    /// row's visit count comes from an *unstopped* shape walk that ends
+    /// at its key, which enters exactly the nodes a walk stopped at the
+    /// row has — so it does not depend on where the production walker
+    /// counts a node.
+    fn collect_rows(&self, lo: Key, hi: Key, exclude: Option<TxnId>) -> (Vec<ScanRow>, usize) {
+        let mut rows = Vec::new();
+        for (&key, &v) in self.ordered.range(lo..=hi) {
+            let version = match self.pending.get(&key) {
+                Some(owner) if Some(*owner) == exclude => continue,
+                Some(_) => None,
+                None => Some(v),
+            };
+            let visits = self.shape.range_visit(lo, key, &mut |_, _| true);
+            rows.push(ScanRow {
+                key,
+                version,
+                visits,
+            });
+            if version.is_none() {
+                return (rows, visits);
+            }
+        }
+        (rows, self.shape.range_visit(lo, hi, &mut |_, _| true))
+    }
+}
+
+/// `all` (an unlimited collection) cut where a scan of `limit` ≥ 1
+/// stops: after the `limit`-th committed row, with that row's visits.
+/// Only the last row of `all` can be a sentinel, so the cut is a prefix.
+fn limited(all: &(Vec<ScanRow>, usize), limit: usize) -> (&[ScanRow], usize) {
+    if all.0.len() <= limit {
+        (&all.0, all.1)
+    } else {
+        (&all.0[..limit], all.0[limit - 1].visits)
+    }
+}
+
+/// The production collection at every limit from 1 to one past the
+/// rows there are, against the reference. Returns which of the cases a
+/// scan must get right this walk exercised: [a sentinel stop, a skipped
+/// own insert, a row updated since preload].
+fn check_collect(
+    ix: &NicIndex,
+    rf: &Reference,
+    lo: Key,
+    hi: Key,
+    exclude: Option<TxnId>,
+    what: &str,
+) -> [bool; 3] {
+    let all = rf.collect_rows(lo, hi, exclude);
+    let mut got = Vec::new();
+    for limit in (1..=all.0.len() + 1).chain([usize::MAX]) {
+        let visits = ix.collect_rows(lo, hi, exclude, limit, &mut got);
+        assert_eq!(
+            (&got[..], visits),
+            limited(&all, limit),
+            "{what}: collect_rows({lo}, {hi}, {exclude:?}, limit {limit})"
+        );
+    }
+    // With no sentinel to stop it, the total is the unstopped walk's.
+    let sentinel = all.0.last().is_some_and(|r| r.version.is_none());
+    if !sentinel {
+        assert_eq!(all.1, ix.range_walk(lo, hi, exclude, &mut |_, _| true));
+    }
+    let own_skip = exclude.is_some_and(|t| {
+        rf.ordered
+            .range(lo..=hi)
+            .any(|(k, _)| rf.pending.get(k) == Some(&t))
+    });
+    let updated = all.0.iter().any(|r| r.version.is_some_and(|v| v > 1));
+    [sentinel, own_skip, updated]
 }
 
 fn walk(
@@ -323,6 +397,9 @@ struct Harness {
     next_version: Version,
     /// Committed writes the "host" has not acknowledged yet.
     unacked: Vec<Key>,
+    /// Collection checks that stopped at a sentinel / skipped an own
+    /// insert / saw an updated row.
+    collect_cases: [usize; 3],
     what: String,
 }
 
@@ -338,6 +415,7 @@ impl Harness {
             rng: DetRng::new(seed),
             next_version: 2,
             unacked: Vec::new(),
+            collect_cases: [0; 3],
             what: format!("seed {seed}"),
         };
         // Bring-up: every even key is a committed member at version 1;
@@ -441,6 +519,10 @@ impl Harness {
                     "{}: range_walk({lo}, {hi}, {exclude:?}, limit {limit})",
                     self.what
                 );
+                let seen = check_collect(&self.ix, &self.rf, lo, hi, exclude, &self.what);
+                for (n, hit) in self.collect_cases.iter_mut().zip(seen) {
+                    *n += usize::from(hit);
+                }
             }
             // A protocol-shaped transaction: lock 1–3 keys all-or-nothing,
             // then commit (promoting any inserts) or abort (retracting).
@@ -561,6 +643,11 @@ fn differential(seed: u64, steps: usize) {
         h.rf.ordered.len() > UNIVERSE as usize / 2 + 500,
         "seed {seed}: inserts must commit"
     );
+    assert!(
+        h.collect_cases.iter().all(|&n| n > 10),
+        "seed {seed}: collections must stop at sentinels, skip own inserts and see updates: {:?}",
+        h.collect_cases
+    );
 }
 
 #[test]
@@ -621,6 +708,29 @@ fn version_bumps_survive_buffer_flushes() {
                 shape.range_visit(0, Key::MAX, &mut |_, _| true),
                 "round {round}"
             );
+            // A scan's collection serves the buffered versions too, each
+            // row with the visits of a walk stopped there.
+            let lo = rng.below(keys - 200);
+            let mut got = Vec::new();
+            for limit in [1, 7, 64, 200, usize::MAX] {
+                let total = ix.collect_rows(lo, lo + 150, None, limit, &mut got);
+                let expect: Vec<ScanRow> = want
+                    .range(lo..=lo + 150)
+                    .take(limit)
+                    .map(|(&key, &v)| ScanRow {
+                        key,
+                        version: Some(v),
+                        visits: shape.range_visit(lo, key, &mut |_, _| true),
+                    })
+                    .collect();
+                assert_eq!(got, expect, "round {round}, limit {limit}");
+                let walked = if expect.len() < limit {
+                    shape.range_visit(lo, lo + 150, &mut |_, _| true)
+                } else {
+                    expect.last().unwrap().visits
+                };
+                assert_eq!(total, walked, "round {round}, limit {limit}");
+            }
         }
     }
 }

@@ -19,15 +19,19 @@ stage cargo build --release
 # Every crate's unit and integration suites, not just the root
 # package's: NicIndex, SmallVec, queue_differential, engine_behaviors,
 # baseline_behaviors and tpcc_consistency live in the member crates.
-stage cargo test --workspace -q
+# The root Cargo.toml's `default-members` makes the bare command cover
+# them, so this is the tier-1 `cargo test -q` itself.
+stage cargo test -q
 
 stage cargo test --release -q --test conformance
 
 # The store's differential suites in release mode — the B-tree vs std
 # BTreeMap (100k-step schedules at both orders) and NicIndex vs its
 # naive reference (lock table, inline records, write buffer: lock
-# states, eviction counts, range-walk rows and visit counts) — so the
-# optimized build is what the randomized schedules exercise.
+# states, eviction counts, range-walk rows and visit counts, and a
+# scan's collected rows with each row's stop-here visit count at every
+# limit) — so the optimized build is what the randomized schedules
+# exercise.
 stage cargo test --release -q -p xenic-store --test btree_differential
 stage cargo test --release -q -p xenic-store --test nic_index_differential
 
