@@ -2,13 +2,12 @@
 //! under one referee (`xenic_bench::fuzz`, DESIGN.md §12).
 //!
 //! Runs every serial cell of the three synthetic workloads — engine ×
-//! backend × substrate × placement × plan shape, exhaustively — plus the
-//! pairwise sample of the full product (which carries lanes {2, 4} and
-//! the three real workloads) with each sampled cell's serial sibling.
-//! Every cell must commit something, leave a DSG-serializable history,
-//! lose no committed write and (off crash plans) audit clean after its
-//! drain; cells that differ only in placement, or only in lanes, must
-//! agree on fingerprint and history.
+//! backend × substrate × plan shape, exhaustively — plus the pairwise
+//! sample of the full product (which carries lanes {2, 4} and the three
+//! real workloads) with each sampled cell's serial sibling. Every cell
+//! must commit something, leave a DSG-serializable history, lose no
+//! committed write and (off crash plans) audit clean after its drain;
+//! cells that differ only in lanes must agree on fingerprint and history.
 //!
 //! The sweep ends with the four checker self-tests
 //! (`xenic_bench::fuzz::SELF_TESTS`): each `Weakening` **must** be
@@ -19,12 +18,12 @@
 //!
 //! ```text
 //! serial_fuzz [--jobs N]        # sweep + self-tests; prints `product fingerprint <hex>`
-//! serial_fuzz --replay TOKEN    # one cell, e.g. xenic/raft/cxl/host/scan/plan2/seed1/lanes2
+//! serial_fuzz --replay TOKEN    # one cell, e.g. xenic/raft/cxl/scan/plan2/seed1/lanes2
 //! ```
 
-use xenic::{Placement, Weakening};
+use xenic::Weakening;
 use xenic_bench::fuzz::{
-    diverging, expand_plan, reject, replay_cmd, run_point, shrink, FuzzPoint, PointOutcome,
+    expand_plan, lanes_diverging, reject, replay_cmd, run_point, shrink, FuzzPoint, PointOutcome,
 };
 use xenic_bench::{args, par_points};
 
@@ -71,17 +70,11 @@ fn main() {
         runs.len()
     );
 
-    // Placement is a latency overlay and lanes a scheduling detail: a
-    // group of cells equal in everything else shares one outcome.
-    let by_placement = diverging(&runs, |p| FuzzPoint {
-        placement: Placement::default(),
-        ..p
-    });
-    let by_lanes = diverging(&runs, |p| serial_of(&p));
-    for (dim, pairs) in [("placement", &by_placement), ("lanes", &by_lanes)] {
-        for (a, b) in pairs {
-            println!("FAIL  {dim} changed the outcome: {a} vs {b}");
-        }
+    // Lanes are a scheduling detail: a group of cells equal in
+    // everything else shares one outcome.
+    let by_lanes = lanes_diverging(&runs);
+    for (a, b) in &by_lanes {
+        println!("FAIL  lanes changed the outcome: {a} vs {b}");
     }
 
     for p in &failed {
@@ -109,11 +102,11 @@ fn main() {
         println!("replay: {}", replay_cmd(&w.shrunk));
     }
 
-    let invariance = by_placement.len() + by_lanes.len();
-    if !failed.is_empty() || invariance > 0 {
+    if !failed.is_empty() || !by_lanes.is_empty() {
         eprintln!(
-            "\n{} cell(s) failed verification, {invariance} invariance violation(s)",
-            failed.len()
+            "\n{} cell(s) failed verification, {} lane invariance violation(s)",
+            failed.len(),
+            by_lanes.len()
         );
         std::process::exit(1);
     }
@@ -125,8 +118,8 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "\nall {} cells committed, serializable, durable and audit-clean; placement and \
-         lanes changed nothing; all four checker self-tests passed",
+        "\nall {} cells committed, serializable, durable and audit-clean; lanes changed \
+         nothing; all four checker self-tests passed",
         runs.len()
     );
 }

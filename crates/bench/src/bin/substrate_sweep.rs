@@ -1,26 +1,22 @@
-//! Substrate × placement sweep: throughput, latency, and log-shipping
-//! behaviour of the transaction engine on each NIC substrate profile
-//! (DESIGN.md §17) under each metadata placement.
+//! Substrate sweep: throughput, latency, and log-shipping behaviour of
+//! the transaction engine on each NIC substrate profile (DESIGN.md §17).
 //!
 //! Usage: `substrate_sweep [--quick] [--jobs N]`
 //!
-//! Rows are (substrate, placement, workload) points:
-//!
-//! - `onpath` (the paper's LiquidIO testbed) and `bluefield` (off-path,
-//!   behind a PCIe switch) run `nic` and `host` placements;
-//! - `cxl` (shared memory pool) additionally runs the `cxlpool`
-//!   placement, where lock words, versions, and the ordered index live
-//!   in the pool itself.
+//! Rows are (substrate, workload) points over `onpath` (the paper's
+//! LiquidIO testbed), `bluefield` (off-path, behind a PCIe switch) and
+//! `cxl` (shared memory pool), all with the paper's NIC-resident
+//! metadata.
 //!
 //! Every row is DSG-gated: the committed history is recorded and
 //! verified against the Adya checker, and the binary exits non-zero on
 //! any violation. Two trend contracts are also enforced, the ones the
 //! substrate model exists to reproduce:
 //!
-//! 1. **The off-path cliff** — host-resident metadata costs p99 latency
-//!    everywhere, and strictly more on BlueField, where each reach-back
-//!    crosses the PCIe switch: p99(bluefield, host) > p99(onpath, host)
-//!    > p99(onpath, nic), per workload.
+//! 1. **The off-path cliff** — the switch hop BlueField adds to every
+//!    PCIe crossing and DMA completion lands in the event schedule, so
+//!    the measured latency of the same workload is strictly worse there:
+//!    p50 and p99 (bluefield) > p50 and p99 (onpath), per workload.
 //! 2. **The CXL log-shipping trade** — on `cxl` every commit record is a
 //!    single pool store (`cxl_log_writes > 0`, `log_ship_writes == 0`);
 //!    on the DMA substrates the complement holds.
@@ -32,7 +28,7 @@
 use std::fs;
 use xenic::api::Workload;
 use xenic::harness::{run_recorded, RunOptions, RunResult};
-use xenic::{Placement, Xenic, XenicConfig};
+use xenic::{Xenic, XenicConfig};
 use xenic_bench::{args, par_points};
 use xenic_check::{check_history, CheckOptions};
 use xenic_hw::{HwParams, SubstrateKind};
@@ -55,7 +51,7 @@ impl Wl {
     }
 }
 
-type Point = (SubstrateKind, Placement, Wl);
+type Point = (SubstrateKind, Wl);
 
 fn params_for(kind: SubstrateKind) -> HwParams {
     HwParams::with_substrate(kind)
@@ -78,12 +74,7 @@ fn main() {
     let mut points: Vec<Point> = Vec::new();
     for wl in [Wl::Smallbank, Wl::Retwis] {
         for kind in SubstrateKind::ALL {
-            // The pool placement only means something where there is a pool.
-            for pl in Placement::ALL {
-                if pl != Placement::cxl_pool() || kind == SubstrateKind::CxlShared {
-                    points.push((kind, pl, wl));
-                }
-            }
+            points.push((kind, wl));
         }
     }
 
@@ -92,11 +83,11 @@ fn main() {
         opts.windows
     );
     println!(
-        "{:>10} {:>9} {:>10} {:>13} {:>9} {:>9} {:>8} {:>9} {:>9}",
-        "substrate", "placemnt", "workload", "tput/server", "p50[us]", "p99[us]", "aborts", "logShip", "cxlLog"
+        "{:>10} {:>10} {:>13} {:>9} {:>9} {:>8} {:>9} {:>9}",
+        "substrate", "workload", "tput/server", "p50[us]", "p99[us]", "aborts", "logShip", "cxlLog"
     );
 
-    let rows = par_points(jobs, &points, |&(kind, pl, wl)| {
+    let rows = par_points(jobs, &points, |&(kind, wl)| {
         let params = params_for(kind);
         let mk = move |_: usize| -> Box<dyn Workload> {
             match wl {
@@ -107,28 +98,26 @@ fn main() {
                 Wl::Retwis => Box::new(Retwis::new(RetwisConfig::sim(6))),
             }
         };
-        let cfg = XenicConfig::with_placement(pl);
-        let (r, _, recorder) = run_recorded::<Xenic>(params, NetConfig::full(), cfg, &opts, mk);
+        let (r, _, recorder) =
+            run_recorded::<Xenic>(params, NetConfig::full(), XenicConfig::full(), &opts, mk);
         let report = check_history(&recorder.snapshot(), &CheckOptions::strict());
         (r, report)
     });
 
     let mut csv = String::from(
-        "substrate,placement,workload,tput_per_server,p50_ns,p99_ns,aborted,\
+        "substrate,workload,tput_per_server,p50_ns,p99_ns,aborted,\
          log_ship_writes,cxl_log_writes,serializable\n",
     );
     let mut violations = 0usize;
-    for (&(kind, pl, wl), (r, report)) in points.iter().zip(&rows) {
+    for (&(kind, wl), (r, report)) in points.iter().zip(&rows) {
         let sub = kind.token();
-        let place = pl.token();
         let ok = report.is_serializable();
         if !ok {
             violations += 1;
         }
         println!(
-            "{:>10} {:>9} {:>10} {:>13.0} {:>9.1} {:>9.1} {:>8} {:>9} {:>9}{}",
+            "{:>10} {:>10} {:>13.0} {:>9.1} {:>9.1} {:>8} {:>9} {:>9}{}",
             sub,
-            place,
             wl.token(),
             r.tput_per_server,
             r.p50_ns as f64 / 1e3,
@@ -142,7 +131,7 @@ fn main() {
             println!("{}", report.describe());
         }
         csv.push_str(&format!(
-            "{sub},{place},{},{},{},{},{},{},{},{ok}\n",
+            "{sub},{},{},{},{},{},{},{},{ok}\n",
             wl.token(),
             r.tput_per_server,
             r.p50_ns,
@@ -163,35 +152,41 @@ fn main() {
     }
 
     // Trend contracts, per workload.
-    let find = |kind: SubstrateKind, pl: Placement, wl: Wl| -> &RunResult {
+    let find = |kind: SubstrateKind, wl: Wl| -> &RunResult {
         points
             .iter()
             .zip(&rows)
-            .find(|(&p, _)| p == (kind, pl, wl))
+            .find(|(&p, _)| p == (kind, wl))
             .map(|(_, (r, _))| r)
             .expect("point missing from sweep")
     };
     let mut trend_failures = 0usize;
     for wl in [Wl::Smallbank, Wl::Retwis] {
-        let on_nic = find(SubstrateKind::OnPathLiquidIO, Placement::nic_resident(), wl);
-        let on_host = find(SubstrateKind::OnPathLiquidIO, Placement::host_resident(), wl);
-        let bf_host = find(SubstrateKind::OffPathBluefield, Placement::host_resident(), wl);
-        if !(bf_host.p99_ns > on_host.p99_ns && on_host.p99_ns > on_nic.p99_ns) {
+        let on = find(SubstrateKind::OnPathLiquidIO, wl);
+        let bf = find(SubstrateKind::OffPathBluefield, wl);
+        println!(
+            "off-path cliff [{}]: p50 +{:.1} us, p99 +{:.1} us, tput/server x{:.2}",
+            wl.token(),
+            (bf.p50_ns as f64 - on.p50_ns as f64) / 1e3,
+            (bf.p99_ns as f64 - on.p99_ns as f64) / 1e3,
+            bf.tput_per_server / on.tput_per_server
+        );
+        if !(bf.p50_ns > on.p50_ns && bf.p99_ns > on.p99_ns) {
             eprintln!(
                 "TREND VIOLATION [{}]: off-path cliff missing \
-                 (bluefield/host p99={} onpath/host p99={} onpath/nic p99={})",
+                 (bluefield p50/p99={}/{} onpath p50/p99={}/{})",
                 wl.token(),
-                bf_host.p99_ns,
-                on_host.p99_ns,
-                on_nic.p99_ns
+                bf.p50_ns,
+                bf.p99_ns,
+                on.p50_ns,
+                on.p99_ns
             );
             trend_failures += 1;
         }
-        for &(kind, pl) in &[
-            (SubstrateKind::OnPathLiquidIO, Placement::nic_resident()),
-            (SubstrateKind::OffPathBluefield, Placement::nic_resident()),
+        for (kind, r) in [
+            (SubstrateKind::OnPathLiquidIO, on),
+            (SubstrateKind::OffPathBluefield, bf),
         ] {
-            let r = find(kind, pl, wl);
             if r.log_ship_writes == 0 || r.cxl_log_writes != 0 {
                 eprintln!(
                     "TREND VIOLATION [{}]: {} must DMA-ship its log \
@@ -204,7 +199,7 @@ fn main() {
                 trend_failures += 1;
             }
         }
-        let cxl = find(SubstrateKind::CxlShared, Placement::cxl_pool(), wl);
+        let cxl = find(SubstrateKind::CxlShared, wl);
         if cxl.log_ship_writes != 0 || cxl.cxl_log_writes == 0 {
             eprintln!(
                 "TREND VIOLATION [{}]: cxl must ship no log over DMA \
@@ -221,7 +216,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "all {} (substrate, placement, workload) points verified serializable; \
+        "all {} (substrate, workload) points verified serializable; \
          off-path cliff and CXL log trade reproduced",
         points.len()
     );

@@ -2,9 +2,9 @@
 //! one referee (DESIGN.md §12).
 //!
 //! A fuzz **cell** is a [`FuzzPoint`] — engine × replication backend ×
-//! substrate × placement × workload × fault-plan shape × scheduler lanes,
-//! plus the seed and the load — printed as (and parsed from) one replay
-//! token such as `xenic/raft/cxl/host/scan/plan2/seed1/lanes2`;
+//! substrate × workload × fault-plan shape × scheduler lanes, plus the
+//! seed and the load — printed as (and parsed from) one replay token such
+//! as `xenic/raft/cxl/scan/plan2/seed1/lanes2`;
 //! [`FuzzPoint::cells`] enumerates every cell [`FuzzPoint::validate`]
 //! accepts. The seed drives the cluster's deterministic RNG tree and the
 //! plan index expands (via its own [`DetRng`] lane) into a [`FaultPlan`],
@@ -30,7 +30,7 @@ use std::str::FromStr;
 use xenic::api::{make_key, shard_of, ScanSpec, ShipMode, TxnSpec, UpdateOp, Workload};
 use xenic::audit::full_audit;
 use xenic::harness::{cluster_digest, drain, run_recorded, RunOptions, RunResult};
-use xenic::{Placement, ReplBackend, Weakening, Xenic, XenicConfig};
+use xenic::{ReplBackend, Weakening, Xenic, XenicConfig};
 use xenic_baselines::{Baseline, BaselineKind};
 use xenic_check::{check_history, CheckOptions, History, Report};
 use xenic_hw::{HwParams, SubstrateKind};
@@ -172,7 +172,7 @@ pub const LANES: [usize; 3] = [1, 2, 4];
 type Dim = (usize, fn(&mut FuzzPoint, usize));
 
 /// The product's dimensions, major to minor.
-const DIMS: [Dim; 7] = [
+const DIMS: [Dim; 6] = [
     (FuzzEngine::ALL.len(), |p, i| p.engine = FuzzEngine::ALL[i]),
     (ReplBackend::ALL.len(), |p, i| {
         p.backend = ReplBackend::ALL[i]
@@ -180,7 +180,6 @@ const DIMS: [Dim; 7] = [
     (SubstrateKind::ALL.len(), |p, i| {
         p.substrate = SubstrateKind::ALL[i]
     }),
-    (Placement::ALL.len(), |p, i| p.placement = Placement::ALL[i]),
     (WlKind::ALL.len(), |p, i| p.wl = WlKind::ALL[i]),
     (PLANS.len(), |p, i| p.plan = PLANS[i]),
     (LANES.len(), |p, i| p.lanes = LANES[i]),
@@ -223,9 +222,6 @@ pub struct FuzzPoint {
     pub backend: ReplBackend,
     /// Hardware substrate (Xenic only; DESIGN.md §17).
     pub substrate: SubstrateKind,
-    /// Metadata placement (Xenic only): a pure latency overlay, so the
-    /// outcome must not depend on it.
-    pub placement: Placement,
     /// TEST ONLY: the seeded bug the referee must reject (Xenic only).
     pub weaken: Option<Weakening>,
     /// Workload shape.
@@ -250,7 +246,6 @@ impl Default for FuzzPoint {
             engine: FuzzEngine::Xenic { fig9: false },
             backend: ReplBackend::LogShipping,
             substrate: SubstrateKind::OnPathLiquidIO,
-            placement: Placement::nic_resident(),
             weaken: None,
             wl: WlKind::Mixed,
             plan: 0,
@@ -262,18 +257,17 @@ impl Default for FuzzPoint {
     }
 }
 
-/// The replay token: the seven fields every cell has, then whichever of
+/// The replay token: the six fields every cell has, then whichever of
 /// `lanesN`, `wN` (windows), `usN` (horizon) and `weak-W` differ from
 /// [`FuzzPoint::default`].
 impl fmt::Display for FuzzPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}/{}/{}/{}/{}/plan{}/seed{}",
+            "{}/{}/{}/{}/plan{}/seed{}",
             self.engine.token(),
             self.backend.token(),
             self.substrate.token(),
-            self.placement.token(),
             self.wl.token(),
             self.plan,
             self.seed
@@ -323,11 +317,9 @@ impl FromStr for FuzzPoint {
 
     fn from_str(s: &str) -> Result<Self, CellError> {
         let fields: Vec<&str> = s.split('/').collect();
-        let [engine, backend, substrate, placement, wl, plan, seed, optional @ ..] =
-            fields.as_slice()
-        else {
+        let [engine, backend, substrate, wl, plan, seed, optional @ ..] = fields.as_slice() else {
             return Err(CellError::Malformed(format!(
-                "expected engine/backend/substrate/placement/workload/planN/seedN\
+                "expected engine/backend/substrate/workload/planN/seedN\
                  [/lanesN][/wN][/usN][/weak-W], got {s:?}"
             )));
         };
@@ -340,7 +332,6 @@ impl FromStr for FuzzPoint {
                 SubstrateKind::token,
                 substrate,
             )?,
-            placement: by_token("placement", &Placement::ALL, |p| p.token(), placement)?,
             wl: by_token("workload", &WlKind::ALL, WlKind::token, wl)?,
             plan: numbered(plan, "plan")?,
             seed: numbered(seed, "seed")?,
@@ -373,7 +364,6 @@ impl FuzzPoint {
             for (dim, set) in [
                 ("backend", self.backend != d.backend),
                 ("substrate", self.substrate != d.substrate),
-                ("placement", self.placement != d.placement),
                 ("weakening", self.weaken.is_some()),
             ] {
                 if set {
@@ -395,10 +385,10 @@ impl FuzzPoint {
 
     /// The raw product of the dimensions, valid or not, in canonical
     /// order (engine-major, lanes-minor), each point with its coordinates.
-    fn product() -> Vec<([usize; 7], FuzzPoint)> {
+    fn product() -> Vec<([usize; 6], FuzzPoint)> {
         let total: usize = DIMS.iter().map(|dim| dim.0).product();
         let point = |mut n: usize| {
-            let (mut coords, mut p) = ([0; 7], FuzzPoint::default());
+            let (mut coords, mut p) = ([0; 6], FuzzPoint::default());
             for (d, (len, set)) in DIMS.iter().enumerate().rev() {
                 (coords[d], n) = (n % len, n / len);
                 set(&mut p, coords[d]);
@@ -411,7 +401,7 @@ impl FuzzPoint {
     /// Every sound cell: the product of the dimensions minus what
     /// [`validate`](Self::validate) rejects, in canonical order.
     pub fn cells() -> Vec<FuzzPoint> {
-        let valid = |(_, p): ([usize; 7], FuzzPoint)| p.validate().is_ok().then_some(p);
+        let valid = |(_, p): ([usize; 6], FuzzPoint)| p.validate().is_ok().then_some(p);
         Self::product().into_iter().filter_map(valid).collect()
     }
 
@@ -423,12 +413,12 @@ impl FuzzPoint {
     /// The rule is the greedy cover: repeatedly take the cell that covers
     /// the most still-uncovered pairs, the canonically first on a tie.
     /// (No fixed stride over `cells()` covers every pair in fewer than
-    /// 587 points; this takes under 40.)
+    /// 216 points; this takes under 40.)
     pub fn sample() -> Vec<FuzzPoint> {
         let mut cells = Self::product();
         cells.retain(|(_, p)| p.validate().is_ok());
         // One id below 2^12 per pair of a cell's dimension values.
-        let pairs_of = |coords: &[usize; 7]| -> Vec<usize> {
+        let pairs_of = |coords: &[usize; 6]| -> Vec<usize> {
             let dims = coords.iter().enumerate();
             dims.clone()
                 .flat_map(|(i, a)| dims.clone().skip(i + 1).map(move |(j, b)| (i, a, j, b)))
@@ -813,7 +803,7 @@ pub struct PointOutcome {
 
 impl PointOutcome {
     /// `(committed, aborted, digest, processed)` — what must not depend
-    /// on lanes or placement.
+    /// on lanes.
     pub fn fingerprint(&self) -> (u64, u64, u64, u64) {
         (
             self.result.committed,
@@ -912,7 +902,6 @@ pub fn run_point(p: &FuzzPoint) -> PointOutcome {
                 XenicConfig::full()
             };
             let cfg = XenicConfig {
-                placement: p.placement,
                 weaken: p.weaken,
                 ..base.on_backend(p.backend)
             };
@@ -991,17 +980,15 @@ fn lost_commits(cluster: &Cluster<Xenic>, history: &History) -> Vec<LostCommit> 
     lost
 }
 
-/// Runs that differ only in the dimension `erase` resets, yet do not
-/// share one fingerprint and one history — as `(first run of the group,
-/// dissenter)`. Lanes and placement must never show up here.
-pub fn diverging(
-    runs: &[(FuzzPoint, PointOutcome)],
-    erase: impl Fn(FuzzPoint) -> FuzzPoint,
-) -> Vec<(FuzzPoint, FuzzPoint)> {
+/// Runs that differ only in lanes, yet do not share one fingerprint and
+/// one history — as `(first run of the group, dissenter)`. The outcome
+/// must not depend on lanes, so this is empty on a sound build.
+pub fn lanes_diverging(runs: &[(FuzzPoint, PointOutcome)]) -> Vec<(FuzzPoint, FuzzPoint)> {
     let mut first: BTreeMap<String, usize> = BTreeMap::new();
     let mut out = Vec::new();
     for (i, (p, got)) in runs.iter().enumerate() {
-        let (q, want) = &runs[*first.entry(erase(*p).to_string()).or_insert(i)];
+        let serial = FuzzPoint { lanes: 1, ..*p };
+        let (q, want) = &runs[*first.entry(serial.to_string()).or_insert(i)];
         if (got.fingerprint(), &got.history) != (want.fingerprint(), &want.history) {
             out.push((*q, *p));
         }
@@ -1151,7 +1138,6 @@ mod tests {
             FuzzEngine::ALL.len()
                 * ReplBackend::ALL.len()
                 * SubstrateKind::ALL.len()
-                * Placement::ALL.len()
                 * WlKind::ALL.len()
                 * PLANS.len()
                 * LANES.len()
@@ -1199,11 +1185,11 @@ mod tests {
         };
         assert_eq!(
             odd.to_string(),
-            "xenic/raft/onpath/nic/mixed/plan11/seed6/lanes4/w2/us100/weak-quorum"
+            "xenic/raft/onpath/mixed/plan11/seed6/lanes4/w2/us100/weak-quorum"
         );
         assert_eq!(odd.to_string().parse(), Ok(odd));
         assert_eq!(
-            "xenic/logship/onpath/nic/mixed/plan0/seed1".parse(),
+            "xenic/logship/onpath/mixed/plan0/seed1".parse(),
             Ok(FuzzPoint::default())
         );
     }
@@ -1214,13 +1200,15 @@ mod tests {
         for malformed in [
             "",
             "xenic",
-            "xenic/logship/onpath/nic/mixed/plan0",
-            "xenic-raft/logship/onpath/nic/mixed/plan0/seed1",
-            "xenic/logship/onpath/nic/mixed/0/seed1",
-            "xenic/logship/onpath/nic/mixed/plan0/seedy",
-            "xenic/logship/onpath/nic/mixed/plan0/seed1/lanes",
-            "xenic/logship/onpath/nic/mixed/plan0/seed1/weak-knees",
-            "xenic/logship/onpath/nic/mixed/plan0/seed1/turbo",
+            "xenic/logship/onpath/mixed/plan0",
+            "xenic-raft/logship/onpath/mixed/plan0/seed1",
+            "xenic/logship/onpath/mixed/0/seed1",
+            "xenic/logship/onpath/mixed/plan0/seedy",
+            "xenic/logship/onpath/mixed/plan0/seed1/lanes",
+            "xenic/logship/onpath/mixed/plan0/seed1/weak-knees",
+            "xenic/logship/onpath/mixed/plan0/seed1/turbo",
+            // An old seven-field token: its placement segment is no workload.
+            "xenic/logship/onpath/nic/mixed/plan0/seed1",
         ] {
             assert!(
                 matches!(parse(malformed), CellError::Malformed(_)),
@@ -1228,38 +1216,34 @@ mod tests {
             );
         }
         assert_eq!(
-            parse("drtmh/logship/onpath/nic/scan/plan0/seed1"),
+            parse("drtmh/logship/onpath/scan/plan0/seed1"),
             CellError::ScanOnOneSided(BaselineKind::DrtmH)
         );
         assert_eq!(
-            parse("drtmr/logship/onpath/nic/ycsbe/plan0/seed1"),
+            parse("drtmr/logship/onpath/ycsbe/plan0/seed1"),
             CellError::ScanOnOneSided(BaselineKind::DrtmR)
         );
         assert_eq!(
-            parse("fasst/raft/onpath/nic/mixed/plan0/seed1"),
+            parse("fasst/raft/onpath/mixed/plan0/seed1"),
             CellError::XenicOnly("backend")
         );
         assert_eq!(
-            parse("fasst/logship/cxl/nic/mixed/plan0/seed1"),
+            parse("fasst/logship/cxl/mixed/plan0/seed1"),
             CellError::XenicOnly("substrate")
         );
         assert_eq!(
-            parse("fasst/logship/onpath/host/mixed/plan0/seed1"),
-            CellError::XenicOnly("placement")
-        );
-        assert_eq!(
-            parse("fasst/logship/onpath/nic/mixed/plan0/seed1/weak-validation"),
+            parse("fasst/logship/onpath/mixed/plan0/seed1/weak-validation"),
             CellError::XenicOnly("weakening")
         );
         assert_eq!(
-            parse("xenic/logship/bluefield/nic/skew/plan0/seed1/weak-cxl"),
+            parse("xenic/logship/bluefield/skew/plan0/seed1/weak-cxl"),
             CellError::CxlCoherenceOffCxl(SubstrateKind::OffPathBluefield)
         );
         assert_eq!(
-            parse("xenic/hermes/onpath/nic/mixed/plan2/seed1/weak-quorum"),
+            parse("xenic/hermes/onpath/mixed/plan2/seed1/weak-quorum"),
             CellError::QuorumOffRaft(ReplBackend::Hermes)
         );
-        assert!(parse("xenic/logship/onpath/nic/mixed/plan0")
+        assert!(parse("xenic/logship/onpath/mixed/plan0")
             .to_string()
             .contains("planN/seedN"));
     }
@@ -1274,7 +1258,6 @@ mod tests {
                 p.engine.token(),
                 p.backend.token(),
                 p.substrate.token(),
-                p.placement.token(),
                 p.wl.token(),
                 &plan,
                 &lanes,
@@ -1291,7 +1274,7 @@ mod tests {
             FuzzPoint::cells().iter().flat_map(pairs).collect();
         let sample = FuzzPoint::sample();
         let covered: std::collections::BTreeSet<_> = sample.iter().flat_map(pairs).collect();
-        assert!(all.len() > 250, "only {} pairs", all.len());
+        assert!(all.len() > 200, "only {} pairs", all.len());
         assert_eq!(covered, all);
         assert!(
             sample.len() <= 64,
@@ -1308,7 +1291,7 @@ mod tests {
     /// zero commits, "serializable".
     #[test]
     fn a_lost_abort_no_longer_orphans_its_locks() {
-        let p: FuzzPoint = "xenic/logship/onpath/nic/skew/plan2/seed1".parse().unwrap();
+        let p: FuzzPoint = "xenic/logship/onpath/skew/plan2/seed1".parse().unwrap();
         let out = run_point(&p);
         assert!(
             out.result.committed > 0,

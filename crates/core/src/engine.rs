@@ -1818,17 +1818,7 @@ pub(crate) fn count_ack(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, s
 fn report_committed(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64) {
     if let Some((slot, metric)) = st.host_txns.get(&seq) {
         let started = st.slots[*slot as usize].first_started;
-        // Placement latency overlay (DESIGN.md §17): the configured
-        // metadata placement's per-access surcharge for the committing
-        // attempt, added to the recorded latency only. The schedule is
-        // untouched, so placement never changes which transactions
-        // commit. Local fast paths never reach the NIC and stay
-        // placement-neutral.
-        let overlay = match &st.slots[*slot as usize].spec {
-            Some(spec) => st.cfg.placement.commit_overlay_ns(spec, &rt.params),
-            None => 0,
-        };
-        st.stats.record_commit_overlaid(*metric, started, rt.now(), overlay);
+        st.stats.record_commit(*metric, started, rt.now());
     }
     send_pcie(rt, Exec::Host, XMsg::Outcome { seq, committed: true });
 }

@@ -83,7 +83,7 @@ pub mod repl;
 pub mod stats;
 
 pub use api::{local_of, make_key, shard_of, Partitioning, ShipMode, TxnSpec, UpdateOp, Workload};
-pub use config::{Loc, LogicPool, Placement, ReplBackend, Weakening, XenicConfig};
+pub use config::{ReplBackend, Weakening, XenicConfig};
 pub use engine::{Xenic, XenicNode};
 pub use harness::{run_xenic, run_xenic_cluster_with, Engine, LaneAssign, RunOptions, RunResult};
 pub use msg::XMsg;

@@ -67,30 +67,16 @@ impl NodeStats {
         self.cxl_log_writes = Counter::new();
     }
 
-    /// Records a committed transaction.
+    /// Records a committed transaction: its latency is the span from
+    /// the first attempt's start to `now`.
     pub fn record_commit(&mut self, metric: bool, started: SimTime, now: SimTime) {
-        self.record_commit_overlaid(metric, started, now, 0);
-    }
-
-    /// Records a committed transaction with a placement latency overlay
-    /// (DESIGN.md §17): `overlay_ns` is the deterministic per-access
-    /// surcharge of the configured metadata placement, added to the
-    /// recorded latency only — it never feeds back into the schedule, so
-    /// placement moves cost without changing outcomes.
-    pub fn record_commit_overlaid(
-        &mut self,
-        metric: bool,
-        started: SimTime,
-        now: SimTime,
-        overlay_ns: u64,
-    ) {
         if !self.measuring {
             return;
         }
         self.committed_all.inc();
         if metric {
             self.committed.mark(1);
-            self.latency.record(now.since(started) + overlay_ns);
+            self.latency.record(now.since(started));
         }
     }
 
@@ -149,14 +135,13 @@ mod tests {
     }
 
     #[test]
-    fn overlay_shifts_latency_only() {
+    fn commit_latency_is_the_scheduled_span() {
         let mut s = NodeStats::default();
         s.start_measuring(SimTime::ZERO);
-        s.record_commit_overlaid(true, SimTime::ZERO, SimTime::ZERO + 1_000, 2_500);
-        // The sample lands at span + overlay…
+        s.record_commit(true, SimTime::ZERO + 500, SimTime::ZERO + 3_500);
+        // The sample is exactly now - started.
         assert_eq!(s.latency.count(), 1);
-        assert!(s.latency.mean() >= 3_500.0);
-        // …and commit accounting is untouched by the overlay.
+        assert_eq!(s.latency.mean(), 3_000.0);
         assert_eq!(s.committed.events(), 1);
         assert_eq!(s.committed_all.get(), 1);
     }

@@ -158,14 +158,6 @@ impl Substrate {
     pub fn token(&self) -> &'static str {
         self.kind().token()
     }
-
-    /// The CXL overrides when this is a CXL profile.
-    pub fn cxl(&self) -> Option<&CxlParams> {
-        match self {
-            Substrate::CxlShared(p) => Some(p),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

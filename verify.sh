@@ -53,12 +53,12 @@ else
 fi
 
 # The whole config product under one referee (DESIGN.md §12): every
-# serial cell of engine x backend x substrate x placement x plan shape
-# on the three synthetic workloads (684), plus the pairwise sample that
-# carries lanes {2,4} and the real workloads with its serial siblings
-# (720 cells in all; ~6 s at --jobs 2). Each must commit, verify
-# serializable, lose no commit and audit clean after its drain; outcomes
-# must not depend on placement or lanes. Then the four checker
+# serial cell of engine x backend x substrate x plan shape on the three
+# synthetic workloads (252), plus the pairwise sample that carries lanes
+# {2,4} and the real workloads with its serial siblings (285 cells in
+# all; ~5 s at --jobs 2). Each must commit, verify serializable, lose no
+# commit and audit clean after its drain; outcomes must not depend on
+# lanes. Then the four checker
 # self-tests: weak-validation, weak-predicates, weak-cxl and weak-quorum
 # must each be rejected with a shrunk, twice-replayed witness. The
 # `product fingerprint <hex>` line folds every cell's (token, committed,
@@ -86,15 +86,14 @@ stage cargo test --release -q --test lanes
 # on any violation.
 stage cargo run --release -q -p xenic-bench --bin repl_sweep -- --quick
 
-# The substrate/placement contract (DESIGN.md §17): pinned
-# OnPathLiquidIO (p50/p99 included), BlueField and CXL fingerprints,
-# the off-path cliff ordering, the CXL zero-log-shipping trade, and
-# placement differentials (same outcomes, different latency) over the
-# product's lossy Smallbank cells for every replication backend.
+# The substrate contract (DESIGN.md §17): pinned OnPathLiquidIO
+# (p50/p99 included), BlueField and CXL fingerprints, the off-path cliff
+# measured from the schedule (BlueField slower at p50 and p99, fewer
+# commits) and the CXL zero-log-shipping trade.
 stage cargo test --release -q --test substrate
 
-# Substrate × placement × workload; every row verified serializable and
-# the off-path cliff + CXL log trade enforced as hard orderings.
+# Substrate × workload; every row verified serializable and the off-path
+# cliff + CXL log trade enforced as hard orderings.
 stage cargo run --release -q -p xenic-bench --bin substrate_sweep -- --quick
 
 if [[ "${1:-}" != "--quick" ]]; then
