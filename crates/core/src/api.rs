@@ -62,29 +62,29 @@ impl Partitioning {
         (shard % self.nodes) as usize
     }
 
-    /// The backup nodes of a shard, in ring order.
-    pub fn backups(&self, shard: u32) -> Vec<usize> {
-        (1..self.replication)
-            .map(|i| ((shard + i) % self.nodes) as usize)
-            .collect()
+    /// The backup nodes of a shard, in ring order. An iterator, not a
+    /// `Vec`: every append, Execute fan-out and log shipment walks it.
+    pub fn backups(&self, shard: u32) -> impl ExactSizeIterator<Item = usize> + Clone {
+        let nodes = self.nodes;
+        (1..self.replication).map(move |i| ((shard + i) % nodes) as usize)
     }
 
-    /// All replica nodes of a shard: primary first.
-    pub fn replicas(&self, shard: u32) -> Vec<usize> {
-        let mut v = vec![self.primary(shard)];
-        v.extend(self.backups(shard));
-        v
+    /// All replica nodes of a shard: primary first, then the backups in
+    /// ring order.
+    pub fn replicas(&self, shard: u32) -> impl ExactSizeIterator<Item = usize> + Clone {
+        let nodes = self.nodes;
+        (0..self.replication).map(move |i| ((shard + i) % nodes) as usize)
     }
 
     /// Whether `node` hosts a replica (primary or backup) of `shard`.
     pub fn holds(&self, node: usize, shard: u32) -> bool {
-        self.replicas(shard).contains(&node)
+        self.replicas(shard).any(|r| r == node)
     }
 
     /// The shards for which `node` is a backup.
     pub fn backup_shards(&self, node: usize) -> Vec<u32> {
         (0..self.nodes)
-            .filter(|&s| self.backups(s).contains(&node))
+            .filter(|&s| self.backups(s).any(|b| b == node))
             .collect()
     }
 }
@@ -398,9 +398,9 @@ mod tests {
     fn partitioning_ring_placement() {
         let p = Partitioning::new(6, 3);
         assert_eq!(p.primary(0), 0);
-        assert_eq!(p.backups(0), vec![1, 2]);
-        assert_eq!(p.backups(5), vec![0, 1]);
-        assert_eq!(p.replicas(4), vec![4, 5, 0]);
+        assert!(p.backups(0).eq([1, 2]));
+        assert!(p.backups(5).eq([0, 1]));
+        assert!(p.replicas(4).eq([4, 5, 0]));
         assert!(p.holds(0, 0));
         assert!(p.holds(2, 0));
         assert!(!p.holds(3, 0));
@@ -417,7 +417,7 @@ mod tests {
         let p = Partitioning::new(6, 3);
         for node in 0..6 {
             for s in p.backup_shards(node) {
-                assert!(p.backups(s).contains(&node));
+                assert!(p.backups(s).any(|b| b == node));
             }
             // With RF=3 each node backs exactly 2 shards.
             assert_eq!(p.backup_shards(node).len(), 2);

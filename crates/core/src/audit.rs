@@ -41,7 +41,7 @@ pub fn replicas_converged(states: &[XenicNode], part: &Partitioning) -> Result<u
     let mut checked = 0;
     for shard in 0..part.nodes {
         let primary = &states[part.primary(shard)];
-        for &b in &part.backups(shard) {
+        for b in part.backups(shard) {
             let Some(map) = states[b].backups.get(&shard) else {
                 continue;
             };

@@ -1048,20 +1048,26 @@ fn host_start_txn(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, slot: u
         // §4.2.4: local writes execute optimistically on the host, then
         // the NIC validates + locks + replicates.
         rt.charge(spec.exec_host_ns + 120 * spec.all_keys().count() as u64);
-        let mut checks = Vec::new();
-        let mut writes: WriteSet = Vec::new();
+        // The spec lists every key up front: fetch their home slots
+        // together, then read the versions.
+        let table = &st.host_table;
+        table.prefetch_slots(spec.all_keys());
+        let version = |k: Key| table.get(k).map(|(_, ver)| ver);
+        let updates = spec.all_updates().count();
+        let mut checks = Vec::with_capacity(spec.reads.len() + updates);
+        let mut writes: WriteSet = Vec::with_capacity(updates + spec.inserts.len());
         for k in &spec.reads {
-            if let Some((_, ver)) = st.host_table.get(*k) {
+            if let Some(ver) = version(*k) {
                 checks.push((*k, ver));
             }
         }
         for (k, op) in spec.all_updates() {
-            let ver = st.host_table.get(*k).map(|(_, ver)| ver).unwrap_or(0);
+            let ver = version(*k).unwrap_or(0);
             checks.push((*k, ver));
             writes.push((*k, payload_of(op), ver + 1));
         }
         for (k, v) in &spec.inserts {
-            let ver = st.host_table.get(*k).map(|(_, ver)| ver).unwrap_or(0);
+            let ver = version(*k).unwrap_or(0);
             writes.push((*k, WritePayload::Full(v.clone()), ver + 1));
         }
         st.stats.local_fast_path.inc();
@@ -1124,8 +1130,12 @@ fn host_apply_log(st: &mut XenicNode, rt: &mut Runtime<XMsg>, lsn: u64) {
         rt.charge(100 + 120 * entry.writes.len() as u64);
         if entry.shard == st.shard {
             // Primary apply into the Robinhood table (single-probe
-            // in-place writes); refresh NIC hints for any segment an
-            // insert may have deepened.
+            // in-place writes) as one batch: fetch every key's home slot,
+            // then its value bytes, then apply. Refresh NIC hints for any
+            // segment an insert may have deepened.
+            let keys = entry.writes.iter().map(|(k, _, _)| *k);
+            st.host_table.prefetch_slots(keys.clone());
+            st.host_table.prefetch_values(keys);
             for (k, p, ver) in &entry.writes {
                 if !st.host_table.apply_payload(*k, p, *ver) {
                     st.host_table.insert_versioned(*k, p.apply_absent(), *ver);
@@ -1139,14 +1149,31 @@ fn host_apply_log(st: &mut XenicNode, rt: &mut Runtime<XMsg>, lsn: u64) {
             }
         } else {
             let map = st.backups.entry(entry.shard).or_default();
-            for (k, p, ver) in &entry.writes {
-                backup_apply(map, &mut st.backup_gaps, *k, p, *ver);
-            }
+            backup_apply_all(map, &mut st.backup_gaps, &entry.writes);
         }
         applied_to = Some(lsn);
     }
     if let Some(lsn) = applied_to {
         send_pcie(rt, Exec::Nic, XMsg::AppliedAck { lsn });
+    }
+}
+
+/// Applies one log record's writes at a backup replica as a batch: every
+/// written key's current value is probed and its bytes prefetched first,
+/// so the misses overlap, then each write goes through [`backup_apply`]
+/// in record order.
+fn backup_apply_all(
+    map: &mut FastMap<Key, (Value, Version)>,
+    gaps: &mut FastMap<Key, Vec<(WritePayload, Version)>>,
+    writes: &[(Key, WritePayload, Version)],
+) {
+    for (k, _, _) in writes {
+        if let Some((value, _)) = map.get(k) {
+            value.prefetch();
+        }
+    }
+    for (k, p, ver) in writes {
+        backup_apply(map, gaps, *k, p, *ver);
     }
 }
 
@@ -1212,7 +1239,7 @@ fn compute_writes(
     values: &[(Key, Value, Version)],
     lock_versions: &[(Key, Version)],
 ) -> WriteSet {
-    let mut out = Vec::with_capacity(spec.updates.len() + spec.inserts.len());
+    let mut out = Vec::with_capacity(spec.all_updates().count() + spec.inserts.len());
     for (k, op) in spec.all_updates() {
         out.push((*k, payload_of(op), version_of(values, lock_versions, *k) + 1));
     }
@@ -2106,7 +2133,12 @@ fn cnic_local_commit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, lc: 
         writes,
     } = lc;
     let txn = TxnId::new(me as u32, seq);
-    // Lock write keys.
+    // Every key this handler touches is known up front: fetch their index
+    // entries together, then lock the write keys.
+    let write_keys = writes.iter().map(|(k, _, _)| *k);
+    let keys = write_keys.chain(checks.iter().map(|(k, _)| *k));
+    st.nic_index
+        .prefetch_keys(keys, |k| st.host_table.segment_of_key(k));
     let mut locked = KeySet::new();
     let mut ok = true;
     for (k, _, _) in &writes {
@@ -2195,20 +2227,16 @@ fn apply_commit_records(
                 ..
             } = &mut *st;
             let entry = log.get(lsn).expect("record was just appended");
+            let segment_of = |k: Key| host_table.segment_of_key(k);
+            nic_index.prefetch_keys(entry.writes.iter().map(|(k, _, _)| *k), segment_of);
             for (k, p, ver) in &entry.writes {
-                let seg = host_table.segment_of_key(*k);
+                let seg = segment_of(*k);
                 if cfg.nic_cache {
                     // Resolve the new value locally: the primary holds the
                     // current value (cache, else host table — nothing newer
                     // can be pending while we hold the lock).
-                    let new_value = match nic_index.lookup(seg, *k) {
-                        NicLookup::Hit { value, .. } => p.apply(&value),
-                        NicLookup::Miss { .. } => match host_table.get(*k) {
-                            Some((value, _)) => p.apply(value),
-                            None => p.apply_absent(),
-                        },
-                    };
-                    nic_index.commit_write(seg, *k, new_value, *ver);
+                    let host = || host_table.get(*k).map(|(value, _)| value);
+                    nic_index.commit_payload(seg, *k, p, *ver, host);
                 } else {
                     nic_index.commit_write_meta(seg, *k, *ver);
                 }
@@ -2346,7 +2374,7 @@ fn snic_execute(
             let mut fp = SCAN_FP_INIT;
             let mut hi_obs = s.hi;
             let mut visits = nic_index.collect_rows(s.lo, s.hi, Some(txn), s.limit as usize, rows);
-            nic_index.prefetch_rows(rows, |k| host_table.segment_of_key(k));
+            nic_index.prefetch_keys(rows.iter().map(|r| r.key), |k| host_table.segment_of_key(k));
             scan_rows.reserve(rows.len());
             for row in rows.iter() {
                 let Some((ver, value)) = scan_row_value(nic_index, host_table, marks, txn, row)
@@ -3041,6 +3069,105 @@ mod tests {
     use crate::api::{make_key, ShipMode};
     use xenic_net::{Cluster, FaultPlan, NetConfig};
     use xenic_sim::DetRng;
+
+    type Replica = FastMap<Key, (Value, Version)>;
+    type Gaps = FastMap<Key, Vec<(WritePayload, Version)>>;
+
+    fn ctr(v: i64) -> Value {
+        Value::from_bytes(&v.to_le_bytes())
+    }
+
+    /// Delivers `records` (one log record's write set each) to a backup
+    /// replica through the batched entry point, and to a second one key
+    /// by key; after every record both must hold the same values,
+    /// versions and buffered gaps. Returns the batched replica's state.
+    fn backup_both_ways(records: &[WriteSet]) -> (Replica, Gaps) {
+        let (mut map, mut gaps) = (Replica::default(), Gaps::default());
+        let (mut map_k, mut gaps_k) = (Replica::default(), Gaps::default());
+        for (i, writes) in records.iter().enumerate() {
+            backup_apply_all(&mut map, &mut gaps, writes);
+            for (k, p, ver) in writes {
+                backup_apply(&mut map_k, &mut gaps_k, *k, p, *ver);
+            }
+            assert_eq!(map, map_k, "replica after record {i}");
+            assert_eq!(gaps, gaps_k, "gaps after record {i}");
+        }
+        (map, gaps)
+    }
+
+    #[test]
+    fn backup_apply_installs_in_order() {
+        let (map, gaps) = backup_both_ways(&[
+            vec![
+                (1, WritePayload::Full(ctr(10)), 1),
+                (2, WritePayload::Full(ctr(7)), 1),
+            ],
+            vec![
+                (1, WritePayload::AddI64(3), 2),
+                (2, WritePayload::Mutate, 2),
+            ],
+            vec![(1, WritePayload::AddI64(-1), 3)],
+        ]);
+        assert_eq!(map[&1], (ctr(12), 3));
+        assert_eq!(map[&2], (ctr(8), 2), "Mutate bumps the first byte");
+        assert!(gaps.is_empty());
+    }
+
+    #[test]
+    fn backup_apply_drops_duplicates() {
+        let (map, gaps) = backup_both_ways(&[
+            vec![(1, WritePayload::Full(ctr(10)), 1)],
+            vec![(1, WritePayload::AddI64(5), 2)],
+            // A retransmitted record, and an older one arriving late.
+            vec![
+                (1, WritePayload::AddI64(5), 2),
+                (1, WritePayload::Full(ctr(99)), 1),
+            ],
+        ]);
+        assert_eq!(map[&1], (ctr(15), 2));
+        assert!(gaps.is_empty());
+    }
+
+    #[test]
+    fn backup_apply_gives_an_absent_key_the_payload_alone() {
+        let (map, _) = backup_both_ways(&[vec![
+            (1, WritePayload::AddI64(-4), 1),
+            (2, WritePayload::Mutate, 1),
+            (3, WritePayload::Full(ctr(6)), 1),
+        ]]);
+        assert_eq!(map[&1], (ctr(-4), 1));
+        assert_eq!(map[&2], (Value::from_bytes(&[]), 1));
+        assert_eq!(map[&3], (ctr(6), 1));
+    }
+
+    /// The Raft laggard case: a newer transaction's append overtakes an
+    /// older one. Versions past the gap wait, a re-sent one is buffered
+    /// once, and the record that closes the gap drains them in version
+    /// order — a `Full` between two deltas makes any other order visible.
+    #[test]
+    fn backup_apply_buffers_a_gap_then_drains_it_in_order() {
+        let mut records = vec![
+            vec![(1, WritePayload::Full(ctr(1)), 1)],
+            vec![
+                (1, WritePayload::AddI64(4), 4),
+                (9, WritePayload::AddI64(2), 2),
+            ],
+            vec![(1, WritePayload::Full(ctr(100)), 3)],
+            vec![(1, WritePayload::Full(ctr(100)), 3)],
+        ];
+        let (map, gaps) = backup_both_ways(&records);
+        assert_eq!(map[&1], (ctr(1), 1), "nothing past the gap applies");
+        assert!(!map.contains_key(&9), "an absent key waits for version 1");
+        assert_eq!(gaps[&1].len(), 2, "the re-sent version is buffered once");
+        records.push(vec![
+            (1, WritePayload::AddI64(2), 2),
+            (9, WritePayload::Full(ctr(5)), 1),
+        ]);
+        let (map, gaps) = backup_both_ways(&records);
+        assert_eq!(map[&1], (ctr(104), 4), "2, then Full 100, then +4");
+        assert_eq!(map[&9], (ctr(7), 2));
+        assert!(gaps.is_empty(), "a drained key leaves no buffer behind");
+    }
 
     fn resp(req: u64) -> XMsg {
         XMsg::ValidateResp {

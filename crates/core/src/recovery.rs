@@ -112,10 +112,9 @@ pub fn recover_shard(
     failed: usize,
 ) -> RecoveryReport {
     let shard = failed as u32;
-    let new_primary = *part
+    let new_primary = part
         .backups(shard)
-        .iter()
-        .find(|&&b| states[b].is_some())
+        .find(|&b| states[b].is_some())
         .expect("a surviving backup exists");
 
     // Step 1: gather the backup replica's data for the shard.
@@ -399,7 +398,7 @@ pub fn audit_recovery(
     let primary = states[new_primary].ok_or("new primary missing")?;
     for (node_id, st) in states.iter().enumerate() {
         let Some(st) = st else { continue };
-        if node_id == new_primary || !part.backups(shard).contains(&node_id) {
+        if node_id == new_primary || !part.backups(shard).any(|b| b == node_id) {
             continue;
         }
         let Some(map) = st.backups.get(&shard) else {

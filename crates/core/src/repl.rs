@@ -177,8 +177,9 @@ pub(crate) fn backend(kind: ReplBackend) -> &'static dyn Replication {
 /// leader without a separate election message exchange (the paper-side
 /// simplification: election = adopting the next term).
 pub fn leader_of(part: &Partitioning, shard: u32, term: u32) -> usize {
-    let group = part.replicas(shard);
-    group[term as usize % group.len()]
+    let mut group = part.replicas(shard);
+    let at = term as usize % group.len();
+    group.nth(at).expect("term wraps within the group")
 }
 
 /// Majority-commit ack requirement per shard: with `backups` follower

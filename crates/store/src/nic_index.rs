@@ -33,7 +33,7 @@ use std::collections::hash_map::Entry;
 use xenic_sim::{FastMap, SmallVec};
 
 use crate::btree::BTree;
-use crate::types::{Key, LockState, TxnId, Value, Version};
+use crate::types::{Key, LockState, TxnId, Value, Version, WritePayload};
 
 /// Configuration for a [`NicIndex`].
 #[derive(Clone, Debug)]
@@ -524,6 +524,45 @@ impl NicIndex {
         self.ordered.commit(member, key, version);
     }
 
+    /// Records a committed write of `payload` at `version`: what
+    /// [`Self::lookup`], [`WritePayload::apply`] and [`Self::commit_write`]
+    /// do in a row, with the same hit/miss count, reference bit, pin,
+    /// eviction and ordered-mirror commit, but applied to the cached value
+    /// in place. That copies only when another handle (a read-set
+    /// snapshot, a preload template) shares the buffer. On a miss the
+    /// payload applies to `host()`, the host table's copy (or to nothing,
+    /// for a key that has none), and the result commits as a full value.
+    pub fn commit_payload<'a>(
+        &mut self,
+        segment: usize,
+        key: Key,
+        payload: &WritePayload,
+        version: Version,
+        host: impl FnOnce() -> Option<&'a Value>,
+    ) {
+        let records = &self.entries[segment].records;
+        let Some(i) = records
+            .iter()
+            .position(|r| r.key == key && r.value.is_some())
+        else {
+            self.stats.misses += 1;
+            let value = match host() {
+                Some(current) => payload.apply(current),
+                None => payload.apply_absent(),
+            };
+            return self.commit_write(segment, key, value, version);
+        };
+        self.stats.hits += 1;
+        let r = &mut self.entries[segment].records[i];
+        payload.apply_in_place(r.value.as_mut().expect("cached"));
+        r.version = version;
+        r.has_version = true;
+        r.referenced = true;
+        r.pins += 1;
+        let member = std::mem::replace(&mut r.in_ordered, true);
+        self.ordered.commit(member, key, version);
+    }
+
     /// Like [`NicIndex::commit_write`] but stores only the version
     /// metadata (used when object caching is disabled): the version is
     /// updated and the record pinned, without holding the value.
@@ -632,19 +671,24 @@ impl NicIndex {
             })
     }
 
-    /// Starts the memory fetches that serving `rows` will wait on — every
-    /// row's index entry, then every cached value those entries hold —
-    /// so their misses overlap instead of arriving one row at a time.
-    /// `segment_of` maps a key to its segment. Changes nothing.
-    pub fn prefetch_rows(&self, rows: &[ScanRow], segment_of: impl Fn(Key) -> usize) {
-        for row in rows {
-            xenic_sim::prefetch(&self.entries[segment_of(row.key)]);
+    /// Starts the memory fetches that a batch of operations on `keys`
+    /// will wait on — every key's index entry, then every cached value
+    /// those entries hold — so their misses overlap instead of arriving
+    /// one key at a time. `segment_of` maps a key to its segment.
+    /// Changes nothing.
+    pub fn prefetch_keys<I>(&self, keys: I, segment_of: impl Fn(Key) -> usize)
+    where
+        I: IntoIterator<Item = Key>,
+        I::IntoIter: Clone,
+    {
+        let keys = keys.into_iter();
+        for key in keys.clone() {
+            xenic_sim::prefetch(&self.entries[segment_of(key)]);
         }
-        for row in rows {
-            let entry = &self.entries[segment_of(row.key)];
-            if let Some(value) = entry.record(row.key).and_then(|r| r.value.as_ref()) {
-                // The bytes sit right after the refcount a clone bumps.
-                xenic_sim::prefetch(value.bytes().as_ptr());
+        for key in keys {
+            let entry = &self.entries[segment_of(key)];
+            if let Some(value) = entry.record(key).and_then(|r| r.value.as_ref()) {
+                value.prefetch();
             }
         }
     }

@@ -345,6 +345,26 @@ impl RobinhoodTable {
         Some((e.value.value(), e.version))
     }
 
+    /// Starts fetching the home slot of every key in `keys`, so a batch
+    /// of point operations that follows pays overlapping misses instead
+    /// of one dependent miss per key. Changes nothing.
+    pub fn prefetch_slots(&self, keys: impl IntoIterator<Item = Key>) {
+        for key in keys {
+            xenic_sim::prefetch(&self.slots[self.home_of(key)]);
+        }
+    }
+
+    /// Starts fetching the value buffer of every key in `keys` that is
+    /// present. Probing the slots is what this waits on, so it belongs
+    /// after [`Self::prefetch_slots`] over the same keys. Changes nothing.
+    pub fn prefetch_values(&self, keys: impl IntoIterator<Item = Key>) {
+        for key in keys {
+            if let Some((value, _)) = self.get(key) {
+                value.prefetch();
+            }
+        }
+    }
+
     /// True if `key` exists (slot or overflow).
     pub fn contains(&self, key: Key) -> bool {
         self.find_slot(key).is_some() || self.find_overflow(key).is_some()

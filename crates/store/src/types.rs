@@ -56,6 +56,13 @@ impl Value {
         self.0.is_empty()
     }
 
+    /// Hints the CPU to fetch the line holding the leading bytes (and,
+    /// right before them, the refcount a clone or a copy-on-write check
+    /// touches). Changes nothing.
+    pub fn prefetch(&self) {
+        xenic_sim::prefetch(self.0.as_ptr());
+    }
+
     /// Mutable access to the bytes when this is the only `Arc` holder —
     /// lets length-preserving writes update a table-resident value
     /// without reallocating. Returns `None` if any snapshot still shares

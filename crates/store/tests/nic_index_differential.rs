@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use xenic_sim::DetRng;
 use xenic_store::nic_index::{NicIndex, NicIndexConfig, NicLookup, ScanRow};
-use xenic_store::{BTree, Key, LockState, TxnId, Value, Version};
+use xenic_store::{BTree, Key, LockState, TxnId, Value, Version, WritePayload};
 
 const SEGMENTS: usize = 64;
 const UNIVERSE: u64 = 4096;
@@ -34,13 +34,13 @@ fn seg(key: Key) -> usize {
 }
 
 fn val(tag: u8) -> Value {
-    Value::filled(4, tag)
+    Value::filled(8, tag)
 }
 
 #[derive(Clone)]
 struct Rec {
     key: Key,
-    value: Option<u8>,
+    value: Option<Vec<u8>>,
     version: Version,
     lock: Option<TxnId>,
     has_version: bool,
@@ -133,19 +133,19 @@ impl Reference {
         }
     }
 
-    fn set_value(&mut self, key: Key, tag: u8, version: Version) -> &mut Rec {
+    fn set_value(&mut self, key: Key, bytes: &[u8], version: Version) -> &mut Rec {
         self.make_room(key);
         self.cached += usize::from(self.ensure(key).value.is_none());
         let r = self.ensure(key);
-        r.value = Some(tag);
+        r.value = Some(bytes.to_vec());
         r.version = version;
         r.has_version = true;
         r.referenced = true;
         r
     }
 
-    fn install(&mut self, key: Key, tag: u8, version: Version) {
-        self.set_value(key, tag, version);
+    fn install(&mut self, key: Key, bytes: &[u8], version: Version) {
+        self.set_value(key, bytes, version);
     }
 
     fn note_version(&mut self, key: Key, version: Version) {
@@ -154,13 +154,13 @@ impl Reference {
         r.has_version = true;
     }
 
-    fn lookup(&mut self, key: Key) -> Option<(u8, Version)> {
+    fn lookup(&mut self, key: Key) -> Option<(Vec<u8>, Version)> {
         let recs = &mut self.segments[seg(key)];
         if let Some(r) = recs.iter_mut().find(|r| r.key == key) {
-            if let Some(tag) = r.value {
+            if let Some(bytes) = &r.value {
                 r.referenced = true;
                 self.hits += 1;
-                return Some((tag, r.version));
+                return Some((bytes.clone(), r.version));
             }
         }
         self.misses += 1;
@@ -210,9 +210,29 @@ impl Reference {
         self.shape.insert(key, ());
     }
 
-    fn commit_write(&mut self, key: Key, tag: u8, version: Version) {
-        self.set_value(key, tag, version).pins += 1;
+    fn commit_write(&mut self, key: Key, bytes: &[u8], version: Version) {
+        self.set_value(key, bytes, version).pins += 1;
         self.commit_ordered(key, version);
+    }
+
+    /// The sequence the in-place commit replaces: look the key up (a hit
+    /// or a miss, counted), apply the payload to a copy of what the cache
+    /// or else the host holds, and commit the result as a full value.
+    fn commit_payload(
+        &mut self,
+        key: Key,
+        payload: &WritePayload,
+        version: Version,
+        host: Option<&Value>,
+    ) {
+        let new = match self.lookup(key) {
+            Some((bytes, _)) => payload.apply(&Value::from_vec(bytes)),
+            None => match host {
+                Some(current) => payload.apply(current),
+                None => payload.apply_absent(),
+            },
+        };
+        self.commit_write(key, new.bytes(), version);
     }
 
     fn commit_write_meta(&mut self, key: Key, version: Version) {
@@ -400,6 +420,12 @@ struct Harness {
     /// Collection checks that stopped at a sentinel / skipped an own
     /// insert / saw an updated row.
     collect_cases: [usize; 3],
+    /// Read-set snapshots: cached values a lookup handed out (sharing the
+    /// index's buffer), each with the bytes it held when taken.
+    snapshots: Vec<(Value, Vec<u8>)>,
+    /// In-place commits that hit a unique buffer / hit a shared one /
+    /// missed and applied to a host copy / missed a key with none.
+    payload_cases: [usize; 4],
     what: String,
 }
 
@@ -416,6 +442,8 @@ impl Harness {
             next_version: 2,
             unacked: Vec::new(),
             collect_cases: [0; 3],
+            snapshots: Vec::new(),
+            payload_cases: [0; 4],
             what: format!("seed {seed}"),
         };
         // Bring-up: every even key is a committed member at version 1;
@@ -426,7 +454,7 @@ impl Harness {
         }
         for k in (0..BUDGET as u64).map(|i| i * 2) {
             h.ix.install_preloaded(seg(k), k, val(1), 1);
-            h.rf.install(k, 1, 1);
+            h.rf.install(k, val(1).bytes(), 1);
         }
         h.check_all(0);
         h
@@ -451,15 +479,89 @@ impl Harness {
 
     fn commit(&mut self, key: Key) {
         let version = self.version();
-        if self.rng.below(4) == 0 {
-            self.ix.commit_write_meta(seg(key), key, version);
-            self.rf.commit_write_meta(key, version);
-        } else {
-            let tag = version as u8;
-            self.ix.commit_write(seg(key), key, val(tag), version);
-            self.rf.commit_write(key, tag, version);
+        match self.rng.below(4) {
+            0 => {
+                self.ix.commit_write_meta(seg(key), key, version);
+                self.rf.commit_write_meta(key, version);
+            }
+            1 => {
+                let value = val(version as u8);
+                self.rf.commit_write(key, value.bytes(), version);
+                self.ix.commit_write(seg(key), key, value, version);
+            }
+            _ => self.commit_payload(key, version),
         }
         self.unacked.push(key);
+    }
+
+    /// The in-place commit against the reference's lookup → apply →
+    /// commit_write, then the buffer check: a hit on a buffer no snapshot
+    /// shares must mutate it where it is (unless a short value has to
+    /// grow), and a shared one must be copied.
+    fn commit_payload(&mut self, key: Key, version: Version) {
+        let payload = match self.rng.below(3) {
+            0 => WritePayload::Full(val(version as u8)),
+            1 => WritePayload::AddI64(self.rng.below(1000) as i64 - 500),
+            _ => WritePayload::Mutate,
+        };
+        // The host's copy, for a miss: absent, short (AddI64 pads it) or
+        // full-size.
+        let host = match self.rng.below(3) {
+            0 => None,
+            1 => Some(Value::filled(4, self.rng.below(256) as u8)),
+            _ => Some(val(self.rng.below(256) as u8)),
+        };
+        let before = self
+            .ix
+            .peek_value(seg(key), key)
+            .map(|v| (v.bytes().as_ptr(), v.len()));
+        self.ix
+            .commit_payload(seg(key), key, &payload, version, || host.as_ref());
+        self.rf
+            .commit_payload(key, &payload, version, host.as_ref());
+        let after = self
+            .ix
+            .peek_value(seg(key), key)
+            .map(|v| v.bytes().as_ptr())
+            .expect("a committed write is cached");
+        let what = &self.what;
+        let case = match before {
+            Some((ptr, len)) => {
+                if self
+                    .snapshots
+                    .iter()
+                    .any(|(v, _)| v.bytes().as_ptr() == ptr)
+                {
+                    assert_ne!(after, ptr, "{what}: shared buffer of {key} written");
+                    1
+                } else {
+                    let in_place = match payload {
+                        WritePayload::Full(_) => false,
+                        WritePayload::AddI64(_) => len >= 8,
+                        WritePayload::Mutate => true,
+                    };
+                    if in_place {
+                        assert_eq!(after, ptr, "{what}: unique buffer of {key} copied");
+                    }
+                    0
+                }
+            }
+            None if host.is_some() => 2,
+            None => 3,
+        };
+        self.payload_cases[case] += 1;
+    }
+
+    /// Keeps a looked-up value as a read-set snapshot (at most 16; the
+    /// one it displaces must still hold the bytes it was taken with).
+    fn snapshot(&mut self, value: Value) {
+        if self.snapshots.len() == 16 {
+            let i = self.rng.below(16) as usize;
+            let (old, bytes) = self.snapshots.swap_remove(i);
+            assert_eq!(old.bytes(), &bytes[..], "{}: snapshot changed", self.what);
+        }
+        let bytes = value.bytes().to_vec();
+        self.snapshots.push((value, bytes));
     }
 
     /// One step; returns the keys it touched.
@@ -470,7 +572,7 @@ impl Harness {
             0..=9 => {
                 let version = self.version();
                 self.ix.install(seg(key), key, val(version as u8), version);
-                self.rf.install(key, version as u8, version);
+                self.rf.install(key, val(version as u8).bytes(), version);
             }
             10..=14 => {
                 let version = self.version();
@@ -503,7 +605,13 @@ impl Harness {
             }
             59..=66 => {
                 let got = match self.ix.lookup(seg(key), key) {
-                    NicLookup::Hit { value, version } => Some((value.bytes()[0], version)),
+                    NicLookup::Hit { value, version } => {
+                        let got = Some((value.bytes().to_vec(), version));
+                        if self.rng.below(2) == 0 {
+                            self.snapshot(value);
+                        }
+                        got
+                    }
                     NicLookup::Miss { .. } => None,
                 };
                 assert_eq!(got, self.rf.lookup(key), "{}: lookup({key})", self.what);
@@ -580,8 +688,8 @@ impl Harness {
                 "{what}: version_of({k}) @ {step}"
             );
             assert_eq!(
-                self.ix.peek_value(seg(k), k).map(|v| v.bytes()[0]),
-                self.rf.rec(k).and_then(|r| r.value),
+                self.ix.peek_value(seg(k), k).map(|v| v.bytes().to_vec()),
+                self.rf.rec(k).and_then(|r| r.value.clone()),
                 "{what}: peek_value({k}) @ {step}"
             );
             assert_eq!(
@@ -642,6 +750,11 @@ fn differential(seed: u64, steps: usize) {
     assert!(
         h.rf.ordered.len() > UNIVERSE as usize / 2 + 500,
         "seed {seed}: inserts must commit"
+    );
+    assert!(
+        h.payload_cases.iter().all(|&n| n > 50),
+        "seed {seed}: in-place commits must hit unique and shared buffers and miss with and without a host copy: {:?}",
+        h.payload_cases
     );
     assert!(
         h.collect_cases.iter().all(|&n| n > 10),

@@ -41,6 +41,13 @@ stage cargo test --release -q -p xenic-store --test nic_index_differential
 stage cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
     --quick --workload ycsbe_scan
 
+# TPC-C's short pair drives the local fast path (host version reads,
+# NIC lock + check) and the commit install and log apply at primary and
+# backups, checking fingerprint, digest and p50/p99 against the run
+# with tracer and history recorder attached (~10 s).
+stage cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+    --quick --workload tpcc_full
+
 # The lanes workload's short pair is the one stage that drives tracer
 # and history recorder through the harness on two lanes and checks
 # fingerprint, digest, p50/p99 and "tracer dropped no event" against an
