@@ -9,6 +9,7 @@ use xenic::stats::NodeStats;
 use xenic_check::HistoryRecorder;
 use xenic_hw::HwParams;
 use xenic_net::NetConfig;
+use xenic_store::{Key, Value, Version};
 
 impl Engine for Baseline {
     type Config = BaselineKind;
@@ -39,6 +40,25 @@ impl Engine for Baseline {
 
     fn set_recorder(state: &mut BaselineNode, recorder: HistoryRecorder) {
         state.set_recorder(recorder);
+    }
+
+    fn stop_submitting(state: &mut BaselineNode) {
+        state.draining = true;
+    }
+
+    fn visit_rows(state: &BaselineNode, visit: &mut dyn FnMut(Key, &Value, Version)) {
+        state.visit_rows(visit);
+    }
+}
+
+/// The baselines' post-drain residue audit: the first node still holding
+/// a lock word, an insert sentinel or a live coordinator context. Their
+/// one-sided and RPC lanes are reliable, so off crash plans a drained
+/// cluster must hold none.
+pub fn residue(states: &[BaselineNode]) -> Result<(), String> {
+    match states.iter().enumerate().find_map(|(n, st)| st.residue().map(|r| (n, r))) {
+        Some((n, r)) => Err(format!("node {n}: {r} after drain")),
+        None => Ok(()),
     }
 }
 

@@ -3,9 +3,9 @@
 //! cross-system result equivalence.
 
 use xenic::api::{make_key, Partitioning, TxnSpec, UpdateOp, Workload};
-use xenic::harness::{run_recorded, RunOptions, RunResult};
+use xenic::harness::{drain, run_recorded, RunOptions, RunResult};
 use xenic_baselines::engine::{BMsg, Baseline, BaselineKind, BaselineNode};
-use xenic_baselines::run_baseline;
+use xenic_baselines::{residue, run_baseline};
 use xenic_hw::HwParams;
 use xenic_net::{Cluster, Exec, NetConfig};
 use xenic_sim::{DetRng, SimTime};
@@ -82,19 +82,27 @@ fn version_guarded_cas_preserves_counter_exactness() {
         ..Default::default()
     });
     cluster.run_until(SimTime::from_ms(6));
-    // Quiesce: baselines apply commits synchronously at the primary's
-    // RPC handler, so just stop the load and let in-flight txns settle.
     let committed_mid: u64 = cluster
         .states
         .iter()
         .map(|s| s.stats.committed_all.get())
         .sum();
     assert!(committed_mid > 300, "commits {committed_mid}");
-    cluster.run_until(SimTime::from_ms(7));
-    // No lock may be ancient: after the run every lock table should be
-    // nearly empty (only in-flight txns hold locks).
+    // Quiesce: stop the load and let in-flight transactions finish. A
+    // drained cluster holds no lock word, and the counter equals the
+    // number of committed increments exactly.
+    drain(&mut cluster, SimTime::from_ms(60));
     let held: usize = cluster.states.iter().map(|s| s.locks.len()).sum();
-    assert!(held <= 36, "locks piling up: {held}");
+    assert_eq!(held, 0, "locks survived the drain");
+    assert_eq!(residue(&cluster.states), Ok(()));
+    let committed: u64 = cluster
+        .states
+        .iter()
+        .map(|s| s.stats.committed_all.get())
+        .sum();
+    let (v, _) = cluster.states[0].table.get(hot).expect("hot key");
+    let counter = i64::from_le_bytes(v.bytes()[..8].try_into().unwrap());
+    assert_eq!(counter, committed as i64);
 }
 
 #[test]

@@ -13,11 +13,14 @@
 //!
 //! [`run_point`] is the one referee for every engine: the recorded
 //! history goes to the Adya DSG verifier, and the window must have
-//! committed something (else "serializable" is vacuous). Xenic cells are
-//! also drained and audited for **commit durability** — every committed
-//! write installed at its key's primary once retransmission has
-//! quiesced, the invariant an under-quorum acknowledgement breaks — and
-//! for **residue** (`xenic::audit::full_audit`). The four [`Weakening`]s
+//! committed something (else "serializable" is vacuous). Every cell is
+//! then drained, digested ([`cluster_digest`]) and audited for
+//! **residue** (`xenic::audit::full_audit`, or
+//! `xenic_baselines::residue`: no lock word, insert sentinel or live
+//! coordinator context survives). Xenic cells are also audited for
+//! **commit durability** — every committed write installed at its key's
+//! primary once retransmission has quiesced, the invariant an
+//! under-quorum acknowledgement breaks. The four [`Weakening`]s
 //! exist to prove the referee *can* fail: [`reject`] requires each to be
 //! caught, [`shrink`] greedily minimizes the witness, and
 //! [`replay_cmd`] prints the command that reproduces it.
@@ -768,7 +771,8 @@ pub enum Failure {
     Anomaly,
     /// A committed write is missing from its primary after the drain.
     LostCommit,
-    /// The drained cluster failed `xenic::audit::full_audit`.
+    /// The drained cluster failed its residue audit
+    /// (`xenic::audit::full_audit`, or `xenic_baselines::residue`).
     Residue,
     /// Nothing committed inside the window: "serializable", vacuously.
     Vacuous,
@@ -779,8 +783,7 @@ pub enum Failure {
 pub struct PointOutcome {
     /// The harness result over the measurement window.
     pub result: RunResult,
-    /// Whole-cluster table digest after the drain (Xenic only; a
-    /// baseline's final state is pinned by its `history`).
+    /// Whole-cluster table digest after the drain.
     pub digest: u64,
     /// Simulation events processed.
     pub processed: u64,
@@ -791,8 +794,7 @@ pub struct PointOutcome {
     /// Committed writes missing from their primaries after the drain
     /// (Xenic only; always empty for the lossless baselines).
     pub lost_commits: Vec<LostCommit>,
-    /// What `full_audit` found wrong with the drained cluster (Xenic
-    /// only).
+    /// What the residue audit found wrong with the drained cluster.
     pub residue: Option<String>,
     /// False on crash plans. A commit can outrun a crashed node's
     /// recorder, so the DSG check is relaxed there, and a crashed
@@ -894,6 +896,7 @@ pub fn run_point(p: &FuzzPoint) -> PointOutcome {
     };
     let params = HwParams::with_substrate(p.substrate);
     let mk = |_: usize| p.wl.build();
+    let horizon = opts.warmup.as_ns() + opts.measure.as_ns();
     let (result, digest, processed, history, lost_commits, residue) = match p.engine {
         FuzzEngine::Xenic { fig9 } => {
             let base = if fig9 {
@@ -908,7 +911,6 @@ pub fn run_point(p: &FuzzPoint) -> PointOutcome {
             let net = NetConfig::full().with_faults(plan);
             let (result, mut cluster, recorder) =
                 run_recorded::<Xenic>(params, net, cfg, &opts, mk);
-            let horizon = opts.warmup.as_ns() + opts.measure.as_ns();
             drain(&mut cluster, SimTime::from_ns(horizon + DRAIN_NS));
             let history = recorder.snapshot();
             let lost = lost_commits(&cluster, &history);
@@ -926,15 +928,16 @@ pub fn run_point(p: &FuzzPoint) -> PointOutcome {
         }
         FuzzEngine::Baseline(kind) => {
             let net = NetConfig::baseline().with_faults(plan);
-            let (result, cluster, recorder) =
+            let (result, mut cluster, recorder) =
                 run_recorded::<Baseline>(params, net, kind, &opts, mk);
+            drain(&mut cluster, SimTime::from_ns(horizon + DRAIN_NS));
             (
                 result,
-                0,
+                cluster_digest(&cluster),
                 cluster.rt.queue.processed(),
                 recorder.snapshot(),
                 Vec::new(),
-                None,
+                xenic_baselines::residue(&cluster.states).err(),
             )
         }
     };

@@ -18,6 +18,7 @@ use xenic_check::HistoryRecorder;
 use xenic_hw::HwParams;
 use xenic_net::{Cluster, Exec, LaneAssignment, LaneStats, NetConfig, ParCluster, Protocol};
 use xenic_sim::{Histogram, SimTime};
+use xenic_store::{Key, Value, Version};
 
 /// Aggregate results of one measured run.
 #[derive(Clone, Debug)]
@@ -142,6 +143,14 @@ pub trait Engine: Protocol<Msg: Send, State: Send> {
 
     /// Attaches a commit-history recorder (a pure observer).
     fn set_recorder(state: &mut Self::State, recorder: HistoryRecorder);
+
+    /// Stops the node submitting transactions: a start or retry that
+    /// arrives afterwards is dropped, so in-flight work can finish
+    /// ([`drain`]).
+    fn stop_submitting(state: &mut Self::State);
+
+    /// Visits the node's committed rows in key order ([`cluster_digest`]).
+    fn visit_rows(state: &Self::State, visit: &mut dyn FnMut(Key, &Value, Version));
 }
 
 impl Engine for Xenic {
@@ -172,6 +181,19 @@ impl Engine for Xenic {
 
     fn set_recorder(state: &mut XenicNode, recorder: HistoryRecorder) {
         state.set_recorder(recorder);
+    }
+
+    fn stop_submitting(state: &mut XenicNode) {
+        state.draining = true;
+    }
+
+    fn visit_rows(state: &XenicNode, visit: &mut dyn FnMut(Key, &Value, Version)) {
+        let mut keys: Vec<Key> = state.host_table.iter_keys().map(|(k, _)| k).collect();
+        keys.sort_unstable();
+        for k in keys {
+            let (v, ver) = state.host_table.get(k).expect("key present");
+            visit(k, v, ver);
+        }
     }
 }
 
@@ -273,13 +295,13 @@ pub fn run_recorded<E: Engine>(
     (result, cluster, recorder)
 }
 
-/// Quiesces a Xenic cluster: every node stops issuing new transactions,
-/// then the event loop runs to `until` so in-flight work — and, under a
-/// fault plan, every retransmission path — finishes. The precondition of
-/// [`crate::audit::full_audit`].
-pub fn drain(cluster: &mut Cluster<Xenic>, until: SimTime) {
+/// Quiesces a cluster: every node stops issuing new transactions, then
+/// the event loop runs to `until` so in-flight work — and, under a fault
+/// plan, every retransmission path — finishes. The precondition of
+/// [`crate::audit::full_audit`] and of the baselines' residue audit.
+pub fn drain<E: Engine>(cluster: &mut Cluster<E>, until: SimTime) {
     for st in &mut cluster.states {
-        st.draining = true;
+        E::stop_submitting(st);
     }
     cluster.run_until(until);
 }
@@ -381,22 +403,18 @@ impl<E: Engine> Driver<E> {
     }
 }
 
-/// FNV digest over every node's host table (sorted keys, value bytes,
-/// versions): the whole-cluster state fingerprint used by the lane
-/// invariance tests and the benchmark. Equal digests mean the stores
-/// ended bit-identical.
-pub fn cluster_digest(cluster: &Cluster<Xenic>) -> u64 {
+/// FNV digest over every node's committed rows (in key order: value
+/// bytes, then version): the whole-cluster state fingerprint used by the
+/// lane invariance tests, the fuzzer and the benchmark. Equal digests
+/// mean the stores ended bit-identical.
+pub fn cluster_digest<E: Engine>(cluster: &Cluster<E>) -> u64 {
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |word: u64| digest = (digest ^ word).wrapping_mul(0x100_0000_01b3);
     for st in &cluster.states {
-        let mut keys: Vec<u64> = st.host_table.iter_keys().map(|(k, _)| k).collect();
-        keys.sort_unstable();
-        for k in keys {
-            let (v, ver) = st.host_table.get(k).expect("key present");
-            for b in v.bytes() {
-                digest = (digest ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
-            }
-            digest = (digest ^ ver).wrapping_mul(0x100_0000_01b3);
-        }
+        E::visit_rows(st, &mut |_, v, ver| {
+            v.bytes().iter().for_each(|b| fold(u64::from(*b)));
+            fold(ver);
+        });
     }
     digest
 }
