@@ -78,8 +78,9 @@ const WORKER_POLL_NS: u64 = 1_500;
 /// Delay before a primary retries a Commit append that found the log
 /// ring full (the host drains it within a few poll periods).
 const COMMIT_RETRY_NS: u64 = 5_000;
-/// Abort retry backoff range in ns (uniform draw).
-const RETRY_BACKOFF_NS: (u64, u64) = (2_000, 12_000);
+/// Abort retry backoff range in ns (uniform draw); the baselines draw
+/// from the same range.
+pub const RETRY_BACKOFF_NS: (u64, u64) = (2_000, 12_000);
 /// Phase timeout (ns): when fault injection is active, a coordinator NIC
 /// that has not heard back from every shard within this window
 /// retransmits the outstanding Execute/Validate/Log requests (Log
@@ -133,9 +134,10 @@ pub(crate) enum Phase {
     LocalRepl,
 }
 
-/// How a coordinator transaction leaves through [`conclude`].
+/// How a coordinator transaction leaves through its one exit (`conclude`,
+/// here and in the baselines).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Verdict {
+pub enum Verdict {
     /// The commit point was reached.
     Commit,
     /// A shard refused, validation failed, or the retry budget ran out.

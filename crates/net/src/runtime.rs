@@ -1007,7 +1007,6 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
         }
         let issued = self.nodes[src].rdma.reserve_tx(t0);
         let tx_done = self.nodes[src].cx5.send_frame(issued, req_bytes);
-        let _ = req_bytes;
         self.push_ev(
             tx_done + self.params.wire_oneway_ns,
             Event::RdmaArrive {
