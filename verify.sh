@@ -63,14 +63,16 @@ fi
 # serial cell of engine x backend x substrate x plan shape on the three
 # synthetic workloads (252), plus the pairwise sample that carries lanes
 # {2,4} and the real workloads with its serial siblings (285 cells in
-# all; ~5 s at --jobs 2). Each must commit, verify serializable, lose no
-# commit and audit clean after its drain; outcomes must not depend on
-# lanes. Then the four checker
+# all; ~5 s at --jobs 2). Each must commit, verify serializable and
+# (Xenic) lose no commit. Every cell, baseline cells included, is then
+# drained, digested and audited for residue (no lock, sentinel or live
+# coordinator context; crash plans report it only); outcomes must not
+# depend on lanes. Then the four checker
 # self-tests: weak-validation, weak-predicates, weak-cxl and weak-quorum
 # must each be rejected with a shrunk, twice-replayed witness. The
 # `product fingerprint <hex>` line folds every cell's (token, committed,
 # aborted, digest, processed): a behaviour-preserving change prints the
-# parent's value.
+# parent's value (7bc1b0a18e919b7b since baseline cells are digested).
 stage cargo run --release -q -p xenic-bench --bin serial_fuzz -- --jobs "$(nproc)"
 
 # Conservation under loss+dup, convergence across a healed partition,
