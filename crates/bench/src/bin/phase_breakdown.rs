@@ -12,7 +12,7 @@
 
 use std::fs;
 use xenic::harness::{build, RunOptions};
-use xenic::{Xenic, XenicConfig};
+use xenic::{NodeStats, Xenic, XenicConfig};
 use xenic_hw::HwParams;
 use xenic_net::{NetConfig, TraceConfig};
 use xenic_sim::{Histogram, SimTime};
@@ -55,12 +55,8 @@ fn main() {
                 _ => {}
             }
         }
-        let mut mh = 0u64;
-        let mut all = 0u64;
-        for st in &cluster.states {
-            mh += st.stats.multihop.get();
-            all += st.stats.committed_all.get();
-        }
+        let total = NodeStats::total(cluster.states.iter().map(|s| &s.stats));
+        let (mh, all) = (total.multihop.get(), total.committed_all.get());
         let f = |h: &Histogram| {
             format!(
                 "{:>6.1} /{:>6.1}",

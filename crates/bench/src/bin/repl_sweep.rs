@@ -26,7 +26,7 @@
 use std::fs;
 use xenic::api::Workload;
 use xenic::harness::{run_recorded, RunOptions};
-use xenic::{ReplBackend, Xenic, XenicConfig};
+use xenic::{NodeStats, ReplBackend, Xenic, XenicConfig};
 use xenic_bench::{args, par_points};
 use xenic_check::{check_history, CheckOptions};
 use xenic_hw::HwParams;
@@ -86,12 +86,9 @@ fn main() {
             mk,
         );
         let retrans = cluster.rt.tracer().instant_total("Retransmit");
-        let elections: u64 = cluster.states.iter().map(|s| s.stats.raft_elections.get()).sum();
-        let invals: u64 = cluster
-            .states
-            .iter()
-            .map(|s| s.stats.hermes_invalidations.get())
-            .sum();
+        let total = NodeStats::total(cluster.states.iter().map(|s| &s.stats));
+        let elections = total.raft_elections.get();
+        let invals = total.hermes_invalidations.get();
         let report = check_history(&recorder.snapshot(), &CheckOptions::strict());
         (r, retrans, elections, invals, report)
     });

@@ -14,7 +14,7 @@ use xenic::api::{make_key, Partitioning, ShipMode, TxnSpec, UpdateOp, Workload};
 use xenic::engine::{Xenic, XenicNode};
 use xenic::msg::XMsg;
 use xenic::recovery::{audit_recovery, recover_shard, ClusterManager};
-use xenic::XenicConfig;
+use xenic::{NodeStats, XenicConfig};
 use xenic_hw::HwParams;
 use xenic_net::{Cluster, Exec, NetConfig};
 use xenic_sim::{DetRng, SimTime};
@@ -85,11 +85,9 @@ fn main() {
     let epoch = cm.evict(FAILED);
     println!("node {FAILED} evicted; configuration epoch -> {epoch}");
 
-    let committed_before: u64 = cluster
-        .states
-        .iter()
-        .map(|s| s.stats.committed_all.get())
-        .sum();
+    let committed_before = NodeStats::total(cluster.states.iter().map(|s| &s.stats))
+        .committed_all
+        .get();
     println!("committed so far: {committed_before}");
 
     // Promote a backup and rebuild the failed shard.

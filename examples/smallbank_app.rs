@@ -13,7 +13,7 @@
 
 use xenic::engine::{Xenic, XenicNode};
 use xenic::harness::{build, drain, RunOptions};
-use xenic::XenicConfig;
+use xenic::{NodeStats, XenicConfig};
 use xenic_hw::HwParams;
 use xenic_net::NetConfig;
 use xenic_sim::SimTime;
@@ -54,12 +54,8 @@ fn main() {
     // so every in-flight commit replicates and applies.
     drain(&mut cluster, SimTime::from_ms(60));
 
-    let committed: u64 = cluster
-        .states
-        .iter()
-        .map(|s| s.stats.committed_all.get())
-        .sum();
-    let aborted: u64 = cluster.states.iter().map(|s| s.stats.aborted.get()).sum();
+    let total = NodeStats::total(cluster.states.iter().map(|s| &s.stats));
+    let (committed, aborted) = (total.committed_all.get(), total.aborted.get());
     let closing = total_balance(&cluster.states);
     println!("committed {committed}, aborted {aborted}");
     println!("closing total balance: {closing}");

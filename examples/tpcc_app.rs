@@ -7,7 +7,7 @@
 //! ```
 
 use xenic::harness::{build, RunOptions};
-use xenic::{Xenic, XenicConfig};
+use xenic::{NodeStats, Xenic, XenicConfig};
 use xenic_hw::HwParams;
 use xenic_net::NetConfig;
 use xenic_sim::SimTime;
@@ -33,26 +33,18 @@ fn main() {
     cluster.run_until(SimTime::from_ms(12));
     let window_s = cluster.rt.now().since(t0) as f64 / 1e9;
 
-    let new_orders: u64 = cluster.states.iter().map(|s| s.stats.committed.events()).sum();
-    let all: u64 = cluster
-        .states
-        .iter()
-        .map(|s| s.stats.committed_all.get())
-        .sum();
-    let aborted: u64 = cluster.states.iter().map(|s| s.stats.aborted.get()).sum();
+    let total = NodeStats::total(cluster.states.iter().map(|s| &s.stats));
+    let (new_orders, all) = (total.committed.events(), total.committed_all.get());
     println!("\ncommitted transactions (all types): {all}");
     println!("  of which new orders:              {new_orders} ({:.0}%)", new_orders as f64 / all as f64 * 100.0);
-    println!("aborted attempts:                   {aborted}");
+    println!("aborted attempts:                   {}", total.aborted.get());
     println!("new orders/s per server:            {:.0}", new_orders as f64 / window_s / 6.0);
-    let mut lat = xenic_sim::Histogram::new();
-    for st in &cluster.states {
-        lat.merge(&st.stats.latency);
-    }
+    let lat = &total.latency;
     println!("new-order latency p50/p99:          {:.1} / {:.1} us", lat.median() as f64 / 1e3, lat.p99() as f64 / 1e3);
 
-    println!("\nmultihop commits: {}", cluster.states.iter().map(|s| s.stats.multihop.get()).sum::<u64>());
-    println!("NIC-executed txns: {}", cluster.states.iter().map(|s| s.stats.nic_executed.get()).sum::<u64>());
-    println!("local fast-path txns: {}", cluster.states.iter().map(|s| s.stats.local_fast_path.get()).sum::<u64>());
+    println!("\nmultihop commits: {}", total.multihop.get());
+    println!("NIC-executed txns: {}", total.nic_executed.get());
+    println!("local fast-path txns: {}", total.local_fast_path.get());
     println!("\n(the ORDER / NEW-ORDER / ORDER-LINE trees are real per-node B+trees");
     println!(" whose measured traversal costs were charged to the host cores)");
 }

@@ -17,7 +17,7 @@ use xenic::audit::{self, full_audit};
 use xenic::engine::{Xenic, XenicNode};
 use xenic::harness::{build, cluster_digest, drain, RunOptions};
 use xenic::recovery::{audit_recovery, recover_shard};
-use xenic::{ReplBackend, XenicConfig};
+use xenic::{NodeStats, ReplBackend, XenicConfig};
 use xenic_bench::fuzz::Counters;
 use xenic_hw::HwParams;
 use xenic_net::{Cluster, FaultPlan, NetConfig};
@@ -218,7 +218,7 @@ fn chaos_runs_are_deterministic() {
         let mut cluster = chaos_cluster(6, seed, plan());
         cluster.run_until(SimTime::from_ms(4));
         drain(&mut cluster, SimTime::from_ms(250));
-        let aborted: u64 = cluster.states.iter().map(|s| s.stats.aborted.get()).sum();
+        let aborted = NodeStats::total(cluster.states.iter().map(|s| &s.stats)).aborted.get();
         (audit::total_committed(&cluster.states), aborted, cluster_digest(&cluster))
     };
     assert_eq!(fingerprint(9), fingerprint(9), "same seed, same universe");
