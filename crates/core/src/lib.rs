@@ -69,11 +69,13 @@
 //! | [`repl`] | §4.2 step 5 | Pluggable NIC-resident replication backends: log shipping, Raft-style, Hermes-style (DESIGN.md §15) |
 //! | [`recovery`] | §4.2.1 | Lease-based membership, primary and coordinator failure recovery |
 //! | [`audit`] | — | Exact whole-cluster correctness checks (conservation, convergence) |
+//! | [`client`] | §5 | The closed-loop client all five systems share: slots, retries, commit/abort accounting, the drain gate |
 //! | [`harness`] | §5 | The one run path for all five systems: [`harness::build`] + [`harness::measure`], generic over [`harness::Engine`] |
 //! | [`stats`] | §5 | Per-node counters and latency histograms |
 
 pub mod api;
 pub mod audit;
+pub mod client;
 pub mod config;
 pub mod engine;
 pub mod harness;

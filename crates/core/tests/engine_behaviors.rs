@@ -486,7 +486,7 @@ fn every_abort_exit_releases_everything_and_reports_once() {
         // transaction, and every attempt got exactly one Outcome.
         xenic::audit::no_locks_held(&cluster.states)
             .unwrap_or_else(|held| panic!("{name}: locks leaked: {held:?}"));
-        let attempts: u64 = cluster.states.iter().map(|s| s.next_seq - 1).sum();
+        let attempts: u64 = cluster.states.iter().map(|s| s.client.attempts()).sum();
         assert_eq!(committed(&cluster) + a, attempts, "{name}: one Outcome per attempt");
         assert!(committed(&cluster) > 0, "{name}: nothing committed");
     }

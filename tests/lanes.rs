@@ -286,7 +286,7 @@ fn draining_to_simtime_max_returns_on_lanes() {
         );
         cluster.run_until(SimTime::from_us(50));
         for st in &mut cluster.states {
-            st.draining = true;
+            st.client.drain();
         }
         let cluster = if lanes > 1 {
             let mut par = ParCluster::from_cluster_assigned(
