@@ -82,12 +82,6 @@ pub struct HwParams {
     // ---- CX5 RDMA NIC (§3.2, §3.4, Fig 2b/3) ----
     /// One-sided READ round-trip time at ≤256 B, ns.
     pub rdma_read_rtt_ns: u64,
-    /// One-sided WRITE round-trip time (to completion ack), ns.
-    pub rdma_write_rtt_ns: u64,
-    /// One-sided ATOMIC (CAS / F&A) round-trip time, ns.
-    pub rdma_atomic_rtt_ns: u64,
-    /// Two-sided SEND/RECV RPC round-trip, excluding handler compute, ns.
-    pub rdma_rpc_rtt_ns: u64,
     /// Requester-side (TX) verb issue cost, ns. Host posting across many
     /// QPs sustains well beyond one thread's doorbell-batched rate; 25 ns
     /// → 40 Mops/s issue ceiling.
@@ -135,9 +129,6 @@ pub struct HwParams {
     pub repl_val_apply_ns: u64,
 
     // ---- Xenic protocol framing (§4.3) ----
-    /// Per-operation header inside an aggregated Xenic frame, bytes
-    /// (txn id, op kind, shard, key hash, flags).
-    pub xenic_op_header_bytes: u32,
     /// Poll-loop aggregation window on a NIC core, ns: outputs accumulated
     /// within one burst iteration share a frame.
     pub nic_poll_burst_ns: u64,
@@ -181,9 +172,6 @@ impl HwParams {
             pcie_gbps: 63.0,
 
             rdma_read_rtt_ns: 2400,
-            rdma_write_rtt_ns: 2400,
-            rdma_atomic_rtt_ns: 2550,
-            rdma_rpc_rtt_ns: 3600,
             rdma_verb_ns: 25,
             rdma_verb_rx_ns: 45,
             rdma_verb_wire_bytes: 120,
@@ -197,7 +185,6 @@ impl HwParams {
             repl_inval_apply_ns: 60,
             repl_val_apply_ns: 40,
 
-            xenic_op_header_bytes: 24,
             nic_poll_burst_ns: 1500,
 
             substrate: Substrate::OnPathLiquidIO,
@@ -507,8 +494,8 @@ mod tests {
 
     #[test]
     fn composed_rtts_are_ordered_like_fig2() {
-        // Fig 2 orderings: RDMA READ/WRITE < host-sourced LiquidIO ops;
-        // two-sided host RPC is the slowest on both NICs.
+        // Fig 2 orderings: an RDMA READ beats a host-sourced LiquidIO NIC
+        // RPC, and an RPC the remote host handles is slower still.
         let p = HwParams::paper_testbed();
         let lio_nic_rpc_from_host = p.host_app_handle_ns
             + 2 * p.pcie_msg_oneway_ns
@@ -516,7 +503,6 @@ mod tests {
             + p.nic_rpc_handle_ns
             + p.host_app_handle_ns;
         assert!(p.rdma_read_rtt_ns < lio_nic_rpc_from_host);
-        assert!(p.rdma_rpc_rtt_ns < lio_nic_rpc_from_host + p.dma_read_latency_ns);
         let lio_host_rpc_from_host = lio_nic_rpc_from_host + 2 * p.pcie_msg_oneway_ns
             - p.nic_rpc_handle_ns
             + 2 * p.nic_rpc_handle_ns
