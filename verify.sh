@@ -61,8 +61,8 @@ fi
 
 # The whole config product under one referee (DESIGN.md §12): every
 # serial cell of engine x backend x substrate x plan shape on the three
-# synthetic workloads (252), plus the pairwise sample that carries lanes
-# {2,4} and the real workloads with its serial siblings (285 cells in
+# synthetic workloads (234), plus the pairwise sample that carries lanes
+# {2,4} and the real workloads with its serial siblings (268 cells in
 # all; ~5 s at --jobs 2). Each must commit, verify serializable and
 # (Xenic) lose no commit. Every cell, baseline cells included, is then
 # drained, digested and audited for residue (no lock, sentinel or live
@@ -71,9 +71,21 @@ fi
 # self-tests: weak-validation, weak-predicates, weak-cxl and weak-quorum
 # must each be rejected with a shrunk, twice-replayed witness. The
 # `product fingerprint <hex>` line folds every cell's (token, committed,
-# aborted, digest, processed): a behaviour-preserving change prints the
-# parent's value (7bc1b0a18e919b7b since baseline cells are digested).
-stage cargo run --release -q -p xenic-bench --bin serial_fuzz -- --jobs "$(nproc)"
+# aborted, digest, processed): the stage fails unless it prints the
+# pinned line below, so a change that moves any cell must re-pin it
+# (and say why in CHANGES.md).
+FUZZ_PIN="product fingerprint 9f55f7b4f569bd56 (268 cells)"
+serial_fuzz_pinned() {
+    local out
+    out=$(cargo run --release -q -p xenic-bench --bin serial_fuzz -- --jobs "$(nproc)") \
+        || { echo "$out"; return 1; }
+    echo "$out"
+    if ! grep -qF "$FUZZ_PIN" <<<"$out"; then
+        echo "serial_fuzz: expected the pinned line '$FUZZ_PIN'"
+        return 1
+    fi
+}
+stage serial_fuzz_pinned
 
 # Conservation under loss+dup, convergence across a healed partition,
 # and crash/restart chained into shard recovery — on the native backend
