@@ -98,6 +98,11 @@ impl Port {
         self.egress.frames
     }
 
+    /// Frames received.
+    pub fn rx_frames(&self) -> u64 {
+        self.ingress.frames
+    }
+
     /// Egress utilization over `[0, now]` (fraction of line rate).
     pub fn tx_utilization(&self, now: SimTime) -> f64 {
         if now.as_ns() == 0 {

@@ -1928,4 +1928,138 @@ mod lane_tests {
         // Aggregation put several of the burst into shared frames.
         assert!(c.rt.ops_per_frame(0) > 1.5, "fill {}", c.rt.ops_per_frame(0));
     }
+
+    /// An egress probe: `Go` issues one egress from the pool it runs on
+    /// (a PCIe send goes to the other pool), `Serve` answers an RDMA
+    /// request, `Done` records the completion time at its node.
+    struct Probe;
+
+    #[derive(Clone, Copy, Debug)]
+    enum Via {
+        Eth,
+        Pcie,
+        DmaRead,
+        DmaWrite,
+        OneSided(Verb),
+        Request,
+        Send,
+    }
+
+    #[derive(Clone, Debug)]
+    enum PMsg {
+        Go(Via, usize),
+        Serve { from: usize },
+        Done,
+    }
+
+    impl Protocol for Probe {
+        type Msg = PMsg;
+        type State = Vec<u64>;
+
+        fn cost(m: &PMsg, _e: Exec, _p: &HwParams) -> u64 {
+            match m {
+                PMsg::Go(..) => 100,
+                _ => 0,
+            }
+        }
+
+        fn handle(done: &mut Vec<u64>, rt: &mut Runtime<PMsg>, me: usize, m: PMsg) {
+            let read = Verb::Read { bytes: 64 };
+            match m {
+                PMsg::Go(Via::Eth, dst) => rt.send_net(dst, Exec::Nic, PMsg::Done, 64),
+                PMsg::Go(Via::Pcie, _) => {
+                    let to = if rt.cur_exec == Exec::Host { Exec::Nic } else { Exec::Host };
+                    rt.send_pcie(to, PMsg::Done, 64)
+                }
+                PMsg::Go(Via::DmaRead, _) => rt.dma_read(64, PMsg::Done),
+                PMsg::Go(Via::DmaWrite, _) => rt.dma_write(64, PMsg::Done),
+                PMsg::Go(Via::OneSided(verb), dst) => {
+                    rt.rdma_one_sided(dst, verb, PMsg::Done, false)
+                }
+                PMsg::Go(Via::Request, dst) => {
+                    rt.rdma_request(dst, read, PMsg::Serve { from: me }, false)
+                }
+                PMsg::Go(Via::Send, dst) => rt.rdma_send(dst, PMsg::Done, 80, false),
+                PMsg::Serve { from } => rt.rdma_response(from, read, PMsg::Done),
+                PMsg::Done => done.push(rt.now().as_ns()),
+            }
+        }
+    }
+
+    /// Exact completion times and frame counts of every egress path, with
+    /// aggregation and async DMA on (`full`) and off (`baseline`). Each
+    /// case seeds a burst of `Go`s on node 0's `exec` pool at t = 0;
+    /// completions are `(node, ns)` and frames are `[LiquidIO frames,
+    /// CX5 frames, PCIe frames (both directions), DMA vectors]` summed
+    /// over the cluster.
+    #[test]
+    fn egress_paths_have_pinned_timing() {
+        use Exec::{Host, Nic};
+        use Via::*;
+        type Done = &'static [(usize, u64)];
+        type Case = (&'static str, bool, Exec, Via, usize, usize, Done, [u64; 4]);
+        let cases: &[Case] = &[
+            ("eth/agg", true, Nic, Eth, 1, 3,
+                &[(1, 842), (1, 842), (1, 842)], [1, 0, 0, 0]),
+            ("eth/solo", false, Nic, Eth, 1, 3,
+                &[(1, 2022), (1, 2033), (1, 2044)], [3, 0, 0, 0]),
+            ("pcie-up/agg", true, Host, Pcie, 0, 3,
+                &[(0, 1089), (0, 1089), (0, 1089)], [0, 0, 1, 0]),
+            ("pcie-up/solo", false, Host, Pcie, 0, 3,
+                &[(0, 1012), (0, 1024), (0, 1036)], [0, 0, 3, 0]),
+            ("pcie-down/agg", true, Nic, Pcie, 0, 3,
+                &[(0, 839), (0, 839), (0, 839)], [0, 0, 1, 0]),
+            ("pcie-down/solo", false, Nic, Pcie, 0, 3,
+                &[(0, 762), (0, 774), (0, 786)], [0, 0, 3, 0]),
+            ("dma-read/async", true, Nic, DmaRead, 0, 3,
+                &[(0, 1835), (0, 1950), (0, 2065)], [0, 0, 0, 1]),
+            ("dma-write/async", true, Nic, DmaWrite, 0, 3,
+                &[(0, 1110), (0, 1225), (0, 1340)], [0, 0, 0, 1]),
+            ("dma-write/full-vector", true, Nic, DmaWrite, 0, 16,
+                &[(0, 1050), (0, 1165), (0, 1280), (0, 1395), (0, 1510), (0, 1625),
+                  (0, 1740), (0, 1855), (0, 1970), (0, 2085), (0, 2200), (0, 2315),
+                  (0, 2430), (0, 2545), (0, 2660), (0, 2669)], [0, 0, 0, 2]),
+            ("dma-read/sync", false, Nic, DmaRead, 0, 3,
+                &[(0, 1585), (0, 1594), (0, 1603)], [0, 0, 0, 3]),
+            ("dma-write/sync", false, Nic, DmaWrite, 0, 3,
+                &[(0, 860), (0, 869), (0, 878)], [0, 0, 0, 3]),
+            ("read", false, Host, OneSided(Verb::Read { bytes: 64 }), 1, 2,
+                &[(0, 2600), (0, 2645)], [0, 4, 0, 0]),
+            ("write", false, Host, OneSided(Verb::Write { bytes: 64 }), 1, 2,
+                &[(0, 2600), (0, 2645)], [0, 4, 0, 0]),
+            ("atomic", false, Host, OneSided(Verb::Atomic), 1, 2,
+                &[(0, 2696), (0, 2741)], [0, 4, 0, 0]),
+            ("request", false, Host, Request, 1, 2,
+                &[(0, 2600), (0, 2645)], [0, 4, 0, 0]),
+            ("request/loopback", false, Host, Request, 0, 2,
+                &[(0, 1395), (0, 1440)], [0, 0, 0, 0]),
+            ("send", false, Host, Send, 1, 2,
+                &[(1, 2364), (1, 2409)], [0, 2, 0, 0]),
+            ("send/loopback", false, Host, Send, 0, 2,
+                &[(0, 220), (0, 220)], [0, 0, 0, 0]),
+        ];
+        for &(name, full, exec, via, dst, burst, want_done, want_frames) in cases {
+            let cfg = if full { NetConfig::full() } else { NetConfig::baseline() };
+            let mut c: Cluster<Probe> =
+                Cluster::new(HwParams::paper_testbed(), cfg, 1, |_| Vec::new());
+            for _ in 0..burst {
+                c.seed(SimTime::ZERO, 0, exec, PMsg::Go(via, dst));
+            }
+            c.run_until(SimTime::from_ms(1));
+            let done: Vec<(usize, u64)> = c
+                .states
+                .iter()
+                .enumerate()
+                .flat_map(|(n, ts)| ts.iter().map(move |&t| (n, t)))
+                .collect();
+            let sum = |f: &dyn Fn(&NodeRes<PMsg>) -> u64| c.rt.nodes.iter().map(f).sum::<u64>();
+            let frames = [
+                sum(&|r| r.lio.tx_frames()),
+                sum(&|r| r.cx5.tx_frames()),
+                sum(&|r| r.pcie.tx_frames() + r.pcie.rx_frames()),
+                sum(&|r| r.dma.vectors_submitted()),
+            ];
+            assert_eq!((done.as_slice(), frames), (want_done, want_frames), "{name}");
+        }
+    }
 }
