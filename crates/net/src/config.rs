@@ -204,11 +204,11 @@ impl FaultPlan {
 /// Communication-layer configuration for a [`crate::Cluster`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Aggregate NIC outputs to the same destination within a poll burst
-    /// into shared Ethernet frames (§4.3.2). Off = one frame per message.
-    pub eth_aggregation: bool,
-    /// Aggregate host↔NIC PCIe messages the same way.
-    pub pcie_aggregation: bool,
+    /// Opportunistic aggregation (§4.3.2): NIC outputs to the same
+    /// destination within a poll burst share Ethernet frames, and
+    /// host↔NIC messages in one direction share a PCIe transfer. Off =
+    /// one frame or transfer per message.
+    pub aggregation: bool,
     /// Accumulate DMA requests into 15-element vectors with completion
     /// callbacks (§4.3.1). Off = one submission per request, and the
     /// issuing core blocks for the completion (synchronous model).
@@ -225,8 +225,7 @@ impl NetConfig {
     /// Everything on — the full Xenic runtime.
     pub fn full() -> Self {
         NetConfig {
-            eth_aggregation: true,
-            pcie_aggregation: true,
+            aggregation: true,
             async_dma: true,
             faults: FaultPlan::none(),
             trace: TraceConfig::disabled(),
@@ -236,8 +235,7 @@ impl NetConfig {
     /// Everything off — the Figure 9 baseline runtime.
     pub fn baseline() -> Self {
         NetConfig {
-            eth_aggregation: false,
-            pcie_aggregation: false,
+            aggregation: false,
             async_dma: false,
             faults: FaultPlan::none(),
             trace: TraceConfig::disabled(),
@@ -279,11 +277,11 @@ mod tests {
     #[test]
     fn presets() {
         let f = NetConfig::full();
-        assert!(f.eth_aggregation && f.pcie_aggregation && f.async_dma);
+        assert!(f.aggregation && f.async_dma);
         let b = NetConfig::baseline();
-        assert!(!b.eth_aggregation && !b.pcie_aggregation && !b.async_dma);
+        assert!(!b.aggregation && !b.async_dma);
         let d = NetConfig::default();
-        assert!(d.eth_aggregation);
+        assert!(d.aggregation);
         assert!(!d.faults.active());
         assert!(!d.trace.active(), "tracing must default off");
         let t = NetConfig::full().with_trace(TraceConfig::full());

@@ -12,9 +12,10 @@
 //! * sends travel one of three lanes — NIC-to-NIC **Ethernet**, intra-node
 //!   **PCIe** messages, or **local** hand-off — each with serialization,
 //!   per-frame overhead, and latency;
-//! * with `eth_aggregation` enabled, outputs to the same destination
-//!   within a poll burst share one frame (§4.3.2 "opportunistic
-//!   batching");
+//! * with `aggregation` enabled, outputs to the same destination within
+//!   a poll burst share one Ethernet frame, and host↔NIC messages in one
+//!   direction share one PCIe transfer (§4.3.2 "opportunistic
+//!   batching"); both flush through one [`Event::Flush`];
 //! * with `async_dma` enabled, DMA requests accumulate into 15-element
 //!   vectors with completion callbacks (§4.3.1 "asynchronous operations");
 //! * the CX5 model composes one-sided verbs and two-sided RPCs for the
@@ -30,5 +31,5 @@ pub mod runtime;
 
 pub use config::{CrashEvent, FaultPlan, LinkFaults, NetConfig, Partition};
 pub use lanes::{LaneAssignment, LaneStats, ParCluster};
-pub use runtime::{Cluster, Event, Exec, Protocol, Runtime};
+pub use runtime::{Chan, Cluster, Event, Exec, Protocol, Runtime};
 pub use xenic_sim::{TraceConfig, Tracer};

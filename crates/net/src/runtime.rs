@@ -73,24 +73,12 @@ pub enum Event<M> {
         /// Pool.
         exec: Exec,
     },
-    /// Flush the Ethernet aggregation buffer for `(node, dst)`.
-    FlushNet {
-        /// Source node.
+    /// Flush one of a node's batched egress channels.
+    Flush {
+        /// Sending node.
         node: usize,
-        /// Destination node.
-        dst: usize,
-    },
-    /// Flush a PCIe message aggregation buffer.
-    FlushPcie {
-        /// Node.
-        node: usize,
-        /// Direction: true = host→NIC.
-        up: bool,
-    },
-    /// Flush the pending DMA vector.
-    FlushDma {
-        /// Node.
-        node: usize,
+        /// The channel.
+        chan: Chan,
     },
     /// An Ethernet frame's first bit reaches a node: reserve ingress
     /// serialization *at arrival time* (reserving from the sender's
@@ -162,9 +150,7 @@ impl<M> Event<M> {
         match self {
             Event::Deliver { node, .. }
             | Event::CoreFree { node, .. }
-            | Event::FlushNet { node, .. }
-            | Event::FlushPcie { node, .. }
-            | Event::FlushDma { node }
+            | Event::Flush { node, .. }
             | Event::Crash { node }
             | Event::Restart { node }
             | Event::GaugeSample { node } => *node,
@@ -201,25 +187,69 @@ pub enum RdmaCont<M> {
     },
 }
 
-/// An Ethernet/PCIe aggregation buffer: messages awaiting a shared frame.
-struct AggBuf<M> {
-    msgs: Vec<(Exec, M, u32)>,
+/// A node's batched egress channel: what an [`Event::Flush`] drains.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Chan {
+    /// LiquidIO Ethernet frames toward this peer node.
+    Eth(usize),
+    /// The PCIe descriptor ring; `true` = host→NIC.
+    Pcie(bool),
+    /// The pending asynchronous DMA vector.
+    Dma,
+}
+
+/// A message on an Ethernet or PCIe channel: destination pool, payload
+/// and its share of frame bytes.
+type Out<M> = (Exec, M, u32);
+
+/// Items awaiting one flush: an aggregation buffer of [`Out`] messages
+/// or the DMA vector. `scheduled` means an [`Event::Flush`] is pending.
+struct AggBuf<T> {
+    items: Vec<T>,
     scheduled: bool,
 }
 
-impl<M> Default for AggBuf<M> {
+impl<T> AggBuf<T> {
+    /// Queues `item`; true when the caller must schedule the flush (the
+    /// first item since the last one).
+    fn push(&mut self, item: T) -> bool {
+        self.items.push(item);
+        !std::mem::replace(&mut self.scheduled, true)
+    }
+
+    /// Takes the pending-flush mark as its flush runs; true if there is
+    /// anything to send.
+    fn take_due(&mut self) -> bool {
+        self.scheduled = false;
+        !self.items.is_empty()
+    }
+
+    /// Drops everything queued and the pending-flush mark.
+    fn clear(&mut self) {
+        self.items.clear();
+        self.scheduled = false;
+    }
+}
+
+impl<T> Default for AggBuf<T> {
     fn default() -> Self {
         AggBuf {
-            msgs: Vec::new(),
+            items: Vec::new(),
             scheduled: false,
         }
     }
 }
 
+/// A core pool and its run queue.
+struct Pool<M> {
+    cores: CorePool,
+    inbox: VecDeque<M>,
+}
+
 /// Per-node hardware resources and queues.
 pub(crate) struct NodeRes<M> {
-    host: CorePool,
-    nic: CorePool,
+    /// Host and NIC pools, indexed by [`Exec`] (see [`NodeRes::pool`]).
+    pools: [Pool<M>; 2],
     /// LiquidIO Ethernet port (Xenic traffic).
     lio: Port,
     /// CX5 Ethernet port (baseline RDMA traffic).
@@ -228,13 +258,9 @@ pub(crate) struct NodeRes<M> {
     pcie: Port,
     dma: DmaEngine,
     rdma: RdmaNic,
-    inbox_host: VecDeque<M>,
-    inbox_nic: VecDeque<M>,
-    agg_net: Vec<AggBuf<M>>,
-    agg_pcie_up: AggBuf<M>,
-    agg_pcie_down: AggBuf<M>,
-    dma_pending: Vec<(DmaOp, M)>,
-    dma_scheduled: bool,
+    /// Ethernet and PCIe aggregation buffers, indexed by [`Chan::slot`].
+    agg: Vec<AggBuf<Out<M>>>,
+    dma_vec: AggBuf<(DmaOp, M)>,
     dma_rr: usize,
     /// Protocol messages sent over the LiquidIO fabric (for batching
     /// observability: messages / frames = mean aggregation factor).
@@ -243,6 +269,30 @@ pub(crate) struct NodeRes<M> {
     net_msgs_dropped: u64,
     /// Messages the fault layer delivered twice.
     net_msgs_duped: u64,
+}
+
+impl<M> NodeRes<M> {
+    /// The pool that runs `exec` messages.
+    fn pool(&self, exec: Exec) -> &Pool<M> {
+        &self.pools[exec as usize]
+    }
+
+    /// The pool that runs `exec` messages, mutably.
+    fn pool_mut(&mut self, exec: Exec) -> &mut Pool<M> {
+        &mut self.pools[exec as usize]
+    }
+}
+
+impl Chan {
+    /// This channel's index in [`NodeRes::agg`]: the two PCIe directions,
+    /// then one Ethernet buffer per peer.
+    fn slot(self) -> usize {
+        match self {
+            Chan::Pcie(up) => usize::from(up),
+            Chan::Eth(dst) => 2 + dst,
+            Chan::Dma => unreachable!("the DMA vector is not a message buffer"),
+        }
+    }
 }
 
 /// PCIe TLP-ish per-message overhead bytes on the descriptor-ring path.
@@ -315,9 +365,8 @@ pub struct Runtime<M> {
     // Reusable hot-path scratch: the transmit/flush paths drain borrowed
     // vectors instead of allocating per flush, and arrived frames recycle
     // their buffers through `frame_pool` (bounded by FRAME_POOL_MAX).
-    net_scratch: Vec<(Exec, M, u32)>,
-    pcie_scratch: Vec<(Exec, M, u32)>,
-    fault_scratch: Vec<(Exec, M, u32)>,
+    out_scratch: Vec<Out<M>>,
+    fault_scratch: Vec<Out<M>>,
     frame_pool: Vec<Vec<(Exec, M)>>,
     dma_batch_scratch: Vec<(DmaOp, M)>,
     dma_ops_scratch: Vec<DmaOp>,
@@ -351,8 +400,7 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             cur_core: 0,
             cur_end: SimTime::ZERO,
             in_handler: false,
-            net_scratch: Vec::new(),
-            pcie_scratch: Vec::new(),
+            out_scratch: Vec::new(),
             fault_scratch: Vec::new(),
             frame_pool: Vec::new(),
             dma_batch_scratch: Vec::new(),
@@ -399,21 +447,22 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
     /// aggregation fan-out: the cluster size for live nodes, 0 for the
     /// cheap placeholders a lane runtime holds for nodes it does not own.
     pub(crate) fn mk_node(params: &HwParams, agg_fanout: usize) -> NodeRes<M> {
+        let pool = |class, cores| Pool {
+            cores: CorePool::new(class, cores),
+            inbox: VecDeque::new(),
+        };
         NodeRes {
-            host: CorePool::new(CoreClass::Host, params.host_threads),
-            nic: CorePool::new(CoreClass::Nic, params.nic_cores),
+            pools: [
+                pool(CoreClass::Host, params.host_threads),
+                pool(CoreClass::Nic, params.nic_cores),
+            ],
             lio: Port::new(params),
             cx5: Port::with(params.net_gbps, 0),
             pcie: Port::with(params.pcie_gbps, PCIE_MSG_OVERHEAD),
             dma: DmaEngine::new(params),
             rdma: RdmaNic::new(params),
-            inbox_host: VecDeque::new(),
-            inbox_nic: VecDeque::new(),
-            agg_net: (0..agg_fanout).map(|_| AggBuf::default()).collect(),
-            agg_pcie_up: AggBuf::default(),
-            agg_pcie_down: AggBuf::default(),
-            dma_pending: Vec::new(),
-            dma_scheduled: false,
+            agg: (0..Chan::Eth(agg_fanout).slot()).map(|_| AggBuf::default()).collect(),
+            dma_vec: AggBuf::default(),
             dma_rr: 0,
             net_msgs_sent: 0,
             net_msgs_dropped: 0,
@@ -502,11 +551,8 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
         if !self.in_handler {
             return;
         }
-        let pool = match self.cur_exec {
-            Exec::Host => &mut self.nodes[self.cur_node].host,
-            Exec::Nic => &mut self.nodes[self.cur_node].nic,
-        };
-        self.cur_end = pool.extend(self.cur_core, ns);
+        let pool = self.nodes[self.cur_node].pool_mut(self.cur_exec);
+        self.cur_end = pool.cores.extend(self.cur_core, ns);
     }
 
     /// Schedules `msg` for `node`/`exec` at an absolute time (harness
@@ -527,46 +573,74 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
     /// data). With aggregation enabled, messages to the same destination
     /// within the poll window share frame overhead.
     pub fn send_net(&mut self, dst: usize, exec: Exec, msg: M, wire_bytes: u32) {
-        let src = self.cur_node;
-        if dst == src {
+        if dst == self.cur_node {
             self.send_local(exec, msg, LOCAL_HOP_NS);
             return;
         }
+        self.egress(Chan::Eth(dst), (exec, msg, wire_bytes));
+    }
+
+    /// Sends a message across PCIe between this node's host and NIC. The
+    /// direction is inferred from the executing pool: host handlers send
+    /// up to the NIC, NIC handlers send down to the host.
+    pub fn send_pcie(&mut self, exec: Exec, msg: M, wire_bytes: u32) {
+        let up = self.cur_exec == Exec::Host;
+        self.egress(Chan::Pcie(up), (exec, msg, wire_bytes));
+    }
+
+    /// The one enqueue of the Ethernet and PCIe channels. With
+    /// aggregation the message joins the channel's buffer, and the first
+    /// one since the last flush schedules the next: almost immediately
+    /// when the port is idle, behind the serializer when it is busy
+    /// (opportunistic batching). Without, it goes out on its own.
+    fn egress(&mut self, chan: Chan, out: Out<M>) {
+        let node = self.cur_node;
         let t0 = self.departure();
-        if self.cfg.eth_aggregation {
-            let port_free = self.nodes[src].lio.egress_free_at();
-            let buf = &mut self.nodes[src].agg_net[dst];
-            buf.msgs.push((exec, msg, wire_bytes));
-            if !buf.scheduled {
-                buf.scheduled = true;
-                // Opportunistic: flush almost immediately when the port is
-                // idle; coalesce behind the serializer when it is busy.
+        if self.cfg.aggregation {
+            let res = &mut self.nodes[node];
+            let port_free = match chan {
+                Chan::Eth(_) => res.lio.egress_free_at(),
+                _ => res.pcie.egress_free_at(),
+            };
+            if res.agg[chan.slot()].push(out) {
                 let at = (t0 + AGG_SYNC_NS).max(port_free);
-                self.push_ev(at, Event::FlushNet { node: src, dst });
+                self.push_ev(at, Event::Flush { node, chan });
             }
         } else {
-            let mut one = std::mem::take(&mut self.net_scratch);
-            one.push((exec, msg, wire_bytes));
-            self.transmit_net(t0, src, dst, &mut one);
-            one.clear();
-            self.net_scratch = one;
+            let mut one = std::mem::take(&mut self.out_scratch);
+            one.push(out);
+            self.transmit(t0, node, chan, &mut one);
+            self.out_scratch = one;
         }
     }
 
-    /// Flushes the (src, dst) Ethernet aggregation buffer.
-    pub(crate) fn flush_net(&mut self, src: usize, dst: usize) {
-        let buf = &mut self.nodes[src].agg_net[dst];
-        buf.scheduled = false;
-        if buf.msgs.is_empty() {
+    /// Flushes one of `node`'s batched channels (the [`Event::Flush`]
+    /// handler).
+    pub(crate) fn flush(&mut self, node: usize, chan: Chan) {
+        if chan == Chan::Dma {
+            self.flush_dma(node);
+            return;
+        }
+        let buf = &mut self.nodes[node].agg[chan.slot()];
+        if !buf.take_due() {
             return;
         }
         // Hand the buffer a recycled vector and transmit from the full
         // one; the drained vector becomes the next recycled scratch.
-        let mut msgs = std::mem::replace(&mut buf.msgs, std::mem::take(&mut self.net_scratch));
+        let mut msgs = std::mem::replace(&mut buf.items, std::mem::take(&mut self.out_scratch));
         let t = self.now();
-        self.transmit_net(t, src, dst, &mut msgs);
-        msgs.clear();
-        self.net_scratch = msgs;
+        self.transmit(t, node, chan, &mut msgs);
+        self.out_scratch = msgs;
+    }
+
+    /// Transmits (and drains) `msgs` from `node` on an Ethernet or PCIe
+    /// channel, departing no earlier than `t0`.
+    fn transmit(&mut self, t0: SimTime, node: usize, chan: Chan, msgs: &mut Vec<Out<M>>) {
+        match chan {
+            Chan::Eth(dst) => self.transmit_net(t0, node, dst, msgs),
+            Chan::Pcie(up) => self.transmit_pcie(t0, node, up, msgs),
+            Chan::Dma => unreachable!("the DMA vector is flushed by flush_dma"),
+        }
     }
 
     /// Serializes messages into MTU-bounded frames and delivers them.
@@ -577,7 +651,7 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
     /// sending node's fault RNG stream. The PCIe, DMA, RDMA, and local lanes
     /// stay reliable — the model is lossy datacenter Ethernet under a
     /// crash-stop node fault model, not arbitrary hardware corruption.
-    fn transmit_net(&mut self, t0: SimTime, src: usize, dst: usize, msgs: &mut Vec<(Exec, M, u32)>) {
+    fn transmit_net(&mut self, t0: SimTime, src: usize, dst: usize, msgs: &mut Vec<Out<M>>) {
         let mut jitter_max = 0u64;
         if self.faults_active {
             if self.crashed[src] {
@@ -663,54 +737,7 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
         );
     }
 
-    /// Sends a message across PCIe between this node's host and NIC. The
-    /// direction is inferred from the executing pool: host handlers send
-    /// up to the NIC, NIC handlers send down to the host.
-    pub fn send_pcie(&mut self, exec: Exec, msg: M, wire_bytes: u32) {
-        let node = self.cur_node;
-        let up = self.cur_exec == Exec::Host;
-        let t0 = self.departure();
-        if self.cfg.pcie_aggregation {
-            let port_free = self.nodes[node].pcie.egress_free_at();
-            let buf = if up {
-                &mut self.nodes[node].agg_pcie_up
-            } else {
-                &mut self.nodes[node].agg_pcie_down
-            };
-            buf.msgs.push((exec, msg, wire_bytes));
-            if !buf.scheduled {
-                buf.scheduled = true;
-                let at = (t0 + AGG_SYNC_NS).max(port_free);
-                self.push_ev(at, Event::FlushPcie { node, up });
-            }
-        } else {
-            let mut one = std::mem::take(&mut self.pcie_scratch);
-            one.push((exec, msg, wire_bytes));
-            self.transmit_pcie(t0, node, up, &mut one);
-            one.clear();
-            self.pcie_scratch = one;
-        }
-    }
-
-    /// Flushes a PCIe aggregation buffer.
-    pub(crate) fn flush_pcie(&mut self, node: usize, up: bool) {
-        let buf = if up {
-            &mut self.nodes[node].agg_pcie_up
-        } else {
-            &mut self.nodes[node].agg_pcie_down
-        };
-        buf.scheduled = false;
-        if buf.msgs.is_empty() {
-            return;
-        }
-        let mut msgs = std::mem::replace(&mut buf.msgs, std::mem::take(&mut self.pcie_scratch));
-        let t = self.now();
-        self.transmit_pcie(t, node, up, &mut msgs);
-        msgs.clear();
-        self.pcie_scratch = msgs;
-    }
-
-    fn transmit_pcie(&mut self, t0: SimTime, node: usize, up: bool, msgs: &mut Vec<(Exec, M, u32)>) {
+    fn transmit_pcie(&mut self, t0: SimTime, node: usize, up: bool, msgs: &mut Vec<Out<M>>) {
         let total: u64 = msgs.iter().map(|(_, _, b)| u64::from(*b)).sum();
         let done = if up {
             self.nodes[node].pcie.send_frame(t0, total)
@@ -757,20 +784,16 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
     fn dma_op(&mut self, op: DmaOp, done: M) {
         let node = self.cur_node;
         if self.cfg.async_dma {
-            self.nodes[node].dma_pending.push((op, done));
-            let full = self.nodes[node].dma_pending.len() >= self.params.dma_max_vector;
-            if full {
+            let res = &mut self.nodes[node];
+            let first = res.dma_vec.push((op, done));
+            if res.dma_vec.items.len() >= self.params.dma_max_vector {
                 self.flush_dma(node);
-            } else if !self.nodes[node].dma_scheduled {
-                self.nodes[node].dma_scheduled = true;
+            } else if first {
                 // Submit almost immediately when the engine is idle;
                 // accumulate bigger vectors behind a busy queue.
-                let queue_free = {
-                    let res = &self.nodes[node];
-                    res.dma.queue_free_at(res.dma_rr)
-                };
+                let queue_free = res.dma.queue_free_at(res.dma_rr);
                 let t = (self.departure() + DMA_WINDOW_NS).max(queue_free);
-                self.push_ev(t, Event::FlushDma { node });
+                self.push_ev(t, Event::Flush { node, chan: Chan::Dma });
             }
         } else {
             // Synchronous model (Figure 9 baseline): submit immediately
@@ -798,24 +821,23 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
 
     /// Flushes the pending DMA vector: one core submission, vectored
     /// elements, per-element completion callbacks (§4.3.1).
-    pub(crate) fn flush_dma(&mut self, node: usize) {
-        self.nodes[node].dma_scheduled = false;
-        if self.nodes[node].dma_pending.is_empty() {
+    fn flush_dma(&mut self, node: usize) {
+        if !self.nodes[node].dma_vec.take_due() {
             return;
         }
         let now = self.now().max(self.departure());
         let max_vec = self.params.dma_max_vector;
         let mut batch = std::mem::take(&mut self.dma_batch_scratch);
         let mut ops = std::mem::take(&mut self.dma_ops_scratch);
-        while !self.nodes[node].dma_pending.is_empty() {
-            let take = self.nodes[node].dma_pending.len().min(max_vec);
-            batch.extend(self.nodes[node].dma_pending.drain(..take));
-            ops.extend(batch.iter().map(|(op, _)| *op));
+        while !self.nodes[node].dma_vec.items.is_empty() {
             let res = &mut self.nodes[node];
+            let take = res.dma_vec.items.len().min(max_vec);
+            batch.extend(res.dma_vec.items.drain(..take));
+            ops.extend(batch.iter().map(|(op, _)| *op));
             let queue_id = res.dma_rr;
             res.dma_rr = (res.dma_rr + 1) % self.params.dma_queues;
             // The submitting NIC core pays the (amortized) submission cost.
-            let (_, _, submit_end) = res.nic.reserve(now, self.params.dma_submit_ns);
+            let (_, _, submit_end) = res.pool_mut(Exec::Nic).cores.reserve(now, self.params.dma_submit_ns);
             let completion = res.dma.submit(submit_end, queue_id, &ops);
             for ((_, done), at) in batch.drain(..).zip(completion.element_done) {
                 self.push_ev(
@@ -847,8 +869,8 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             let rx_done = self.nodes[dst].lio.recv_frame(now, payload_bytes);
             // Substrate-resolved (DESIGN.md §17): off-path hardware RX
             // steering undercuts the LiquidIO's software poll loop.
-            let rx_cpu = self.params.rx_frame_cpu_ns(self.cfg.eth_aggregation);
-            let (_, _, frame_ready) = self.nodes[dst].nic.reserve(rx_done, rx_cpu);
+            let rx_cpu = self.params.rx_frame_cpu_ns(self.cfg.aggregation);
+            let (_, _, frame_ready) = self.nodes[dst].pool_mut(Exec::Nic).cores.reserve(rx_done, rx_cpu);
             for (exec, msg) in msgs.drain(..) {
                 self.push_ev(
                     frame_ready,
@@ -861,53 +883,35 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
         }
     }
 
+    /// Frame bytes of a verb packet carrying `payload`: half the verb's
+    /// wire overhead rides each direction.
+    fn verb_wire_bytes(&self, payload: u32) -> u64 {
+        u64::from(self.params.rdma_verb_wire_bytes) / 2 + u64::from(payload)
+    }
+
     /// Processes an RDMA request arrival at the responder NIC.
-    pub(crate) fn rdma_arrive(&mut self, dst: usize, verb: Verb, cont: RdmaCont<M>) {
-        let now = self.now();
-        let half_overhead = u64::from(self.params.rdma_verb_wire_bytes) / 2;
-        let req_bytes = half_overhead + u64::from(verb.request_payload());
+    pub(crate) fn rdma_arrive(&mut self, dst: usize, verb: Verb, cont: Box<RdmaCont<M>>) {
+        let (now, req_bytes) = (self.now(), self.verb_wire_bytes(verb.request_payload()));
         let rx_done = self.nodes[dst].cx5.recv_frame(now, req_bytes);
-        match cont {
-            RdmaCont::OneSided { requester, done } => {
-                let served = self.nodes[dst].rdma.reserve_rx(rx_done)
-                    + self.nodes[dst].rdma.responder_fixed_ns(verb);
-                self.push_ev(
-                    served,
-                    Event::RdmaServed {
-                        dst,
-                        verb,
-                        cont: Box::new(RdmaCont::OneSided { requester, done }),
-                    },
-                );
+        let rdma = &mut self.nodes[dst].rdma;
+        let (at, ev) = match *cont {
+            RdmaCont::OneSided { .. } => {
+                let served = rdma.reserve_rx(rx_done) + rdma.responder_fixed_ns(verb);
+                (served, Event::RdmaServed { dst, verb, cont })
             }
             RdmaCont::Request { msg } => {
-                let served = self.nodes[dst].rdma.reserve_rx(rx_done)
-                    + self.nodes[dst].rdma.responder_fixed_ns(verb);
-                self.push_ev(
-                    served,
-                    Event::Deliver {
-                        node: dst,
-                        exec: Exec::Nic,
-                        msg,
-                    },
-                );
+                let served = rdma.reserve_rx(rx_done) + rdma.responder_fixed_ns(verb);
+                (served, Event::Deliver { node: dst, exec: Exec::Nic, msg })
             }
             RdmaCont::Send { msg } => {
                 // Two-sided: the remote host's RPC stack (burst polling,
                 // buffer handling, dispatch) adds latency beyond the
                 // handler compute charged at delivery.
-                let nic_done = self.nodes[dst].rdma.reserve_rx(rx_done)
-                    + self.params.host_rpc_extra_ns;
-                self.push_ev(
-                    nic_done.max(rx_done),
-                    Event::Deliver {
-                        node: dst,
-                        exec: Exec::Host,
-                        msg,
-                    },
-                );
+                let nic_done = rdma.reserve_rx(rx_done) + self.params.host_rpc_extra_ns;
+                (nic_done.max(rx_done), Event::Deliver { node: dst, exec: Exec::Host, msg })
             }
-        }
+        };
+        self.push_ev(at, ev);
     }
 
     /// Responder NIC finished a one-sided verb: emit the response frame.
@@ -916,24 +920,27 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             return;
         };
         let now = self.now();
-        let half_overhead = u64::from(self.params.rdma_verb_wire_bytes) / 2;
-        let resp_bytes = half_overhead + u64::from(verb.response_payload());
-        let resp_tx = self.nodes[dst].cx5.send_frame(now, resp_bytes);
+        self.rdma_respond(dst, now, requester, verb, done);
+    }
+
+    /// Emits `verb`'s response frame from `from`'s CX5 no earlier than
+    /// `t0`; it reaches `requester` one wire hop after serialization.
+    fn rdma_respond(&mut self, from: usize, t0: SimTime, requester: usize, verb: Verb, msg: M) {
+        let resp_bytes = self.verb_wire_bytes(verb.response_payload());
+        let tx_done = self.nodes[from].cx5.send_frame(t0, resp_bytes);
         self.push_ev(
-            resp_tx + self.params.wire_oneway_ns,
+            tx_done + self.params.wire_oneway_ns,
             Event::RdmaReturn {
                 to: requester,
                 verb,
-                msg: done,
+                msg,
             },
         );
     }
 
     /// A response packet reaches the requester: ingress, then completion.
     pub(crate) fn rdma_return(&mut self, to: usize, verb: Verb, msg: M) {
-        let now = self.now();
-        let half_overhead = u64::from(self.params.rdma_verb_wire_bytes) / 2;
-        let resp_bytes = half_overhead + u64::from(verb.response_payload());
+        let (now, resp_bytes) = (self.now(), self.verb_wire_bytes(verb.response_payload()));
         let done_at = self.nodes[to].cx5.recv_frame(now, resp_bytes);
         self.push_ev(
             done_at,
@@ -941,6 +948,42 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
                 node: to,
                 exec: Exec::Host,
                 msg,
+            },
+        );
+    }
+
+    /// The requester side of every verb: the host's doorbell post cost,
+    /// then the CX5 TX pipeline, egress serialization and the wire to
+    /// `dst`. A loopback request keeps the NIC pipeline but skips the
+    /// wire, and a loopback SEND is a local hand-off; a loopback
+    /// one-sided verb takes the wire like any other.
+    fn rdma_post(&mut self, dst: usize, verb: Verb, cont: RdmaCont<M>, doorbell_batched: bool) {
+        let src = self.cur_node;
+        let post = self.nodes[src].rdma.post_cost_ns(doorbell_batched);
+        self.charge(post);
+        let t0 = self.departure();
+        let cont = match cont {
+            RdmaCont::Request { msg } if dst == src => {
+                let rdma = &mut self.nodes[src].rdma;
+                let served = rdma.reserve_rx(t0) + rdma.responder_fixed_ns(verb);
+                self.push_ev(served, Event::Deliver { node: dst, exec: Exec::Nic, msg });
+                return;
+            }
+            RdmaCont::Send { msg } if dst == src => {
+                self.send_local(Exec::Host, msg, LOCAL_HOP_NS);
+                return;
+            }
+            cont => cont,
+        };
+        let req_bytes = self.verb_wire_bytes(verb.request_payload());
+        let issued = self.nodes[src].rdma.reserve_tx(t0);
+        let tx_done = self.nodes[src].cx5.send_frame(issued, req_bytes);
+        self.push_ev(
+            tx_done + self.params.wire_oneway_ns,
+            Event::RdmaArrive {
+                dst,
+                verb,
+                cont: Box::new(cont),
             },
         );
     }
@@ -953,25 +996,8 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
     /// responder's host CPU is never involved — the whole point of
     /// one-sided RDMA (§2.1).
     pub fn rdma_one_sided(&mut self, dst: usize, verb: Verb, done: M, doorbell_batched: bool) {
-        let src = self.cur_node;
-        let post = self.nodes[src].rdma.post_cost_ns(doorbell_batched);
-        self.charge(post);
-        let t0 = self.departure();
-        let half_overhead = u64::from(self.params.rdma_verb_wire_bytes) / 2;
-        let req_bytes = half_overhead + u64::from(verb.request_payload());
-        let issued = self.nodes[src].rdma.reserve_tx(t0);
-        let tx_done = self.nodes[src].cx5.send_frame(issued, req_bytes);
-        self.push_ev(
-            tx_done + self.params.wire_oneway_ns,
-            Event::RdmaArrive {
-                dst,
-                verb,
-                cont: Box::new(RdmaCont::OneSided {
-                    requester: src,
-                    done,
-                }),
-            },
-        );
+        let requester = self.cur_node;
+        self.rdma_post(dst, verb, RdmaCont::OneSided { requester, done }, doorbell_batched);
     }
 
     /// Issues a one-sided verb whose *responder-side memory operation*
@@ -985,36 +1011,7 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
     /// All pipeline, wire, and host-DRAM costs are identical to
     /// [`Runtime::rdma_one_sided`]; only the completion routing differs.
     pub fn rdma_request(&mut self, dst: usize, verb: Verb, req: M, doorbell_batched: bool) {
-        let src = self.cur_node;
-        let post = self.nodes[src].rdma.post_cost_ns(doorbell_batched);
-        self.charge(post);
-        let t0 = self.departure();
-        let half_overhead = u64::from(self.params.rdma_verb_wire_bytes) / 2;
-        let req_bytes = half_overhead + u64::from(verb.request_payload());
-        if dst == src {
-            // Loopback verb: skip the wire but keep the NIC pipeline.
-            let served = self.nodes[src].rdma.reserve_rx(t0)
-                + self.nodes[src].rdma.responder_fixed_ns(verb);
-            self.push_ev(
-                served,
-                Event::Deliver {
-                    node: dst,
-                    exec: Exec::Nic,
-                    msg: req,
-                },
-            );
-            return;
-        }
-        let issued = self.nodes[src].rdma.reserve_tx(t0);
-        let tx_done = self.nodes[src].cx5.send_frame(issued, req_bytes);
-        self.push_ev(
-            tx_done + self.params.wire_oneway_ns,
-            Event::RdmaArrive {
-                dst,
-                verb,
-                cont: Box::new(RdmaCont::Request { msg: req }),
-            },
-        );
+        self.rdma_post(dst, verb, RdmaCont::Request { msg: req }, doorbell_batched);
     }
 
     /// Sends a one-sided verb's response back to the requester (see
@@ -1022,8 +1019,6 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
     /// delivered to the requester's **host** pool (its completion queue).
     pub fn rdma_response(&mut self, requester: usize, verb: Verb, resp: M) {
         let me = self.cur_node;
-        let half_overhead = u64::from(self.params.rdma_verb_wire_bytes) / 2;
-        let resp_bytes = half_overhead + u64::from(verb.response_payload());
         let t0 = self.departure();
         if requester == me {
             self.push_ev(
@@ -1036,43 +1031,17 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             );
             return;
         }
-        let tx_done = self.nodes[me].cx5.send_frame(t0, resp_bytes);
-        self.push_ev(
-            tx_done + self.params.wire_oneway_ns,
-            Event::RdmaReturn {
-                to: requester,
-                verb,
-                msg: resp,
-            },
-        );
+        self.rdma_respond(me, t0, requester, verb, resp);
     }
 
     /// Sends a two-sided RDMA message (SEND/RECV RPC transport) to `dst`,
     /// delivered to its **host** pool — the remote CPU must poll and
     /// handle it, unlike one-sided verbs.
     pub fn rdma_send(&mut self, dst: usize, msg: M, payload_bytes: u32, doorbell_batched: bool) {
-        let src = self.cur_node;
-        let post = self.nodes[src].rdma.post_cost_ns(doorbell_batched);
-        self.charge(post);
-        let t0 = self.departure();
-        let half_overhead = u64::from(self.params.rdma_verb_wire_bytes) / 2;
-        let bytes = half_overhead + u64::from(payload_bytes);
-        if dst == src {
-            self.send_local(Exec::Host, msg, LOCAL_HOP_NS);
-            return;
-        }
-        let issued = self.nodes[src].rdma.reserve_tx(t0);
-        let tx_done = self.nodes[src].cx5.send_frame(issued, bytes);
-        self.push_ev(
-            tx_done + self.params.wire_oneway_ns,
-            Event::RdmaArrive {
-                dst,
-                verb: Verb::Send {
-                    bytes: payload_bytes,
-                },
-                cont: Box::new(RdmaCont::Send { msg }),
-            },
-        );
+        let verb = Verb::Send {
+            bytes: payload_bytes,
+        };
+        self.rdma_post(dst, verb, RdmaCont::Send { msg }, doorbell_batched);
     }
 
     // ---- Fault-plan machinery ----
@@ -1084,18 +1053,13 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
     pub(crate) fn crash_node(&mut self, node: usize) {
         self.crashed[node] = true;
         let res = &mut self.nodes[node];
-        res.inbox_host.clear();
-        res.inbox_nic.clear();
-        for buf in &mut res.agg_net {
-            buf.msgs.clear();
-            buf.scheduled = false;
+        for pool in &mut res.pools {
+            pool.inbox.clear();
         }
-        res.agg_pcie_up.msgs.clear();
-        res.agg_pcie_up.scheduled = false;
-        res.agg_pcie_down.msgs.clear();
-        res.agg_pcie_down.scheduled = false;
-        res.dma_pending.clear();
-        res.dma_scheduled = false;
+        for buf in &mut res.agg {
+            buf.clear();
+        }
+        res.dma_vec.clear();
     }
 
     /// Brings a crashed node back; the caller (the cluster loop) then
@@ -1121,18 +1085,12 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
 
     /// Cumulative busy nanoseconds of a node's pool.
     pub fn pool_busy_ns(&self, node: usize, exec: Exec) -> u64 {
-        match exec {
-            Exec::Host => self.nodes[node].host.total_busy_ns(),
-            Exec::Nic => self.nodes[node].nic.total_busy_ns(),
-        }
+        self.nodes[node].pool(exec).cores.total_busy_ns()
     }
 
     /// Equivalent fully-busy cores of a pool over `[0, now]`.
     pub fn busy_cores(&self, node: usize, exec: Exec) -> f64 {
-        match exec {
-            Exec::Host => self.nodes[node].host.busy_cores(self.now()),
-            Exec::Nic => self.nodes[node].nic.busy_cores(self.now()),
-        }
+        self.nodes[node].pool(exec).cores.busy_cores(self.now())
     }
 
     /// Total bytes the node's LiquidIO port has transmitted.
@@ -1248,22 +1206,16 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
         // Backlog queued at a port's egress serializer, expressed in
         // bytes: remaining busy time × line rate.
         let backlog = |port: &Port| port.egress_free_at().since(now) as f64 * port.gbps() / 8.0;
+        let (host, nic) = (res.pool(Exec::Host), res.pool(Exec::Nic));
+        let busy_frac = |cores: &CorePool| cores.busy_at(now) as f64 / cores.len() as f64;
         let samples = [
-            (Component::HostPool, "runq", res.inbox_host.len() as f64),
-            (
-                Component::HostPool,
-                "busy_frac",
-                res.host.busy_at(now) as f64 / res.host.len() as f64,
-            ),
-            (Component::NicPool, "runq", res.inbox_nic.len() as f64),
-            (
-                Component::NicPool,
-                "busy_frac",
-                res.nic.busy_at(now) as f64 / res.nic.len() as f64,
-            ),
+            (Component::HostPool, "runq", host.inbox.len() as f64),
+            (Component::HostPool, "busy_frac", busy_frac(&host.cores)),
+            (Component::NicPool, "runq", nic.inbox.len() as f64),
+            (Component::NicPool, "busy_frac", busy_frac(&nic.cores)),
             (Component::Dma, "busy_queues", res.dma.busy_queues(now) as f64),
             (Component::Dma, "vector_fill", res.dma.mean_vector_fill()),
-            (Component::Dma, "pending_elems", res.dma_pending.len() as f64),
+            (Component::Dma, "pending_elems", res.dma_vec.items.len() as f64),
             (Component::LioPort, "inflight_bytes", backlog(&res.lio)),
             (Component::Cx5Port, "inflight_bytes", backlog(&res.cx5)),
             (Component::PciePort, "inflight_bytes", backlog(&res.pcie)),
@@ -1344,16 +1296,11 @@ pub(crate) fn dispatch_event<P: Protocol>(
             if rt.crashed[node] {
                 return;
             }
-            match exec {
-                Exec::Host => rt.nodes[node].inbox_host.push_back(msg),
-                Exec::Nic => rt.nodes[node].inbox_nic.push_back(msg),
-            }
+            rt.nodes[node].pool_mut(exec).inbox.push_back(msg);
             service_node::<P>(states, base, rt, node, exec);
         }
         Event::CoreFree { node, exec } => service_node::<P>(states, base, rt, node, exec),
-        Event::FlushNet { node, dst } => rt.flush_net(node, dst),
-        Event::FlushPcie { node, up } => rt.flush_pcie(node, up),
-        Event::FlushDma { node } => rt.flush_dma(node),
+        Event::Flush { node, chan } => rt.flush(node, chan),
         Event::NetArrive {
             dst,
             payload_bytes,
@@ -1361,7 +1308,7 @@ pub(crate) fn dispatch_event<P: Protocol>(
         } => rt.net_arrive(dst, payload_bytes, msgs),
         Event::RdmaArrive { dst, verb, cont } => {
             if !rt.crashed[dst] {
-                rt.rdma_arrive(dst, verb, *cont);
+                rt.rdma_arrive(dst, verb, cont);
             }
         }
         Event::RdmaServed { dst, verb, cont } => {
@@ -1395,17 +1342,13 @@ pub(crate) fn service_node<P: Protocol>(
 ) {
     loop {
         let now = rt.queue.now();
-        let res = &mut rt.nodes[node];
-        let (pool, inbox) = match exec {
-            Exec::Host => (&mut res.host, &mut res.inbox_host),
-            Exec::Nic => (&mut res.nic, &mut res.inbox_nic),
-        };
-        if inbox.is_empty() || !pool.has_idle(now) {
+        let pool = rt.nodes[node].pool_mut(exec);
+        if pool.inbox.is_empty() || !pool.cores.has_idle(now) {
             return;
         }
-        let msg = inbox.pop_front().expect("checked non-empty");
+        let msg = pool.inbox.pop_front().expect("checked non-empty");
         let cost = P::cost(&msg, exec, &rt.params);
-        let (core, _start, end) = pool.reserve(now, cost);
+        let (core, _start, end) = pool.cores.reserve(now, cost);
         rt.cur_node = node;
         rt.cur_exec = exec;
         rt.cur_core = core;
@@ -1413,10 +1356,7 @@ pub(crate) fn service_node<P: Protocol>(
         rt.in_handler = true;
         P::handle(&mut states[node - base], rt, node, msg);
         rt.in_handler = false;
-        let free = match exec {
-            Exec::Host => rt.nodes[node].host.free_at(core),
-            Exec::Nic => rt.nodes[node].nic.free_at(core),
-        };
+        let free = rt.nodes[node].pool(exec).cores.free_at(core);
         rt.push_ev(free, Event::CoreFree { node, exec });
     }
 }

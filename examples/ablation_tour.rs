@@ -61,10 +61,10 @@ fn main() {
             },
         ),
         (
-            "- eth aggregation",
+            "- aggregation",
             full,
             NetConfig {
-                eth_aggregation: false,
+                aggregation: false,
                 ..NetConfig::full()
             },
         ),
