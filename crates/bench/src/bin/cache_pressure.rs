@@ -41,8 +41,7 @@ fn main() {
     let budgets = [1usize << 20, 1 << 16, 1 << 14, 1 << 12, 0];
     let rows = par_points(jobs, &budgets, |&budget| {
         let cfg = XenicConfig {
-            nic_cache: budget > 0,
-            nic_cache_values: budget.max(1),
+            nic_cache_values: budget,
             ..XenicConfig::full()
         };
         run_xenic(params.clone(), NetConfig::full(), cfg, &opts, mk)

@@ -115,16 +115,14 @@ pub struct XenicConfig {
     /// to the remote primary NIC, whose Log requests are acknowledged
     /// directly to the coordinator NIC (§4.2.3, Figure 7b).
     pub occ_multihop: bool,
-    /// Cache hot objects in SmartNIC memory. Off = every remote lookup
-    /// pays a DMA read.
-    pub nic_cache: bool,
     /// Replication factor (primary + backups). Paper benchmarks use 3.
     pub replication: u32,
-    /// NIC cache budget in values per node. The LiquidIO's 16 GB DRAM
-    /// holds the paper's benchmark datasets outright (Retwis 64 MB,
-    /// Smallbank 58 MB, TPC-C ~3.4 GB), so the default budget admits the
-    /// full sim-scale keyspace; shrink it to study cache pressure
-    /// (§4.3.3).
+    /// Budget, in values per node, for caching hot objects in SmartNIC
+    /// memory; 0 = no cache, and every remote lookup pays a DMA read. The
+    /// LiquidIO's 16 GB DRAM holds the paper's benchmark datasets
+    /// outright (Retwis 64 MB, Smallbank 58 MB, TPC-C ~3.4 GB), so the
+    /// default budget admits the full sim-scale keyspace; shrink it to
+    /// study cache pressure (§4.3.3).
     pub nic_cache_values: usize,
     /// Host-memory commit-log ring capacity in bytes ("a hugepage of
     /// host memory reserved for logging", §4.2 step 5). When the ring
@@ -143,7 +141,6 @@ impl XenicConfig {
             smart_remote_ops: true,
             nic_execution: true,
             occ_multihop: true,
-            nic_cache: true,
             replication: 3,
             nic_cache_values: 1 << 20,
             log_capacity_bytes: 1 << 30,
@@ -170,6 +167,11 @@ impl XenicConfig {
     /// local fast path stays on for all of them.
     pub fn with_backend(backend: ReplBackend) -> Self {
         Self::full().on_backend(backend)
+    }
+
+    /// Whether hot objects are cached in SmartNIC memory at all.
+    pub fn nic_cache(&self) -> bool {
+        self.nic_cache_values > 0
     }
 
     /// This configuration running `backend`'s Log phase (multi-hop off
@@ -200,7 +202,7 @@ mod tests {
         assert!(full.smart_remote_ops && full.nic_execution && full.occ_multihop);
         assert!(!base.smart_remote_ops && !base.nic_execution && !base.occ_multihop);
         assert_eq!(full.replication, 3);
-        assert!(base.nic_cache);
+        assert!(base.nic_cache());
     }
 
     #[test]

@@ -69,7 +69,7 @@ use crate::api::{scan_fingerprint, shard_of, Partitioning, TxnSpec, UpdateOp, Wo
 use crate::config::{ReplBackend, Weakening, XenicConfig};
 use crate::msg::{
     AbortReq, CheckSet, CommitReq, DmaLogDone, DmaLookupDone, ExecShip, ExecShipResp, Execute,
-    ExecuteResp, KeySet, LocalCommit, LogReq, RetryBackupLog, RetryCommitApply, ScanCheck,
+    ExecuteResp, KeySet, LocalCommit, LogReq, MsgBox, RetryCommitApply, ScanCheck,
     ScanCheckSet, ScanObs, ScanObsSet, ScanSet, TxnSubmit, Validate, WriteSet, XMsg,
 };
 use crate::repl::{backend, HermesInval, RaftCommit};
@@ -533,7 +533,7 @@ impl XenicNode {
         }
         let mut nic_index = NicIndex::new(NicIndexConfig {
             segments: host_table.segments(),
-            max_cached_values: if cfg.nic_cache { cfg.nic_cache_values } else { 0 },
+            max_cached_values: cfg.nic_cache_values,
             slack_k: 1,
         });
         for seg in 0..host_table.segments() {
@@ -550,7 +550,7 @@ impl XenicNode {
         // done when the shard fits the configured budget. (A pass of its
         // own: each install is one independent cache miss, and folding
         // the tree inserts above into this loop serializes them.)
-        if cfg.nic_cache && own.len() <= cfg.nic_cache_values {
+        if cfg.nic_cache() && own.len() <= cfg.nic_cache_values {
             for (k, v) in &own {
                 let seg = host_table.segment_of_key(*k);
                 nic_index.install_preloaded(seg, *k, v.clone(), 1);
@@ -838,15 +838,7 @@ impl Protocol for Xenic {
                 let b = b.take();
                 apply_commit_records(st, rt, b.txn, b.writes, b.unlock);
             }
-            XMsg::RetryBackupLog(b) => {
-                let RetryBackupLog {
-                    txn,
-                    shard,
-                    reply_to,
-                    writes,
-                } = b.take();
-                snic_log(st, rt, LogReq { txn, shard, reply_to, writes }, true)
-            }
+            XMsg::RetryBackupLog(b) => snic_log(st, rt, b.take(), true),
             XMsg::AppliedAck { lsn } => {
                 let XenicNode {
                     log,
@@ -2156,7 +2148,7 @@ fn apply_commit_records(
             nic_index.prefetch_keys(entry.writes.iter().map(|(k, _, _)| *k), segment_of);
             for (k, p, ver) in &entry.writes {
                 let seg = segment_of(*k);
-                if cfg.nic_cache {
+                if cfg.nic_cache() {
                     // Resolve the new value locally: the primary holds the
                     // current value (cache, else host table — nothing newer
                     // can be pending while we hold the lock).
@@ -2354,7 +2346,7 @@ fn snic_execute(
     let mut awaiting = 0usize;
     for k in &reads {
         let seg = st.segment(*k);
-        let hit = if st.cfg.nic_cache {
+        let hit = if st.cfg.nic_cache() {
             match st.nic_index.lookup(seg, *k) {
                 NicLookup::Hit { value, version, .. } => Some((value, version)),
                 NicLookup::Miss { .. } => None,
@@ -2498,7 +2490,7 @@ fn snic_dma_lookup_done(st: &mut XenicNode, rt: &mut Runtime<XMsg>, done: DmaLoo
         return;
     }
     let seg = st.segment(key);
-    let cache_enabled = st.cfg.nic_cache;
+    let cache_enabled = st.cfg.nic_cache();
     let Some(op) = st.pending.get_mut(&op_id) else {
         return;
     };
@@ -2860,12 +2852,12 @@ pub(crate) fn snic_log(st: &mut XenicNode, rt: &mut Runtime<XMsg>, log: LogReq, 
             }
             rt.send_local(
                 Exec::Nic,
-                XMsg::from(RetryBackupLog {
+                XMsg::RetryBackupLog(MsgBox::new(LogReq {
                     txn,
                     shard,
                     reply_to,
                     writes,
-                }),
+                })),
                 COMMIT_RETRY_NS,
             );
         }

@@ -228,7 +228,7 @@ pub enum XMsg {
     },
     /// Hermes-style invalidation broadcast: doubles as the log append
     /// (the backup marks the keys invalid, then logs like a LogReq).
-    HermesInv(MsgBox<HermesInv>),
+    HermesInv(MsgBox<LogReq>),
     /// Hermes-style post-commit validation: the backup clears its
     /// invalid marks for `txn`'s keys on `shard`.
     HermesVal {
@@ -252,7 +252,7 @@ pub enum XMsg {
     /// the host drains (locks stay held; cache entries stay pinned).
     RetryCommitApply(MsgBox<RetryCommitApply>),
     /// A backup's Log append found the ring full: retry.
-    RetryBackupLog(MsgBox<RetryBackupLog>),
+    RetryBackupLog(MsgBox<LogReq>),
     /// A log-append DMA write became durable; acknowledge and hand the
     /// record to a host worker.
     DmaLogDone(MsgBox<DmaLogDone>),
@@ -392,19 +392,6 @@ pub struct RaftAppend {
     pub writes: WriteSet,
 }
 
-/// Body of [`XMsg::HermesInv`].
-#[derive(Clone, Debug)]
-pub struct HermesInv {
-    /// Transaction id.
-    pub txn: TxnId,
-    /// Shard whose backup should invalidate and log this write set.
-    pub shard: u32,
-    /// Coordinator node to acknowledge.
-    pub reply_to: u32,
-    /// The write set.
-    pub writes: WriteSet,
-}
-
 /// Body of [`XMsg::CommitReq`].
 #[derive(Clone, Debug)]
 pub struct CommitReq {
@@ -473,19 +460,6 @@ pub struct RetryCommitApply {
     pub writes: WriteSet,
     /// Keys to unlock once durable.
     pub unlock: KeySet,
-}
-
-/// Body of [`XMsg::RetryBackupLog`].
-#[derive(Clone, Debug)]
-pub struct RetryBackupLog {
-    /// Transaction id.
-    pub txn: TxnId,
-    /// Shard whose backup should log.
-    pub shard: u32,
-    /// Coordinator to acknowledge.
-    pub reply_to: u32,
-    /// The write set.
-    pub writes: WriteSet,
 }
 
 /// Body of [`XMsg::DmaLogDone`].
@@ -712,14 +686,12 @@ from_body!(
     Validate,
     LogReq,
     RaftAppend,
-    HermesInv,
     CommitReq,
     AbortReq,
     ExecShip,
     ExecShipResp,
     DmaLookupDone,
     RetryCommitApply,
-    RetryBackupLog,
     DmaLogDone,
 );
 

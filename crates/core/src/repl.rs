@@ -57,7 +57,7 @@ use crate::engine::{
     append_to_backups, appends_sent, count_ack, send, snic_log, Awaits, CoordTxn, InFlight, Phase,
     Round, XenicNode,
 };
-use crate::msg::{HermesInv, KeySet, LogReq, RaftAppend, WriteSet, XMsg};
+use crate::msg::{KeySet, LogReq, MsgBox, RaftAppend, WriteSet, XMsg};
 
 /// A NIC-resident replication protocol owning the Log phase end to end.
 ///
@@ -241,7 +241,6 @@ impl RaftCommit {
         let cur = st.raft_terms.get(&shard).copied().unwrap_or(0);
         if term < cur {
             // Stale term: refuse, tell the coordinator the current one.
-            st.stats.raft_nacks.inc();
             send(rt, reply_to as usize, XMsg::RaftNack { txn, shard, term: cur });
             return;
         }
@@ -443,13 +442,8 @@ pub(crate) struct HermesInval;
 impl HermesInval {
     /// Handles a [`XMsg::HermesInv`] at a backup: install the invalid
     /// marks, then append + ack exactly like a LogReq.
-    pub(crate) fn backup_invalidate(st: &mut XenicNode, rt: &mut Runtime<XMsg>, inv: HermesInv) {
-        let HermesInv {
-            txn,
-            shard,
-            reply_to,
-            writes,
-        } = inv;
+    pub(crate) fn backup_invalidate(st: &mut XenicNode, rt: &mut Runtime<XMsg>, inv: LogReq) {
+        let (txn, shard) = (inv.txn, inv.shard);
         // Marks are installed only on the first arrival: a straggler
         // retransmission landing after the validation must not
         // resurrect marks that the (already-consumed) validation would
@@ -458,17 +452,11 @@ impl HermesInval {
         let first = !rt.faults_active() || !st.backup_log_acked.contains_key(&(txn, shard));
         if first {
             let mut keys = KeySet::new();
-            keys.extend(writes.iter().map(|(k, _, _)| *k));
+            keys.extend(inv.writes.iter().map(|(k, _, _)| *k));
             st.hermes_invalid.insert((txn, shard), keys);
             st.stats.hermes_invalidations.inc();
         }
-        let log = LogReq {
-            txn,
-            shard,
-            reply_to,
-            writes,
-        };
-        snic_log(st, rt, log, false);
+        snic_log(st, rt, inv, false);
     }
 
     /// Handles a [`XMsg::HermesVal`] at a backup: clear the marks and
@@ -479,9 +467,7 @@ impl HermesInval {
         txn: TxnId,
         shard: u32,
     ) {
-        if st.hermes_invalid.remove(&(txn, shard)).is_some() {
-            st.stats.hermes_validations.inc();
-        }
+        st.hermes_invalid.remove(&(txn, shard));
         if rt.faults_active() {
             // Idempotent re-ack: duplicated or retransmitted VALs find
             // nothing to clear but still acknowledge.
@@ -514,12 +500,12 @@ impl HermesInval {
 impl Replication for HermesInval {
     /// The append doubles as the invalidation.
     fn append(&self, txn: TxnId, shard: u32, reply_to: u32, writes: WriteSet) -> XMsg {
-        XMsg::from(HermesInv {
+        XMsg::HermesInv(MsgBox::new(LogReq {
             txn,
             shard,
             reply_to,
             writes,
-        })
+        }))
     }
 
     fn after_commit(

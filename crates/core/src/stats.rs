@@ -28,12 +28,8 @@ pub struct NodeStats {
     /// Raft-style backend: term bumps this coordinator initiated after
     /// an unresponsive leader (re-elections).
     pub raft_elections: Counter,
-    /// Raft-style backend: stale-term appends refused by a leader.
-    pub raft_nacks: Counter,
     /// Hermes-style backend: invalidation messages applied at backups.
     pub hermes_invalidations: Counter,
-    /// Hermes-style backend: validation messages applied at backups.
-    pub hermes_validations: Counter,
     /// Commit-log records shipped to a replica's host memory over the
     /// DMA engine (primary appends + backup appends). Zero by contract
     /// on the CXL substrate (DESIGN.md §17).
@@ -72,9 +68,7 @@ impl NodeStats {
             (&mut self.range_walks, other.range_walks),
             (&mut self.scan_rows, other.scan_rows),
             (&mut self.raft_elections, other.raft_elections),
-            (&mut self.raft_nacks, other.raft_nacks),
             (&mut self.hermes_invalidations, other.hermes_invalidations),
-            (&mut self.hermes_validations, other.hermes_validations),
             (&mut self.log_ship_writes, other.log_ship_writes),
             (&mut self.cxl_log_writes, other.cxl_log_writes),
         ] {
@@ -164,7 +158,7 @@ mod tests {
         s.start_measuring(SimTime::ZERO);
         s.record_commit(true, SimTime::ZERO, SimTime::from_us(2));
         s.raft_elections.inc();
-        s.hermes_validations.add(2);
+        s.hermes_invalidations.add(2);
         s.cxl_log_writes.add(3);
         s.start_measuring(SimTime::from_ms(1));
         let mut zero = NodeStats::default();
@@ -176,7 +170,7 @@ mod tests {
                 t.committed.events(),
                 t.committed_all.get(),
                 t.raft_elections.get(),
-                t.hermes_validations.get(),
+                t.hermes_invalidations.get(),
                 t.cxl_log_writes.get(),
                 t.latency.count(),
             )

@@ -266,7 +266,7 @@ fn baseline_op_set_and_no_cache_still_correct() {
     // Figure 9 baseline op set, NIC cache disabled: every read pays DMA,
     // ops are split per key — slower, but exactly as correct.
     let cfg = XenicConfig {
-        nic_cache: false,
+        nic_cache_values: 0,
         ..XenicConfig::fig9_baseline()
     };
     let hot = make_key(2, 11);
