@@ -837,7 +837,8 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             let queue_id = res.dma_rr;
             res.dma_rr = (res.dma_rr + 1) % self.params.dma_queues;
             // The submitting NIC core pays the (amortized) submission cost.
-            let (_, _, submit_end) = res.pool_mut(Exec::Nic).cores.reserve(now, self.params.dma_submit_ns);
+            let nic = &mut res.pool_mut(Exec::Nic).cores;
+            let (_, _, submit_end) = nic.reserve(now, self.params.dma_submit_ns);
             let completion = res.dma.submit(submit_end, queue_id, &ops);
             for ((_, done), at) in batch.drain(..).zip(completion.element_done) {
                 self.push_ev(
@@ -870,7 +871,8 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             // Substrate-resolved (DESIGN.md §17): off-path hardware RX
             // steering undercuts the LiquidIO's software poll loop.
             let rx_cpu = self.params.rx_frame_cpu_ns(self.cfg.aggregation);
-            let (_, _, frame_ready) = self.nodes[dst].pool_mut(Exec::Nic).cores.reserve(rx_done, rx_cpu);
+            let nic = &mut self.nodes[dst].pool_mut(Exec::Nic).cores;
+            let (_, _, frame_ready) = nic.reserve(rx_done, rx_cpu);
             for (exec, msg) in msgs.drain(..) {
                 self.push_ev(
                     frame_ready,
