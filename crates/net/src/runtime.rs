@@ -284,6 +284,14 @@ impl<M> NodeRes<M> {
 }
 
 impl Chan {
+    /// Which of [`Runtime::out_scratch`]'s vectors this channel recycles
+    /// through: Ethernet and PCIe buffers trade vectors only within
+    /// their own kind, so each kind's capacities settle on its own
+    /// burst sizes.
+    fn kind(self) -> usize {
+        usize::from(matches!(self, Chan::Eth(_)))
+    }
+
     /// This channel's index in [`NodeRes::agg`]: the two PCIe directions,
     /// then one Ethernet buffer per peer.
     fn slot(self) -> usize {
@@ -365,7 +373,7 @@ pub struct Runtime<M> {
     // Reusable hot-path scratch: the transmit/flush paths drain borrowed
     // vectors instead of allocating per flush, and arrived frames recycle
     // their buffers through `frame_pool` (bounded by FRAME_POOL_MAX).
-    out_scratch: Vec<Out<M>>,
+    out_scratch: [Vec<Out<M>>; 2],
     fault_scratch: Vec<Out<M>>,
     frame_pool: Vec<Vec<(Exec, M)>>,
     dma_batch_scratch: Vec<(DmaOp, M)>,
@@ -400,7 +408,7 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             cur_core: 0,
             cur_end: SimTime::ZERO,
             in_handler: false,
-            out_scratch: Vec::new(),
+            out_scratch: [Vec::new(), Vec::new()],
             fault_scratch: Vec::new(),
             frame_pool: Vec::new(),
             dma_batch_scratch: Vec::new(),
@@ -607,10 +615,10 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
                 self.push_ev(at, Event::Flush { node, chan });
             }
         } else {
-            let mut one = std::mem::take(&mut self.out_scratch);
+            let mut one = std::mem::take(&mut self.out_scratch[chan.kind()]);
             one.push(out);
             self.transmit(t0, node, chan, &mut one);
-            self.out_scratch = one;
+            self.out_scratch[chan.kind()] = one;
         }
     }
 
@@ -627,10 +635,11 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
         }
         // Hand the buffer a recycled vector and transmit from the full
         // one; the drained vector becomes the next recycled scratch.
-        let mut msgs = std::mem::replace(&mut buf.items, std::mem::take(&mut self.out_scratch));
+        let scratch = &mut self.out_scratch[chan.kind()];
+        let mut msgs = std::mem::replace(&mut buf.items, std::mem::take(scratch));
         let t = self.now();
         self.transmit(t, node, chan, &mut msgs);
-        self.out_scratch = msgs;
+        self.out_scratch[chan.kind()] = msgs;
     }
 
     /// Transmits (and drains) `msgs` from `node` on an Ethernet or PCIe
