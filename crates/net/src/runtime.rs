@@ -198,6 +198,26 @@ pub enum Chan {
     Dma,
 }
 
+impl Chan {
+    /// Which of [`Runtime::out_scratch`]'s vectors this channel recycles
+    /// through: Ethernet and PCIe buffers trade vectors only within
+    /// their own kind, so each kind's capacities settle on its own
+    /// burst sizes.
+    fn kind(self) -> usize {
+        usize::from(matches!(self, Chan::Eth(_)))
+    }
+
+    /// This channel's index in [`NodeRes::agg`]: the two PCIe directions,
+    /// then one Ethernet buffer per peer.
+    fn slot(self) -> usize {
+        match self {
+            Chan::Pcie(up) => usize::from(up),
+            Chan::Eth(dst) => 2 + dst,
+            Chan::Dma => unreachable!("the DMA vector is not a message buffer"),
+        }
+    }
+}
+
 /// A message on an Ethernet or PCIe channel: destination pool, payload
 /// and its share of frame bytes.
 type Out<M> = (Exec, M, u32);
@@ -280,26 +300,6 @@ impl<M> NodeRes<M> {
     /// The pool that runs `exec` messages, mutably.
     fn pool_mut(&mut self, exec: Exec) -> &mut Pool<M> {
         &mut self.pools[exec as usize]
-    }
-}
-
-impl Chan {
-    /// Which of [`Runtime::out_scratch`]'s vectors this channel recycles
-    /// through: Ethernet and PCIe buffers trade vectors only within
-    /// their own kind, so each kind's capacities settle on its own
-    /// burst sizes.
-    fn kind(self) -> usize {
-        usize::from(matches!(self, Chan::Eth(_)))
-    }
-
-    /// This channel's index in [`NodeRes::agg`]: the two PCIe directions,
-    /// then one Ethernet buffer per peer.
-    fn slot(self) -> usize {
-        match self {
-            Chan::Pcie(up) => usize::from(up),
-            Chan::Eth(dst) => 2 + dst,
-            Chan::Dma => unreachable!("the DMA vector is not a message buffer"),
-        }
     }
 }
 

@@ -87,6 +87,28 @@ serial_fuzz_pinned() {
 }
 stage serial_fuzz_pinned
 
+# The micro figures drive the runtime's egress paths (DESIGN.md §6, §8):
+# fig2_latency every RDMA verb, fig3_batching both aggregation settings,
+# fig4_dma both DMA modes (~5 s together). Their stdout is pinned byte for
+# byte: the stage fails unless each binary's sha256 is the one below, so
+# a change that moves any number must re-pin it (and say why in
+# CHANGES.md).
+MICRO_PINS="ec18fd1415100a9ed80052903b67571aa423a2a26e9ec968e4a1ebbcc40cd84b  fig2_latency
+5eae7902a4583e46b5577dcbb704441c707e75f23d8d3433e7dbb517bc228c02  fig3_batching
+5202920beba4e54bd6b43b685652b37015c8f27d6d98b6c6e6a003caf4707b81  fig4_dma"
+micro_figs_pinned() {
+    local bin sum
+    for bin in fig2_latency fig3_batching fig4_dma; do
+        sum=$(cargo run --release -q -p xenic-bench --bin "$bin" | sha256sum | cut -d' ' -f1) \
+            || return 1
+        if ! grep -qxF "$sum  $bin" <<<"$MICRO_PINS"; then
+            echo "$bin: stdout sha256 $sum is not the pinned one"
+            return 1
+        fi
+    done
+}
+stage micro_figs_pinned
+
 # Conservation under loss+dup, convergence across a healed partition,
 # and crash/restart chained into shard recovery — on the native backend
 # and for each pluggable one — all under xenic::audit's post-drain
