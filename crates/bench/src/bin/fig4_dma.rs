@@ -15,15 +15,16 @@ fn throughput(kind: DmaKind, bytes: u32, vector: usize) -> f64 {
     let mut engine = DmaEngine::new(&p);
     let horizon = SimTime::from_ms(1);
     let ops = vec![DmaOp { kind, bytes }; vector];
+    let mut completions = Vec::new();
     let mut done = 0u64;
     // Each queue is driven by one core issuing back-to-back submissions.
     for q in 0..p.dma_queues {
         let mut t = SimTime::ZERO;
         while t < horizon {
-            let c = engine.submit(t, q, &ops);
+            let busy = engine.submit(t, q, &ops, &mut completions);
             // The core is busy for the submission, then waits for the
             // queue to accept more (throughput test: no completion wait).
-            t = (t + c.submit_busy_ns).max(engine.queue_free_at(q));
+            t = (t + busy).max(engine.queue_free_at(q));
             done += vector as u64;
         }
     }
@@ -37,8 +38,9 @@ fn latency(kind: DmaKind, bytes: u32, vector: usize) -> (u64, u64) {
     let p = HwParams::paper_testbed();
     let mut engine = DmaEngine::new(&p);
     let ops = vec![DmaOp { kind, bytes }; vector];
-    let c = engine.submit(SimTime::ZERO, 0, &ops);
-    (c.submit_busy_ns, c.element_done.first().unwrap().as_ns())
+    let mut completions = Vec::new();
+    let busy = engine.submit(SimTime::ZERO, 0, &ops, &mut completions);
+    (busy, completions[0].as_ns())
 }
 
 fn main() {

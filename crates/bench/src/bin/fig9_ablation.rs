@@ -54,7 +54,7 @@ fn main() {
             NetConfig::baseline(),
         ),
         (
-            "+ eth aggregation",
+            "+ aggregation",
             XenicConfig {
                 smart_remote_ops: true,
                 ..base_cfg

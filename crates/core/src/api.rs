@@ -11,7 +11,7 @@
 //! transaction".
 
 use xenic_sim::SmallVec;
-use xenic_store::{Key, Value, Version};
+use xenic_store::{Key, Value, Version, WritePayload};
 
 /// Number of bits of a [`Key`] reserved for the shard id (top byte).
 pub const SHARD_SHIFT: u32 = 56;
@@ -105,28 +105,19 @@ pub enum UpdateOp {
 }
 
 impl UpdateOp {
-    /// Applies the op to the current value, producing the new value.
-    pub fn apply(&self, old: &Value) -> Value {
+    /// The write payload this op ships to each replica.
+    pub fn payload(&self) -> WritePayload {
         match self {
-            UpdateOp::Put(v) => v.clone(),
-            UpdateOp::AddI64(delta) => {
-                let mut bytes = old.bytes().to_vec();
-                if bytes.len() < 8 {
-                    bytes.resize(8, 0);
-                }
-                let mut ctr = i64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-                ctr = ctr.wrapping_add(*delta);
-                bytes[..8].copy_from_slice(&ctr.to_le_bytes());
-                Value::from_vec(bytes)
-            }
-            UpdateOp::Mutate => {
-                let mut bytes = old.bytes().to_vec();
-                if let Some(b) = bytes.first_mut() {
-                    *b = b.wrapping_add(1);
-                }
-                Value::from_vec(bytes)
-            }
+            UpdateOp::Put(v) => WritePayload::Full(v.clone()),
+            UpdateOp::AddI64(d) => WritePayload::AddI64(*d),
+            UpdateOp::Mutate => WritePayload::Mutate,
         }
+    }
+
+    /// Applies the op to the current value, producing the new value —
+    /// exactly what each replica's [`WritePayload::apply`] computes.
+    pub fn apply(&self, old: &Value) -> Value {
+        self.payload().apply(old)
     }
 }
 

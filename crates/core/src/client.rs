@@ -27,10 +27,13 @@ pub trait SlotMsg: Clone + fmt::Debug {
 }
 
 /// One application thread: its transaction, kept across retries, and
-/// when that transaction's first attempt started.
+/// when that transaction's first attempt started. `spare` is the last
+/// committed transaction's `Arc`, which the next start overwrites in
+/// place once nothing else holds it.
 #[derive(Clone, Default)]
 struct Slot {
     spec: Option<Arc<TxnSpec>>,
+    spare: Option<Arc<TxnSpec>>,
     first_started: SimTime,
 }
 
@@ -70,8 +73,10 @@ impl Client {
 
     /// Begins an attempt on node `me`'s `slot` and returns its sequence
     /// number and spec: a retry re-uses the slot's spec (a refcount
-    /// bump), a start draws the next one from the workload. `None` when
-    /// draining, or when a retry finds the slot idle.
+    /// bump), a start draws the next one from the workload into the
+    /// slot's spare `Arc` (allocating only while an earlier attempt's
+    /// message still shares it). `None` when draining, or when a retry
+    /// finds the slot idle.
     pub fn begin<M: SlotMsg>(
         &mut self,
         rt: &mut Runtime<M>,
@@ -84,7 +89,13 @@ impl Client {
         }
         let s = &mut self.slots[slot as usize];
         if !retry {
-            s.spec = Some(Arc::new(self.workload.next_txn(me, rt.txn_rng())));
+            let txn = self.workload.next_txn(me, rt.txn_rng());
+            let mut spec = s.spare.take();
+            match spec.as_mut().and_then(Arc::get_mut) {
+                Some(spare) => *spare = txn,
+                None => spec = Some(Arc::new(txn)),
+            }
+            s.spec = spec;
             s.first_started = rt.now();
         }
         let spec = Arc::clone(s.spec.as_ref()?);
@@ -100,9 +111,11 @@ impl Client {
         stats.record_commit(spec.metric, s.first_started, now);
     }
 
-    /// Turns a committed slot over: its next start is [`TURNOVER_NS`] later.
+    /// Turns a committed slot over: its next start is [`TURNOVER_NS`] later
+    /// and may reuse the finished spec's `Arc`.
     pub fn turn_over<M: SlotMsg>(&mut self, rt: &mut Runtime<M>, slot: u32) {
-        self.slots[slot as usize].spec = None;
+        let s = &mut self.slots[slot as usize];
+        s.spare = s.spec.take();
         rt.send_local(Exec::Host, M::start(slot), TURNOVER_NS);
     }
 
@@ -153,13 +166,20 @@ mod tests {
     }
 
     /// Each attempt of slot 0 aborts while `aborts` lasts and commits
-    /// after; every begun attempt is logged with its time and spec.
+    /// after; every begun attempt's spec address is logged, and with
+    /// `keep` its time and spec too (which keeps the spec alive). Without
+    /// `keep`, each turnover parks a spec-sized block in `ballast`, so a
+    /// spec freed at turnover would be taken and its slot's next spec
+    /// would show a new address.
     struct Probe;
     struct ProbeNode {
         client: Client,
         stats: NodeStats,
         aborts: usize,
+        keep: bool,
         begun: Vec<(SimTime, u64, Arc<TxnSpec>)>,
+        spec_addrs: Vec<usize>,
+        ballast: Vec<Arc<TxnSpec>>,
     }
 
     impl Protocol for Probe {
@@ -176,13 +196,21 @@ mod tests {
             let Some((seq, spec)) = st.client.begin(rt, 0, slot, retry) else {
                 return;
             };
-            st.begun.push((rt.now(), seq, spec));
+            st.spec_addrs.push(Arc::as_ptr(&spec) as usize);
+            if st.keep {
+                st.begun.push((rt.now(), seq, spec));
+            } else {
+                drop(spec);
+            }
             if st.aborts > 0 {
                 st.aborts -= 1;
                 st.client.abort(&mut st.stats, rt, slot);
             } else {
                 st.client.count_commit(&mut st.stats, slot, rt.now());
                 st.client.turn_over(rt, slot);
+                if !st.keep {
+                    st.ballast.push(Arc::default());
+                }
             }
         }
     }
@@ -194,7 +222,10 @@ mod tests {
                     client: Client::new(Box::new(Draws), 2),
                     stats: NodeStats::default(),
                     aborts,
+                    keep: true,
                     begun: Vec::new(),
+                    spec_addrs: Vec::new(),
+                    ballast: Vec::new(),
                 }
             });
         cluster.states[0].stats.start_measuring(SimTime::ZERO);
@@ -236,6 +267,31 @@ mod tests {
             !Arc::ptr_eq(first, &st.begun[2].2),
             "a new start draws a new spec"
         );
+    }
+
+    #[test]
+    fn a_start_reuses_the_committed_specs_arc_unless_a_clone_is_alive() {
+        // Nothing outlives an attempt: every start overwrites the slot's
+        // one spec in place.
+        let mut cluster = probe(0);
+        cluster.states[0].keep = false;
+        cluster.run_until(SimTime::from_us(2));
+        let addrs = &cluster.states[0].spec_addrs;
+        assert!(addrs.len() >= 3, "a commit turns the slot over");
+        assert!(
+            addrs.iter().all(|a| *a == addrs[0]),
+            "an unshared spare must be reused: {addrs:x?}"
+        );
+        // Every attempt's spec is kept alive: each start allocates anew.
+        let mut cluster = probe(0);
+        cluster.run_until(SimTime::from_us(2));
+        let st = &cluster.states[0];
+        let mut addrs = st.spec_addrs.clone();
+        addrs.sort_unstable();
+        addrs.dedup();
+        assert_eq!(addrs.len(), st.begun.len(), "a shared spare must not be overwritten");
+        let draws: Vec<u64> = st.begun.iter().map(|(_, _, s)| s.exec_host_ns).collect();
+        assert!(draws.iter().any(|d| *d != draws[0]), "each start draws a new spec");
     }
 
     #[test]

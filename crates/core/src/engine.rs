@@ -65,7 +65,7 @@ use xenic_store::robinhood::{RobinhoodConfig, RobinhoodTable};
 use xenic_store::{CommitLog, Key, TxnId, Value, Version, WritePayload};
 
 use crate::client::Client;
-use crate::api::{scan_fingerprint, shard_of, Partitioning, TxnSpec, UpdateOp, Workload, SCAN_FP_INIT};
+use crate::api::{scan_fingerprint, shard_of, Partitioning, TxnSpec, Workload, SCAN_FP_INIT};
 use crate::config::{ReplBackend, Weakening, XenicConfig};
 use crate::msg::{
     AbortReq, CheckSet, CommitReq, DmaLogDone, DmaLookupDone, ExecShip, ExecShipResp, Execute,
@@ -714,7 +714,7 @@ fn scan_row_value(
 
 /// Releases `keys` on this node's NIC index if `txn` holds them (the
 /// unlock is owner-checked, hence idempotent).
-fn unlock_keys(st: &mut XenicNode, txn: TxnId, keys: &[Key]) {
+fn unlock_keys<'a>(st: &mut XenicNode, txn: TxnId, keys: impl IntoIterator<Item = &'a Key>) {
     for k in keys {
         let seg = st.segment(*k);
         st.nic_index.unlock(seg, *k, txn);
@@ -1007,7 +1007,7 @@ fn host_start_txn(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, slot: u
         for (k, op) in spec.all_updates() {
             let ver = version(*k).unwrap_or(0);
             checks.push((*k, ver));
-            writes.push((*k, payload_of(op), ver + 1));
+            writes.push((*k, op.payload(), ver + 1));
         }
         for (k, v) in &spec.inserts {
             let ver = version(*k).unwrap_or(0);
@@ -1166,22 +1166,13 @@ fn compute_writes(
 ) -> WriteSet {
     let mut out = Vec::with_capacity(spec.all_updates().count() + spec.inserts.len());
     for (k, op) in spec.all_updates() {
-        out.push((*k, payload_of(op), version_of(values, lock_versions, *k) + 1));
+        out.push((*k, op.payload(), version_of(values, lock_versions, *k) + 1));
     }
     for (k, v) in &spec.inserts {
         let ver = version_of(values, lock_versions, *k);
         out.push((*k, WritePayload::Full(v.clone()), ver + 1));
     }
     out
-}
-
-/// The write payload an update op ships to each replica.
-fn payload_of(op: &UpdateOp) -> WritePayload {
-    match op {
-        UpdateOp::Put(v) => WritePayload::Full(v.clone()),
-        UpdateOp::AddI64(d) => WritePayload::AddI64(*d),
-        UpdateOp::Mutate => WritePayload::Mutate,
-    }
 }
 
 /// The version Execute observed for `k`: lock metadata first, else the
@@ -1461,7 +1452,7 @@ fn cnic_execute_resp(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, resp
             local_vals.extend(
                 ct.lock_versions
                     .iter()
-                    .map(|(k, v)| (*k, Value::filled(0, 0), *v)),
+                    .map(|(k, v)| (*k, Value::empty(), *v)),
             );
             ship_exec(st, rt, me, seq, local_vals);
         }
@@ -2056,17 +2047,16 @@ fn cnic_local_commit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, lc: 
     let keys = write_keys.chain(checks.iter().map(|(k, _)| *k));
     st.nic_index
         .prefetch_keys(keys, |k| st.host_table.segment_of_key(k));
-    let mut locked = KeySet::new();
-    let mut ok = true;
-    for (k, _, _) in &writes {
-        let seg = st.segment(*k);
-        if st.nic_index.try_lock(seg, *k, txn) {
-            locked.push(*k);
-        } else {
-            ok = false;
-            break;
-        }
-    }
+    // Lock the write keys in order, up to the first refusal:
+    // `writes[..locked]` are the keys this attempt holds.
+    let locked = writes
+        .iter()
+        .take_while(|(k, _, _)| {
+            let seg = st.segment(*k);
+            st.nic_index.try_lock(seg, *k, txn)
+        })
+        .count();
+    let mut ok = locked == writes.len();
     // Validate the host's optimistic reads against NIC-authoritative
     // versions (covers the commit-to-apply window).
     if ok {
@@ -2089,7 +2079,7 @@ fn cnic_local_commit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, lc: 
     if !ok {
         // Refused at the door: no context or span was opened, so release
         // what this attempt locked and report the abort.
-        unlock_keys(st, txn, &locked);
+        unlock_keys(st, txn, writes[..locked].iter().map(|(k, _, _)| k));
         send_pcie(rt, Exec::Host, XMsg::Outcome { slot, committed: false });
         return;
     }
@@ -2106,7 +2096,7 @@ fn cnic_local_commit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, lc: 
     // reset.
     let mut ct = st.alloc_coord(Arc::clone(&st.default_spec), slot);
     ct.phase = Phase::LocalRepl;
-    ct.local_locked = locked;
+    ct.local_locked.extend(writes.iter().map(|(k, _, _)| *k));
     // The local fast path skips Execute/Validate rounds entirely; its
     // replication wait is the transaction's Log phase.
     rt.trace_begin("Log", seq);
@@ -2505,7 +2495,7 @@ fn snic_dma_lookup_done(st: &mut XenicNode, rt: &mut Runtime<XMsg>, done: DmaLoo
         } => {
             let (value, version) = result
                 .clone()
-                .unwrap_or_else(|| (Value::filled(0, 0), 0));
+                .unwrap_or_else(|| (Value::empty(), 0));
             // The DMA result was planned against the host table, which
             // lags NIC-authoritative state by the commit-to-apply
             // window. If the NIC meanwhile knows a different version,
@@ -2983,7 +2973,7 @@ fn snic_dma_log_done(st: &mut XenicNode, rt: &mut Runtime<XMsg>, done: DmaLogDon
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{make_key, ShipMode};
+    use crate::api::{make_key, ShipMode, UpdateOp};
     use xenic_net::{Cluster, FaultPlan, NetConfig};
     use xenic_sim::{DetRng, SimTime};
 

@@ -35,16 +35,6 @@ pub struct DmaOp {
     pub bytes: u32,
 }
 
-/// Completion schedule for one submitted vector: the time each element's
-/// data is available (read) or durable in host memory (write).
-#[derive(Clone, Debug)]
-pub struct DmaCompletion {
-    /// Core-side time consumed by the submission itself.
-    pub submit_busy_ns: u64,
-    /// Per-element completion times, in submission order.
-    pub element_done: Vec<SimTime>,
-}
-
 /// The per-node DMA engine: `q` queues, each a serial element processor,
 /// sharing one PCIe link for payload bytes.
 #[derive(Clone, Debug)]
@@ -114,14 +104,23 @@ impl DmaEngine {
     }
 
     /// Submits a vector of up to [`Self::max_vector`] elements on `queue`
-    /// at time `now`, returning the completion schedule.
+    /// at time `now`, writing each element's completion time — when its
+    /// data is available (read) or durable in host memory (write) — into
+    /// `done`, in submission order. `done` is cleared first, so a caller
+    /// can keep one buffer for every submission.
     ///
-    /// The submission cost (≤190 ns) is charged to the *calling core* —
-    /// returned as `submit_busy_ns`, for the runtime to add to the core's
-    /// busy period. Elements then flow through the queue at 115 ns each;
-    /// each element's payload also reserves PCIe link time; the completion
-    /// callback fires after the direction-specific pipeline latency.
-    pub fn submit(&mut self, now: SimTime, queue: usize, ops: &[DmaOp]) -> DmaCompletion {
+    /// Returns the submission cost (≤190 ns), charged to the *calling
+    /// core*: the runtime adds it to the core's busy period. Elements then
+    /// flow through the queue at 115 ns each; each element's payload also
+    /// reserves PCIe link time; the completion callback fires after the
+    /// direction-specific pipeline latency.
+    pub fn submit(
+        &mut self,
+        now: SimTime,
+        queue: usize,
+        ops: &[DmaOp],
+        done: &mut Vec<SimTime>,
+    ) -> u64 {
         assert!(!ops.is_empty(), "empty DMA vector");
         assert!(
             ops.len() <= self.max_vector,
@@ -136,7 +135,7 @@ impl DmaEngine {
         self.vectors_submitted += 1;
         let visible = now + self.submit_ns;
         let mut cursor = self.queue_free[queue].max(visible);
-        let mut element_done = Vec::with_capacity(ops.len());
+        done.clear();
         for op in ops {
             // Engine occupancy: fixed element cost.
             let engine_done = cursor + self.element_ns;
@@ -150,16 +149,13 @@ impl DmaEngine {
                 DmaKind::Read => self.read_latency_ns,
                 DmaKind::Write => self.write_latency_ns,
             };
-            element_done.push(link_done + latency.saturating_sub(self.element_ns + ser));
+            done.push(link_done + latency.saturating_sub(self.element_ns + ser));
             cursor = engine_done;
             self.elements_done += 1;
             self.bytes_moved += u64::from(op.bytes);
         }
         self.queue_free[queue] = cursor;
-        DmaCompletion {
-            submit_busy_ns: self.submit_ns,
-            element_done,
-        }
+        self.submit_ns
     }
 
     /// Earliest time `queue` can accept new work.
@@ -201,26 +197,33 @@ mod tests {
         }
     }
 
+    /// Submits `ops`, returning the submission cost and the completions.
+    fn submit(e: &mut DmaEngine, now: SimTime, queue: usize, ops: &[DmaOp]) -> (u64, Vec<SimTime>) {
+        let mut done = Vec::new();
+        let busy = e.submit(now, queue, ops, &mut done);
+        (busy, done)
+    }
+
     #[test]
     fn single_read_completion_near_measured_latency() {
         let mut e = engine();
-        let c = e.submit(SimTime::ZERO, 0, &[read(64)]);
-        let done = c.element_done[0].as_ns();
+        let (busy, done) = submit(&mut e, SimTime::ZERO, 0, &[read(64)]);
+        let done = done[0].as_ns();
         // Submit (190) + completion pipeline ≈ 1295 → within [1295, 1600].
         assert!(
             (1295..=1600).contains(&done),
             "read completion at {done} ns"
         );
-        assert_eq!(c.submit_busy_ns, 190);
+        assert_eq!(busy, 190);
     }
 
     #[test]
     fn write_completes_faster_than_read() {
         let mut e = engine();
-        let r = e.submit(SimTime::ZERO, 0, &[read(64)]);
-        let w = e.submit(SimTime::from_us(100), 1, &[write(64)]);
-        let r_lat = r.element_done[0].as_ns();
-        let w_lat = w.element_done[0].as_ns() - 100_000;
+        let (_, r) = submit(&mut e, SimTime::ZERO, 0, &[read(64)]);
+        let (_, w) = submit(&mut e, SimTime::from_us(100), 1, &[write(64)]);
+        let r_lat = r[0].as_ns();
+        let w_lat = w[0].as_ns() - 100_000;
         assert!(w_lat < r_lat, "write {w_lat} vs read {r_lat}");
     }
 
@@ -236,8 +239,8 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut singles = 0u64;
         while t < horizon {
-            let c = single.submit(t, 0, &[write(64)]);
-            t = (t + c.submit_busy_ns).max(single.queue_free_at(0));
+            let (busy, _) = submit(&mut single, t, 0, &[write(64)]);
+            t = (t + busy).max(single.queue_free_at(0));
             singles += 1;
         }
         // Full vectors: one submit per 15 elements.
@@ -245,8 +248,8 @@ mod tests {
         let mut vec_elems = 0u64;
         let ops = [write(64); 15];
         while t < horizon {
-            let c = vectored.submit(t, 0, &ops);
-            t = (t + c.submit_busy_ns).max(vectored.queue_free_at(0));
+            let (busy, _) = submit(&mut vectored, t, 0, &ops);
+            t = (t + busy).max(vectored.queue_free_at(0));
             vec_elems += 15;
         }
         assert!(
@@ -263,9 +266,9 @@ mod tests {
         // Fig 4b: a 15-element vector's first element completes about as
         // fast as a single request.
         let mut e1 = engine();
-        let single = e1.submit(SimTime::ZERO, 0, &[write(64)]).element_done[0];
+        let single = submit(&mut e1, SimTime::ZERO, 0, &[write(64)]).1[0];
         let mut e2 = engine();
-        let first = e2.submit(SimTime::ZERO, 0, &[write(64); 15]).element_done[0];
+        let first = submit(&mut e2, SimTime::ZERO, 0, &[write(64); 15]).1[0];
         let delta = first.as_ns().abs_diff(single.as_ns());
         assert!(delta <= 200, "delta {delta} ns");
     }
@@ -275,12 +278,12 @@ mod tests {
         let p = HwParams::paper_testbed();
         let mut e = DmaEngine::new(&p);
         let ops = [write(16); 15];
-        let a = e.submit(SimTime::ZERO, 0, &ops);
-        let b = e.submit(SimTime::ZERO, 1, &ops);
+        let (_, a) = submit(&mut e, SimTime::ZERO, 0, &ops);
+        let (_, b) = submit(&mut e, SimTime::ZERO, 1, &ops);
         // Tiny payloads: PCIe link is not the bottleneck, so both queues
         // finish their last element at (nearly) the same time.
-        let last_a = a.element_done.last().unwrap().as_ns();
-        let last_b = b.element_done.last().unwrap().as_ns();
+        let last_a = a.last().unwrap().as_ns();
+        let last_b = b.last().unwrap().as_ns();
         assert!(last_b < last_a + p.dma_element_ns * 15 / 2);
     }
 
@@ -290,17 +293,17 @@ mod tests {
         // 4 KB reads: link serialization (~520 ns at 63 Gbps) dominates the
         // 115 ns element cost, so two queues contend.
         let ops = [read(4096); 15];
-        let a = e.submit(SimTime::ZERO, 0, &ops);
-        let b = e.submit(SimTime::ZERO, 1, &ops);
-        let last_serial = b.element_done.last().unwrap().as_ns();
-        let one_queue_alone = a.element_done.last().unwrap().as_ns();
+        let (_, a) = submit(&mut e, SimTime::ZERO, 0, &ops);
+        let (_, b) = submit(&mut e, SimTime::ZERO, 1, &ops);
+        let last_serial = b.last().unwrap().as_ns();
+        let one_queue_alone = a.last().unwrap().as_ns();
         assert!(last_serial > one_queue_alone, "link contention must slow queue 1");
     }
 
     #[test]
     fn element_counters_track() {
         let mut e = engine();
-        e.submit(SimTime::ZERO, 0, &[read(100), write(50)]);
+        submit(&mut e, SimTime::ZERO, 0, &[read(100), write(50)]);
         assert_eq!(e.elements_done(), 2);
         assert_eq!(e.bytes_moved(), 150);
     }
@@ -310,7 +313,7 @@ mod tests {
     fn oversized_vector_rejected() {
         let mut e = engine();
         let ops = vec![write(8); 16];
-        e.submit(SimTime::ZERO, 0, &ops);
+        submit(&mut e, SimTime::ZERO, 0, &ops);
     }
 
     #[test]
@@ -318,8 +321,8 @@ mod tests {
         let mut e = engine();
         assert_eq!(e.queues(), 8);
         assert_eq!(e.busy_queues(SimTime::ZERO), 0);
-        e.submit(SimTime::ZERO, 0, &[write(64); 15]);
-        e.submit(SimTime::ZERO, 1, &[write(64)]);
+        submit(&mut e, SimTime::ZERO, 0, &[write(64); 15]);
+        submit(&mut e, SimTime::ZERO, 1, &[write(64)]);
         assert_eq!(e.busy_queues(SimTime::from_ns(100)), 2);
         // Queue 1's single element drains first (190 + 115 ns).
         assert_eq!(e.busy_queues(SimTime::from_ns(400)), 1);
@@ -330,9 +333,20 @@ mod tests {
     fn successive_vectors_on_one_queue_serialize() {
         let mut e = engine();
         let ops = [write(64); 15];
-        e.submit(SimTime::ZERO, 0, &ops);
+        submit(&mut e, SimTime::ZERO, 0, &ops);
         let free = e.queue_free_at(0);
         // 190 submit + 15 × 115 = 1915 ns of engine occupancy.
         assert_eq!(free.as_ns(), 190 + 15 * 115);
+    }
+
+    #[test]
+    fn submit_overwrites_the_callers_buffer() {
+        let mut e = engine();
+        let mut done = Vec::new();
+        e.submit(SimTime::ZERO, 0, &[write(64); 3], &mut done);
+        let first = done.clone();
+        e.submit(SimTime::ZERO, 1, &[read(64)], &mut done);
+        assert_eq!(done.len(), 1, "each submission replaces the last one's times");
+        assert!(done[0] > first[0], "a read completes after a write");
     }
 }

@@ -378,6 +378,7 @@ pub struct Runtime<M> {
     frame_pool: Vec<Vec<(Exec, M)>>,
     dma_batch_scratch: Vec<(DmaOp, M)>,
     dma_ops_scratch: Vec<DmaOp>,
+    dma_done_scratch: Vec<SimTime>,
 }
 
 impl<M: Clone + fmt::Debug> Runtime<M> {
@@ -413,6 +414,7 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             frame_pool: Vec::new(),
             dma_batch_scratch: Vec::new(),
             dma_ops_scratch: Vec::new(),
+            dma_done_scratch: Vec::new(),
             stamp_node: 0,
             push_ctr: vec![0; n],
             lane_of: None,
@@ -811,10 +813,10 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             let res = &mut self.nodes[node];
             let queue_id = res.dma_rr;
             res.dma_rr = (res.dma_rr + 1) % self.params.dma_queues;
-            let completion = res.dma.submit(t0, queue_id, &[op]);
-            let done_at = completion.element_done[0];
+            let submit_busy = res.dma.submit(t0, queue_id, &[op], &mut self.dma_done_scratch);
+            let done_at = self.dma_done_scratch[0];
             if self.in_handler && self.cur_exec == Exec::Nic {
-                let block = done_at.since(self.cur_end) + completion.submit_busy_ns;
+                let block = done_at.since(self.cur_end) + submit_busy;
                 self.charge(block);
             }
             self.push_ev(
@@ -838,6 +840,7 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
         let max_vec = self.params.dma_max_vector;
         let mut batch = std::mem::take(&mut self.dma_batch_scratch);
         let mut ops = std::mem::take(&mut self.dma_ops_scratch);
+        let mut done_at = std::mem::take(&mut self.dma_done_scratch);
         while !self.nodes[node].dma_vec.items.is_empty() {
             let res = &mut self.nodes[node];
             let take = res.dma_vec.items.len().min(max_vec);
@@ -848,8 +851,8 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
             // The submitting NIC core pays the (amortized) submission cost.
             let nic = &mut res.pool_mut(Exec::Nic).cores;
             let (_, _, submit_end) = nic.reserve(now, self.params.dma_submit_ns);
-            let completion = res.dma.submit(submit_end, queue_id, &ops);
-            for ((_, done), at) in batch.drain(..).zip(completion.element_done) {
+            res.dma.submit(submit_end, queue_id, &ops, &mut done_at);
+            for ((_, done), &at) in batch.drain(..).zip(&done_at) {
                 self.push_ev(
                     at,
                     Event::Deliver {
@@ -863,6 +866,7 @@ impl<M: Clone + fmt::Debug> Runtime<M> {
         }
         self.dma_batch_scratch = batch;
         self.dma_ops_scratch = ops;
+        self.dma_done_scratch = done_at;
     }
 
     /// Processes a frame arrival: ingress serialization at arrival time,

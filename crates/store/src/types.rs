@@ -2,7 +2,8 @@
 //! lock state.
 
 use std::fmt;
-use std::sync::Arc;
+use std::iter;
+use std::sync::{Arc, OnceLock};
 
 /// A database key. Workloads map their composite keys (warehouse id,
 /// account number, post id, ...) into this 64-bit space; see
@@ -29,16 +30,25 @@ impl Value {
         Value(Arc::from(bytes))
     }
 
-    /// Creates a value from an owned buffer without copying twice:
-    /// `Arc::from(Vec)` reuses one move/copy where
-    /// `from_bytes(&vec)` would copy the bytes again.
+    /// Creates a value from an owned buffer. `Arc<[u8]>` keeps its
+    /// refcounts in front of the bytes, so this allocates and copies
+    /// exactly like [`Value::from_bytes`]; building the bytes in place
+    /// (see [`WritePayload::apply`]) is what saves the second allocation.
     pub fn from_vec(bytes: Vec<u8>) -> Self {
         Value(Arc::from(bytes))
     }
 
     /// A value of `len` copies of `fill` — handy for synthetic workloads.
+    /// One allocation: the bytes are written straight into the `Arc`.
     pub fn filled(len: usize, fill: u8) -> Self {
-        Value(Arc::from(vec![fill; len]))
+        Value(iter::repeat_n(fill, len).collect())
+    }
+
+    /// The empty value. Every call shares one buffer, so neither this nor
+    /// a clone of its result allocates.
+    pub fn empty() -> Self {
+        static EMPTY: OnceLock<Value> = OnceLock::new();
+        EMPTY.get_or_init(|| Value::from_bytes(&[])).clone()
     }
 
     /// The payload bytes.
@@ -107,28 +117,22 @@ pub enum WritePayload {
 }
 
 impl WritePayload {
-    /// Applies the payload to the replica's current value.
+    /// Applies the payload to the replica's current value. A delta copies
+    /// `current` once, straight into the new value's buffer (zero-padded
+    /// to 8 bytes for an `AddI64` on a shorter value), and edits the copy
+    /// in place; `current` is left untouched.
     pub fn apply(&self, current: &Value) -> Value {
-        match self {
-            WritePayload::Full(v) => v.clone(),
-            WritePayload::AddI64(d) => {
-                let mut bytes = current.bytes().to_vec();
-                if bytes.len() < 8 {
-                    bytes.resize(8, 0);
-                }
-                let ctr = i64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
-                    .wrapping_add(*d);
-                bytes[..8].copy_from_slice(&ctr.to_le_bytes());
-                Value::from_vec(bytes)
+        let mut out = match self {
+            WritePayload::Full(v) => return v.clone(),
+            WritePayload::AddI64(_) if current.len() < 8 => {
+                let mut padded = [0u8; 8];
+                padded[..current.len()].copy_from_slice(current.bytes());
+                Value::from_bytes(&padded)
             }
-            WritePayload::Mutate => {
-                let mut bytes = current.bytes().to_vec();
-                if let Some(b) = bytes.first_mut() {
-                    *b = b.wrapping_add(1);
-                }
-                Value::from_vec(bytes)
-            }
-        }
+            WritePayload::AddI64(_) | WritePayload::Mutate => Value::from_bytes(current.bytes()),
+        };
+        self.edit(Arc::get_mut(&mut out.0).expect("a fresh value is unique"));
+        out
     }
 
     /// The value this payload gives a key that has none yet (an insert
@@ -149,25 +153,28 @@ impl WritePayload {
     pub fn apply_in_place(&self, current: &mut Value) {
         match self {
             WritePayload::Full(v) => *current = v.clone(),
+            WritePayload::AddI64(_) if current.len() < 8 => *current = self.apply(current),
+            WritePayload::AddI64(_) | WritePayload::Mutate => match current.bytes_mut_if_unique() {
+                Some(bytes) => self.edit(bytes),
+                None => *current = self.apply(current),
+            },
+        }
+    }
+
+    /// A delta's edit of a uniquely owned buffer (at least 8 bytes for
+    /// `AddI64`).
+    fn edit(&self, bytes: &mut [u8]) {
+        match self {
+            WritePayload::Full(_) => unreachable!("a full write replaces the value"),
             WritePayload::AddI64(d) => {
-                if let Some(bytes) = current.bytes_mut_if_unique() {
-                    if bytes.len() >= 8 {
-                        let ctr = i64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
-                            .wrapping_add(*d);
-                        bytes[..8].copy_from_slice(&ctr.to_le_bytes());
-                        return;
-                    }
-                }
-                *current = self.apply(current);
+                let ctr =
+                    i64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")).wrapping_add(*d);
+                bytes[..8].copy_from_slice(&ctr.to_le_bytes());
             }
             WritePayload::Mutate => {
-                if let Some(bytes) = current.bytes_mut_if_unique() {
-                    if let Some(b) = bytes.first_mut() {
-                        *b = b.wrapping_add(1);
-                    }
-                    return;
+                if let Some(b) = bytes.first_mut() {
+                    *b = b.wrapping_add(1);
                 }
-                *current = self.apply(current);
             }
         }
     }
@@ -272,10 +279,70 @@ mod tests {
             WritePayload::AddI64(i64::MAX),
             WritePayload::Mutate,
         ] {
-            assert_eq!(p.apply_absent(), p.apply(&Value::filled(0, 0)), "{p:?}");
+            assert_eq!(p.apply_absent(), p.apply(&Value::empty()), "{p:?}");
         }
         let absent = WritePayload::Full(full.clone()).apply_absent();
         assert!(Arc::ptr_eq(&absent.0, &full.0), "Full must not copy");
+    }
+
+    /// `WritePayload::apply` as it was before it built values in place: a
+    /// `Vec` copy, edited, then moved into a new `Arc`.
+    fn apply_via_vec(p: &WritePayload, current: &Value) -> Value {
+        match p {
+            WritePayload::Full(v) => v.clone(),
+            WritePayload::AddI64(d) => {
+                let mut bytes = current.bytes().to_vec();
+                if bytes.len() < 8 {
+                    bytes.resize(8, 0);
+                }
+                let ctr = i64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+                    .wrapping_add(*d);
+                bytes[..8].copy_from_slice(&ctr.to_le_bytes());
+                Value::from_vec(bytes)
+            }
+            WritePayload::Mutate => {
+                let mut bytes = current.bytes().to_vec();
+                if let Some(b) = bytes.first_mut() {
+                    *b = b.wrapping_add(1);
+                }
+                Value::from_vec(bytes)
+            }
+        }
+    }
+
+    #[test]
+    fn apply_builds_the_same_bytes_in_a_fresh_buffer() {
+        let patterned = |len: usize| {
+            Value::from_vec((0..len).map(|i| (i as u8).wrapping_mul(37)).collect())
+        };
+        let cases = [
+            (WritePayload::AddI64(-5), Value::empty()),
+            (WritePayload::AddI64(i64::MAX), patterned(3)),
+            (WritePayload::AddI64(1), patterned(8)),
+            (WritePayload::AddI64(-1), patterned(320)),
+            (WritePayload::Mutate, Value::empty()),
+            (WritePayload::Mutate, patterned(320)),
+        ];
+        for (p, current) in cases {
+            let before = current.bytes().to_vec();
+            let mut out = p.apply(&current);
+            assert_eq!(out, apply_via_vec(&p, &current), "{p:?} on {current:?}");
+            assert_eq!(current.bytes(), &before[..], "{p:?} must not touch current");
+            assert!(
+                out.bytes_mut_if_unique().is_some(),
+                "{p:?} on {current:?}: the result must be uniquely owned"
+            );
+            let mut in_place = current.clone();
+            p.apply_in_place(&mut in_place);
+            assert_eq!(in_place, out, "{p:?}: apply_in_place on a shared value");
+        }
+    }
+
+    #[test]
+    fn empty_values_share_one_buffer() {
+        let (a, b) = (Value::empty(), Value::empty());
+        assert!(a.is_empty());
+        assert!(Arc::ptr_eq(&a.0, &b.0));
     }
 
     #[test]

@@ -194,7 +194,7 @@ fn fig9a_each_ablation_step_helps() {
         ("baseline", base_cfg, NetConfig::baseline()),
         ("+smart remote ops", smart, NetConfig::baseline()),
         (
-            "+eth aggregation",
+            "+aggregation",
             smart,
             NetConfig {
                 async_dma: false,

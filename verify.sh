@@ -90,19 +90,17 @@ stage serial_fuzz_pinned
 # The micro figures drive the runtime's egress paths (DESIGN.md §6, §8):
 # fig2_latency every RDMA verb, fig3_batching both aggregation settings,
 # fig4_dma both DMA modes (~5 s together). Their stdout is pinned byte for
-# byte: the stage fails unless each binary's sha256 is the one below, so
-# a change that moves any number must re-pin it (and say why in
-# CHANGES.md).
-MICRO_PINS="ec18fd1415100a9ed80052903b67571aa423a2a26e9ec968e4a1ebbcc40cd84b  fig2_latency
-5eae7902a4583e46b5577dcbb704441c707e75f23d8d3433e7dbb517bc228c02  fig3_batching
-5202920beba4e54bd6b43b685652b37015c8f27d6d98b6c6e6a003caf4707b81  fig4_dma"
+# byte: the stage diffs each binary's output against its golden file in
+# crates/bench/golden/ and fails on any difference, printing the lines
+# that moved, so a change that moves any number must update the golden
+# file (and say why in CHANGES.md).
 micro_figs_pinned() {
-    local bin sum
+    local bin out=target/micro_figs
+    mkdir -p "$out"
     for bin in fig2_latency fig3_batching fig4_dma; do
-        sum=$(cargo run --release -q -p xenic-bench --bin "$bin" | sha256sum | cut -d' ' -f1) \
-            || return 1
-        if ! grep -qxF "$sum  $bin" <<<"$MICRO_PINS"; then
-            echo "$bin: stdout sha256 $sum is not the pinned one"
+        cargo run --release -q -p xenic-bench --bin "$bin" >"$out/$bin.txt" || return 1
+        if ! diff -u "crates/bench/golden/$bin.txt" "$out/$bin.txt"; then
+            echo "$bin: stdout differs from crates/bench/golden/$bin.txt"
             return 1
         fi
     done
