@@ -318,10 +318,12 @@ impl TxnSpec {
     }
 
     /// The distinct shards the transaction touches, sorted. Inline up to
-    /// four shards: this runs once per submitted transaction on the
-    /// coordinator hot path, and the workloads rarely span more.
-    pub fn shards(&self) -> SmallVec<u32, 4> {
-        let mut v: SmallVec<u32, 4> = SmallVec::new();
+    /// eight shards: this runs once per submitted transaction on the
+    /// coordinator hot path, and a Retwis PostTweet spans up to six. The
+    /// result is a temporary, so the wider inline buffer grows no stored
+    /// struct.
+    pub fn shards(&self) -> SmallVec<u32, 8> {
+        let mut v: SmallVec<u32, 8> = SmallVec::new();
         for s in self
             .all_keys()
             .map(shard_of)

@@ -68,9 +68,10 @@ use crate::client::Client;
 use crate::api::{scan_fingerprint, shard_of, Partitioning, TxnSpec, Workload, SCAN_FP_INIT};
 use crate::config::{ReplBackend, Weakening, XenicConfig};
 use crate::msg::{
-    AbortReq, CheckSet, CommitReq, DmaLogDone, DmaLookupDone, ExecShip, ExecShipResp, Execute,
-    ExecuteResp, KeySet, LocalCommit, LogReq, MsgBox, RetryCommitApply, ScanCheck,
-    ScanCheckSet, ScanObs, ScanObsSet, ScanSet, TxnSubmit, Validate, WriteSet, XMsg,
+    pooled_vec, recycle_vec, AbortReq, CheckSet, CommitReq, DmaLogDone, DmaLookupDone, ExecShip,
+    ExecShipResp, Execute, ExecuteResp, KeySet, LocalCommit, LogReq, MsgBox, RetryCommitApply,
+    ScanCheck, ScanCheckSet, ScanObs, ScanObsSet, ScanSet, SharedWrites, TxnSubmit, Validate,
+    WriteSet, XMsg,
 };
 use crate::repl::{backend, HermesInval, RaftCommit};
 use crate::stats::NodeStats;
@@ -96,6 +97,9 @@ const COMMIT_ACK_TIMEOUT_NS: u64 = 30_000;
 /// the transaction. Log-phase and post-outcome messages are never
 /// abandoned — backups may already have applied the record.
 const MAX_PHASE_RETRIES: u32 = 4;
+/// How many rows ahead `XenicNode::new`'s preload loops prefetch: far
+/// enough that a row's cache miss overlaps the inserts in between.
+const PRELOAD_AHEAD: usize = 16;
 /// Retired [`CoordTxn`] contexts kept for reuse (DESIGN.md §13): enough
 /// to cover every app slot's in-flight transaction plus commit-phase
 /// stragglers, small enough that a fault burst can't hoard memory.
@@ -241,6 +245,17 @@ fn group_of<G: Default>(groups: &mut Vec<(u32, G)>, shard: u32) -> &mut G {
     &mut groups[i].1
 }
 
+/// Freezes `scratch`'s writes into one shared write set — a single
+/// allocation, none when empty — leaving `scratch` empty with its
+/// capacity for the next group.
+fn share(scratch: &mut WriteSet) -> SharedWrites {
+    if scratch.is_empty() {
+        SharedWrites::default()
+    } else {
+        scratch.drain(..).collect()
+    }
+}
+
 /// Coordinator-NIC state for one in-flight transaction.
 ///
 /// Memory discipline (DESIGN.md §13): the spec is shared (`Arc`), the
@@ -270,13 +285,13 @@ pub(crate) struct CoordTxn {
     /// (and its capacity) recycles through the pool like the Vecs.
     #[allow(clippy::box_collection)]
     scan_obs: Box<Vec<(u32, ScanObs)>>,
-    /// Computed write set. Stays a `Vec`: it is moved in whole from
-    /// host/NIC execution results. Empty once the Log phase grouped it.
+    /// Computed write set, filled in place (its capacity recycles with
+    /// the context). Empty once the Log phase grouped it.
     writes: WriteSet,
-    /// The write set grouped by ascending shard, built once on entering
-    /// Log and read by both the backend's appends and the CommitReq
-    /// fan-out (which drains it; the outer capacity recycles).
-    pub(crate) by_shard: Vec<(u32, WriteSet)>,
+    /// The write set grouped by ascending shard, each group frozen once
+    /// on entering Log and shared by the backend's appends and the
+    /// CommitReq fan-out (which drains it; the outer capacity recycles).
+    pub(crate) by_shard: Vec<(u32, SharedWrites)>,
     /// Shards where this txn acquired write locks (for abort cleanup).
     locked_shards: SmallVec<u32, 4>,
     /// Number of distinct primaries contacted during Execute.
@@ -286,8 +301,10 @@ pub(crate) struct CoordTxn {
     /// Multi-hop: the remote shard whose primary executes (and holds the
     /// locks and staged writes of) this transaction.
     remote_shard: Option<u32>,
-    /// Multi-hop: write set for the coordinator's local shard.
-    local_writes: WriteSet,
+    /// Writes this NIC applies to its own shard at commit, shared with
+    /// that shard's backup appends: the coordinator-local part of a
+    /// multi-hop transaction, or a local fast-path commit's whole set.
+    local_writes: SharedWrites,
     /// Multi-hop / local fast path: keys locked on this NIC directly
     /// (incl. read-set keys).
     local_locked: KeySet,
@@ -333,7 +350,7 @@ impl CoordTxn {
             shards_contacted: 0,
             rounds_done: 0,
             remote_shard: None,
-            local_writes: Vec::new(),
+            local_writes: SharedWrites::default(),
             local_locked: SmallVec::new(),
             epoch: 0,
             attempts: 0,
@@ -359,7 +376,7 @@ impl CoordTxn {
         self.shards_contacted = 0;
         self.rounds_done = 0;
         self.remote_shard = None;
-        self.local_writes.clear();
+        self.local_writes = SharedWrites::default();
         self.local_locked.clear();
         self.epoch = 0;
         self.attempts = 0;
@@ -456,7 +473,7 @@ pub struct XenicNode {
     pending: FastMap<u64, PendingOp>,
     next_op: u64,
     // Staged write sets for shipped transactions awaiting CommitReq.
-    ship_staged: FastMap<TxnId, WriteSet>,
+    ship_staged: FastMap<TxnId, SharedWrites>,
     // All keys a shipped execution locked here (incl. read-set keys),
     // released at CommitReq.
     ship_locked: FastMap<TxnId, KeySet>,
@@ -467,6 +484,12 @@ pub struct XenicNode {
     // Range-walk scratch: one scan's collected rows, reused across
     // requests so a scan allocates only the rows it returns.
     scan_walk: Vec<ScanRow>,
+    // Per-shard grouping scratch, reused across transactions like
+    // `scan_walk`: one shard's writes on their way into a shared set
+    // (`log_phase`, shipped executions), and Validate's per-shard
+    // request bodies.
+    write_group: WriteSet,
+    validate_groups: Vec<(u32, (CheckSet, ScanCheckSet))>,
 
     // ---- Loss tolerance (populated only when fault injection is on) ----
     // Next Execute/Validate request id.
@@ -528,7 +551,13 @@ impl XenicNode {
             slot_value_bytes: workload.value_bytes(),
         };
         let mut host_table = RobinhoodTable::new(table_cfg);
-        for (k, v) in &own {
+        // Both preload loops below prefetch the row `PRELOAD_AHEAD`
+        // places ahead, so each insert finds its home slot (index entry)
+        // in cache; the inserts themselves keep their order.
+        for (i, (k, v)) in own.iter().enumerate() {
+            if let Some((ahead, _)) = own.get(i + PRELOAD_AHEAD) {
+                host_table.prefetch_slots([*ahead]);
+            }
             host_table.insert(*k, v.clone());
         }
         let mut nic_index = NicIndex::new(NicIndexConfig {
@@ -551,7 +580,10 @@ impl XenicNode {
         // own: each install is one independent cache miss, and folding
         // the tree inserts above into this loop serializes them.)
         if cfg.nic_cache() && own.len() <= cfg.nic_cache_values {
-            for (k, v) in &own {
+            for (i, (k, v)) in own.iter().enumerate() {
+                if let Some((ahead, _)) = own.get(i + PRELOAD_AHEAD) {
+                    nic_index.prefetch_segment(host_table.segment_of_key(*ahead));
+                }
                 let seg = host_table.segment_of_key(*k);
                 nic_index.install_preloaded(seg, *k, v.clone(), 1);
             }
@@ -594,6 +626,8 @@ impl XenicNode {
             apply_ready: FastSet::default(),
             next_apply_lsn: 1,
             scan_walk: Vec::new(),
+            write_group: Vec::new(),
+            validate_groups: Vec::new(),
             next_req: 1,
             committing: FastMap::default(),
             commit_seen: FastSet::default(),
@@ -651,7 +685,7 @@ impl XenicNode {
             ct.values.clear();
             ct.writes.clear();
             ct.by_shard.clear();
-            ct.local_writes.clear();
+            ct.local_writes = SharedWrites::default();
             ct.round.0.clear();
             self.coord_pool.push(ct);
         }
@@ -726,7 +760,7 @@ pub struct Xenic;
 
 /// NIC-core cost of a message carrying a log record (LogReq and the
 /// backend append messages): the per-byte DMA-descriptor work.
-fn log_record_cost(writes: &WriteSet) -> u64 {
+fn log_record_cost(writes: &[(Key, WritePayload, Version)]) -> u64 {
     let bytes: u64 = writes
         .iter()
         .map(|(_, p, _)| u64::from(p.wire_bytes()) + 8)
@@ -848,7 +882,7 @@ impl Protocol for Xenic {
                 } = st;
                 log.ack_through_with(lsn, |e| {
                     if e.kind == LogKind::Commit {
-                        for (k, _, _) in &e.writes {
+                        for (k, _, _) in e.writes.iter() {
                             let seg = host_table.segment_of_key(*k);
                             nic_index.unpin(seg, *k);
                         }
@@ -997,8 +1031,10 @@ fn host_start_txn(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, slot: u
         table.prefetch_slots(spec.all_keys());
         let version = |k: Key| table.get(k).map(|(_, ver)| ver);
         let updates = spec.all_updates().count();
-        let mut checks = Vec::with_capacity(spec.reads.len() + updates);
-        let mut writes: WriteSet = Vec::with_capacity(updates + spec.inserts.len());
+        let mut checks = pooled_vec();
+        checks.reserve(spec.reads.len() + updates);
+        let mut writes: WriteSet = pooled_vec();
+        writes.reserve(updates + spec.inserts.len());
         for k in &spec.reads {
             if let Some(ver) = version(*k) {
                 checks.push((*k, ver));
@@ -1039,7 +1075,9 @@ fn host_read_set(
         return;
     };
     rt.charge(spec.exec_host_ns);
-    let writes = compute_writes(spec, &values, &[]);
+    let mut writes = pooled_vec();
+    compute_writes(spec, &values, &[], &mut writes);
+    recycle_vec(values);
     send_pcie(rt, Exec::Nic, XMsg::WritesReady { seq, writes });
 }
 
@@ -1061,7 +1099,7 @@ fn host_apply_log(st: &mut XenicNode, rt: &mut Runtime<XMsg>, lsn: u64) {
             let keys = entry.writes.iter().map(|(k, _, _)| *k);
             st.host_table.prefetch_slots(keys.clone());
             st.host_table.prefetch_values(keys);
-            for (k, p, ver) in &entry.writes {
+            for (k, p, ver) in entry.writes.iter() {
                 if !st.host_table.apply_payload(*k, p, *ver) {
                     st.host_table.insert_versioned(*k, p.apply_absent(), *ver);
                     let seg = st.host_table.segment_of_key(*k);
@@ -1155,16 +1193,18 @@ fn backup_apply(
     }
 }
 
-/// Builds the write set from the spec: delta-shippable ops (AddI64,
-/// Mutate) travel as payloads applied at each replica — the object's
-/// bytes never cross the wire; Put and inserts carry full values.
-/// Versions come from execute-phase reads / lock metadata.
+/// Builds the write set from the spec into the empty `out`: delta-
+/// shippable ops (AddI64, Mutate) travel as payloads applied at each
+/// replica — the object's bytes never cross the wire; Put and inserts
+/// carry full values. Versions come from execute-phase reads / lock
+/// metadata.
 fn compute_writes(
     spec: &TxnSpec,
     values: &[(Key, Value, Version)],
     lock_versions: &[(Key, Version)],
-) -> WriteSet {
-    let mut out = Vec::with_capacity(spec.all_updates().count() + spec.inserts.len());
+    out: &mut WriteSet,
+) {
+    out.reserve(spec.all_updates().count() + spec.inserts.len());
     for (k, op) in spec.all_updates() {
         out.push((*k, op.payload(), version_of(values, lock_versions, *k) + 1));
     }
@@ -1172,7 +1212,6 @@ fn compute_writes(
         let ver = version_of(values, lock_versions, *k);
         out.push((*k, WritePayload::Full(v.clone()), ver + 1));
     }
-    out
 }
 
 /// The version Execute observed for `k`: lock metadata first, else the
@@ -1231,7 +1270,7 @@ fn cnic_submit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, submit: Tx
     // direct-ship path (which stays "executing" until the ship resolves).
     rt.trace_begin("Execute", seq);
     let shards = spec.shards();
-    let remote_shards: SmallVec<u32, 4> =
+    let remote_shards: SmallVec<u32, 8> =
         shards.iter().copied().filter(|&s| s != st.shard).collect();
 
     // Multi-hop requires a single remote shard, shippable logic, and —
@@ -1403,8 +1442,8 @@ fn cnic_execute_resp(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, resp
         req,
         shard,
         ok,
-        values,
-        lock_versions,
+        mut values,
+        mut lock_versions,
         scan_obs,
     } = resp;
     let seq = txn.seq;
@@ -1418,8 +1457,8 @@ fn cnic_execute_resp(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, resp
     if !ok {
         ct.ok = false;
     } else if ct.ok {
-        ct.values.extend(values);
-        ct.lock_versions.extend(lock_versions);
+        ct.values.append(&mut values);
+        ct.lock_versions.append(&mut lock_versions);
         ct.scan_obs.extend(scan_obs.iter().map(|o| (shard, *o)));
         let locks_here = ct.spec.write_keys().any(|k| shard_of(k) == shard);
         if locks_here && !ct.locked_shards.contains(&shard) {
@@ -1435,6 +1474,8 @@ fn cnic_execute_resp(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, resp
     }
     ct.pending -= 1;
     let (pending, txn_ok, phase) = (ct.pending, ct.ok, ct.phase);
+    recycle_vec(values);
+    recycle_vec(lock_versions);
     send_abort(st, rt, txn, shard, release);
     if pending > 0 {
         return;
@@ -1448,7 +1489,8 @@ fn cnic_execute_resp(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, resp
             // Local part locked & read; ship to the remote primary. Lock
             // versions travel as value-less entries (16 B each).
             let ct = &st.coord[&seq];
-            let mut local_vals = ct.values.to_vec();
+            let mut local_vals = pooled_vec();
+            local_vals.extend_from_slice(&ct.values);
             local_vals.extend(
                 ct.lock_versions
                     .iter()
@@ -1512,12 +1554,14 @@ fn exec_complete(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64
         // §4.2.2: run execution logic here on the coordinator NIC.
         rt.charge(spec.exec_nic_ns);
         st.stats.nic_executed.inc();
-        ct.writes = compute_writes(&spec, &ct.values, &ct.lock_versions);
+        ct.writes.clear();
+        compute_writes(&spec, &ct.values, &ct.lock_versions, &mut ct.writes);
         send_validates(st, rt, me, seq, txn);
     } else {
         // Return the read set to the host for execution (§4.2 step 3).
         ct.enter_phase(Phase::WaitHost);
-        let values = ct.values.to_vec();
+        let mut values = pooled_vec();
+        values.extend_from_slice(&ct.values);
         send_pcie(rt, Exec::Host, XMsg::ReadSet { seq, slot: ct.slot, values });
     }
 }
@@ -1527,17 +1571,20 @@ fn cnic_writes_ready(
     rt: &mut Runtime<XMsg>,
     me: usize,
     seq: u64,
-    writes: WriteSet,
+    mut writes: WriteSet,
 ) {
     let Some(ct) = st.coord.get_mut(&seq) else {
         return;
     };
     // The host computed payloads; versions come from the NIC's execute-
     // phase lock metadata.
-    ct.writes = writes
-        .into_iter()
-        .map(|(k, p, _)| (k, p, version_of(&ct.values, &ct.lock_versions, k) + 1))
-        .collect();
+    ct.writes.clear();
+    ct.writes.extend(
+        writes
+            .drain(..)
+            .map(|(k, p, _)| (k, p, version_of(&ct.values, &ct.lock_versions, k) + 1)),
+    );
+    recycle_vec(writes);
     send_validates(st, rt, me, seq, TxnId::new(me as u32, seq));
 }
 
@@ -1550,12 +1597,8 @@ fn send_validates(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u6
     let ct = st.coord.get_mut(&seq).expect("coord exists");
     ct.enter_phase(Phase::Validate);
     // Only pure reads validate; updates hold locks.
-    let checks: Vec<(Key, Version)> = ct
-        .spec
-        .all_reads()
-        .map(|k| (k, version_of(&ct.values, &[], k)))
-        .collect();
-    if (checks.is_empty() && ct.scan_obs.is_empty()) || ct.shards_contacted <= 1 {
+    let no_reads = ct.spec.all_reads().next().is_none();
+    if (no_reads && ct.scan_obs.is_empty()) || ct.shards_contacted <= 1 {
         // Single-shard execute was atomic at the primary; no window —
         // the walk's in-range lock/pending-insert refusal covers
         // predicates too.
@@ -1565,8 +1608,9 @@ fn send_validates(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u6
     // Scan re-checks ride the same per-shard Validate: each Execute-phase
     // observation already carries everything the primary needs to
     // re-walk its predicate.
-    let mut by_shard: Vec<(u32, (CheckSet, ScanCheckSet))> = Vec::new();
-    for (k, v) in checks {
+    let mut by_shard = std::mem::take(&mut st.validate_groups);
+    for k in ct.spec.all_reads() {
+        let v = version_of(&ct.values, &[], k);
         group_of(&mut by_shard, shard_of(k)).0.push((k, v));
     }
     for &(s, o) in ct.scan_obs.iter() {
@@ -1586,7 +1630,7 @@ fn send_validates(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u6
         checks,
         scan_checks,
     };
-    for (shard, (checks, scan_checks)) in by_shard {
+    for (shard, (checks, scan_checks)) in by_shard.drain(..) {
         let dst = st.part.primary(shard);
         if smart {
             request(st, rt, seq, dst, |req| validate(req, checks, scan_checks));
@@ -1601,6 +1645,7 @@ fn send_validates(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u6
             request(st, rt, seq, dst, |req| validate(req, CheckSet::new(), one));
         }
     }
+    st.validate_groups = by_shard;
     if rt.faults_active() {
         arm_phase_timer(st, rt, seq);
     }
@@ -1653,21 +1698,23 @@ fn log_phase(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, seq: u64, tx
     ct.enter_phase(Phase::Log);
     ct.acks.clear();
     rt.trace_begin("Log", seq);
-    // Group the write set by shard, once: the backend's appends clone
-    // from the groups and the CommitReq fan-out later moves them out.
-    let writes = std::mem::take(&mut ct.writes);
-    let total = writes.len();
-    for (k, p, ver) in writes {
-        let group = group_of(&mut ct.by_shard, shard_of(k));
-        if group.is_empty() {
-            // Exact-capacity groups: TPC-C's wide write sets (10+ keys,
-            // mostly one shard) would otherwise pay the full doubling
-            // ladder from capacity 1.
-            group.reserve_exact(total);
+    // Group the write set by shard, once, into one shared set per shard
+    // in ascending shard order, keeping the write order within each: the
+    // backend's appends share the groups and the CommitReq fan-out later
+    // moves them out. Each pass moves one shard's writes into the
+    // scratch, so the only allocation per shard is the shared set.
+    let mut shards: SmallVec<u32, 8> = SmallVec::new();
+    for (k, _, _) in &ct.writes {
+        if !shards.contains(&shard_of(*k)) {
+            shards.push(shard_of(*k));
         }
-        group.push((k, p, ver));
     }
-    ct.by_shard.sort_unstable_by_key(|(s, _)| *s);
+    shards.sort_unstable();
+    let group = &mut st.write_group;
+    for &shard in &shards {
+        group.extend(ct.writes.extract_if(.., |(k, _, _)| shard_of(*k) == shard));
+        ct.by_shard.push((shard, share(group)));
+    }
     backend(st.cfg.replication_backend).begin_log(st, rt, me, seq, txn);
 }
 
@@ -1828,7 +1875,8 @@ fn commit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64, txn: TxnId, ct: 
         r.note_reads(txn, ct.values.iter().map(|(k, _, v)| (*k, *v)));
         r.note_reads(txn, ct.lock_versions.iter().copied());
         r.note_scans(txn, ct.scan_obs.iter().map(|(_, o)| (o.lo, o.hi_obs)));
-        let writes = ct.by_shard.iter().flat_map(|(_, ws)| ws).chain(&ct.local_writes);
+        let shared = ct.by_shard.iter().flat_map(|(_, ws)| ws.iter());
+        let writes = shared.chain(ct.local_writes.iter());
         r.note_writes(txn, writes.map(|(k, _, v)| (*k, *v)));
         r.commit(txn);
     }
@@ -1870,7 +1918,11 @@ fn commit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64, txn: TxnId, ct: 
             // then the local-shard commit here (locks released after the
             // DMA; read-only local participation just unlocks).
             let remote = ct.remote_shard.expect("multihop has remote");
-            let slim = XMsg::from(CommitReq { txn, shard: remote, writes: Vec::new() });
+            let slim = XMsg::from(CommitReq {
+                txn,
+                shard: remote,
+                writes: SharedWrites::default(),
+            });
             send_until_acked(st, rt, seq, remote, slim);
             let local_locked = std::mem::take(&mut ct.local_locked);
             if ct.local_writes.is_empty() {
@@ -1889,7 +1941,7 @@ fn commit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, seq: u64, txn: TxnId, ct: 
                 HermesInval::broadcast_validation(st, rt, txn, shard, fa, &mut unacked);
                 retransmit_until_acked(st, rt, seq, unacked);
             }
-            let writes = std::mem::take(&mut ct.writes);
+            let writes = std::mem::take(&mut ct.local_writes);
             let unlock = std::mem::take(&mut ct.local_locked);
             apply_commit_records(st, rt, txn, writes, unlock);
         }
@@ -2038,7 +2090,7 @@ fn cnic_local_commit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, lc: 
         seq,
         slot,
         checks,
-        writes,
+        mut writes,
     } = lc;
     let txn = TxnId::new(me as u32, seq);
     // Every key this handler touches is known up front: fetch their index
@@ -2080,6 +2132,8 @@ fn cnic_local_commit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, lc: 
         // Refused at the door: no context or span was opened, so release
         // what this attempt locked and report the abort.
         unlock_keys(st, txn, writes[..locked].iter().map(|(k, _, _)| k));
+        recycle_vec(writes);
+        recycle_vec(checks);
         send_pcie(rt, Exec::Host, XMsg::Outcome { slot, committed: false });
         return;
     }
@@ -2106,10 +2160,13 @@ fn cnic_local_commit(st: &mut XenicNode, rt: &mut Runtime<XMsg>, me: usize, lc: 
     // exactly like in the remote Log phase.
     let append = backend(st.cfg.replication_backend);
     let shard = st.shard;
+    let shared = share(&mut writes);
     append_to_backups(&mut ct.round, &mut ct.pending, rt, &st.part, shard, || {
-        append.append(txn, shard, me as u32, writes.clone())
+        append.append(txn, shard, me as u32, Arc::clone(&shared))
     });
-    ct.writes = writes;
+    ct.local_writes = shared;
+    recycle_vec(writes);
+    recycle_vec(checks);
     st.coord.insert(seq, ct);
     appends_sent(st, rt, me, seq);
 }
@@ -2120,7 +2177,7 @@ fn apply_commit_records(
     st: &mut XenicNode,
     rt: &mut Runtime<XMsg>,
     txn: TxnId,
-    writes: WriteSet,
+    writes: SharedWrites,
     unlock: KeySet,
 ) {
     let shard = st.shard;
@@ -2136,7 +2193,7 @@ fn apply_commit_records(
             let entry = log.get(lsn).expect("record was just appended");
             let segment_of = |k: Key| host_table.segment_of_key(k);
             nic_index.prefetch_keys(entry.writes.iter().map(|(k, _, _)| *k), segment_of);
-            for (k, p, ver) in &entry.writes {
+            for (k, p, ver) in entry.writes.iter() {
                 let seg = segment_of(*k);
                 if cfg.nic_cache() {
                     // Resolve the new value locally: the primary holds the
@@ -2263,10 +2320,12 @@ fn snic_execute(
     // prefetch their index entries and cached values so the misses
     // overlap, then check the rows in key order. A refusal at a row
     // charges the visits a walk stopped there would have made.
+    //
+    // Scan rows lead the value stream (the point reads follow); the
+    // per-scan summaries delimit and identify them for the coordinator.
     let mut scan_obs = ScanObsSet::new();
-    let mut scan_values: Vec<(Key, Value, Version)> = Vec::new();
+    let mut values = pooled_vec();
     if !scans.is_empty() {
-        let mut scan_rows: Vec<(Key, Value, Version)> = Vec::new();
         let mut visits_total = 0u64;
         let mut conflict = false;
         let XenicNode {
@@ -2282,7 +2341,7 @@ fn snic_execute(
             let mut hi_obs = s.hi;
             let mut visits = nic_index.collect_rows(s.lo, s.hi, Some(txn), s.limit as usize, rows);
             nic_index.prefetch_keys(rows.iter().map(|r| r.key), |k| host_table.segment_of_key(k));
-            scan_rows.reserve(rows.len());
+            values.reserve(rows.len());
             for row in rows.iter() {
                 let Some((ver, value)) = scan_row_value(nic_index, host_table, marks, txn, row)
                 else {
@@ -2290,7 +2349,7 @@ fn snic_execute(
                     visits = row.visits;
                     break;
                 };
-                scan_rows.push((row.key, value, ver));
+                values.push((row.key, value, ver));
                 count += 1;
                 fp = scan_fingerprint(fp, row.key, ver);
                 if count >= s.limit {
@@ -2313,12 +2372,12 @@ fn snic_execute(
             rt.trace_instant("RangeWalk", txn.seq);
         }
         if conflict {
+            recycle_vec(values);
             refuse_exec(st, rt, txn, req, reply_to, ship.is_some(), acquired);
             return;
         }
         st.stats.range_walks.add(scans.len() as u64);
-        st.stats.scan_rows.add(scan_rows.len() as u64);
-        scan_values = scan_rows;
+        st.stats.scan_rows.add(values.len() as u64);
     }
     if ship.is_some() && !acquired.is_empty() {
         st.ship_locked.insert(txn, acquired.clone());
@@ -2328,10 +2387,7 @@ fn snic_execute(
     // payloads are applied here at commit).
     let op_id = st.next_op;
     st.next_op += 1;
-    // Scan rows join the value stream; the per-scan summaries delimit
-    // and identify them for the coordinator.
-    let mut values = scan_values;
-    let mut lock_versions = Vec::new();
+    let mut lock_versions = pooled_vec();
     let mut lock_only: SmallVec<Key, 4> = SmallVec::new();
     let mut awaiting = 0usize;
     for k in &reads {
@@ -2403,7 +2459,7 @@ fn refuse_exec(
         let msg = XMsg::from(ExecShipResp {
             txn,
             ok: false,
-            local_writes: Vec::new(),
+            local_writes: SharedWrites::default(),
         });
         if rt.faults_active() {
             // Cache the refusal: a retransmitted ExecShip must not
@@ -2581,6 +2637,8 @@ fn resolve_exec(st: &mut XenicNode, rt: &mut Runtime<XMsg>, op: PendingOp) {
     if !ok {
         // A DMA-resolved read raced a concurrent commit (stale against
         // NIC metadata): refuse exactly as if the lock phase had failed.
+        recycle_vec(values);
+        recycle_vec(lock_versions);
         refuse_exec(st, rt, txn, req, reply_to, ship.is_some(), locked);
         return;
     }
@@ -2599,10 +2657,13 @@ fn resolve_exec(st: &mut XenicNode, rt: &mut Runtime<XMsg>, op: PendingOp) {
         }
         Some(ctx) => {
             // Execute the whole transaction here at the remote primary.
-            rt.charge(ctx.spec.exec_nic_ns);
+            let ShipCtx { spec, mut local_vals } = *ctx;
+            rt.charge(spec.exec_nic_ns);
             let mut all_vals = values;
-            all_vals.extend(ctx.local_vals.iter().cloned());
-            let writes = compute_writes(&ctx.spec, &all_vals, &lock_versions);
+            all_vals.append(&mut local_vals);
+            recycle_vec(local_vals);
+            let mut writes = pooled_vec();
+            compute_writes(&spec, &all_vals, &lock_versions, &mut writes);
             // Note the shipped transaction's reads and full write set
             // now: every commit ack the coordinator can collect passes
             // through messages sent after this point, so the notes are
@@ -2612,17 +2673,17 @@ fn resolve_exec(st: &mut XenicNode, rt: &mut Runtime<XMsg>, op: PendingOp) {
                 r.note_reads(txn, lock_versions.iter().copied());
                 r.note_writes(txn, writes.iter().map(|(k, _, v)| (*k, *v)));
             }
-            let mine: WriteSet = writes
-                .iter()
-                .filter(|(k, _, _)| shard_of(*k) == st.shard)
-                .cloned()
-                .collect();
             let coord_shard = reply_to;
-            let local_writes: WriteSet = writes
-                .iter()
-                .filter(|(k, _, _)| shard_of(*k) == coord_shard)
-                .cloned()
-                .collect();
+            let mut split = |shard: u32| {
+                let group = &mut st.write_group;
+                group.extend(writes.extract_if(.., |(k, _, _)| shard_of(*k) == shard));
+                share(group)
+            };
+            let mine = split(st.shard);
+            let local_writes = split(coord_shard);
+            recycle_vec(writes);
+            recycle_vec(all_vals);
+            recycle_vec(lock_versions);
             // Fan out Log requests for both shards, acks direct to the
             // coordinator (the multi-hop pattern). Under faults the
             // outcome is remembered so a retransmitted ExecShip replays
@@ -2638,7 +2699,7 @@ fn resolve_exec(st: &mut XenicNode, rt: &mut Runtime<XMsg>, op: PendingOp) {
                         txn,
                         shard,
                         reply_to,
-                        writes: writes.clone(),
+                        writes: Arc::clone(writes),
                     });
                     if fa {
                         fanout.push((b, msg.clone()));

@@ -16,8 +16,11 @@ use std::sync::Arc;
 use xenic_sim::SmallVec;
 use xenic_store::{Key, TxnId, Value, Version, WritePayload};
 
-/// A replicated write set: key, payload (full value or shipped delta),
-/// and the new version.
+pub use xenic_store::SharedWrites;
+
+/// A write set under construction: key, payload (full value or shipped
+/// delta), and the new version. Once final, each shard's part is frozen
+/// into a [`SharedWrites`] that every replica's message shares.
 pub type WriteSet = Vec<(Key, WritePayload, Version)>;
 
 /// A small key set carried inline in a (boxed) message body: the common
@@ -372,8 +375,8 @@ pub struct LogReq {
     /// Node to acknowledge (the coordinator — possibly not the
     /// sender, in the multi-hop pattern of Figure 7b).
     pub reply_to: u32,
-    /// The write set.
-    pub writes: WriteSet,
+    /// The shard's write set, shared with its other replicas' messages.
+    pub writes: SharedWrites,
 }
 
 /// Body of [`XMsg::RaftAppend`].
@@ -388,8 +391,8 @@ pub struct RaftAppend {
     pub term: u32,
     /// Coordinator node to acknowledge (followers ack it directly).
     pub reply_to: u32,
-    /// The write set.
-    pub writes: WriteSet,
+    /// The shard's write set, shared with the relays and the CommitReq.
+    pub writes: SharedWrites,
 }
 
 /// Body of [`XMsg::CommitReq`].
@@ -399,8 +402,9 @@ pub struct CommitReq {
     pub txn: TxnId,
     /// Target shard.
     pub shard: u32,
-    /// The write set to apply.
-    pub writes: WriteSet,
+    /// The write set to apply (empty: the writes were staged by a
+    /// shipped execution), shared with the shard's backup appends.
+    pub writes: SharedWrites,
 }
 
 /// Body of [`XMsg::AbortReq`].
@@ -434,8 +438,9 @@ pub struct ExecShipResp {
     pub txn: TxnId,
     /// False if locking or validation failed at the remote primary.
     pub ok: bool,
-    /// Writes belonging to the coordinator's local shard.
-    pub local_writes: WriteSet,
+    /// Writes belonging to the coordinator's local shard, shared with
+    /// the LogReqs to that shard's backups.
+    pub local_writes: SharedWrites,
 }
 
 /// Body of [`XMsg::DmaLookupDone`].
@@ -457,7 +462,7 @@ pub struct RetryCommitApply {
     /// Transaction id.
     pub txn: TxnId,
     /// The write set to apply.
-    pub writes: WriteSet,
+    pub writes: SharedWrites,
     /// Keys to unlock once durable.
     pub unlock: KeySet,
 }
@@ -695,6 +700,60 @@ from_body!(
     DmaLogDone,
 );
 
+/// An element type whose vectors recycle through a thread-local
+/// freelist. Implemented by `vec_pool!` for the vectors that travel
+/// inside messages: Execute's values and lock versions, the read set
+/// shipped to the host and the write set it returns, a LocalCommit's
+/// checks and writes, and a shipped execution's local values.
+pub(crate) trait PooledVec: Sized + 'static {
+    /// Runs `f` with this element type's freelist of empty vectors.
+    fn with_vecs<R>(f: impl FnOnce(&mut Vec<Vec<Self>>) -> R) -> R;
+}
+
+/// An empty vector for a message, reusing a spare allocation from this
+/// thread's freelist when one is there. The sender fills it; whoever
+/// consumes the message hands it back with [`recycle_vec`].
+pub(crate) fn pooled_vec<T: PooledVec>() -> Vec<T> {
+    T::with_vecs(|p| p.pop()).unwrap_or_default()
+}
+
+/// Empties `v` and keeps its allocation for the next [`pooled_vec`] on
+/// this thread, up to [`POOL_MAX`] spares per element type (beyond that,
+/// or if `v` never allocated, it is simply dropped). A vector built on
+/// one lane and consumed on another retires into the consumer's
+/// freelist: it is plain heap memory, so it just becomes that lane's
+/// spare — the release-build `MsgBox` policy.
+pub(crate) fn recycle_vec<T: PooledVec>(mut v: Vec<T>) {
+    if v.capacity() == 0 {
+        return;
+    }
+    v.clear();
+    T::with_vecs(|p| {
+        if p.len() < POOL_MAX {
+            p.push(v);
+        }
+    });
+}
+
+macro_rules! vec_pool {
+    ($($t:ty),* $(,)?) => {$(
+        impl PooledVec for $t {
+            fn with_vecs<R>(f: impl FnOnce(&mut Vec<Vec<Self>>) -> R) -> R {
+                thread_local! {
+                    static POOL: std::cell::RefCell<Vec<Vec<$t>>> =
+                        const { std::cell::RefCell::new(Vec::new()) };
+                }
+                POOL.with(|p| f(&mut p.borrow_mut()))
+            }
+        }
+    )*};
+}
+vec_pool!(
+    (Key, Value, Version),
+    (Key, Version),
+    (Key, WritePayload, Version)
+);
+
 impl SlotMsg for XMsg {
     fn start(slot: u32) -> Self {
         XMsg::StartTxn { slot }
@@ -817,13 +876,13 @@ mod tests {
             txn: TxnId::new(0, 1),
             shard: 0,
             reply_to: 0,
-            writes: vec![(9, WritePayload::Full(v(320)), 2)],
+            writes: vec![(9, WritePayload::Full(v(320)), 2)].into(),
         });
         let log_delta = XMsg::from(LogReq {
             txn: TxnId::new(0, 1),
             shard: 0,
             reply_to: 0,
-            writes: vec![(9, WritePayload::AddI64(-3), 2)],
+            writes: vec![(9, WritePayload::AddI64(-3), 2)].into(),
         });
         assert_eq!(log_full.wire_bytes(), 24 + 8 + 16 + 320);
         assert_eq!(log_delta.wire_bytes(), 24 + 8 + 20);
@@ -864,6 +923,22 @@ mod tests {
 
     /// Clones (retransmit buffers, duplication faults) draw from the
     /// pool as well, and carried heap state survives the round-trip.
+    #[test]
+    fn recycled_vecs_come_back_empty_with_their_allocation() {
+        let mut v: Vec<(Key, Version)> = pooled_vec();
+        v.extend([(1, 2), (3, 4)]);
+        let (ptr, cap) = (v.as_ptr(), v.capacity());
+        recycle_vec(v);
+        let again: Vec<(Key, Version)> = pooled_vec();
+        assert!(again.is_empty());
+        assert_eq!((again.as_ptr(), again.capacity()), (ptr, cap));
+        // A vector that never allocated is not worth a freelist slot.
+        recycle_vec(Vec::<(Key, Version)>::new());
+        let fresh: Vec<(Key, Version)> = pooled_vec();
+        assert_eq!(fresh.capacity(), 0);
+        recycle_vec(again);
+    }
+
     #[test]
     fn msgbox_clone_preserves_contents() {
         let mut unlock = KeySet::new();

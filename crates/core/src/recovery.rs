@@ -138,7 +138,7 @@ pub fn recover_shard(
             evidence.insert(entry.txn);
             recovering
                 .entry(entry.txn)
-                .or_insert_with(|| entry.writes.clone());
+                .or_insert_with(|| entry.writes.to_vec());
         }
     }
 
@@ -313,7 +313,7 @@ pub fn recover_coordinator(
                 .entry(entry.txn)
                 .or_default()
                 .entry(entry.shard)
-                .or_insert_with(|| entry.writes.clone());
+                .or_insert_with(|| entry.writes.to_vec());
         }
     }
     // Locks held for the failed coordinator's transactions.

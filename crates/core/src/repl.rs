@@ -27,8 +27,8 @@
 //! coordinator context in `Phase::Log`, nothing pending, cleared ack
 //! state, and the write set grouped by ascending shard in
 //! `CoordTxn::by_shard` (the CommitReq fan-out reuses those groups, so
-//! appends clone from them). `on_log_ack` is called only for acks that
-//! passed the phase gate and the `(from, shard)` dedup.
+//! appends share them by reference count). `on_log_ack` is called only
+//! for acks that passed the phase gate and the `(from, shard)` dedup.
 //! `on_log_timeout` is called only while the transaction is still in
 //! `Phase::Log` (epoch-checked); the engine re-arms the timer after it.
 //! `after_commit` is called at the commit point, before the CommitReq
@@ -57,7 +57,8 @@ use crate::engine::{
     append_to_backups, appends_sent, count_ack, send, snic_log, Awaits, CoordTxn, InFlight, Phase,
     Round, XenicNode,
 };
-use crate::msg::{KeySet, LogReq, MsgBox, RaftAppend, WriteSet, XMsg};
+use crate::msg::{KeySet, LogReq, MsgBox, RaftAppend, SharedWrites, XMsg};
+use std::sync::Arc;
 
 /// A NIC-resident replication protocol owning the Log phase end to end.
 ///
@@ -72,7 +73,7 @@ pub(crate) trait Replication {
     /// The message that makes one backup log `writes` for `shard` and
     /// acknowledge `reply_to` (also what the local fast path, which
     /// replicates to every backup under every backend, sends).
-    fn append(&self, txn: TxnId, shard: u32, reply_to: u32, writes: WriteSet) -> XMsg {
+    fn append(&self, txn: TxnId, shard: u32, reply_to: u32, writes: SharedWrites) -> XMsg {
         XMsg::from(LogReq {
             txn,
             shard,
@@ -103,7 +104,7 @@ pub(crate) trait Replication {
         } = st.coord.get_mut(&seq).expect("coord exists");
         for (shard, writes) in by_shard.iter() {
             append_to_backups(round, pending, rt, &st.part, *shard, || {
-                self.append(txn, *shard, me as u32, writes.clone())
+                self.append(txn, *shard, me as u32, Arc::clone(writes))
             });
         }
         appends_sent(st, rt, me, seq);
@@ -258,7 +259,7 @@ impl RaftCommit {
                 txn,
                 shard,
                 reply_to,
-                writes: writes.clone(),
+                writes: Arc::clone(&writes),
             };
             if b == me {
                 // A deposed-primary era can elect a backup leader: its
@@ -329,7 +330,7 @@ impl Replication for RaftCommit {
                 shard: *shard,
                 term: 0,
                 reply_to: me as u32,
-                writes: writes.clone(),
+                writes: Arc::clone(writes),
             });
             if track {
                 let awaits = Awaits::Ack {
@@ -410,7 +411,7 @@ impl Replication for RaftCommit {
             for b in st.part.backups(*shard) {
                 let from = b as u32;
                 if !ct.acks.contains(&(from, *shard)) {
-                    let msg = self.append(txn, *shard, txn.node, writes.clone());
+                    let msg = self.append(txn, *shard, txn.node, Arc::clone(writes));
                     unacked.track(Awaits::Ack { from, shard: *shard }, b, msg);
                 }
             }
@@ -499,7 +500,7 @@ impl HermesInval {
 
 impl Replication for HermesInval {
     /// The append doubles as the invalidation.
-    fn append(&self, txn: TxnId, shard: u32, reply_to: u32, writes: WriteSet) -> XMsg {
+    fn append(&self, txn: TxnId, shard: u32, reply_to: u32, writes: SharedWrites) -> XMsg {
         XMsg::HermesInv(MsgBox::new(LogReq {
             txn,
             shard,
@@ -563,7 +564,7 @@ mod tests {
         // Each token reaches its own protocol: only Hermes appends with
         // an invalidation, only Raft commits on a majority.
         for k in ReplBackend::ALL {
-            let append = backend(k).append(TxnId::new(0, 1), 0, 0, Vec::new());
+            let append = backend(k).append(TxnId::new(0, 1), 0, 0, SharedWrites::default());
             assert_eq!(matches!(append, XMsg::HermesInv(_)), k == ReplBackend::Hermes);
             assert_eq!(backend(k).evidence_threshold(3) == 1, k == ReplBackend::Raft);
         }

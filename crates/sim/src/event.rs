@@ -13,15 +13,30 @@
 //! two lanes:
 //!
 //! * a **near-future calendar**: a ring of [`NEAR_BUCKETS`] buckets, each
-//!   [`BUCKET_NS`] wide (a ~8 µs horizon past `now`). An event lands in
+//!   [`BUCKET_NS`] wide (a 512 ns horizon past `now`). An event lands in
 //!   bucket `time / BUCKET_NS`; buckets keep entries sorted ascending by
-//!   `(time, seq)`, so the common append/pop-front path is O(1). An
-//!   occupancy bitmap finds the next non-empty bucket with a couple of
-//!   `trailing_zeros`, never a linear slot walk.
-//! * a **far heap**: a four-ary implicit min-heap for the rare long delays
-//!   (timeouts, gauge sampling, crash schedules). Four-ary halves the tree
-//!   depth of a binary heap and keeps sift children in one cache line's
-//!   worth of slots.
+//!   `(time, seq)`, so an append/pop-front is O(1). An occupancy bitmap
+//!   finds the next non-empty bucket with a couple of `trailing_zeros`,
+//!   never a linear slot walk.
+//! * a **far heap**: a four-ary implicit min-heap for everything past the
+//!   horizon. Four-ary halves the tree depth of a binary heap and keeps
+//!   sift children in one cache line's worth of slots.
+//!
+//! The far heap is not a side lane for rare long delays. Wire latencies
+//! of a few µs overshoot the 512 ns horizon, so it takes 23 % of pushes
+//! on the benchmark's `retwis_sat`, 52 % on `tpcc_full` and 54 % on
+//! `ycsbe_scan`, with a mean length at pop of about 800, 620 and 280
+//! entries; 99.7 % of the Retwis far pushes land 0.5–4.1 µs ahead. The
+//! near lane's O(1) append also holds only for the auto-sequence
+//! [`EventQueue::push`]: under the owner-stamped
+//! [`EventQueue::push_with_seq`] that the cluster runtime uses, 24 % of
+//! Retwis near pushes meet an equal-time entry with a larger `seq` and
+//! take the binary-search insert. (Counted with counters kept out of the
+//! tree.) A wider calendar was tried and measured slower: 2048 or 4096
+//! buckets, with `VecDeque` buckets, gave `retwis_sat`
+//! `host_us_per_commit` medians of three of 24.4 and 26.2 µs against
+//! 23.8 µs at 512. A next attempt at the queue should start from these
+//! figures.
 //!
 //! `pop` compares the lane minima, so the merged order is *exactly* the
 //! `(time, seq)` order of the old single binary heap — asserted against a
@@ -47,8 +62,11 @@ const NEAR_BUCKETS: usize = 512;
 /// One bucket per nanosecond: a dense simulation schedules hundreds of
 /// events inside any wider window, and a sub-bucket ordered insert would
 /// degenerate into `O(n)` memmoves. At 1 ns a bucket only ever holds
-/// equal-time entries, whose `seq` is monotonically increasing — so every
-/// insert is an O(1) append and every pop an O(1) pop-front.
+/// equal-time entries. Under [`EventQueue::push`] their `seq` increases
+/// monotonically, so every insert is an O(1) append; under
+/// [`EventQueue::push_with_seq`] a caller's stamp can be smaller than a
+/// queued one, and the insert binary-searches the bucket (see the module
+/// docs for how often). Every pop is an O(1) pop-front.
 const BUCKET_NS: u64 = 1;
 /// Words in the occupancy bitmap.
 const OCC_WORDS: usize = NEAR_BUCKETS / 64;
@@ -318,7 +336,9 @@ impl<E> EventQueue<E> {
         if items.back().is_none_or(|e| (e.0, e.1) < key) {
             items.push_back((time, seq, event));
         } else {
-            // Rare: an earlier time landed in an already-populated bucket.
+            // An equal-time entry with a larger seq is already queued:
+            // rare under `push`, a quarter of Retwis near pushes under
+            // the runtime's owner-stamped `push_with_seq`.
             let mut lo = 0;
             let mut hi = items.len();
             while lo < hi {

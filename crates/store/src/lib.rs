@@ -33,7 +33,7 @@ pub mod types;
 pub use btree::BTree;
 pub use chained::ChainedTable;
 pub use hopscotch::HopscotchTable;
-pub use log::{CommitLog, LogEntry, LogKind};
+pub use log::{CommitLog, LogEntry, LogKind, SharedWrites};
 pub use nic_index::{NicIndex, NicLookup};
 pub use robinhood::{LookupTrace, RobinhoodTable};
 pub use types::{Key, LockState, TxnId, Value, Version, WritePayload};

@@ -14,6 +14,14 @@
 
 use crate::types::{Key, TxnId, Version, WritePayload};
 use std::collections::VecDeque;
+use std::sync::Arc;
+
+/// An immutable write set shared by reference count: key, payload (full
+/// value or delta), new version. The engine builds one per written shard
+/// at the Log phase; the primary's commit request, every backup's log
+/// request and the log entries they append all hold the same buffer, so
+/// the fan-out to backups copies no payloads.
+pub type SharedWrites = Arc<[(Key, WritePayload, Version)]>;
 
 /// What a log record represents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,7 +46,7 @@ pub struct LogEntry {
     /// The shard whose table the writes target.
     pub shard: u32,
     /// Write set: key, payload (full value or delta), new version.
-    pub writes: Vec<(Key, WritePayload, Version)>,
+    pub writes: SharedWrites,
     /// Record size, summed once at append.
     bytes: u64,
 }
@@ -62,9 +70,9 @@ fn record_bytes(writes: &[(Key, WritePayload, Version)]) -> u64 {
 
 /// Error: the ring is out of space until the host acks more entries.
 /// Hands the rejected write set back, so a caller that must retry later
-/// need not have cloned it up front.
+/// need not have kept a reference.
 #[derive(Debug, PartialEq)]
-pub struct LogFull(pub Vec<(Key, WritePayload, Version)>);
+pub struct LogFull(pub SharedWrites);
 
 /// The host-memory commit log ring.
 pub struct CommitLog {
@@ -108,14 +116,16 @@ impl CommitLog {
         self.entries.len()
     }
 
-    /// Appends a record (the NIC-side DMA write), assigning its LSN.
+    /// Appends a record (the NIC-side DMA write), assigning its LSN. A
+    /// shared write set is kept by reference; a `Vec` is moved into one.
     pub fn append(
         &mut self,
         txn: TxnId,
         kind: LogKind,
         shard: u32,
-        writes: Vec<(Key, WritePayload, Version)>,
+        writes: impl Into<SharedWrites>,
     ) -> Result<u64, LogFull> {
+        let writes = writes.into();
         let bytes = record_bytes(&writes);
         if self.used_bytes + bytes > self.capacity_bytes {
             return Err(LogFull(writes));
@@ -257,7 +267,7 @@ mod tests {
         // The rejected write set comes back to the caller intact.
         assert_eq!(
             log.append(txn(3), LogKind::Backup, 0, writes(1)),
-            Err(LogFull(writes(1)))
+            Err(LogFull(writes(1).into()))
         );
         log.ack_through(a);
         assert!(log.append(txn(3), LogKind::Backup, 0, writes(1)).is_ok());

@@ -671,6 +671,13 @@ impl NicIndex {
             })
     }
 
+    /// Starts fetching `segment`'s index entry: the one-entry form of
+    /// [`Self::prefetch_keys`], for a loop that prefetches a fixed
+    /// distance ahead of its own installs. Changes nothing.
+    pub fn prefetch_segment(&self, segment: usize) {
+        xenic_sim::prefetch(&self.entries[segment]);
+    }
+
     /// Starts the memory fetches that a batch of operations on `keys`
     /// will wait on — every key's index entry, then every cached value
     /// those entries hold — so their misses overlap instead of arriving

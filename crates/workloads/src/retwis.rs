@@ -88,6 +88,23 @@ impl Retwis {
         }
         keys
     }
+
+    /// A transaction over `n` distinct keys: the first `reads` are read,
+    /// the rest updated. The drawn key vector becomes the read set after
+    /// the update tail is mapped off it, so one vector serves both.
+    fn read_then_update(&self, rng: &mut DetRng, n: usize, reads: usize) -> TxnSpec {
+        let mut keys = self.pick_distinct(rng, n);
+        let updates = keys[reads..]
+            .iter()
+            .map(|k| (*k, UpdateOp::Mutate))
+            .collect();
+        keys.truncate(reads);
+        TxnSpec {
+            reads: keys,
+            updates,
+            ..Default::default()
+        }
+    }
 }
 
 impl Workload for Retwis {
@@ -95,41 +112,11 @@ impl Workload for Retwis {
         let kind = rng.below(100);
         let mut spec = match kind {
             // AddUser: 1 read, 3 writes (profile, followers, following).
-            0..=4 => {
-                let keys = self.pick_distinct(rng, 4);
-                TxnSpec {
-                    reads: vec![keys[0]],
-                    updates: keys[1..]
-                        .iter()
-                        .map(|k| (*k, UpdateOp::Mutate))
-                        .collect(),
-                    ..Default::default()
-                }
-            }
+            0..=4 => self.read_then_update(rng, 4, 1),
             // Follow: 2 reads, 2 writes.
-            5..=19 => {
-                let keys = self.pick_distinct(rng, 4);
-                TxnSpec {
-                    reads: keys[..2].to_vec(),
-                    updates: keys[2..]
-                        .iter()
-                        .map(|k| (*k, UpdateOp::Mutate))
-                        .collect(),
-                    ..Default::default()
-                }
-            }
+            5..=19 => self.read_then_update(rng, 4, 2),
             // PostTweet: 3 reads, 5 writes (tweet, timelines, lists).
-            20..=49 => {
-                let keys = self.pick_distinct(rng, 8);
-                TxnSpec {
-                    reads: keys[..3].to_vec(),
-                    updates: keys[3..]
-                        .iter()
-                        .map(|k| (*k, UpdateOp::Mutate))
-                        .collect(),
-                    ..Default::default()
-                }
-            }
+            20..=49 => self.read_then_update(rng, 8, 3),
             // GetTimeline: 1–10 reads.
             _ => {
                 let n = rng.range_inclusive(1, 10) as usize;

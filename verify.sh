@@ -25,6 +25,12 @@ stage cargo test -q
 
 stage cargo test --release -q --test conformance
 
+# The commit path's allocation budget (DESIGN.md §13): allocations per
+# commit of a 6-node Retwis and a 6-node TPC-C cluster on the serial
+# scheduler, against ceilings pinned from a release build, so the
+# commit path cannot re-fatten between benchmark runs.
+stage cargo test --release -q --test alloc_budget
+
 # The store's differential suites in release mode — the B-tree vs std
 # BTreeMap (100k-step schedules at both orders) and NicIndex vs its
 # naive reference (lock table, inline records, write buffer: lock
